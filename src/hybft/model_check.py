@@ -21,7 +21,6 @@ Three layers:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import hmac as hmaclib
 import itertools
@@ -48,12 +47,6 @@ def _fresh_tc(replica_id: int = 0, window: Optional[int] = None,
               strict: bool = True) -> TrustedComponent:
     return TrustedComponent(replica_id, mode=TcMode.HMAC, strict=strict,
                             system_key=_KEY, window=window)
-
-
-def _clone_tc(tc: TrustedComponent) -> TrustedComponent:
-    child = _fresh_tc(tc.replica_id, window=tc._window, strict=tc.strict)
-    child.restore(tc.snapshot())
-    return child
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +81,7 @@ def explore_counter_traces(depth: int = 8) -> Dict[str, int]:
             paths += 1
             continue
         for op in ops:
-            child = _clone_tc(tc)
+            child = tc.clone()
             if op == "c1":
                 ui = child.create_ui(_H1, counter="ctr")
                 fact = ("ui", ui.value)
@@ -130,7 +123,7 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
             paths += 1
             continue
         for kind, (view, seq) in alphabet:
-            child = _clone_tc(tc)
+            child = tc.clone()
             pv, ps = pos
             if kind == "cert":
                 legal_order = (view == pv and seq == ps + 1) or \
@@ -283,19 +276,29 @@ class World:
         return acts
 
     def apply(self, act) -> "World":
-        w = copy.deepcopy(self)
+        """Successor state after `act`, sharing what the step leaves unchanged.
+
+        Channel queues (tuples) and the armed set (a frozenset) are never
+        mutated, so the successor copies only the replica and channel maps
+        and clones the one replica that takes the step; the other replica
+        stays shared with this world.
+        """
+        w = World(dict(self.replicas), dict(self.channels), self.armed,
+                  self.byz, self.delivered)
         if act[0] == "deliver":
             key = act[1]
             queue = w.channels[key]
             msg, rest = queue[0], queue[1:]
             w.channels[key] = rest
             rid = key[1]
-            effects = w.replicas[rid].handle(msg, 0)
+            rep = w.replicas[rid] = self.replicas[rid].clone()
+            effects = rep.handle(msg, 0)
             w.delivered += 1
         else:
             rid, kind, tkey = act[1]
             w.armed = w.armed - {act[1]}
-            effects = w.replicas[rid].on_timer(kind, tkey, 0)
+            rep = w.replicas[rid] = self.replicas[rid].clone()
+            effects = rep.on_timer(kind, tkey, 0)
         w._absorb(rid, effects)
         return w
 

@@ -82,6 +82,25 @@ class _Tracker:
     view: int = 0
     via: str = ""
 
+    def clone(self) -> "_Tracker":
+        return _Tracker({d: dict(h) for d, h in self.claims.items()},
+                        self.committed, self.view, self.via)
+
+
+# Replica attributes that Replica.clone copies. Their elements are immutable
+# (ints, bytes, tuples, frozen messages), or, in the nested ones, containers
+# of immutable elements. Everything else is a scalar or never mutated
+# (cfg, directory, client_keys) and is shared between forks.
+_FLAT_STATE = (
+    "flagged_views", "cursors", "bound", "prepared_log", "committed_history",
+    "prepared_history", "exec_history", "executed", "last_reply", "pending",
+    "batchq", "inflight", "queued_batches", "timeline", "deferred_commits",
+    "decision_armed", "peer_max_commit", "peer_committed_floor", "vc_sent",
+    "suspect_armed", "stats",
+)
+_NESTED_STATE = ("buffered", "checkpoint_claims", "future_commits",
+                 "future_prepares", "decision_seen", "vc_votes")
+
 
 class Replica:
     def __init__(self, replica_id: int, cfg: ProtocolConfig,
@@ -598,7 +617,10 @@ class Replica:
     def on_fetch_state(self, fs: m.FetchState, now: int) -> List[tuple]:
         if self._passive():
             return []
-        if self.stable_seq < fs.seq or not self.stable_cert:
+        # a checkpoint adopted from peers' certificates but not yet executed
+        # here has no local state to serve
+        if (self.stable_seq < fs.seq or not self.stable_cert
+                or self.stable_seq not in self.exec_history):
             return []
         replies = tuple(self.last_reply[c] for c in sorted(self.last_reply))
         resp = m.StateResponse(self.stable_seq, self.exec_history[self.stable_seq],
@@ -1139,6 +1161,25 @@ class Replica:
         return self._drop("invalid_cert", seq)
 
     # ------------------------------------------------------------- inspection
+
+    def clone(self) -> "Replica":
+        """Independent fork of this replica, for state-space exploration.
+
+        Handling a message on the fork never changes this replica: every
+        mutable container is copied (see _FLAT_STATE), and so are the
+        trackers and the trusted component. Frozen messages and certificates
+        are shared. A subclass keeps its type; attributes it adds are
+        shared too, so they must be scalars or never mutated.
+        """
+        child = type(self).__new__(type(self))
+        state = child.__dict__ = self.__dict__.copy()
+        for name in _FLAT_STATE:
+            state[name] = state[name].copy()
+        for name in _NESTED_STATE:
+            state[name] = {k: v.copy() for k, v in state[name].items()}
+        state["trackers"] = {s: t.clone() for s, t in self.trackers.items()}
+        state["tc"] = self.tc.clone()
+        return child
 
     def state_key(self) -> tuple:
         """Canonical snapshot of behavior-relevant state for model checking."""

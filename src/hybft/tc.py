@@ -256,6 +256,7 @@ class TrustedComponent:
         "attest_state", "snapshot", "restore", "crash",
         "make_log", "replica_id", "epoch", "mode", "strict", "accesses",
         "issued_certificates", "is_crashed", "public_key", "state_key",
+        "clone",
     )
 
     def __init__(self, replica_id: int, *, mode: TcMode = TcMode.HMAC,
@@ -304,6 +305,23 @@ class TrustedComponent:
     def issued_certificates(self) -> tuple:
         """Audit view of every certificate this instance has issued."""
         return tuple(self._issued)
+
+    def clone(self) -> "TrustedComponent":
+        """Independent fork of this instance, for state-space exploration.
+
+        Counter, phase and context state is copied; the key or signer and
+        the issued certificates (all frozen) are shared. Unlike restore, the
+        fork keeps the epoch, the access count and the issued audit trail.
+        """
+        child = type(self).__new__(type(self))
+        child.__dict__.update(self.__dict__)
+        child._counters = dict(self._counters)
+        child._counter_low = dict(self._counter_low)
+        child._phases = dict(self._phases)
+        child._ctx_issued = {p: set(s) for p, s in self._ctx_issued.items()}
+        child._flexi_names = set(self._flexi_names)
+        child._issued = list(self._issued)
+        return child
 
     def state_key(self) -> tuple:
         """Canonical hashable snapshot of counter state, for model checking."""

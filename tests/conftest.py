@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from hybft.model_check import equivocate_world, explore_world
 from hybft.tc import Directory, TcMode, TrustedComponent
 
 SYSTEM_KEY = b"k" * 32
@@ -16,6 +17,15 @@ def hmac_pair():
     directory.register(0, a.epoch)
     directory.register(1, b.epoch)
     return a, b, directory
+
+
+@pytest.fixture(scope="session")
+def equivocate_exploration():
+    """explore_world over the default equivocation world, the largest one.
+
+    It takes seconds, and two test modules assert on it, so it runs once.
+    """
+    return explore_world(equivocate_world(), max_states=400_000)
 
 
 @pytest.fixture

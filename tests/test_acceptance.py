@@ -18,7 +18,7 @@ from conftest import make_hmac_tc
 from hybft import resource_model as rm
 from hybft.cli import _exact_cell
 from hybft.config import ADVERSARY_SCRIPTS, SimConfig
-from hybft.model_check import equivocate_world, explore_world, gap_world
+from hybft.model_check import explore_world, gap_world
 from hybft.sim import measure_overhead, run
 from hybft.tc import ContextCertificate, EquivocationRefused
 
@@ -113,8 +113,9 @@ def test_criterion_04_silent_repliers_need_forwarding():
 #    violates safety, and neither do 1,000 seeded runs per adversary script
 #    and fault bound.
 
-def test_criterion_05_adversarial_state_exploration_and_seed_sweep():
-    eq = explore_world(equivocate_world())
+def test_criterion_05_adversarial_state_exploration_and_seed_sweep(
+        equivocate_exploration):
+    eq = equivocate_exploration
     gp = explore_world(gap_world())
     assert eq["full_commit_terminals"] >= 1
     assert gp["full_commit_terminals"] >= 1

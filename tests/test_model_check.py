@@ -3,9 +3,13 @@ protocol worlds under scripted faults, across every delivery interleaving."""
 
 from __future__ import annotations
 
+import copy
+
+import pytest
+
 from hybft.model_check import (
+    World,
     check_commit_quorum,
-    equivocate_world,
     explore_context_traces,
     explore_counter_traces,
     explore_log_traces,
@@ -40,8 +44,8 @@ def test_counter_traces_at_full_depth():
     assert r["paths"] == 4 ** 8
 
 
-def test_equivocating_leader_world_is_safe_everywhere():
-    r = explore_world(equivocate_world(), max_states=400_000)
+def test_equivocating_leader_world_is_safe_everywhere(equivocate_exploration):
+    r = equivocate_exploration
     assert r["full_commit_terminals"] >= 1
     assert r["states"] > 1000
 
@@ -54,3 +58,53 @@ def test_withholding_leader_world_is_safe_everywhere():
 def test_prevention_world_is_safe_everywhere():
     r = explore_world(prevention_world(), max_states=400_000)
     assert r["full_commit_terminals"] >= 1
+
+
+# -- copy-on-write forks -------------------------------------------------
+
+
+def _deepcopy_apply(world: World, act) -> World:
+    """Reference successor: fork by deep-copying the whole world."""
+    w = copy.deepcopy(world)
+    if act[0] == "deliver":
+        queue = w.channels[act[1]]
+        w.channels[act[1]] = queue[1:]
+        rid = act[1][1]
+        effects = w.replicas[rid].handle(queue[0], 0)
+    else:
+        rid, kind, tkey = act[1]
+        w.armed = w.armed - {act[1]}
+        effects = w.replicas[rid].on_timer(kind, tkey, 0)
+    w._absorb(rid, effects)
+    return w
+
+
+def _reachable_keys(world: World, apply) -> set:
+    seen = set()
+    stack = [world]
+    while stack:
+        w = stack.pop()
+        key = w.state_key()
+        if key not in seen:
+            seen.add(key)
+            stack.extend(apply(w, act) for act in w.enabled())
+    return seen
+
+
+def _apply_keeping_parent(world: World, act) -> World:
+    key = world.state_key()
+    child = world.apply(act)
+    assert world.state_key() == key, act
+    return child
+
+
+@pytest.mark.parametrize("build", [gap_world, prevention_world])
+def test_apply_never_mutates_the_parent_world(build):
+    assert _reachable_keys(build(), _apply_keeping_parent)
+
+
+def test_forking_explorer_matches_a_deepcopy_explorer():
+    forked = _reachable_keys(gap_world(), World.apply)
+    reference = _reachable_keys(gap_world(), _deepcopy_apply)
+    assert forked == reference
+    assert len(forked) == explore_world(gap_world())["states"]

@@ -13,7 +13,7 @@ import hmac as hmaclib
 import pytest
 
 from hybft import messages as m
-from hybft.protocol import ProtocolConfig, Replica, proposal_counter
+from hybft.protocol import ProtocolConfig, Replica, _Tracker, proposal_counter
 from hybft.tc import Directory, TcMode, TrustedComponent, VerifyStatus
 
 SYSKEY = b"s" * 32
@@ -404,3 +404,51 @@ def test_checkpoints_advance_the_stable_floor():
     c.pump()
     for r in c.replicas:
         assert r.stable_seq == 2
+
+
+# ------------------------------------------------------------------ forks
+
+
+def _owned_containers(rep: Replica) -> set:
+    """ids of every mutable object a replica owns, at any depth."""
+    found = {id(rep.tc)}
+
+    def walk(obj):
+        if isinstance(obj, _Tracker):
+            found.add(id(obj))
+            walk(obj.claims)
+        elif isinstance(obj, (dict, list, set)):
+            found.add(id(obj))
+            if not isinstance(obj, set):
+                for item in (obj.values() if isinstance(obj, dict) else obj):
+                    walk(item)
+
+    shared = {"cfg", "directory", "client_keys", "tc"}
+    for name, value in vars(rep).items():
+        if name not in shared:
+            walk(value)
+    for value in vars(rep.tc).values():
+        walk(value)
+    return found
+
+
+def test_clone_shares_no_mutable_state_with_its_parent():
+    c = Cluster(checkpoint_interval=1)
+    broadcast_request(c, 1)
+    c.pump()
+    for rep in c.replicas:
+        assert rep.trackers and rep.checkpoint_claims
+        child = rep.clone()
+        assert child.state_key() == rep.state_key()
+        assert not _owned_containers(child) & _owned_containers(rep)
+
+
+def test_clone_keeps_the_subclass_and_its_attributes():
+    class Tagged(Replica):
+        pass
+
+    c = Cluster()
+    rep = Tagged(1, c.cfg, c.tcs[1], c.directory, {0: CLIENT_KEY})
+    rep.tag = "faulty"
+    child = rep.clone()
+    assert type(child) is Tagged and child.tag == "faulty"

@@ -4,6 +4,7 @@ between simulated tallies and the closed-form cost model."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -41,6 +42,24 @@ def test_larger_group_fault_free():
     v = run(SimConfig(f=3, clients=2, requests_per_client=2, seed=9)).verdict
     assert v["safety_ok"] and v["all_clients_done"]
     assert v["max_view"] == 0
+
+
+def test_state_request_for_an_unexecuted_checkpoint_goes_unanswered():
+    # replica 0 adopts checkpoint 23 from its peers' certificates while it has
+    # executed only up to 22, then receives a FetchState for 23
+    v = run(SimConfig(f=1, clients=4, requests_per_client=20, seed=8,
+                      record_trace=False)).verdict
+    assert v["safety_ok"] and v["all_clients_done"]
+
+
+@pytest.mark.parametrize("f,clients", [(1, 2), (1, 4), (2, 2), (2, 4)])
+def test_fault_free_soak_is_safe_and_live(f, clients):
+    # seeds 6-9 include 8, whose f=1 cells reach the state transfer above
+    for requests, seed in itertools.product((20, 50), range(6, 10)):
+        v = run(SimConfig(f=f, clients=clients, requests_per_client=requests,
+                          seed=seed, duration_ns=10_000_000_000,
+                          record_trace=False)).verdict
+        assert v["safety_ok"] and v["all_clients_done"], (requests, seed)
 
 
 # ------------------------------------------------------------- determinism

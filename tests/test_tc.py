@@ -293,6 +293,27 @@ def test_log_floor_never_retreats_and_window_bounds_appends():
         log.truncate(1)
 
 
+# ------------------------------------------------------------------ clone
+
+
+def test_clone_forks_counter_state_and_shares_the_key(hmac_pair):
+    a, b, directory = hmac_pair
+    a.create_ui(_h("x"))
+    a.certify_context("p", 1, 1, _h("y"))
+    fork = a.clone()
+    assert fork.state_key() == a.state_key()
+    assert fork.issued_certificates() == a.issued_certificates()
+    ui = fork.create_ui(_h("z"))
+    fork.certify_context("p", 1, 2, _h("w"))
+    assert fork.state_key() != a.state_key()
+    assert len(a.issued_certificates()) == 2
+    # the parent never saw the fork's steps, so it reaches the same positions
+    assert a.create_ui(_h("z")).value == ui.value
+    a.certify_context("p", 1, 2, _h("w"))
+    assert a.state_key() == fork.state_key()
+    assert verify_certificate(ui, directory=directory, via_tc=b) is VerifyStatus.OK
+
+
 # --------------------------------------------------------- snapshot/restore
 
 
