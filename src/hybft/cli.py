@@ -26,31 +26,6 @@ from . import sim as simmod
 from .config import ADVERSARY_SCRIPTS, ConfigError, SimConfig
 
 
-def _build_config(path: Optional[str], sets: List[str],
-                  script: Optional[str] = None) -> SimConfig:
-    """File, then script defaults, then --set overrides, then validation."""
-    data = {}
-    if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
-    cfg = cfgmod.from_dict(data)
-    if script is not None:
-        cfg.adversary = script
-        if script == "counter_identity":
-            cfg.vulnerable_tc = True
-        if script == "equivocate_withhold":
-            cfg.clients = max(cfg.clients, 2)
-            cfg.requests_per_client = max(cfg.requests_per_client, 3)
-        if script == "silent_repliers":
-            cfg.clients = max(cfg.clients, 2)
-    for item in sets:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise ConfigError(f"override {item!r} must look like path=value")
-        cfgmod.apply_override(cfg, key, raw)
-    return cfg.validate()
-
-
 def _exact_cell(base: SimConfig, f: int, batch: int) -> SimConfig:
     """Settings under which the simulator reproduces the closed form exactly:
     constant delay, one request round in flight, no timer can fire early
@@ -73,7 +48,7 @@ def _pct(x) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _build_config(args.config, args.set)
+    cfg = cfgmod.load(args.config, args.set)
     result = simmod.run(cfg)
     if args.out:
         result.write_outputs(args.out)
@@ -103,7 +78,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_overhead(args) -> int:
-    base = _build_config(args.config, args.set)
+    base = cfgmod.load(args.config, args.set)
     cfg = _exact_cell(base, args.f, args.batch)
     rep = simmod.measure_overhead(cfg)
     print(f"f={rep['f']} n={2 * rep['f'] + 1} batch={rep['B']}")
@@ -156,7 +131,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _build_config(args.config, args.set)
+    base = cfgmod.load(args.config, args.set)
     fs = [int(x) for x in args.f_list.split(",")]
     batches = [int(x) for x in args.batch_list.split(",")]
     rows = []
@@ -201,7 +176,7 @@ _STORY = {
 
 
 def cmd_attack(args) -> int:
-    cfg = _build_config(args.config, args.set, script=args.script)
+    cfg = cfgmod.load(args.config, args.set, script=args.script)
     result = simmod.run(cfg)
     if args.out:
         result.write_outputs(args.out)

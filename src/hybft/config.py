@@ -2,8 +2,9 @@
 
 A configuration is a flat dataclass plus the byte-size model and an adversary
 section. Files are plain JSON with optional "sim", "size_model" and
-"adversary" sections; command-line overrides use dot paths into the same
-namespace ("sim.f=3", "size_model.tx_bytes=512", "adversary.script=...").
+"adversary" sections, and nothing else; command-line overrides use dot paths
+into the same namespace ("sim.f=3", "size_model.tx_bytes=512",
+"adversary.script=...", "adversary.k=2").
 """
 
 from __future__ import annotations
@@ -158,7 +159,14 @@ def apply_override(cfg: SimConfig, path: str, raw: str) -> None:
         raise ConfigError(f"unknown config section {section!r}")
 
 
+_SECTIONS = ("sim", "size_model", "adversary")
+
+
 def from_dict(data: Dict) -> SimConfig:
+    unknown = set(data) - set(_SECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config sections {sorted(unknown)}; "
+                          f"options belong under one of {list(_SECTIONS)}")
     cfg = SimConfig()
     sim = dict(data.get("sim", {}))
     for k, v in sim.items():
@@ -178,15 +186,31 @@ def from_dict(data: Dict) -> SimConfig:
     return cfg
 
 
-def load(path: Optional[str] = None, overrides=()) -> SimConfig:
+def _apply_script(cfg: SimConfig, script: str) -> None:
+    """Select an adversary script and the workload floor its demo needs."""
+    cfg.adversary = script
+    if script == "counter_identity":
+        cfg.vulnerable_tc = True
+    if script == "equivocate_withhold":
+        cfg.clients = max(cfg.clients, 2)
+        cfg.requests_per_client = max(cfg.requests_per_client, 3)
+    if script == "silent_repliers":
+        cfg.clients = max(cfg.clients, 2)
+
+
+def load(path: Optional[str] = None, overrides=(),
+         script: Optional[str] = None) -> SimConfig:
+    """The file, then the script's presets, then the overrides; validated."""
     data = {}
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
     cfg = from_dict(data)
+    if script is not None:
+        _apply_script(cfg, script)
     for item in overrides:
-        key, _, raw = item.partition("=")
-        if not raw and "=" not in item:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise ConfigError(f"override {item!r} must look like path=value")
         apply_override(cfg, key, raw)
     return cfg.validate()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .tc import _enc
 from . import resource_model as rm
@@ -49,6 +49,28 @@ def commit_digest(view: int, seq: int, sender: int, bdigest: bytes) -> bytes:
 
 def checkpoint_digest(seq: int, state_digest: bytes) -> bytes:
     return _h(_enc("checkpoint", seq, state_digest))
+
+
+def view_change_core_digest(new_view: int, sender: int, stable_seq: int,
+                            prepares: Sequence[Prepare],
+                            timeline: Sequence[TimelineEntry]) -> bytes:
+    items = [_enc("vc", new_view, sender, stable_seq)]
+    items += [p.pdigest() for p in prepares]
+    items += [_enc(e.kind, e.seq, e.digest) for e in timeline]
+    return _h(b"".join(items))
+
+
+def view_change_digest(core_digest: bytes, attestation) -> bytes:
+    return _h(core_digest + _enc("att", attestation.proof))
+
+
+def new_view_digest(view: int, sender: int, base: int,
+                    viewchanges: Sequence[ViewChange],
+                    prepares: Sequence[Prepare]) -> bytes:
+    items = [_enc("nv", view, sender, base)]
+    items += [vc.vdigest() for vc in viewchanges]
+    items += [p.pdigest() for p in prepares]
+    return _h(b"".join(items))
 
 
 @dataclass(frozen=True)
@@ -137,13 +159,12 @@ class ViewChange:
     cert: object
 
     def core_digest(self) -> bytes:
-        items = [_enc("vc", self.new_view, self.sender, self.stable_seq)]
-        items += [p.pdigest() for p in self.prepares]
-        items += [_enc(e.kind, e.seq, e.digest) for e in self.timeline]
-        return _h(b"".join(items))
+        return view_change_core_digest(self.new_view, self.sender,
+                                       self.stable_seq, self.prepares,
+                                       self.timeline)
 
     def vdigest(self) -> bytes:
-        return _h(self.core_digest() + _enc("att", self.attestation.proof))
+        return view_change_digest(self.core_digest(), self.attestation)
 
 
 @dataclass(frozen=True)
@@ -158,10 +179,8 @@ class NewView:
     cert: object
 
     def ndigest(self) -> bytes:
-        items = [_enc("nv", self.view, self.sender, self.base)]
-        items += [vc.vdigest() for vc in self.viewchanges]
-        items += [p.pdigest() for p in self.prepares]
-        return _h(b"".join(items))
+        return new_view_digest(self.view, self.sender, self.base,
+                               self.viewchanges, self.prepares)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,10 @@
 
 Three layers:
 
-1. Component traces: depth-first search over every sequence of counter,
-   context and log operations up to a small depth, driving a real component
+1. Component traces: depth-first search over every sequence of counter
+   and context operations up to a small depth, driving a real component
    and asserting after each step that values never repeat, skipped ranges
-   are never assigned, context ids are certified at most once, and log
-   positions are never rewritten.
+   are never assigned, and context ids are certified at most once.
 
 2. Quorum tracking: brute force over every subset and arrival order of
    attestations for one slot, asserting a replica marks it committed exactly
@@ -14,9 +13,10 @@ Three layers:
 
 3. Protocol interleavings: a tiny three-replica world (faulty leader, two
    correct followers) explored over every message delivery order and timer
-   schedule, with memoized states. Every reachable state must satisfy the
-   cross-replica safety predicates; at least one terminal state must show
-   full commitment, demonstrating progress is reachable in the scenario.
+   schedule, with memoized states. Every reachable state must pass the
+   simulator's safety oracle (sim.safety_violations); at least one terminal
+   state must show full commitment, demonstrating progress is reachable in
+   the scenario.
 """
 
 from __future__ import annotations
@@ -24,29 +24,21 @@ from __future__ import annotations
 import hashlib
 import hmac as hmaclib
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from . import messages as m
-from .protocol import ProtocolConfig, Replica, leader_of, proposal_counter
-from .tc import (
-    EquivocationRefused,
-    SequenceRefused,
-    TcMode,
-    TrustedComponent,
-    WindowExceeded,
-    _enc,
-)
+from .protocol import ProtocolConfig, Replica, proposal_counter
+from .sim import safety_violations
+from .tc import EquivocationRefused, SequenceRefused, TcMode, TrustedComponent
 
 _KEY = hashlib.sha256(b"model-check-key").digest()
 _H1 = hashlib.sha256(b"payload-one").digest()
 _H2 = hashlib.sha256(b"payload-two").digest()
 
 
-def _fresh_tc(replica_id: int = 0, window: Optional[int] = None,
-              strict: bool = True) -> TrustedComponent:
-    return TrustedComponent(replica_id, mode=TcMode.HMAC, strict=strict,
-                            system_key=_KEY, window=window)
+def _fresh_tc(replica_id: int = 0) -> TrustedComponent:
+    return TrustedComponent(replica_id, mode=TcMode.HMAC, system_key=_KEY)
 
 
 # --------------------------------------------------------------------------
@@ -162,52 +154,6 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
 
 
 # --------------------------------------------------------------------------
-# 1c. attested log traces
-
-
-def explore_log_traces(depth: int = 6) -> Dict[str, int]:
-    """Append/truncate/lookup sequences: positions bind once, floors only rise."""
-    nodes = 0
-    paths = 0
-    # the log lives outside snapshots, so drive one component per path prefix
-    stack: List[Tuple[Tuple, int]] = [((), 0)]
-    while stack:
-        script, d = stack.pop()
-        nodes += 1
-        tc = _fresh_tc(window=None)
-        log = tc.make_log("audit")
-        bound: Dict[int, bytes] = {}
-        floor = 1
-        for op, arg in script:
-            if op == "append":
-                att = log.append(arg)
-                assert att.position not in bound, script
-                bound[att.position] = arg
-                assert att.digest == arg
-            elif op == "truncate":
-                target = floor + arg
-                log.truncate(target)
-                floor = target
-            else:
-                status, att = log.lookup(arg)
-                if arg < floor:
-                    assert status == "truncated", script
-                elif arg in bound:
-                    assert status == "ok" and att.digest == bound[arg], script
-                    assert att.position == arg
-                else:
-                    assert status == "unassigned", script
-        assert log.low_watermark == floor
-        if d == depth:
-            paths += 1
-            continue
-        for nxt in (("append", _H1), ("append", _H2),
-                    ("truncate", 1), ("lookup", 1), ("lookup", 2)):
-            stack.append((script + (nxt,), d + 1))
-    return {"nodes": nodes, "paths": paths}
-
-
-# --------------------------------------------------------------------------
 # 2. quorum tracking brute force
 
 
@@ -318,26 +264,6 @@ class World:
         self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
 
 
-def _safety(world: World) -> None:
-    correct = [r for rid, r in world.replicas.items() if rid not in world.byz]
-    by_seq: Dict[int, Set[bytes]] = {}
-    for r in correct:
-        for seq, dig in r.committed_history.items():
-            by_seq.setdefault(seq, set()).add(dig)
-    for seq, digs in by_seq.items():
-        assert len(digs) == 1, f"conflicting commits at seq {seq}"
-    by_slot: Dict[Tuple[int, int], Set[bytes]] = {}
-    for r in correct:
-        for view, seq, _counter, dig in r.prepared_history:
-            by_slot.setdefault((view, seq), set()).add(dig)
-    for slot, digs in by_slot.items():
-        assert len(digs) == 1, f"conflicting admissions at {slot}"
-    for a, b in itertools.combinations(correct, 2):
-        for seq in set(a.exec_history) & set(b.exec_history):
-            assert a.exec_history[seq] == b.exec_history[seq], \
-                f"divergent execution at {seq}"
-
-
 def explore_world(world: World, max_states: int = 400_000,
                   terminal_check=None) -> Dict[str, int]:
     seen: Set[tuple] = set()
@@ -351,7 +277,8 @@ def explore_world(world: World, max_states: int = 400_000,
             continue
         seen.add(key)
         assert len(seen) <= max_states, "state budget exceeded"
-        _safety(w)
+        violations = safety_violations(w.replicas.values(), w.byz)
+        assert not violations, violations
         acts = w.enabled()
         if not acts:
             terminals += 1

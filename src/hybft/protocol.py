@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import hmac as hmaclib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import messages as m
 from .tc import (
@@ -192,38 +192,30 @@ class Replica:
 
     # --------------------------------------------------------- certification
 
+    def _cert(self, phase: str, view: int, seq: int, digest: bytes):
+        """Certify one statement other than a detection-mode proposal.
+
+        Detection mode binds it to the next value of the message counter.
+        Prevention mode certifies the context (phase, view, seq); if the
+        component's position for the phase is behind, the ids in between are
+        voided with a recorded skip first.
+        """
+        if self.cfg.mode != "prevention":
+            return self.tc.create_ui(digest, counter=MSG_COUNTER)
+        try:
+            return self.tc.certify_context(phase, view, seq, digest)
+        except SequenceRefused:
+            skip = self.tc.skip_contexts(phase, view, seq - 1)
+            self._record("skip", seq - 1, b"", skip)
+            return self.tc.certify_context(phase, view, seq, digest)
+
     def _cert_prepare(self, view: int, seq: int, digest: bytes):
         if self.cfg.mode == "prevention":
-            try:
-                return self.tc.certify_context("prepare", view, seq, digest)
-            except SequenceRefused:
-                skip = self.tc.skip_contexts("prepare", view, seq - 1)
-                self._record("skip", seq - 1, b"", skip)
-                return self.tc.certify_context("prepare", view, seq, digest)
+            return self._cert("prepare", view, seq, digest)
         ui = self.tc.create_ui(digest, counter=proposal_counter(view))
         if ui.value != seq:
             raise RuntimeError("proposal counter out of step with sequence")
         return ui
-
-    def _cert_commit(self, view: int, seq: int, digest: bytes):
-        if self.cfg.mode == "prevention":
-            try:
-                return self.tc.certify_context("commit", view, seq, digest)
-            except SequenceRefused:
-                skip = self.tc.skip_contexts("commit", view, seq - 1)
-                self._record("skip", seq - 1, b"", skip)
-                return self.tc.certify_context("commit", view, seq, digest)
-        return self.tc.create_ui(digest, counter=MSG_COUNTER)
-
-    def _cert_plain(self, phase: str, ordinal: int, digest: bytes):
-        if self.cfg.mode == "prevention":
-            try:
-                return self.tc.certify_context(phase, ordinal, 1, digest)
-            except SequenceRefused:
-                skip = self.tc.skip_contexts(phase, ordinal, 0)
-                self._record("skip", 0, b"", skip)
-                return self.tc.certify_context(phase, ordinal, 1, digest)
-        return self.tc.create_ui(digest, counter=MSG_COUNTER)
 
     def _expected_proposal_counter(self, view: int) -> str:
         return derive_counter_id(leader_of(view, self.cfg.n), proposal_counter(view))
@@ -422,7 +414,7 @@ class Replica:
     def _emit_commit(self, view: int, seq: int, bdigest: bytes, now: int) -> List[tuple]:
         cdig = m.commit_digest(view, seq, self.id, bdigest)
         try:
-            cert = self._cert_commit(view, seq, cdig)
+            cert = self._cert("commit", view, seq, cdig)
         except TcUnavailable:
             return [("note", {"ev": "tc_down", "replica": self.id})]
         self._record("commit", seq, cdig, cert)
@@ -682,11 +674,10 @@ class Replica:
         return out
 
     def _state_digest(self) -> bytes:
-        replies = [self.last_reply[c].result for c in sorted(self.last_reply)]
-        return hashlib.sha256(_enc("state", self.exec_digest, *replies)).digest()
+        return self._state_digest_from(self.exec_digest, self.last_reply.values())
 
     def _state_digest_from(self, exec_digest: bytes,
-                           replies: Tuple[m.Reply, ...]) -> bytes:
+                           replies: Iterable[m.Reply]) -> bytes:
         ordered = sorted(replies, key=lambda r: r.client_id)
         return hashlib.sha256(
             _enc("state", exec_digest, *[r.result for r in ordered])).digest()
@@ -698,7 +689,7 @@ class Replica:
         cdig = m.checkpoint_digest(seq, sdig)
         self.checkpoint_count += 1
         try:
-            cert = self._cert_plain("checkpoint", self.checkpoint_count, cdig)
+            cert = self._cert("checkpoint", self.checkpoint_count, 1, cdig)
         except TcUnavailable:
             return [("note", {"ev": "tc_down", "replica": self.id})]
         self._record("checkpoint", seq, cdig, cert)
@@ -775,16 +766,12 @@ class Replica:
         prepares = tuple(self.prepared_log[s]
                          for s in sorted(self.prepared_log) if s > self.stable_seq)
         timeline = tuple(self.timeline)
-        core_items = [_enc("vc", target, self.id, self.stable_seq)]
-        core_items += [p.pdigest() for p in prepares]
-        core_items += [_enc(e.kind, e.seq, e.digest) for e in timeline]
-        core = hashlib.sha256(b"".join(core_items)).digest()
+        core = m.view_change_core_digest(target, self.id, self.stable_seq,
+                                         prepares, timeline)
         try:
             att = self.tc.attest_state(core)
-            vdig = hashlib.sha256(core + _enc("att", att.proof)).digest()
-            cert = (self.tc.certify_context("viewchange", target, 1, vdig)
-                    if self.cfg.mode == "prevention"
-                    else self.tc.create_ui(vdig, counter=MSG_COUNTER))
+            vdig = m.view_change_digest(core, att)
+            cert = self._cert("viewchange", target, 1, vdig)
         except TcUnavailable:
             return [("note", {"ev": "tc_down", "replica": self.id})]
         vc = m.ViewChange(target, self.id, self.stable_seq, self.stable_cert,
@@ -968,11 +955,8 @@ class Replica:
                 new_preps.append(m.Prepare(view, old.seq, old.requests, bdig, cert))
                 self._record("prepare", old.seq, pdig, cert)
             vcs = tuple(votes[s] for s in sorted(votes))
-            items = [_enc("nv", view, self.id, base)]
-            items += [vc.vdigest() for vc in vcs]
-            items += [p.pdigest() for p in new_preps]
-            ndig = hashlib.sha256(b"".join(items)).digest()
-            cert = self._cert_plain("newview", view, ndig)
+            ndig = m.new_view_digest(view, self.id, base, vcs, new_preps)
+            cert = self._cert("newview", view, 1, ndig)
         except TcUnavailable:
             return [("note", {"ev": "tc_down", "replica": self.id})]
         nv = m.NewView(view, self.id, vcs, base, stable, skip,
@@ -1206,5 +1190,5 @@ class Replica:
             tuple(sorted((v, tuple(sorted(d))) for v, d in self.vc_votes.items())),
             tuple(sorted(self.vc_sent)),
             len(self.timeline),
-            self.tc.state_key() if hasattr(self.tc, "state_key") else None,
+            self.tc.state_key(),
         )

@@ -8,12 +8,13 @@ the channel and a per-channel counter, never from a shared PRNG stream, so
 two runs that differ only in an extra message class keep identical delays
 for the messages they have in common.
 
-After every run a set of oracles inspects final replica state: committed
-and admitted digests must not conflict across correct replicas, execution
-digests must agree on common prefixes, no trusted component may have issued
-two certificates for one counter value or context id, and every submitted
-request should have executed somewhere. Their findings form the run verdict;
-scenario tests assert against it.
+After every run the safety oracle (safety_violations, which the model
+checker also asserts at every reachable state) inspects final replica state:
+committed and admitted digests must not conflict across correct replicas,
+execution digests must agree on common prefixes, and no trusted component
+may have issued two certificates for one counter value or context id. With
+a liveness check (every submitted request should have executed somewhere)
+its findings form the run verdict; scenario tests assert against it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from . import adversary as adversary_mod
 from . import messages as m
@@ -34,7 +35,14 @@ from . import resource_model as rm
 from .clients import Client
 from .config import SimConfig
 from .protocol import ProtocolConfig, Replica
-from .tc import Directory, TcMode, TrustedComponent, _enc
+from .tc import (
+    ContextCertificate,
+    Directory,
+    TcMode,
+    TrustedComponent,
+    UniqueIdentifier,
+    _enc,
+)
 
 TALLY_FIELDS = ["f", "n", "B", "delta", "decisions", "msgs_total",
                 "msgs_decision", "bytes_total", "overhead_msgs",
@@ -51,8 +59,6 @@ class RunResult:
     verdict: Dict
     msgs_by_type: Dict[str, int]
     bytes_by_type: Dict[str, int]
-    per_sender_msgs: Dict[str, Dict[str, int]]
-    per_sender_bytes: Dict[str, int]
     latency: List
     trace: List[Dict]
     end_ns: int
@@ -132,8 +138,6 @@ class Simulator:
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
-        self.per_sender_msgs: Dict[str, Dict[str, int]] = {}
-        self.per_sender_bytes: Dict[str, int] = {}
         self._blobs: Dict[int, object] = {}
         self._build()
 
@@ -149,10 +153,7 @@ class Simulator:
         self.tcs: List[TrustedComponent] = []
         for rid in range(cfg.n):
             strict = not (cfg.vulnerable_tc and rid == 0)
-            tc = TrustedComponent(
-                rid, mode=mode, strict=strict, epoch=1,
-                system_key=system_key,
-                sig_seed=hashlib.sha256(_enc("sig", cfg.seed, rid)).digest())
+            tc = self._component(rid, mode, strict, epoch=1)
             self.directory.register(rid, 1, tc.public_key())
             self.tcs.append(tc)
         client_keys = {cid: hashlib.sha256(_enc("client", cfg.seed, cid)).digest()
@@ -182,6 +183,17 @@ class Simulator:
             for cid in range(cfg.clients)]
         for c in self.clients:
             self._apply(("client", c.id), c.start(0))
+
+    def _component(self, rid: int, mode: TcMode, strict: bool, epoch: int,
+                   rekey: bool = False) -> TrustedComponent:
+        """Trusted component for replica `rid`. Built and restored instances
+        share the replica's signing key; a restarted one (rekey) derives a
+        new key from its new epoch."""
+        key_id = (rid, epoch) if rekey else (rid,)
+        return TrustedComponent(
+            rid, mode=mode, strict=strict, epoch=epoch,
+            system_key=self.system_key,
+            sig_seed=hashlib.sha256(_enc("sig", self.cfg.seed, *key_id)).digest())
 
     # ------------------------------------------------------------ scheduling
 
@@ -216,9 +228,6 @@ class Simulator:
                 size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
                 self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1
                 self.bytes_by_type[mtype] = self.bytes_by_type.get(mtype, 0) + size
-                per = self.per_sender_msgs.setdefault(src, {})
-                per[mtype] = per.get(mtype, 0) + 1
-                self.per_sender_bytes[src] = self.per_sender_bytes.get(src, 0) + size
                 t = self.now + self._delay(src, self._label(dst))
                 self._push(t, _PRIO_DELIVER, "deliver", (dst, src, msg))
             elif tag == "timer":
@@ -275,8 +284,6 @@ class Simulator:
         return RunResult(
             cfg=cfg, verdict=verdict,
             msgs_by_type=self.msgs_by_type, bytes_by_type=self.bytes_by_type,
-            per_sender_msgs=self.per_sender_msgs,
-            per_sender_bytes=self.per_sender_bytes,
             latency=[r for c in self.clients for r in c.records],
             trace=self.trace, end_ns=end,
             tc_accesses={r.id: r.tc.accesses for r in self.replicas},
@@ -297,21 +304,14 @@ class Simulator:
         elif action == "tc_restore":
             rid = params["replica"]
             old = self.replicas[rid].tc
-            fresh = TrustedComponent(
-                rid, mode=old.mode, strict=old.strict, epoch=old.epoch,
-                system_key=self.system_key,
-                sig_seed=hashlib.sha256(_enc("sig", self.cfg.seed, rid)).digest())
+            fresh = self._component(rid, old.mode, old.strict, old.epoch)
             fresh.restore(self._blobs.pop(rid))
             self.replicas[rid].tc = fresh
         elif action == "tc_restart":
             rid = params["replica"]
             old = self.replicas[rid].tc
-            fresh = TrustedComponent(
-                rid, mode=old.mode, strict=old.strict, epoch=old.epoch + 1,
-                system_key=self.system_key,
-                sig_seed=hashlib.sha256(
-                    _enc("sig", self.cfg.seed, rid, old.epoch + 1)).digest())
-            self.replicas[rid].tc = fresh
+            self.replicas[rid].tc = self._component(
+                rid, old.mode, old.strict, old.epoch + 1, rekey=True)
         else:
             raise ValueError(f"unknown admin action {action!r}")
 
@@ -319,57 +319,7 @@ class Simulator:
 
     def _verdict(self) -> Dict:
         correct = [r for r in self.replicas if r.id not in self.byz_ids]
-        violations: List[Dict] = []
-
-        by_seq: Dict[int, Dict[bytes, List[int]]] = {}
-        for r in correct:
-            for seq, dig in r.committed_history.items():
-                by_seq.setdefault(seq, {}).setdefault(dig, []).append(r.id)
-        for seq, digs in sorted(by_seq.items()):
-            if len(digs) > 1:
-                violations.append({
-                    "kind": "conflicting_commit", "seq": seq,
-                    "claims": {d.hex()[:12]: sorted(rs)
-                               for d, rs in digs.items()}})
-
-        by_slot: Dict[Tuple[int, int], Dict[bytes, List[int]]] = {}
-        for r in correct:
-            for view, seq, counter, dig in r.prepared_history:
-                by_slot.setdefault((view, seq), {}).setdefault(dig, []).append(r.id)
-        for (view, seq), digs in sorted(by_slot.items()):
-            if len(digs) > 1:
-                violations.append({
-                    "kind": "conflicting_admission", "view": view, "seq": seq,
-                    "claims": {d.hex()[:12]: sorted(rs)
-                               for d, rs in digs.items()}})
-
-        for a in correct:
-            for b in correct:
-                if b.id <= a.id:
-                    continue
-                for seq in set(a.exec_history) & set(b.exec_history):
-                    if a.exec_history[seq] != b.exec_history[seq]:
-                        violations.append({
-                            "kind": "divergent_execution", "seq": seq,
-                            "replicas": [a.id, b.id]})
-
-        for r in self.replicas:
-            seen_ui: Dict[Tuple[str, int], bytes] = {}
-            seen_ctx: set = set()
-            for cert in r.tc.issued_certificates():
-                if hasattr(cert, "counter") and hasattr(cert, "value"):
-                    key = (cert.counter, cert.value)
-                    if key in seen_ui:
-                        violations.append({"kind": "double_ui", "replica": r.id,
-                                           "counter": key[0], "value": key[1]})
-                    seen_ui[key] = cert.msg_hash
-                elif hasattr(cert, "phase") and hasattr(cert, "seq") \
-                        and hasattr(cert, "msg_hash"):
-                    key = (cert.phase, cert.view, cert.seq)
-                    if key in seen_ctx:
-                        violations.append({"kind": "double_context",
-                                           "replica": r.id, "context": key})
-                    seen_ctx.add(key)
+        violations = safety_violations(self.replicas, self.byz_ids)
 
         submitted = set()
         for c in self.clients:
@@ -397,6 +347,68 @@ class Simulator:
                                      for r in correct),
             "retransmits": sum(c.retransmits for c in self.clients),
         }
+
+
+def _claims(digs: Dict[bytes, List[int]]) -> Dict[str, List[int]]:
+    return {d.hex()[:12]: sorted(rs) for d, rs in digs.items()}
+
+
+def safety_violations(replicas: Iterable[Replica], byz: Set[int]) -> List[Dict]:
+    """Every safety violation visible in the replicas' current state.
+
+    Across correct replicas (ids not in `byz`): no two commit different
+    digests at one seq, no two admit different digests at one (view, seq),
+    and execution digests agree wherever two replicas executed the same seq.
+    Across every replica's trusted component: no counter value and no
+    context id was certified twice. The simulator reports the list as its
+    verdict; the model checker asserts it is empty at every reachable state.
+    """
+    replicas = list(replicas)
+    correct = [r for r in replicas if r.id not in byz]
+    violations: List[Dict] = []
+
+    by_seq: Dict[int, Dict[bytes, List[int]]] = {}
+    by_slot: Dict[Tuple[int, int], Dict[bytes, List[int]]] = {}
+    for r in correct:
+        for seq, dig in r.committed_history.items():
+            by_seq.setdefault(seq, {}).setdefault(dig, []).append(r.id)
+        for view, seq, _counter, dig in r.prepared_history:
+            by_slot.setdefault((view, seq), {}).setdefault(dig, []).append(r.id)
+    for seq, digs in sorted(by_seq.items()):
+        if len(digs) > 1:
+            violations.append({"kind": "conflicting_commit", "seq": seq,
+                               "claims": _claims(digs)})
+    for (view, seq), digs in sorted(by_slot.items()):
+        if len(digs) > 1:
+            violations.append({"kind": "conflicting_admission", "view": view,
+                               "seq": seq, "claims": _claims(digs)})
+
+    for a in correct:
+        for b in correct:
+            if b.id <= a.id:
+                continue
+            for seq in set(a.exec_history) & set(b.exec_history):
+                if a.exec_history[seq] != b.exec_history[seq]:
+                    violations.append({"kind": "divergent_execution",
+                                       "seq": seq, "replicas": [a.id, b.id]})
+
+    for r in replicas:
+        seen_ui: Set[Tuple[str, int]] = set()
+        seen_ctx: Set[Tuple[str, int, int]] = set()
+        for cert in r.tc.issued_certificates():
+            if isinstance(cert, UniqueIdentifier):
+                key = (cert.counter, cert.value)
+                if key in seen_ui:
+                    violations.append({"kind": "double_ui", "replica": r.id,
+                                       "counter": key[0], "value": key[1]})
+                seen_ui.add(key)
+            elif isinstance(cert, ContextCertificate):
+                key = (cert.phase, cert.view, cert.seq)
+                if key in seen_ctx:
+                    violations.append({"kind": "double_context",
+                                       "replica": r.id, "context": key})
+                seen_ctx.add(key)
+    return violations
 
 
 def run(cfg: SimConfig) -> RunResult:

@@ -1,4 +1,4 @@
-"""Simulated trusted components: attested counters, context certification, attested logs.
+"""Simulated trusted components: attested counters, context certification, state attestation.
 
 Each replica owns one TrustedComponent instance. The untrusted replica code may
 only call the public operations below; key material and counter state live in
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -53,7 +53,7 @@ class SequenceRefused(Exception):
 
 
 class WindowExceeded(Exception):
-    """Counter value or log position would leave the watermark window."""
+    """Counter value would leave the watermark window."""
 
 
 class RestoreRefused(Exception):
@@ -153,8 +153,9 @@ class PhaseSkipCertificate:
 class StateAttestation:
     """Attested read of every counter and phase position, bound to a nonce.
 
-    Lets a verifier demand a log that is gapless up to the attested positions,
-    so a replica cannot present a truncated timeline during a view change.
+    Lets a verifier demand a timeline that is gapless up to the attested
+    positions, so a replica cannot hide the tail of its history during a
+    view change.
     """
 
     replica_id: int
@@ -173,26 +174,6 @@ class StateAttestation:
         for phase, view, seq in self.phases:
             flat += [phase, view, seq]
         return _enc(*flat)
-
-
-@dataclass(frozen=True)
-class LogAttestation:
-    """Attests the digest stored at one position of an attested log."""
-
-    replica_id: int
-    epoch: int
-    log_id: str
-    position: int
-    digest: bytes
-    proof: bytes
-
-    def payload(self) -> bytes:
-        return _enc("log", self.replica_id, self.epoch, self.log_id,
-                    self.position, self.digest)
-
-
-Certificate = (UniqueIdentifier, SkipCertificate, ContextCertificate,
-               PhaseSkipCertificate, StateAttestation, LogAttestation)
 
 
 @dataclass
@@ -254,7 +235,7 @@ class TrustedComponent:
         "create_ui", "verify", "skip_values", "advance_watermark",
         "certify_context", "skip_contexts", "flexi_create_counter",
         "attest_state", "snapshot", "restore", "crash",
-        "make_log", "replica_id", "epoch", "mode", "strict", "accesses",
+        "replica_id", "epoch", "mode", "strict", "accesses",
         "issued_certificates", "is_crashed", "public_key", "state_key",
         "clone",
     )
@@ -535,70 +516,6 @@ class TrustedComponent:
         self._ctx_issued = {p: set(s) for p, s in blob._ctx_issued.items()}
         self._flexi_serial = blob._flexi_serial
         self._flexi_names = set(blob._flexi_names)
-
-    # -- attested log -------------------------------------------------------
-
-    def make_log(self, log_id: str, window: Optional[int] = None) -> "AttestedLog":
-        return AttestedLog(self, log_id, window)
-
-
-class AttestedLog:
-    """Append-only log of digests with attested positional lookups.
-
-    Positions are assigned once and never reused; truncation only raises the
-    floor. The backing component signs every attestation, so lookups cost one
-    access like any other trusted operation.
-    """
-
-    def __init__(self, tc: TrustedComponent, log_id: str,
-                 window: Optional[int] = None):
-        self._tc = tc
-        self.log_id = log_id
-        self._window = window
-        self._entries: Dict[int, bytes] = {}
-        self._next = 1
-        self._low = 1
-
-    @property
-    def low_watermark(self) -> int:
-        return self._low
-
-    def append(self, digest: bytes) -> LogAttestation:
-        self._tc._touch()
-        if self._window is not None and self._next > self._low + self._window - 1:
-            raise WindowExceeded(
-                f"log {self.log_id}: position {self._next} past window")
-        pos = self._next
-        self._next += 1
-        self._entries[pos] = digest
-        att = LogAttestation(self._tc.replica_id, self._tc.epoch, self.log_id,
-                             pos, digest, b"")
-        att = LogAttestation(self._tc.replica_id, self._tc.epoch, self.log_id,
-                             pos, digest, self._tc._prove(att.payload()))
-        self._tc._issued.append(att)
-        return att
-
-    def lookup(self, pos: int):
-        """Returns ("ok", attestation), ("truncated", None) or ("unassigned", None)."""
-        self._tc._touch()
-        if pos < self._low:
-            return ("truncated", None)
-        if pos not in self._entries:
-            return ("unassigned", None)
-        digest = self._entries[pos]
-        att = LogAttestation(self._tc.replica_id, self._tc.epoch, self.log_id,
-                             pos, digest, b"")
-        att = LogAttestation(self._tc.replica_id, self._tc.epoch, self.log_id,
-                             pos, digest, self._tc._prove(att.payload()))
-        return ("ok", att)
-
-    def truncate(self, new_low: int) -> None:
-        self._tc._touch()
-        if new_low < self._low:
-            raise ValueError("truncation floor only moves forward")
-        self._low = new_low
-        for pos in [p for p in self._entries if p < new_low]:
-            del self._entries[pos]
 
 
 def verify_certificate(cert, *, directory: Directory,

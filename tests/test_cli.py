@@ -7,6 +7,7 @@ import json
 import pytest
 
 from hybft.cli import main
+from hybft.config import load
 from hybft.sim import TALLY_FIELDS
 
 FAST = ["--set", "clients=1", "--set", "requests_per_client=1",
@@ -48,12 +49,33 @@ def test_run_stalled_workload_exits_nonzero(capsys):
 
 def test_config_file_and_override_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"f": 2, "clients": 1,
-                                   "requests_per_client": 1,
-                                   "record_trace": False}))
+    cfgfile.write_text(json.dumps({"sim": {"f": 2, "clients": 1,
+                                           "requests_per_client": 1,
+                                           "record_trace": False}}))
+    rc = main(["run", "--config", str(cfgfile), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["f"] == 2
     rc = main(["run", "--config", str(cfgfile), "--set", "f=1", "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["f"] == 1
+
+
+def test_options_outside_a_section_exit_two(tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"f": 2}))
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert "unknown config sections ['f']" in capsys.readouterr().err
+
+
+def test_attack_presets_sit_between_file_and_overrides(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"sim": {"clients": 1}}))
+    assert load(str(cfgfile)).clients == 1
+    assert load(str(cfgfile), script="silent_repliers").clients == 2
+    # an override still wins, even below the preset's floor
+    assert load(str(cfgfile), ["clients=1"], script="silent_repliers").clients == 1
+    crash = load(None, ["adversary.k=2"], script="crash_tcs")
+    assert crash.adversary == "crash_tcs" and crash.adversary_params == {"k": 2}
 
 
 def test_bad_override_exits_two(capsys):

@@ -12,7 +12,6 @@ from hybft.model_check import (
     check_commit_quorum,
     explore_context_traces,
     explore_counter_traces,
-    explore_log_traces,
     explore_world,
     gap_world,
     prevention_world,
@@ -27,11 +26,6 @@ def test_counter_interface_traces_exhaustively():
 def test_context_interface_traces_exhaustively():
     r = explore_context_traces(depth=6)
     assert r["paths"] == 6 ** 6
-
-
-def test_log_interface_traces_exhaustively():
-    r = explore_log_traces(depth=6)
-    assert r["paths"] == 5 ** 6
 
 
 def test_commit_quorum_over_all_arrival_orders():
@@ -58,6 +52,14 @@ def test_withholding_leader_world_is_safe_everywhere():
 def test_prevention_world_is_safe_everywhere():
     r = explore_world(prevention_world(), max_states=400_000)
     assert r["full_commit_terminals"] >= 1
+
+
+def test_explorer_rejects_a_world_that_starts_unsafe():
+    world = gap_world()
+    world.replicas[1].committed_history[1] = b"a" * 32
+    world.replicas[2].committed_history[1] = b"b" * 32
+    with pytest.raises(AssertionError, match="conflicting_commit"):
+        explore_world(world)
 
 
 # -- copy-on-write forks -------------------------------------------------

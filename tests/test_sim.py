@@ -4,6 +4,7 @@ between simulated tallies and the closed-form cost model."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -11,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from hybft.config import SimConfig
-from hybft.sim import TALLY_FIELDS, measure_overhead, run
+from hybft.protocol import ProtocolConfig, Replica
+from hybft.sim import TALLY_FIELDS, measure_overhead, run, safety_violations
+from hybft.tc import ContextCertificate, UniqueIdentifier
 
 
 def exact_cell(f: int, batch: int, **kw) -> SimConfig:
@@ -212,3 +215,108 @@ def test_write_outputs_round_trips(tmp_path):
     assert summary["verdict"]["safety_ok"] is True
     header = (tmp_path / "tallies.csv").read_text().splitlines()[0]
     assert header.split(",") == TALLY_FIELDS
+
+
+# Pinned sha256 of trace.jsonl followed by summary.json. A change that is
+# meant to keep behaviour must keep these; one that changes behaviour on
+# purpose must say why the new hashes are right.
+GOLDEN = {
+    "hmac": (SimConfig(f=1, clients=2, requests_per_client=2, seed=1),
+             "2616b76fce7f00c5ea310915969306f7214d5ce8026ab33791e102f74e3571b0"),
+    "sig": (SimConfig(f=1, clients=2, requests_per_client=2, seed=2,
+                      tc_mode="sig"),
+            "ed9347aa9fca0770327972cafc3ed6bcd2282c4da844d7173287c2bda4ca5a64"),
+    "prevention": (
+        SimConfig(f=1, clients=2, requests_per_client=2, seed=3,
+                  mode="prevention"),
+        "9a1b50f34b73837451df923febd8ad59be35e924641cf5c7a5c334e91ea91418"),
+    "equivocate_withhold": (
+        SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
+                  adversary="equivocate_withhold"),
+        "fa8dfd27f337d5a523e33156caede51e70e0ba3c34abb23ecfff6e6682eac627"),
+    "gap_forever": (
+        SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
+                  adversary="gap_forever"),
+        "daed0a2bd9e6fd3561fbe9c49b7712382be33e16e28639ec7f04ab09025bd24c"),
+    "gap_forever_prevention": (
+        SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
+                  adversary="gap_forever", mode="prevention"),
+        "e1a15f9da99794f796df77266b43eb43dd1375200337beb430dcc5d231ffb449"),
+    "gap_forever_sig": (
+        SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
+                  adversary="gap_forever", tc_mode="sig"),
+        "33b68a133d041009dce11fcab0643831b7dd76c7e8298ef635bd3a5258a7791f"),
+    "silent_repliers": (
+        SimConfig(f=1, clients=2, requests_per_client=2, seed=3,
+                  adversary="silent_repliers"),
+        "c0d5f98d3fd74ec4f44a98d879a3f08c477ad7bafc6dfd90d3760634009c97b8"),
+    "counter_identity": (  # unsafe: pins the violation path of the verdict
+        SimConfig(f=1, clients=1, requests_per_client=1, seed=5,
+                  adversary="counter_identity", vulnerable_tc=True,
+                  counter_policy="announced"),
+        "180576da8600af3860038e6b11f2923454173f436c620a9f6f3ff30ec609047b"),
+    "crash_restore": (
+        SimConfig(f=1, clients=2, requests_per_client=2, seed=7,
+                  adversary="crash_tcs",
+                  adversary_params={"k": 2, "crash_at_ns": 8_000_000,
+                                    "restore_at_ns": 700_000_000}),
+        "ffa5788d07295f0e369c44bc333b4d0ce04ca4cd903106f8982a42262fed5d0f"),
+    "crash_restart": (
+        SimConfig(f=1, clients=2, requests_per_client=3, seed=7,
+                  adversary="crash_tcs",
+                  adversary_params={"k": 1, "crash_at_ns": 8_000_000,
+                                    "restart_at_ns": 11_000_000}),
+        "d406737027807118845f70c2004842cfeac9e58012f5dc33a626618ac0bf01f1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_the_golden_hashes(name, tmp_path):
+    cfg, want = GOLDEN[name]
+    run(cfg).write_outputs(str(tmp_path))
+    got = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()
+                         + (tmp_path / "summary.json").read_bytes())
+    assert got.hexdigest() == want
+
+
+# ----------------------------------------------------------------- oracle
+
+
+class _IssuedOnly:
+    """Component stand-in that only answers the issuance audit."""
+
+    def __init__(self, certs=()):
+        self.certs = tuple(certs)
+
+    def issued_certificates(self):
+        return self.certs
+
+
+def _bare_replica(rid: int, certs=()) -> Replica:
+    return Replica(rid, ProtocolConfig(n=3, f=1), _IssuedOnly(certs), None, {})
+
+
+def test_oracle_reports_each_kind_of_violation():
+    d1, d2 = hashlib.sha256(b"one").digest(), hashlib.sha256(b"two").digest()
+    ui = UniqueIdentifier(0, 1, "r0:msg", 1, d1, b"")
+    ctx = ContextCertificate(0, 1, "prepare", 0, 1, d1, b"")
+    # replica 0 is faulty: its histories are ignored, its component audited
+    faulty = _bare_replica(0, certs=(ui, ctx, ui, ctx))
+    a, b = _bare_replica(1), _bare_replica(2)
+    for rep, dig in ((faulty, d2), (a, d1), (b, d2)):
+        rep.committed_history[1] = dig
+        rep.prepared_history.append((0, 1, "r0:proposal:0", dig))
+        rep.exec_history[1] = dig
+    assert safety_violations([faulty, a, b], {0}) == [
+        {"kind": "conflicting_commit", "seq": 1,
+         "claims": {d1.hex()[:12]: [1], d2.hex()[:12]: [2]}},
+        {"kind": "conflicting_admission", "view": 0, "seq": 1,
+         "claims": {d1.hex()[:12]: [1], d2.hex()[:12]: [2]}},
+        {"kind": "divergent_execution", "seq": 1, "replicas": [1, 2]},
+        {"kind": "double_ui", "replica": 0, "counter": "r0:msg", "value": 1},
+        {"kind": "double_context", "replica": 0, "context": ("prepare", 0, 1)},
+    ]
+    # with replica 2 faulty too, one correct replica is left to contradict
+    assert [v["kind"] for v in safety_violations([faulty, a, b], {0, 2})] == [
+        "double_ui", "double_context"]
+    assert safety_violations([a, _bare_replica(2)], set()) == []

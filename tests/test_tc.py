@@ -1,7 +1,7 @@
 """Behavior of the simulated trusted components.
 
 Covers counter monotonicity, skip attestations, watermark windows, context
-certification, counter-creation policy, attested logs, snapshot/restore and
+certification, counter-creation policy, snapshot/restore and
 instance-epoch semantics, plus the access-tally difference between the two
 certificate modes.
 """
@@ -257,42 +257,6 @@ def test_mode_mismatch_raises(sig_pair, hmac_pair):
         sa.verify(sa.create_ui(_h("m")), sdir)
 
 
-# ------------------------------------------------------------ attested logs
-
-
-def test_log_positions_assigned_in_order():
-    tc = make_hmac_tc()
-    log = tc.make_log("exec")
-    a1 = log.append(_h("h1"))
-    a2 = log.append(_h("h2"))
-    assert (a1.position, a2.position) == (1, 2)
-
-
-def test_truncated_positions_report_truncated_not_content():
-    tc = make_hmac_tc()
-    log = tc.make_log("exec")
-    log.append(_h("h1"))
-    log.append(_h("h2"))
-    log.truncate(2)
-    assert log.lookup(1) == ("truncated", None)
-    status, att = log.lookup(2)
-    assert status == "ok" and att.digest == _h("h2")
-    assert log.lookup(9) == ("unassigned", None)
-
-
-def test_log_floor_never_retreats_and_window_bounds_appends():
-    tc = make_hmac_tc()
-    log = tc.make_log("exec", window=2)
-    log.append(_h("h1"))
-    log.append(_h("h2"))
-    with pytest.raises(WindowExceeded):
-        log.append(_h("h3"))
-    log.truncate(2)
-    log.append(_h("h3"))
-    with pytest.raises(ValueError):
-        log.truncate(1)
-
-
 # ------------------------------------------------------------------ clone
 
 
@@ -367,16 +331,13 @@ def test_restart_without_restore_is_a_new_identity(hmac_pair):
 
 def test_crashed_component_answers_nothing():
     tc = make_hmac_tc()
-    log = tc.make_log("exec")
     tc.crash()
     for call in (lambda: tc.create_ui(_h("x")),
                  lambda: tc.skip_values("msg", 1),
                  lambda: tc.certify_context("prepare", 1, 1, _h("x")),
                  lambda: tc.flexi_create_counter(),
                  lambda: tc.attest_state(b"n"),
-                 lambda: tc.snapshot(),
-                 lambda: log.append(_h("x")),
-                 lambda: log.lookup(1)):
+                 lambda: tc.snapshot()):
         with pytest.raises(TcUnavailable):
             call()
 
@@ -396,18 +357,16 @@ def test_state_attestation_reports_counter_positions(hmac_pair):
 # -------------------------------------------------------- trace properties
 
 
-_OPS = st.sampled_from(["ui", "skip1", "skip3", "ctx", "log"])
+_OPS = st.sampled_from(["ui", "skip1", "skip3", "ctx"])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_OPS, min_size=1, max_size=40), st.randoms())
 def test_random_traces_keep_counter_laws(ops, rng):
-    """Monotone unique values; skipped ranges never certify; positions unique."""
+    """Monotone unique values; skipped ranges never certify; contexts in order."""
     tc = make_hmac_tc()
-    log = tc.make_log("exec")
     seen_values = set()
     voided = set()
-    positions = {}
     phase_pos = (0, 0)
     for i, op in enumerate(ops):
         if op == "ui":
@@ -421,15 +380,11 @@ def test_random_traces_keep_counter_laws(ops, rng):
             span = set(range(cert.first, cert.last + 1))
             assert not span & seen_values
             voided |= span
-        elif op == "ctx":
+        else:
             pv, ps = phase_pos
             phase_pos = (1, 1) if pv == 0 else (pv, ps + 1)
             cert = tc.certify_context("prepare", *phase_pos, _h(f"c{i}"))
             assert (cert.view, cert.seq) == phase_pos
-        else:
-            att = log.append(_h(f"l{i}"))
-            assert att.position not in positions
-            positions[att.position] = att.digest
     # every value is either certified or provably voided, no third state
     assert not (seen_values & voided)
 
@@ -471,5 +426,5 @@ def test_public_surface_is_declared():
     declared = set(TrustedComponent.PUBLIC_OPS)
     actual = {n for n in dir(TrustedComponent)
               if not n.startswith("_") and n != "PUBLIC_OPS"}
-    assert actual <= declared | {"make_log"}
+    assert actual <= declared
     assert "create_ui" in declared and "verify" in declared
