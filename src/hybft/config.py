@@ -162,6 +162,20 @@ def apply_override(cfg: SimConfig, path: str, raw: str) -> None:
 _SECTIONS = ("sim", "size_model", "adversary")
 
 
+def _check_type(section: str, name: str, default, value) -> None:
+    """A file value must have the JSON type of its field's default."""
+    if isinstance(default, bool):
+        want, ok = "a boolean", isinstance(value, bool)
+    elif isinstance(default, str):
+        want, ok = "a string", isinstance(value, str)
+    else:  # int fields, and window, whose default null means "derived"
+        want = "an integer" if default is not None else "an integer or null"
+        ok = (isinstance(value, int) and not isinstance(value, bool)
+              or default is None and value is None)
+    if not ok:
+        raise ConfigError(f"{section}.{name} must be {want}, got {value!r}")
+
+
 def from_dict(data: Dict) -> SimConfig:
     unknown = set(data) - set(_SECTIONS)
     if unknown:
@@ -172,12 +186,15 @@ def from_dict(data: Dict) -> SimConfig:
     for k, v in sim.items():
         if not hasattr(cfg, k) or k in ("sizes", "adversary_params"):
             raise ConfigError(f"unknown sim option {k!r}")
+        _check_type("sim", k, getattr(cfg, k), v)
         setattr(cfg, k, v)
     if "size_model" in data:
         unknown = set(data["size_model"]) - {
             f.name for f in dataclasses.fields(SizeModel)}
         if unknown:
             raise ConfigError(f"unknown size_model options {sorted(unknown)}")
+        for k, v in data["size_model"].items():
+            _check_type("size_model", k, getattr(cfg.sizes, k), v)
         cfg.sizes = SizeModel(**data["size_model"])
     adv = data.get("adversary", {})
     if adv:
@@ -204,7 +221,10 @@ def load(path: Optional[str] = None, overrides=(),
     data = {}
     if path is not None:
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     cfg = from_dict(data)
     if script is not None:
         _apply_script(cfg, script)

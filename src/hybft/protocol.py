@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import messages as m
 from .tc import (
     ContextCertificate,
-    EquivocationRefused,
+    PhaseSkipCertificate,
     SequenceRefused,
     SkipCertificate,
     TcUnavailable,
@@ -102,6 +102,20 @@ _NESTED_STATE = ("buffered", "checkpoint_claims", "future_commits",
                  "future_prepares", "decision_seen", "vc_votes")
 
 
+# Handler for each message type and timer kind, looked up by name so that a
+# subclass's override of a handler is the one that runs.
+_HANDLERS = {
+    m.Request: "on_client_request", m.Prepare: "on_prepare",
+    m.Commit: "on_commit", m.Decision: "on_decision",
+    m.Checkpoint: "on_checkpoint", m.ViewChange: "on_view_change",
+    m.NewView: "on_new_view", m.FetchBatch: "on_fetch_batch",
+    m.BatchResponse: "on_batch_response", m.FetchState: "on_fetch_state",
+    m.StateResponse: "on_state_response",
+}
+_TIMERS = {"batch": "on_timer_batch", "decision": "on_timer_decision",
+           "suspect": "on_timer_suspect", "vcretry": "on_timer_vcretry"}
+
+
 class Replica:
     def __init__(self, replica_id: int, cfg: ProtocolConfig,
                  tc: TrustedComponent, directory, client_keys: Dict[int, bytes]):
@@ -125,7 +139,7 @@ class Replica:
         self.prepared_log: Dict[int, m.Prepare] = {}
         self.trackers: Dict[int, _Tracker] = {}
         self.committed_history: Dict[int, bytes] = {}
-        self.prepared_history: List[Tuple[int, int, str, bytes]] = []
+        self.prepared_history: List[Tuple[int, int, bytes]] = []
 
         self.exec_cursor = 0
         self.exec_digest = hashlib.sha256(b"genesis").digest()
@@ -177,9 +191,23 @@ class Replica:
     def _passive(self) -> bool:
         return self.tc.is_crashed()
 
-    def _verify(self, cert) -> VerifyStatus:
+    def _check_cert(self, cert, issuer: int,
+                    digest: Optional[bytes]) -> VerifyStatus:
+        """The one acceptance test for a received certificate.
+
+        The certificate must come from `issuer`'s component, verify, and
+        cover `digest` (None for skip certificates and attestations, which
+        cover no message). Binding the issuer is what keeps one faulty
+        replica from speaking in another replica's name.
+        """
+        if getattr(cert, "replica_id", None) != issuer:
+            return VerifyStatus.INVALID
         self.stats["verifies"] += 1
-        return verify_certificate(cert, directory=self.directory, via_tc=self.tc)
+        status = verify_certificate(cert, directory=self.directory, via_tc=self.tc)
+        if (status is VerifyStatus.OK and digest is not None
+                and getattr(cert, "msg_hash", None) != digest):
+            return VerifyStatus.INVALID
+        return status
 
     def _record(self, kind: str, seq: int, digest: bytes, cert) -> None:
         self.timeline.append(m.TimelineEntry(kind, seq, digest, cert))
@@ -223,8 +251,6 @@ class Replica:
     # ------------------------------------------------------------- requests
 
     def on_client_request(self, req: m.Request, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         key = req.key()
         if not self._auth_ok(req):
             return [("note", {"ev": "bad_auth", "client": req.client_id})]
@@ -293,8 +319,7 @@ class Replica:
         self.inflight.add(seq)
         self._record("prepare", seq, pdig, cert)
         self.prepared_log[seq] = prep
-        cname = getattr(cert, "counter", f"ctx:{self.view}")
-        self.prepared_history.append((self.view, seq, cname, bdig))
+        self.prepared_history.append((self.view, seq, bdig))
         for r in chunk:
             self.bound[r.key()] = seq
         out: List[tuple] = [("send", ("replica", p), prep) for p in self.peers()]
@@ -308,8 +333,6 @@ class Replica:
     # ------------------------------------------------------------ admission
 
     def on_prepare(self, prep: m.Prepare, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if prep.view > self.view:
             # proposal may outrun the view installation on the same channel
             self.future_prepares.setdefault(prep.view, []).append(prep)
@@ -320,15 +343,9 @@ class Replica:
         if self.view in self.flagged_views:
             return []
         leader = leader_of(prep.view, self.cfg.n)
-        cert = prep.cert
-        sender = getattr(cert, "replica_id", None)
-        if sender != leader:
-            return self._drop("prepare_sender", prep.seq)
-        status = self._verify(cert)
+        status = self._check_cert(prep.cert, leader, prep.pdigest())
         if status is not VerifyStatus.OK:
             return self._drop_status(status, prep.seq)
-        if m.prepare_digest(prep.view, prep.seq, prep.bdigest) != cert.msg_hash:
-            return self._drop("prepare_digest", prep.seq)
         if self.cfg.mode == "prevention":
             return self._admit_prevention(prep, leader, now)
         return self._admit_detection(prep, leader, now)
@@ -385,8 +402,7 @@ class Replica:
                     + self._start_view_change(prep.view + 1, now, reason="flagged"))
         self.cursors[key] = prep.seq
         self.prepared_log[prep.seq] = prep
-        cname = getattr(prep.cert, "counter", f"ctx:{prep.view}")
-        self.prepared_history.append((prep.view, prep.seq, cname, prep.bdigest))
+        self.prepared_history.append((prep.view, prep.seq, prep.bdigest))
         for r in prep.requests:
             self.bound[r.key()] = prep.seq
             self.pending.setdefault(r.key(), r)
@@ -436,30 +452,25 @@ class Replica:
     # -------------------------------------------------------------- commits
 
     def on_commit(self, com: m.Commit, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if com.view > self.view:
             self.future_commits.setdefault(com.view, []).append(com)
             return []
         if com.view != self.view:
             return []
-        status = self._verify(com.cert)
+        if com.echo:
+            # an echo re-presents the leader's prepare certificate, so it is
+            # credited to the leader whoever relays it
+            issuer, kind = leader_of(com.view, self.cfg.n), "prepare"
+            want = m.prepare_digest(com.view, com.seq, com.bdigest)
+        else:
+            issuer, kind, want = com.sender, "commit", com.cdigest()
+        status = self._check_cert(com.cert, issuer, want)
         if status is not VerifyStatus.OK:
             return self._drop_status(status, com.seq)
-        if com.echo:
-            if com.sender != leader_of(com.view, self.cfg.n):
-                return self._drop("echo_sender", com.seq)
-            want = m.prepare_digest(com.view, com.seq, com.bdigest)
-            kind = "prepare"
-        else:
-            want = m.commit_digest(com.view, com.seq, com.sender, com.bdigest)
-            kind = "commit"
-        if com.cert.msg_hash != want:
-            return self._drop("commit_digest", com.seq)
         if not com.echo:
-            prev = self.peer_max_commit.get(com.sender, 0)
-            self.peer_max_commit[com.sender] = max(prev, com.seq)
-        return self._credit(com.seq, com.view, com.bdigest, com.sender, kind, com.cert)
+            prev = self.peer_max_commit.get(issuer, 0)
+            self.peer_max_commit[issuer] = max(prev, com.seq)
+        return self._credit(com.seq, com.view, com.bdigest, issuer, kind, com.cert)
 
     def _credit(self, seq: int, view: int, bdigest: bytes, sender: int,
                 kind: str, cert) -> List[tuple]:
@@ -513,7 +524,7 @@ class Replica:
     # ------------------------------------------------------------ decisions
 
     def on_timer_decision(self, seq: int, now: int) -> List[tuple]:
-        if self._passive() or not self.cfg.decisions:
+        if not self.cfg.decisions:
             return []
         t = self.trackers.get(seq)
         if t is None or t.committed is None or t.via != "quorum":
@@ -557,8 +568,6 @@ class Replica:
         return None
 
     def on_decision(self, dec: m.Decision, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         self.decision_seen.setdefault(dec.seq, set()).add(dec.sender)
         t = self.trackers.get(dec.seq)
         if t is not None and t.committed is not None:
@@ -573,7 +582,7 @@ class Replica:
                 want = m.prepare_digest(dec.view, dec.seq, dec.bdigest)
             else:
                 want = m.commit_digest(dec.view, dec.seq, sender, dec.bdigest)
-            if self._verify(cert) is not VerifyStatus.OK or cert.msg_hash != want:
+            if self._check_cert(cert, sender, want) is not VerifyStatus.OK:
                 return self._drop("decision_proof", dec.seq)
         out = [("note", {"ev": "decision_accepted", "seq": dec.seq,
                          "from": dec.sender})]
@@ -586,16 +595,12 @@ class Replica:
     # ------------------------------------------------------ batch and state
 
     def on_fetch_batch(self, fb: m.FetchBatch, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         prep = self.prepared_log.get(fb.seq)
         if prep is None:
             return []
         return [("send", ("replica", fb.sender), m.BatchResponse(prep, self.id))]
 
     def on_batch_response(self, br: m.BatchResponse, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         prep = br.prepare
         t = self.trackers.get(prep.seq)
         if t is None or t.committed is None:
@@ -607,8 +612,6 @@ class Replica:
         return self._execute(now)
 
     def on_fetch_state(self, fs: m.FetchState, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         # a checkpoint adopted from peers' certificates but not yet executed
         # here has no local state to serve
         if (self.stable_seq < fs.seq or not self.stable_cert
@@ -620,8 +623,6 @@ class Replica:
         return [("send", ("replica", fs.sender), resp)]
 
     def on_state_response(self, sr: m.StateResponse, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if sr.seq <= self.exec_cursor:
             return []
         if not self._check_stable_cert(sr.stable_cert, sr.seq):
@@ -699,13 +700,10 @@ class Replica:
         return out
 
     def on_checkpoint(self, ck: m.Checkpoint, now: int) -> List[tuple]:
-        if self._passive():
-            return []
-        status = self._verify(ck.cert)
+        status = self._check_cert(ck.cert, ck.sender,
+                                  m.checkpoint_digest(ck.seq, ck.state_digest))
         if status is not VerifyStatus.OK:
             return self._drop_status(status, ck.seq)
-        if ck.cert.msg_hash != m.checkpoint_digest(ck.seq, ck.state_digest):
-            return self._drop("checkpoint_digest", ck.seq)
         # a checkpoint at seq proves the sender executed, hence committed, seq
         prev = self.peer_committed_floor.get(ck.sender, 0)
         self.peer_committed_floor[ck.sender] = max(prev, ck.seq)
@@ -788,10 +786,9 @@ class Replica:
         out.append(("timer", "vcretry", target, self.cfg.viewchange_timeout_ns))
         return out
 
-    def on_timer_suspect(self, view: int, now: int) -> List[tuple]:
-        mark = self.suspect_armed.pop(view, None)
-        if self._passive():
-            return []
+    def on_timer_suspect(self, armed: tuple, now: int) -> List[tuple]:
+        """`armed` is (view, progress mark taken when the timer was armed)."""
+        view, mark = armed
         if self.view != view or self.voted_view > view:
             return []
         if not self.pending:
@@ -803,15 +800,11 @@ class Replica:
         return self._start_view_change(view + 1, now, reason="timeout")
 
     def on_timer_vcretry(self, target: int, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if self.view >= target or self.voted_view > target:
             return []
         return self._start_view_change(target + 1, now, reason="escalate")
 
     def on_view_change(self, vc: m.ViewChange, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
             return []
         if not self._validate_view_change(vc):
@@ -832,20 +825,20 @@ class Replica:
         return out
 
     def _validate_view_change(self, vc: m.ViewChange) -> bool:
-        if self._verify(vc.cert) is not VerifyStatus.OK:
-            return False
-        if vc.cert.msg_hash != vc.vdigest():
-            return False
+        ok = VerifyStatus.OK
+        core = vc.core_digest()
         att = vc.attestation
-        if self._verify(att) is not VerifyStatus.OK or att.nonce != vc.core_digest():
+        if self._check_cert(vc.cert, vc.sender,
+                            m.view_change_digest(core, att)) is not ok:
+            return False
+        if self._check_cert(att, vc.sender, None) is not ok or att.nonce != core:
             return False
         if vc.stable_seq > 0 and not self._check_stable_cert(vc.stable_cert,
                                                              vc.stable_seq):
             return False
         for p in vc.prepares:
-            if self._verify(p.cert) is not VerifyStatus.OK:
-                return False
-            if p.cert.msg_hash != p.pdigest():
+            if self._check_cert(p.cert, leader_of(p.view, self.cfg.n),
+                                p.pdigest()) is not ok:
                 return False
         seqs = [p.seq for p in vc.prepares]
         if seqs and (min(seqs) > vc.stable_seq + 1
@@ -861,24 +854,22 @@ class Replica:
         covered: Dict[str, set] = {}
         commits: List[Tuple[int, bytes]] = []
         for e in vc.timeline:
-            if self._verify(e.cert) is not VerifyStatus.OK:
-                return False
             cert = e.cert
+            skip = isinstance(cert, (SkipCertificate, PhaseSkipCertificate))
+            if self._check_cert(cert, vc.sender,
+                                None if skip else e.digest) is not VerifyStatus.OK:
+                return False
             if isinstance(cert, SkipCertificate):
                 covered.setdefault(cert.counter, set()).update(
                     range(cert.first, cert.last + 1))
             elif isinstance(cert, UniqueIdentifier):
-                if cert.msg_hash != e.digest:
-                    return False
                 covered.setdefault(cert.counter, set()).add(cert.value)
                 if e.kind == "commit":
                     commits.append((e.seq, e.digest))
             elif isinstance(cert, ContextCertificate):
-                if cert.msg_hash != e.digest:
-                    return False
                 covered.setdefault(cert.phase, set()).add((cert.view, cert.seq))
             else:
-                covered.setdefault(getattr(cert, "phase", "?"), set()).add(e.seq)
+                covered.setdefault(cert.phase, set()).add(e.seq)
         for p in vc.prepares:
             cert = p.cert
             if isinstance(cert, UniqueIdentifier):
@@ -915,9 +906,8 @@ class Replica:
         for c in cert:
             if c.seq != seq:
                 return False
-            if self._verify(c.cert) is not VerifyStatus.OK:
-                return False
-            if c.cert.msg_hash != m.checkpoint_digest(c.seq, c.state_digest):
+            if self._check_cert(c.cert, c.sender, m.checkpoint_digest(
+                    c.seq, c.state_digest)) is not VerifyStatus.OK:
                 return False
         return True
 
@@ -969,8 +959,6 @@ class Replica:
         return out
 
     def on_new_view(self, nv: m.NewView, now: int) -> List[tuple]:
-        if self._passive():
-            return []
         if nv.view <= self.view:
             return []
         if nv.sender != leader_of(nv.view, self.cfg.n):
@@ -980,7 +968,8 @@ class Replica:
         return self._adopt_new_view(nv, now, as_leader=False)
 
     def _validate_new_view(self, nv: m.NewView) -> bool:
-        if self._verify(nv.cert) is not VerifyStatus.OK:
+        ok = VerifyStatus.OK
+        if self._check_cert(nv.cert, nv.sender, nv.ndigest()) is not ok:
             return False
         if len({vc.sender for vc in nv.viewchanges}) < self.cfg.f + 1:
             return False
@@ -1000,9 +989,8 @@ class Replica:
             if seq > base and seq in got and got[seq] != dig:
                 return False
         for p in nv.prepares:
-            if self._verify(p.cert) is not VerifyStatus.OK:
-                return False
-            if p.cert.msg_hash != p.pdigest() or p.view != nv.view:
+            if p.view != nv.view or self._check_cert(
+                    p.cert, nv.sender, p.pdigest()) is not ok:
                 return False
             if self.cfg.mode != "prevention":
                 if p.cert.counter != self._expected_proposal_counter(nv.view):
@@ -1011,7 +999,7 @@ class Replica:
                     return False
         if nv.base >= 1 and self.cfg.mode != "prevention":
             sk = nv.skip_cert
-            if sk is None or self._verify(sk) is not VerifyStatus.OK:
+            if self._check_cert(sk, nv.sender, None) is not ok:
                 return False
             if sk.counter != self._expected_proposal_counter(nv.view):
                 return False
@@ -1042,8 +1030,7 @@ class Replica:
             top = nv.base
             for p in nv.prepares:
                 self.prepared_log[p.seq] = p
-                self.prepared_history.append(
-                    (nv.view, p.seq, getattr(p.cert, "counter", f"ctx:{nv.view}"), p.bdigest))
+                self.prepared_history.append((nv.view, p.seq, p.bdigest))
                 for r in p.requests:
                     self.bound[r.key()] = p.seq
                     self.pending.setdefault(r.key(), r)
@@ -1072,65 +1059,44 @@ class Replica:
             out += self.on_commit(com, now)
         return out
 
-    # ---------------------------------------------------------------- timers
-
-    def on_timer(self, kind: str, key, now: int) -> List[tuple]:
-        if kind == "batch":
-            self.batch_timer_armed = False
-            if self._passive():
-                return []
-            if key != self.view or not self.is_leader():
-                return []
-            out: List[tuple] = []
-            if self.batchq and not self.queued_batches:
-                chunk = tuple(self.batchq)
-                self.batchq = []
-                self.queued_batches.append(chunk)
-            out += self._drain_proposals(now)
-            if self.batchq:
-                self.batch_timer_armed = True
-                out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
-            return out
-        if kind == "decision":
-            if self._passive():
-                return []
-            return self.on_timer_decision(key, now)
-        if kind == "suspect":
-            return self.on_timer_suspect(key, now)
-        if kind == "vcretry":
-            if self._passive():
-                return []
-            return self.on_timer_vcretry(key, now)
-        return []
-
-    # ------------------------------------------------------------- dispatch
+    # -------------------------------------------------------------- dispatch
 
     def handle(self, msg, now: int) -> List[tuple]:
-        if isinstance(msg, m.Request):
-            return self.on_client_request(msg, now)
-        if isinstance(msg, m.Prepare):
-            return self.on_prepare(msg, now)
-        if isinstance(msg, m.Commit):
-            return self.on_commit(msg, now)
-        if isinstance(msg, m.Decision):
-            return self.on_decision(msg, now)
-        if isinstance(msg, m.Reply):
+        """Route one received message to its handler; a crashed component
+        leaves the replica deaf until it is restored or restarted."""
+        try:
+            name = _HANDLERS[type(msg)]
+        except KeyError:
+            raise TypeError(f"no handler for {type(msg).__name__}") from None
+        if self._passive():
             return []
-        if isinstance(msg, m.Checkpoint):
-            return self.on_checkpoint(msg, now)
-        if isinstance(msg, m.ViewChange):
-            return self.on_view_change(msg, now)
-        if isinstance(msg, m.NewView):
-            return self.on_new_view(msg, now)
-        if isinstance(msg, m.FetchBatch):
-            return self.on_fetch_batch(msg, now)
-        if isinstance(msg, m.BatchResponse):
-            return self.on_batch_response(msg, now)
-        if isinstance(msg, m.FetchState):
-            return self.on_fetch_state(msg, now)
-        if isinstance(msg, m.StateResponse):
-            return self.on_state_response(msg, now)
-        return [("note", {"ev": "unknown_msg", "type": type(msg).__name__})]
+        return getattr(self, name)(msg, now)
+
+    def on_timer(self, kind: str, key, now: int) -> List[tuple]:
+        name = _TIMERS[kind]
+        # these marks say a timer is pending; clear them even while the
+        # component is down, or the timer could never be armed again
+        if kind == "batch":
+            self.batch_timer_armed = False
+        elif kind == "suspect":
+            key = (key, self.suspect_armed.pop(key, None))
+        if self._passive():
+            return []
+        return getattr(self, name)(key, now)
+
+    def on_timer_batch(self, view: int, now: int) -> List[tuple]:
+        if view != self.view or not self.is_leader():
+            return []
+        out: List[tuple] = []
+        if self.batchq and not self.queued_batches:
+            chunk = tuple(self.batchq)
+            self.batchq = []
+            self.queued_batches.append(chunk)
+        out += self._drain_proposals(now)
+        if self.batchq:
+            self.batch_timer_armed = True
+            out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
+        return out
 
     # ----------------------------------------------------------------- drops
 

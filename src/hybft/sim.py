@@ -372,7 +372,7 @@ def safety_violations(replicas: Iterable[Replica], byz: Set[int]) -> List[Dict]:
     for r in correct:
         for seq, dig in r.committed_history.items():
             by_seq.setdefault(seq, {}).setdefault(dig, []).append(r.id)
-        for view, seq, _counter, dig in r.prepared_history:
+        for view, seq, dig in r.prepared_history:
             by_slot.setdefault((view, seq), {}).setdefault(dig, []).append(r.id)
     for seq, digs in sorted(by_seq.items()):
         if len(digs) > 1:

@@ -324,6 +324,14 @@ class TrustedComponent:
             return hmac_mod.new(self._key, payload, hashlib.sha256).digest()
         return self._signer.sign(payload)
 
+    def _issue(self, cls, *fields):
+        """Certificate of type `cls` over `fields`, proven and recorded."""
+        draft = cls(self.replica_id, self.epoch, *fields, b"")
+        cert = cls(self.replica_id, self.epoch, *fields,
+                   self._prove(draft.payload()))
+        self._issued.append(cert)
+        return cert
+
     def _counter_id(self, counter: str) -> str:
         """Canonical identity a certificate carries for `counter`.
 
@@ -353,12 +361,7 @@ class TrustedComponent:
         value = self._counters.get(cid, 0) + 1
         self._check_window(cid, value)
         self._counters[cid] = value
-        ui = UniqueIdentifier(self.replica_id, self.epoch, cid, value,
-                              msg_hash, b"")
-        ui = UniqueIdentifier(self.replica_id, self.epoch, cid, value,
-                              msg_hash, self._prove(ui.payload()))
-        self._issued.append(ui)
-        return ui
+        return self._issue(UniqueIdentifier, cid, value, msg_hash)
 
     def skip_values(self, counter: str, count: int) -> SkipCertificate:
         """Void the next `count` values, attested so verifiers can trust the gap."""
@@ -368,14 +371,8 @@ class TrustedComponent:
         cid = self._counter_id(counter)
         last = self._counters.get(cid, 0)
         self._check_window(cid, last + count)
-        cert = SkipCertificate(self.replica_id, self.epoch, cid,
-                               last + 1, last + count, b"")
-        cert = SkipCertificate(self.replica_id, self.epoch, cid,
-                               last + 1, last + count,
-                               self._prove(cert.payload()))
         self._counters[cid] = last + count
-        self._issued.append(cert)
-        return cert
+        return self._issue(SkipCertificate, cid, last + 1, last + count)
 
     def advance_watermark(self, counter: str, new_low: int) -> None:
         """Slide the window floor. Only forward, never past the next value."""
@@ -404,14 +401,9 @@ class TrustedComponent:
         if not ((view == pv and seq == ps + 1) or (view > pv and seq == 1)):
             raise SequenceRefused(
                 f"context ({phase},{view},{seq}) out of order after ({pv},{ps})")
-        cert = ContextCertificate(self.replica_id, self.epoch, phase, view,
-                                  seq, msg_hash, b"")
-        cert = ContextCertificate(self.replica_id, self.epoch, phase, view,
-                                  seq, msg_hash, self._prove(cert.payload()))
         self._phases[phase] = (view, seq)
         issued.add((view, seq))
-        self._issued.append(cert)
-        return cert
+        return self._issue(ContextCertificate, phase, view, seq, msg_hash)
 
     def skip_contexts(self, phase: str, view: int, seq: int) -> PhaseSkipCertificate:
         """Void every context id of `phase` up to and including (view, seq)."""
@@ -420,14 +412,8 @@ class TrustedComponent:
         if (view, seq) <= (pv, ps):
             raise SequenceRefused(
                 f"skip target ({view},{seq}) not past position ({pv},{ps})")
-        cert = PhaseSkipCertificate(self.replica_id, self.epoch, phase,
-                                    pv, ps, view, seq, b"")
-        cert = PhaseSkipCertificate(self.replica_id, self.epoch, phase,
-                                    pv, ps, view, seq,
-                                    self._prove(cert.payload()))
         self._phases[phase] = (view, seq)
-        self._issued.append(cert)
-        return cert
+        return self._issue(PhaseSkipCertificate, phase, pv, ps, view, seq)
 
     # -- counter creation policy -----------------------------------------
 
@@ -454,12 +440,7 @@ class TrustedComponent:
         self._touch()
         counters = tuple(sorted(self._counters.items()))
         phases = tuple(sorted((p, v, s) for p, (v, s) in self._phases.items()))
-        att = StateAttestation(self.replica_id, self.epoch, counters, phases,
-                               nonce, b"")
-        att = StateAttestation(self.replica_id, self.epoch, counters, phases,
-                               nonce, self._prove(att.payload()))
-        self._issued.append(att)
-        return att
+        return self._issue(StateAttestation, counters, phases, nonce)
 
     # -- verification ------------------------------------------------------
 

@@ -132,3 +132,13 @@ def test_attack_expect_violation_fails_on_safe_run(capsys):
                "--set", "record_trace=true"])
     assert rc == 1
     assert "safety: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ['{bad', '{"sim": {"f": "2"}}',
+                                  '{"size_model": {"tx_bytes": true}}'])
+def test_malformed_config_file_exits_two(tmp_path, capsys, text):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(text)
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err

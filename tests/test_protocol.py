@@ -7,6 +7,7 @@ timing behavior lives in test_sim.py.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac as hmaclib
 
@@ -14,6 +15,7 @@ import pytest
 
 from hybft import messages as m
 from hybft.protocol import ProtocolConfig, Replica, _Tracker, proposal_counter
+from hybft.sim import safety_violations
 from hybft.tc import Directory, TcMode, TrustedComponent, VerifyStatus
 
 SYSKEY = b"s" * 32
@@ -452,3 +454,96 @@ def test_clone_keeps_the_subclass_and_its_attributes():
     rep.tag = "faulty"
     child = rep.clone()
     assert type(child) is Tagged and child.tag == "faulty"
+
+
+# ------------------------------------------------------- forged issuers
+#
+# A faulty replica's component certifies whatever the replica asks, but every
+# certificate names the component that issued it. Each case below presents a
+# certificate minted by the faulty replica's own component as a statement of
+# some other replica; a correct replica must refuse it.
+
+
+def _forged_decision_proof():
+    # f=1: replica 2 forges both the leader's prepare and its own commit for
+    # a batch the leader never proposed, and hands the proof to replica 1
+    c = Cluster()
+    forger = c.tcs[2]
+    other = m.batch_digest((authed(9),))
+    proof = ((0, "prepare", forger.create_ui(m.prepare_digest(0, 1, other))),
+             (2, "commit", forger.create_ui(m.commit_digest(0, 1, 2, other))))
+    c.inject(1, m.Decision(0, 1, 2, other, proof))
+    c.request(0, authed(1)).request(1, authed(1)).pump(drop_to={2})
+    assert safety_violations(c.replicas, {2}) == []
+    assert c.replicas[0].exec_cursor == c.replicas[1].exec_cursor == 1
+
+
+def _forged_commits_and_echo():
+    # f=2: replica 4 speaks for replicas 2 and 3 and for the leader's echo
+    c = Cluster(n=5, f=2)
+    forger = c.tcs[4]
+    other = m.batch_digest((authed(9),))
+    forged = [m.Commit(0, 1, s, other,
+                       forger.create_ui(m.commit_digest(0, 1, s, other)))
+              for s in (2, 3)]
+    forged.append(m.Commit(0, 1, 0, other,
+                           forger.create_ui(m.prepare_digest(0, 1, other)),
+                           echo=True))
+    for com in forged:
+        c.inject(1, com)
+    assert 1 not in c.replicas[1].trackers
+    assert c.replicas[1].stats["invalid_drops"] == 3
+
+
+def _forged_stable_certificate():
+    # replica 2's component signs the same checkpoint under two names
+    c = Cluster()
+    forger = c.tcs[2]
+    exec_digest = hashlib.sha256(b"forged-state").digest()
+    sdig = c.replicas[1]._state_digest_from(exec_digest, ())
+    cert = tuple(m.Checkpoint(1, sdig, name, forger.create_ui(
+        m.checkpoint_digest(1, sdig))) for name in (0, 2))
+    c.inject(1, m.StateResponse(1, exec_digest, (), cert, 2))
+    assert c.replicas[1].exec_cursor == 0
+    assert c.replicas[1].stable_seq == 0
+
+
+def _forged_prepare_in_a_vote():
+    # replica 2 votes for view 1 carrying a "view-0 prepare" it minted itself
+    c = Cluster()
+    voter = c.replicas[2]
+    req = authed(9)
+    bdig = m.batch_digest((req,))
+    cert = c.tcs[2].create_ui(m.prepare_digest(0, 1, bdig),
+                              counter=proposal_counter(0))
+    voter.prepared_log[1] = m.Prepare(0, 1, (req,), bdig, cert)
+    c._absorb(2, voter._start_view_change(1, c.now, reason="timeout"))
+    c.pump()
+    assert 2 not in c.replicas[1].vc_votes.get(1, {})
+    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+
+
+def _forged_new_view_digest():
+    # the view-1 leader certifies a digest other than the NewView it sends
+    c = Cluster()
+    req = authed(1)
+    for rid in (1, 2):
+        c.request(rid, req)
+    c.fire(2, "suspect", 0).pump()
+    c.fire(1, "suspect", 0)
+    nv = next(msg for dst, msg in c.queue
+              if dst == 2 and isinstance(msg, m.NewView))
+    c.queue.clear()
+    wrong = c.tcs[1].create_ui(hashlib.sha256(b"another view").digest())
+    c.inject(2, dataclasses.replace(nv, cert=wrong))
+    assert c.replicas[2].view == 0
+    assert (2, {"ev": "drop", "why": "newview", "seq": 1}) in c.notes
+
+
+@pytest.mark.parametrize("forge", [
+    _forged_decision_proof, _forged_commits_and_echo,
+    _forged_stable_certificate, _forged_prepare_in_a_vote,
+    _forged_new_view_digest,
+], ids=lambda fn: fn.__name__[len("_forged_"):])
+def test_a_certificate_speaks_only_for_its_issuer(forge):
+    forge()

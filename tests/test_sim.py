@@ -305,7 +305,7 @@ def test_oracle_reports_each_kind_of_violation():
     a, b = _bare_replica(1), _bare_replica(2)
     for rep, dig in ((faulty, d2), (a, d1), (b, d2)):
         rep.committed_history[1] = dig
-        rep.prepared_history.append((0, 1, "r0:proposal:0", dig))
+        rep.prepared_history.append((0, 1, dig))
         rep.exec_history[1] = dig
     assert safety_violations([faulty, a, b], {0}) == [
         {"kind": "conflicting_commit", "seq": 1,
