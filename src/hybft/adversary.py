@@ -232,13 +232,12 @@ def install(sim) -> Set[int]:
     cls = _LEADER_SCRIPTS[cfg.adversary]
     byz = {0}
     old = sim.replicas[0]
-    sim.replicas[0] = cls(0, sim.pcfg, old.tc, sim.directory,
-                          old.client_keys, params=params)
+    sim.replicas[0] = cls(0, cfg, old.tc, sim.directory, old.client_keys,
+                          params=params)
     if cfg.adversary == "silent_repliers":
         for rid in range(1, cfg.f):
             prev = sim.replicas[rid]
-            sim.replicas[rid] = SilentPartner(rid, sim.pcfg, prev.tc,
-                                              sim.directory, prev.client_keys,
-                                              params=params)
+            sim.replicas[rid] = SilentPartner(rid, cfg, prev.tc, sim.directory,
+                                              prev.client_keys, params=params)
             byz.add(rid)
     return byz

@@ -235,12 +235,3 @@ def load(path: Optional[str] = None, overrides=(),
         apply_override(cfg, key, raw)
     return cfg.validate()
 
-
-def to_dict(cfg: SimConfig) -> Dict:
-    sim = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
-           if f.name not in ("sizes", "adversary", "adversary_params")}
-    return {
-        "sim": sim,
-        "size_model": dataclasses.asdict(cfg.sizes),
-        "adversary": {"script": cfg.adversary, **cfg.adversary_params},
-    }

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
-from .protocol import ProtocolConfig, Replica, proposal_counter
+from .config import SimConfig
+from .protocol import Replica, proposal_counter
 from .sim import safety_violations
 from .tc import EquivocationRefused, SequenceRefused, TcMode, TrustedComponent
 
@@ -175,9 +176,9 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
     directory = Directory(TcMode.HMAC)
     for i in range(n):
         directory.register(i, 1)
+    cfg = SimConfig(f=f, decisions=False, window=200)
     for size in range(0, 4):
         for combo in itertools.permutations(pool, size):
-            cfg = ProtocolConfig(n=n, f=f, decisions=False)
             rep = Replica(n - 1, cfg, _fresh_tc(n - 1), directory, {0: key})
             for sender, dig, cert in combo:
                 if sender == rep.id:
@@ -302,17 +303,16 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
               max_view: int = 2):
     from .tc import Directory
     f, n = 1, 3
-    cfg = ProtocolConfig(n=n, f=f, mode=mode, decisions=decisions,
-                         delta_ns=1, pipelining=False, batch_size=1,
-                         checkpoint_interval=1000, window=2000,
-                         suspicion_timeout_ns=1, viewchange_timeout_ns=1,
-                         max_view=max_view)
+    cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
+                    checkpoint_interval=1000, window=2000,
+                    suspicion_timeout_ns=1, viewchange_timeout_ns=1)
     directory = Directory(TcMode.HMAC)
     tcs = [_fresh_tc(i) for i in range(n)]
     for i in range(n):
         directory.register(i, 1)
     ckey = hashlib.sha256(b"mc-client").digest()
-    replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey})
+    replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey},
+                             max_view=max_view)
                 for rid in (1, 2)}
     payload = b"transfer-10"
     req = m.Request(0, 1, payload)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import messages as m
+from .config import SimConfig
 from .tc import (
     ContextCertificate,
     PhaseSkipCertificate,
@@ -51,26 +52,6 @@ def proposal_counter(view: int) -> str:
 
 def leader_of(view: int, n: int) -> int:
     return view % n
-
-
-@dataclass
-class ProtocolConfig:
-    n: int
-    f: int
-    mode: str = "detection"            # detection | prevention
-    decisions: bool = True
-    delta_ns: int = 20_000_000
-    pipelining: bool = False
-    max_inflight: int = 1
-    batch_size: int = 1
-    batch_timeout_ns: int = 2_000_000
-    checkpoint_interval: int = 100
-    window: int = 200
-    suspicion_timeout_ns: int = 60_000_000
-    viewchange_timeout_ns: int = 120_000_000
-    counter_policy: str = "pinned"     # pinned | announced
-    threshold_proofs: bool = False
-    max_view: Optional[int] = None     # cap view-change escalation (model checks)
 
 
 @dataclass
@@ -117,10 +98,14 @@ _TIMERS = {"batch": "on_timer_batch", "decision": "on_timer_decision",
 
 
 class Replica:
-    def __init__(self, replica_id: int, cfg: ProtocolConfig,
-                 tc: TrustedComponent, directory, client_keys: Dict[int, bytes]):
+    def __init__(self, replica_id: int, cfg: SimConfig,
+                 tc: TrustedComponent, directory, client_keys: Dict[int, bytes],
+                 max_view: Optional[int] = None):
         self.id = replica_id
         self.cfg = cfg
+        self.window = cfg.effective_window()
+        self.checkpoint_interval = cfg.effective_checkpoint_interval()
+        self.max_view = max_view       # caps view-change escalation (model checks)
         self.tc = tc
         self.directory = directory
         self.client_keys = client_keys
@@ -245,7 +230,19 @@ class Replica:
             raise RuntimeError("proposal counter out of step with sequence")
         return ui
 
-    def _expected_proposal_counter(self, view: int) -> str:
+    def _slot(self, cert) -> Tuple[Optional[str], int]:
+        """The (stream, position) a proposal certificate binds: counter and
+        value of a unique identifier, or the view's context stream and seq of
+        a prepare-phase context certificate (any other phase binds no stream).
+        """
+        if isinstance(cert, UniqueIdentifier):
+            return cert.counter, cert.value
+        return (f"ctx:{cert.view}" if cert.phase == "prepare" else None), cert.seq
+
+    def _proposal_stream(self, view: int) -> str:
+        """The one stream the leader of `view` may bind its proposals to."""
+        if self.cfg.mode == "prevention":
+            return f"ctx:{view}"
         return derive_counter_id(leader_of(view, self.cfg.n), proposal_counter(view))
 
     # ------------------------------------------------------------- requests
@@ -299,9 +296,9 @@ class Replica:
 
     def _drain_proposals(self, now: int) -> List[tuple]:
         out: List[tuple] = []
-        limit = self.cfg.max_inflight if self.cfg.pipelining else 1
+        limit = self.cfg.pipeline_depth if self.cfg.pipelining else 1
         while (self.queued_batches and len(self.inflight) < limit
-               and self.next_seq <= self.stable_seq + self.cfg.window):
+               and self.next_seq <= self.stable_seq + self.window):
             chunk = self.queued_batches.pop(0)
             out += self._propose(chunk, now)
         return out
@@ -346,34 +343,14 @@ class Replica:
         status = self._check_cert(prep.cert, leader, prep.pdigest())
         if status is not VerifyStatus.OK:
             return self._drop_status(status, prep.seq)
-        if self.cfg.mode == "prevention":
-            return self._admit_prevention(prep, leader, now)
-        return self._admit_detection(prep, leader, now)
-
-    def _admit_detection(self, prep: m.Prepare, leader: int, now: int) -> List[tuple]:
-        cert: UniqueIdentifier = prep.cert
-        if self.cfg.counter_policy == "pinned":
-            if cert.counter != self._expected_proposal_counter(prep.view):
-                return self._drop("prepare_counter", prep.seq)
-        key = (leader, cert.counter)
-        base = self.admission_base if self.cfg.counter_policy == "pinned" else 0
-        cursor = self.cursors.get(key, base)
-        if cert.value != prep.seq:
-            return self._drop("prepare_value", prep.seq)
-        if cert.value <= cursor:
-            return []
-        if cert.value > cursor + 1:
-            self.buffered.setdefault(key, {})[cert.value] = prep
-            return self._arm_suspicion() + [
-                ("note", {"ev": "buffer", "seq": prep.seq, "cursor": cursor})]
-        return self._admit_and_drain(prep, key, cursor, now)
-
-    def _admit_prevention(self, prep: m.Prepare, leader: int, now: int) -> List[tuple]:
-        cert: ContextCertificate = prep.cert
-        if cert.phase != "prepare" or cert.view != prep.view or cert.seq != prep.seq:
-            return self._drop("prepare_context", prep.seq)
-        key = (leader, f"ctx:{prep.view}")
-        cursor = self.cursors.get(key, self.admission_base)
+        # both modes admit exactly the next position of one certified stream;
+        # the announced counter policy lets the leader pick any stream
+        stream, pos = self._slot(prep.cert)
+        pinned = self.cfg.counter_policy == "pinned"
+        if pos != prep.seq or (pinned and stream != self._proposal_stream(prep.view)):
+            return self._drop("prepare_slot", prep.seq)
+        key = (leader, stream)
+        cursor = self.cursors.get(key, self.admission_base if pinned else 0)
         if prep.seq <= cursor:
             return []
         if prep.seq > cursor + 1:
@@ -670,7 +647,7 @@ class Replica:
                 out.append(("send", ("client", r.client_id), rep))
             self.exec_history[nxt] = self.exec_digest
             out.append(("note", {"ev": "execute", "seq": nxt}))
-            if nxt % self.cfg.checkpoint_interval == 0:
+            if nxt % self.checkpoint_interval == 0:
                 out += self._emit_checkpoint(nxt, now)
         return out
 
@@ -736,9 +713,9 @@ class Replica:
         self.stable_seq = seq
         self.stable_cert = cert
         for s in [s for s in self.prepared_log if s <= seq]:
-            if s < seq - self.cfg.window:
+            if s < seq - self.window:
                 del self.prepared_log[s]
-        for s in [s for s in self.trackers if s <= seq - self.cfg.window]:
+        for s in [s for s in self.trackers if s <= seq - self.window]:
             del self.trackers[s]
         for k in [k for k in self.checkpoint_claims if k[0] < seq]:
             del self.checkpoint_claims[k]
@@ -756,7 +733,7 @@ class Replica:
     # ----------------------------------------------------------- view change
 
     def _start_view_change(self, target: int, now: int, reason: str) -> List[tuple]:
-        if self.cfg.max_view is not None and target > self.cfg.max_view:
+        if self.max_view is not None and target > self.max_view:
             return [("note", {"ev": "vc_capped", "target": target})]
         if target <= self.voted_view:
             return []
@@ -988,22 +965,18 @@ class Replica:
         for seq, dig in self.committed_history.items():
             if seq > base and seq in got and got[seq] != dig:
                 return False
+        stream = self._proposal_stream(nv.view)
         for p in nv.prepares:
             if p.view != nv.view or self._check_cert(
                     p.cert, nv.sender, p.pdigest()) is not ok:
                 return False
-            if self.cfg.mode != "prevention":
-                if p.cert.counter != self._expected_proposal_counter(nv.view):
-                    return False
-                if p.cert.value != p.seq:
-                    return False
+            if self._slot(p.cert) != (stream, p.seq):
+                return False
         if nv.base >= 1 and self.cfg.mode != "prevention":
             sk = nv.skip_cert
             if self._check_cert(sk, nv.sender, None) is not ok:
                 return False
-            if sk.counter != self._expected_proposal_counter(nv.view):
-                return False
-            if sk.first != 1 or sk.last != nv.base:
+            if (sk.counter, sk.first, sk.last) != (stream, 1, nv.base):
                 return False
         return True
 
@@ -1024,9 +997,6 @@ class Replica:
         if self.exec_cursor < self.stable_seq:
             out += self._maybe_fetch_state()
         if as_leader:
-            key = (self.id, self._expected_proposal_counter(nv.view)
-                   if self.cfg.mode != "prevention" else f"ctx:{nv.view}")
-            self.cursors[key] = nv.base
             top = nv.base
             for p in nv.prepares:
                 self.prepared_log[p.seq] = p
@@ -1039,7 +1009,7 @@ class Replica:
                 echo = m.Commit(nv.view, p.seq, self.id, p.bdigest, p.cert, echo=True)
                 out += [("send", ("replica", q), echo) for q in self.peers()]
                 top = max(top, p.seq)
-            self.cursors[key] = top
+            self.cursors[(self.id, self._proposal_stream(nv.view))] = top
             self.next_seq = top + 1
             self.inflight = {s for s in self.inflight if s > top}
             self.batchq = [r for k, r in sorted(self.pending.items())

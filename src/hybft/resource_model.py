@@ -64,11 +64,6 @@ class CostVector:
     def crypto_per_replica(self, f: int) -> int:
         return self.signs.at(f) + self.verifies.at(f)
 
-    def bytes_per_consensus(self, f: int, sizes: SizeModel, batch: int = 1) -> int:
-        """Leader egress: one proposal to every other group member."""
-        n = self.group_size.at(f)
-        return (n - 1) * prepare_size(sizes, batch)
-
 
 # Six-row cost table. leader_msgs for the quadratic-communication protocols is
 # the leading-order approximation (hence Linear), which is what the published

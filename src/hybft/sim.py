@@ -34,7 +34,7 @@ from . import messages as m
 from . import resource_model as rm
 from .clients import Client
 from .config import SimConfig
-from .protocol import ProtocolConfig, Replica
+from .protocol import Replica
 from .tc import (
     ContextCertificate,
     Directory,
@@ -158,20 +158,8 @@ class Simulator:
             self.tcs.append(tc)
         client_keys = {cid: hashlib.sha256(_enc("client", cfg.seed, cid)).digest()
                        for cid in range(cfg.clients)}
-        pcfg = ProtocolConfig(
-            n=cfg.n, f=cfg.f, mode=cfg.mode, decisions=cfg.decisions,
-            delta_ns=cfg.delta_ns, pipelining=cfg.pipelining,
-            max_inflight=cfg.pipeline_depth, batch_size=cfg.batch_size,
-            batch_timeout_ns=cfg.batch_timeout_ns,
-            checkpoint_interval=cfg.effective_checkpoint_interval(),
-            window=cfg.effective_window(),
-            suspicion_timeout_ns=cfg.suspicion_timeout_ns,
-            viewchange_timeout_ns=cfg.viewchange_timeout_ns,
-            counter_policy=cfg.counter_policy,
-            threshold_proofs=cfg.threshold_proofs)
-        self.pcfg = pcfg
         self.replicas: List[Replica] = [
-            Replica(rid, pcfg, self.tcs[rid], self.directory, client_keys)
+            Replica(rid, cfg, self.tcs[rid], self.directory, client_keys)
             for rid in range(cfg.n)]
         self.byz_ids = adversary_mod.install(self)
         self.clients: List[Client] = [

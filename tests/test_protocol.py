@@ -14,7 +14,8 @@ import hmac as hmaclib
 import pytest
 
 from hybft import messages as m
-from hybft.protocol import ProtocolConfig, Replica, _Tracker, proposal_counter
+from hybft.config import SimConfig
+from hybft.protocol import Replica, _Tracker, proposal_counter
 from hybft.sim import safety_violations
 from hybft.tc import Directory, TcMode, TrustedComponent, VerifyStatus
 
@@ -25,11 +26,12 @@ CLIENT_KEY = hashlib.sha256(b"client0").digest()
 class Cluster:
     """n replicas, synchronous FIFO delivery, manual timers."""
 
-    def __init__(self, n=3, f=1, **cfg_kw):
+    def __init__(self, f=1, **cfg_kw):
         strict = cfg_kw.pop("strict", True)
         cfg_kw.setdefault("checkpoint_interval", 1000)
         cfg_kw.setdefault("window", 2000)
-        self.cfg = ProtocolConfig(n=n, f=f, **cfg_kw)
+        self.cfg = SimConfig(f=f, **cfg_kw)
+        n = self.cfg.n
         self.directory = Directory(TcMode.HMAC)
         self.tcs = []
         for rid in range(n):
@@ -149,7 +151,7 @@ def test_commit_quorum_counts_own_attestation():
 
 
 def test_out_of_order_prepare_buffers_until_gap_fills():
-    c = Cluster(pipelining=True, max_inflight=4)
+    c = Cluster(pipelining=True, pipeline_depth=4)
     r1, r2 = authed(1), authed(2)
     c.request(0, r1)
     c.request(0, r2)
@@ -375,7 +377,7 @@ def test_leader_joining_a_ready_quorum_installs_the_view_once():
     # f+1 defection votes can reach the incoming leader before its own timer
     # fires; casting its joining vote completes the quorum on the spot, and
     # the handler must not then treat the original quorum as a second one
-    c = Cluster(n=5, f=2)
+    c = Cluster(f=2)
     req = authed(1)
     for rid in (1, 2, 3, 4):
         c.request(rid, req)
@@ -406,6 +408,18 @@ def test_checkpoints_advance_the_stable_floor():
     c.pump()
     for r in c.replicas:
         assert r.stable_seq == 2
+
+
+def test_the_window_clamps_the_checkpoint_interval_for_every_replica():
+    # the derived settings have one definition (SimConfig): a window of 4
+    # clamps the interval to 2, so stable checkpoints keep the window open
+    c = Cluster(checkpoint_interval=100, window=4)
+    for seq in range(1, 7):
+        broadcast_request(c, seq)
+        c.pump()
+    for r in c.replicas:
+        assert r.exec_cursor == 6
+        assert r.stable_seq == 6
 
 
 # ------------------------------------------------------------------ forks
@@ -480,7 +494,7 @@ def _forged_decision_proof():
 
 def _forged_commits_and_echo():
     # f=2: replica 4 speaks for replicas 2 and 3 and for the leader's echo
-    c = Cluster(n=5, f=2)
+    c = Cluster(f=2)
     forger = c.tcs[4]
     other = m.batch_digest((authed(9),))
     forged = [m.Commit(0, 1, s, other,
@@ -547,3 +561,39 @@ def _forged_new_view_digest():
 ], ids=lambda fn: fn.__name__[len("_forged_"):])
 def test_a_certificate_speaks_only_for_its_issuer(forge):
     forge()
+
+
+# --------------------------------------------------------- vote completeness
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a view-change vote may omit a prepare that its own timeline certifies: "
+    "ROADMAP item 6 (a), (b)"))
+@pytest.mark.parametrize("mode", ["detection", "prevention"])
+def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
+    c = Cluster(mode=mode)
+    r1, r2 = authed(1), authed(2)
+    for rid in (1, 2):
+        c.request(rid, r1).request(rid, r2)
+    # faulty replica 0 binds request 2 at seq 1 and shows only replica 1,
+    # which commits it
+    bdig = m.batch_digest((r2,))
+    pdig = m.prepare_digest(0, 1, bdig)
+    cert = (c.tcs[0].create_ui(pdig, counter=proposal_counter(0))
+            if mode == "detection"
+            else c.tcs[0].certify_context("prepare", 0, 1, pdig))
+    c.inject(1, m.Prepare(0, 1, (r2,), bdig, cert))
+    assert c.replicas[1].committed_history[1] == bdig
+    c.queue.clear()
+    # replica 2's view-1 vote is lost, so it escalates and leads view 2
+    c.fire(2, "suspect", 0)
+    c.queue.clear()
+    c.fire(2, "vcretry", 1)
+    # replica 0's view-2 vote: its timeline certifies the prepare, but the
+    # vote carries no prepares
+    faulty = c.replicas[0]
+    faulty._record("prepare", 1, pdig, cert)
+    c._absorb(0, faulty._start_view_change(2, c.now, reason="timeout"))
+    c.pump(drop_to={0})
+    assert c.replicas[2].view == 2
+    assert safety_violations(c.replicas, {0}) == []

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from hybft.config import SimConfig
-from hybft.protocol import ProtocolConfig, Replica
+from hybft.protocol import Replica
 from hybft.sim import TALLY_FIELDS, measure_overhead, run, safety_violations
 from hybft.tc import ContextCertificate, UniqueIdentifier
 
@@ -293,7 +293,7 @@ class _IssuedOnly:
 
 
 def _bare_replica(rid: int, certs=()) -> Replica:
-    return Replica(rid, ProtocolConfig(n=3, f=1), _IssuedOnly(certs), None, {})
+    return Replica(rid, SimConfig(), _IssuedOnly(certs), None, {})
 
 
 def test_oracle_reports_each_kind_of_violation():

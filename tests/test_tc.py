@@ -415,7 +415,8 @@ def test_untrusted_modules_never_reach_into_component_internals():
     pattern = re.compile(r"\.({})\b".format("|".join(private)))
     offenders = []
     for name in ("protocol.py", "sim.py", "clients.py", "adversary.py",
-                 "resource_model.py", "cli.py", "config.py"):
+                 "resource_model.py", "cli.py", "config.py",
+                 "model_check.py"):
         text = (src / name).read_text()
         for lineno, line in enumerate(text.splitlines(), 1):
             if pattern.search(line):
