@@ -11,9 +11,8 @@ responsiveness per client.
 from __future__ import annotations
 
 import hashlib
-import hmac as hmaclib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from . import messages as m
 
@@ -50,8 +49,7 @@ class Client:
         payload = hashlib.shake_256(
             f"client{self.id}:{seq}".encode()).digest(self.payload_size)
         req = m.Request(self.id, seq, payload)
-        auth = hmaclib.new(self.key, req.digest(), "sha256").digest()
-        return m.Request(self.id, seq, payload, auth)
+        return m.Request(self.id, seq, payload, m.request_auth(self.key, req))
 
     def start(self, now: int) -> List[tuple]:
         if self.total < 1:
@@ -84,16 +82,13 @@ class Client:
         return self._submit(now)
 
     def _complete(self) -> bool:
-        by_result: Dict[bytes, int] = {}
-        by_result_seq: Dict[Tuple[bytes, int], int] = {}
+        strict = self.policy == "n-f"
+        need = self.n - self.f if strict else self.f + 1
+        tally: Dict = {}
         for rep in self.replies.values():
-            by_result[rep.result] = by_result.get(rep.result, 0) + 1
-            k = (rep.result, rep.seq)
-            by_result_seq[k] = by_result_seq.get(k, 0) + 1
-        if self.policy == "n-f":
-            need = self.n - self.f
-            return any(c >= need for c in by_result_seq.values())
-        return any(c >= self.f + 1 for c in by_result.values())
+            k = (rep.result, rep.seq) if strict else rep.result
+            tally[k] = tally.get(k, 0) + 1
+        return any(c >= need for c in tally.values())
 
     def on_timer(self, kind: str, key, now: int) -> List[tuple]:
         if kind != "retransmit":

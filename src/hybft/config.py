@@ -4,7 +4,8 @@ A configuration is a flat dataclass plus the byte-size model and an adversary
 section. Files are plain JSON with optional "sim", "size_model" and
 "adversary" sections, and nothing else; command-line overrides use dot paths
 into the same namespace ("sim.f=3", "size_model.tx_bytes=512",
-"adversary.script=...", "adversary.k=2").
+"adversary.script=...", "adversary.k=2"). An override's value is a JSON
+literal, else a plain string, and passes the same type check as a file's.
 """
 
 from __future__ import annotations
@@ -119,51 +120,14 @@ class SimConfig:
         return self
 
 
-def _coerce(current, raw: str):
-    if isinstance(current, bool):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if current is None:
-        # Optional[int] fields; "none" clears them back to the default
-        return None if raw.lower() == "none" else int(raw)
-    return raw
-
-
-def apply_override(cfg: SimConfig, path: str, raw: str) -> None:
-    section, _, name = path.partition(".")
-    if not name:
-        section, name = "sim", path
-    if section == "sim":
-        if not hasattr(cfg, name) or name in ("sizes", "adversary_params"):
-            raise ConfigError(f"unknown sim option {name!r}")
-        setattr(cfg, name, _coerce(getattr(cfg, name), raw))
-    elif section == "size_model":
-        if not hasattr(cfg.sizes, name):
-            raise ConfigError(f"unknown size_model option {name!r}")
-        cfg.sizes = dataclasses.replace(cfg.sizes, **{name: int(raw)})
-    elif section == "adversary":
-        if name == "script":
-            cfg.adversary = raw
-        else:
-            try:
-                cfg.adversary_params[name] = json.loads(raw)
-            except json.JSONDecodeError:
-                cfg.adversary_params[name] = raw
-    else:
-        raise ConfigError(f"unknown config section {section!r}")
-
-
 _SECTIONS = ("sim", "size_model", "adversary")
+_SIM_OPTIONS = {f.name for f in dataclasses.fields(SimConfig)} - {
+    "sizes", "adversary_params"}
+_SIZE_OPTIONS = {f.name for f in dataclasses.fields(SizeModel)}
 
 
 def _check_type(section: str, name: str, default, value) -> None:
-    """A file value must have the JSON type of its field's default."""
+    """A value must have the JSON type of its field's default."""
     if isinstance(default, bool):
         want, ok = "a boolean", isinstance(value, bool)
     elif isinstance(default, str):
@@ -176,30 +140,51 @@ def _check_type(section: str, name: str, default, value) -> None:
         raise ConfigError(f"{section}.{name} must be {want}, got {value!r}")
 
 
+def _set(cfg: SimConfig, section: str, name: Optional[str], value) -> None:
+    """Check one option's name and type and store it. Files and overrides
+    both come through here, so they accept exactly the same values."""
+    if section not in _SECTIONS:
+        raise ConfigError(f"unknown config sections [{section!r}]; options "
+                          f"belong under one of {list(_SECTIONS)}")
+    if name is None:
+        raise ConfigError(f"config section {section!r} must be a JSON object")
+    if section == "sim":
+        if name not in _SIM_OPTIONS:
+            raise ConfigError(f"unknown sim option {name!r}")
+        _check_type(section, name, getattr(cfg, name), value)
+        setattr(cfg, name, value)
+    elif section == "size_model":
+        if name not in _SIZE_OPTIONS:
+            raise ConfigError(f"unknown size_model option {name!r}")
+        _check_type(section, name, getattr(cfg.sizes, name), value)
+        cfg.sizes = dataclasses.replace(cfg.sizes, **{name: value})
+    elif name == "script":
+        cfg.adversary = value
+    else:
+        cfg.adversary_params[name] = value
+
+
+def apply_override(cfg: SimConfig, path: str, raw: str) -> None:
+    """One `section.name=raw` override; a bare name means `sim.name`."""
+    section, _, name = path.partition(".")
+    if not name:
+        section, name = "sim", path
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    _set(cfg, section, name, value)
+
+
 def from_dict(data: Dict) -> SimConfig:
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config sections {sorted(unknown)}; "
-                          f"options belong under one of {list(_SECTIONS)}")
+    if not isinstance(data, dict):
+        raise ConfigError("a config file must hold a JSON object")
     cfg = SimConfig()
-    sim = dict(data.get("sim", {}))
-    for k, v in sim.items():
-        if not hasattr(cfg, k) or k in ("sizes", "adversary_params"):
-            raise ConfigError(f"unknown sim option {k!r}")
-        _check_type("sim", k, getattr(cfg, k), v)
-        setattr(cfg, k, v)
-    if "size_model" in data:
-        unknown = set(data["size_model"]) - {
-            f.name for f in dataclasses.fields(SizeModel)}
-        if unknown:
-            raise ConfigError(f"unknown size_model options {sorted(unknown)}")
-        for k, v in data["size_model"].items():
-            _check_type("size_model", k, getattr(cfg.sizes, k), v)
-        cfg.sizes = SizeModel(**data["size_model"])
-    adv = data.get("adversary", {})
-    if adv:
-        cfg.adversary = adv.get("script", cfg.adversary)
-        cfg.adversary_params = {k: v for k, v in adv.items() if k != "script"}
+    for section, options in data.items():
+        if not isinstance(options, dict):  # {"f": 2}, or {"sim": 2}
+            _set(cfg, section, None, options)
+        for name, value in options.items():
+            _set(cfg, section, name, value)
     return cfg
 
 

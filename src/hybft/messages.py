@@ -10,7 +10,8 @@ analytic model cannot drift apart.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import hmac
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .tc import _enc
@@ -33,6 +34,11 @@ class Request:
 
     def key(self) -> Tuple[int, int]:
         return (self.client_id, self.client_seq)
+
+
+def request_auth(key: bytes, req: Request) -> bytes:
+    """The client's authenticator: an HMAC over the request digest."""
+    return hmac.new(key, req.digest(), "sha256").digest()
 
 
 def batch_digest(requests: Tuple[Request, ...]) -> bytes:

@@ -22,7 +22,6 @@ Three layers:
 from __future__ import annotations
 
 import hashlib
-import hmac as hmaclib
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
@@ -31,7 +30,8 @@ from . import messages as m
 from .config import SimConfig
 from .protocol import Replica, proposal_counter
 from .sim import safety_violations
-from .tc import EquivocationRefused, SequenceRefused, TcMode, TrustedComponent
+from .tc import (Directory, EquivocationRefused, SequenceRefused, TcMode,
+                 TrustedComponent)
 
 _KEY = hashlib.sha256(b"model-check-key").digest()
 _H1 = hashlib.sha256(b"payload-one").digest()
@@ -172,7 +172,6 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
         for dig in digests:
             cdig = m.commit_digest(0, 1, sender, dig)
             pool.append((sender, dig, tcs[sender].create_ui(cdig)))
-    from .tc import Directory
     directory = Directory(TcMode.HMAC)
     for i in range(n):
         directory.register(i, 1)
@@ -206,7 +205,6 @@ class World:
     channels: Dict[Tuple[str, int], Tuple]
     armed: frozenset
     byz: Set[int]
-    delivered: int = 0
 
     def state_key(self) -> tuple:
         chan = tuple(sorted((k, v) for k, v in self.channels.items() if v))
@@ -231,7 +229,7 @@ class World:
         stays shared with this world.
         """
         w = World(dict(self.replicas), dict(self.channels), self.armed,
-                  self.byz, self.delivered)
+                  self.byz)
         if act[0] == "deliver":
             key = act[1]
             queue = w.channels[key]
@@ -240,7 +238,6 @@ class World:
             rid = key[1]
             rep = w.replicas[rid] = self.replicas[rid].clone()
             effects = rep.handle(msg, 0)
-            w.delivered += 1
         else:
             rid, kind, tkey = act[1]
             w.armed = w.armed - {act[1]}
@@ -265,8 +262,7 @@ class World:
         self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
 
 
-def explore_world(world: World, max_states: int = 400_000,
-                  terminal_check=None) -> Dict[str, int]:
+def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     seen: Set[tuple] = set()
     terminals = 0
     full_commit_terminals = 0
@@ -287,8 +283,6 @@ def explore_world(world: World, max_states: int = 400_000,
             if correct and all(r.committed_history and r.exec_cursor >= 1
                                for r in correct):
                 full_commit_terminals += 1
-            if terminal_check is not None:
-                terminal_check(w)
             continue
         for act in acts:
             stack.append(w.apply(act))
@@ -299,9 +293,8 @@ def explore_world(world: World, max_states: int = 400_000,
 # -- scenario builders -------------------------------------------------------
 
 
-def _mc_setup(mode: str = "detection", decisions: bool = True,
-              max_view: int = 2):
-    from .tc import Directory
+def _mc_setup(mode: str = "detection", decisions: bool = True):
+    """(world, faulty replica 0's component, request), request delivered."""
     f, n = 1, 3
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
                     checkpoint_interval=1000, window=2000,
@@ -312,28 +305,27 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
         directory.register(i, 1)
     ckey = hashlib.sha256(b"mc-client").digest()
     replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey},
-                             max_view=max_view)
+                             max_view=2)
                 for rid in (1, 2)}
     payload = b"transfer-10"
     req = m.Request(0, 1, payload)
-    req = m.Request(0, 1, payload,
-                    hmaclib.new(ckey, req.digest(), "sha256").digest())
-    return cfg, tcs, replicas, req
+    req = m.Request(0, 1, payload, m.request_auth(ckey, req))
+    world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
+    for rid, rep in replicas.items():
+        world._absorb(rid, rep.on_client_request(req, 0))
+    return world, tcs[0], req
 
 
 def equivocate_world(decisions: bool = True) -> World:
     """Faulty leader re-binds the request at values 1 and 2; follower 1 sees
     both (flags the duplicate), follower 2 sees only value 2 (freezes)."""
-    cfg, tcs, replicas, req = _mc_setup(decisions=decisions)
-    world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
-    for rid, rep in replicas.items():
-        world._absorb(rid, rep.on_client_request(req, 0))
+    world, tc0, req = _mc_setup(decisions=decisions)
     chunk = (req,)
     bdig = m.batch_digest(chunk)
-    ui_x = tcs[0].create_ui(m.prepare_digest(0, 1, bdig),
-                            counter=proposal_counter(0))
-    ui_y = tcs[0].create_ui(m.prepare_digest(0, 2, bdig),
-                            counter=proposal_counter(0))
+    ui_x = tc0.create_ui(m.prepare_digest(0, 1, bdig),
+                         counter=proposal_counter(0))
+    ui_y = tc0.create_ui(m.prepare_digest(0, 2, bdig),
+                         counter=proposal_counter(0))
     px = m.Prepare(0, 1, chunk, bdig, ui_x)
     py = m.Prepare(0, 2, chunk, bdig, ui_y)
     world.seed_channel("byz", 1, [px, py])
@@ -344,29 +336,23 @@ def equivocate_world(decisions: bool = True) -> World:
 def gap_world(decisions: bool = False) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
     a view change to make progress."""
-    cfg, tcs, replicas, req = _mc_setup(decisions=decisions)
-    world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
-    for rid, rep in replicas.items():
-        world._absorb(rid, rep.on_client_request(req, 0))
-    tcs[0].create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
-                     counter=proposal_counter(0))
+    world, tc0, req = _mc_setup(decisions=decisions)
+    tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
+                  counter=proposal_counter(0))
     return world
 
 
 def prevention_world(decisions: bool = False) -> World:
     """Prevention mode: the double binding dies inside the leader's component,
     so only the single certified proposal ever reaches the followers."""
-    cfg, tcs, replicas, req = _mc_setup(mode="prevention", decisions=decisions)
-    world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
-    for rid, rep in replicas.items():
-        world._absorb(rid, rep.on_client_request(req, 0))
+    world, tc0, req = _mc_setup(mode="prevention", decisions=decisions)
     chunk = (req,)
     bdig = m.batch_digest(chunk)
-    cert = tcs[0].certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
+    cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
     alt = hashlib.sha256(b"other-batch").digest()
     refused = False
     try:
-        tcs[0].certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
+        tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
     except EquivocationRefused:
         refused = True
     assert refused, "component must refuse the second context binding"

@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import messages as m
 from .config import SimConfig
 from .tc import (
-    ContextCertificate,
     PhaseSkipCertificate,
     SequenceRefused,
     SkipCertificate,
@@ -271,8 +270,7 @@ class Replica:
         keyb = self.client_keys.get(req.client_id)
         if keyb is None:
             return False
-        want = hmaclib.new(keyb, req.digest(), "sha256").digest()
-        return hmaclib.compare_digest(want, req.auth)
+        return hmaclib.compare_digest(m.request_auth(keyb, req), req.auth)
 
     def _progress_mark(self) -> tuple:
         return (self.exec_cursor, len(self.executed))
@@ -501,8 +499,6 @@ class Replica:
     # ------------------------------------------------------------ decisions
 
     def on_timer_decision(self, seq: int, now: int) -> List[tuple]:
-        if not self.cfg.decisions:
-            return []
         t = self.trackers.get(seq)
         if t is None or t.committed is None or t.via != "quorum":
             return []
@@ -843,16 +839,9 @@ class Replica:
                 covered.setdefault(cert.counter, set()).add(cert.value)
                 if e.kind == "commit":
                     commits.append((e.seq, e.digest))
-            elif isinstance(cert, ContextCertificate):
-                covered.setdefault(cert.phase, set()).add((cert.view, cert.seq))
-            else:
-                covered.setdefault(cert.phase, set()).add(e.seq)
         for p in vc.prepares:
-            cert = p.cert
-            if isinstance(cert, UniqueIdentifier):
-                covered.setdefault(cert.counter, set()).add(cert.value)
-            elif isinstance(cert, ContextCertificate):
-                covered.setdefault(cert.phase, set()).add((cert.view, cert.seq))
+            if isinstance(p.cert, UniqueIdentifier):
+                covered.setdefault(p.cert.counter, set()).add(p.cert.value)
         if self.cfg.mode != "prevention":
             # the attestation precedes the vote certificate, so the vote must
             # sit exactly one past the attested position: nothing was minted
@@ -907,12 +896,11 @@ class Replica:
         base, stable, reprops = self._union(votes)
         skip = None
         try:
-            if self.cfg.mode == "prevention":
-                if base >= 1:
+            if base >= 1:
+                if self.cfg.mode == "prevention":
                     skip = self.tc.skip_contexts("prepare", view, base)
-                    self._record("skip", base, b"", skip)
-            elif base >= 1:
-                skip = self.tc.skip_values(proposal_counter(view), base)
+                else:
+                    skip = self.tc.skip_values(proposal_counter(view), base)
                 self._record("skip", base, b"", skip)
             new_preps = []
             for old in reprops:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
-import io
 import json
 import os
 from dataclasses import dataclass, field

@@ -182,13 +182,20 @@ class SnapshotBlob:
 
     epoch: int
     replica_id: int
-    _counters: Dict[str, int]
-    _counter_low: Dict[str, int]
-    _phases: Dict[str, Tuple[int, int]]
-    _ctx_issued: Dict[str, set]
-    _flexi_serial: int
-    _flexi_names: set
+    _state: Dict
     used: bool = False
+
+
+def _copy_counter_state(src: Dict, dst: Dict) -> Dict:
+    """Copy the counter state from `src` into `dst` (a component's attributes
+    or a blob's): the one list of what clone, snapshot and restore carry."""
+    dst["_counters"] = dict(src["_counters"])
+    dst["_counter_low"] = dict(src["_counter_low"])
+    dst["_phases"] = dict(src["_phases"])
+    dst["_ctx_issued"] = {p: set(s) for p, s in src["_ctx_issued"].items()}
+    dst["_flexi_serial"] = src["_flexi_serial"]
+    dst["_flexi_names"] = set(src["_flexi_names"])
+    return dst
 
 
 class Directory:
@@ -252,6 +259,7 @@ class TrustedComponent:
         self.accesses = 0
         self._crashed = False
         self._window = window
+        # counter state; _copy_counter_state copies exactly these six
         self._counters: Dict[str, int] = {}
         self._counter_low: Dict[str, int] = {}
         self._phases: Dict[str, Tuple[int, int]] = {}
@@ -296,11 +304,7 @@ class TrustedComponent:
         """
         child = type(self).__new__(type(self))
         child.__dict__.update(self.__dict__)
-        child._counters = dict(self._counters)
-        child._counter_low = dict(self._counter_low)
-        child._phases = dict(self._phases)
-        child._ctx_issued = {p: set(s) for p, s in self._ctx_issued.items()}
-        child._flexi_names = set(self._flexi_names)
+        _copy_counter_state(self.__dict__, child.__dict__)
         child._issued = list(self._issued)
         return child
 
@@ -469,16 +473,8 @@ class TrustedComponent:
         snapshot always falls between events, so no certify is in flight.
         """
         self._touch()
-        return SnapshotBlob(
-            epoch=self.epoch,
-            replica_id=self.replica_id,
-            _counters=dict(self._counters),
-            _counter_low=dict(self._counter_low),
-            _phases=dict(self._phases),
-            _ctx_issued={p: set(s) for p, s in self._ctx_issued.items()},
-            _flexi_serial=self._flexi_serial,
-            _flexi_names=set(self._flexi_names),
-        )
+        return SnapshotBlob(self.epoch, self.replica_id,
+                            _copy_counter_state(self.__dict__, {}))
 
     def restore(self, blob: SnapshotBlob) -> None:
         """Adopt a sealed snapshot into a fresh component, continuing its timeline."""
@@ -491,12 +487,7 @@ class TrustedComponent:
             raise RestoreRefused("restore target must be fresh")
         blob.used = True
         self.epoch = blob.epoch
-        self._counters = dict(blob._counters)
-        self._counter_low = dict(blob._counter_low)
-        self._phases = dict(blob._phases)
-        self._ctx_issued = {p: set(s) for p, s in blob._ctx_issued.items()}
-        self._flexi_serial = blob._flexi_serial
-        self._flexi_names = set(blob._flexi_names)
+        _copy_counter_state(blob._state, self.__dict__)
 
 
 def verify_certificate(cert, *, directory: Directory,

@@ -82,6 +82,14 @@ def test_bad_override_exits_two(capsys):
     assert main(["run", "--set", "nonsense"]) == 2
     assert main(["run", "--set", "f=-3"]) == 2
     assert main(["run", "--config", "/does/not/exist.json"]) == 2
+    capsys.readouterr()
+    # values not of the option's type, and names that are not options (a
+    # property, a method), are config errors, not crashes
+    for bad in ("sim.f=abc", "size_model.tx_bytes=x", "sim.window=abc",
+                "sim.n=3", "sim.validate=3"):
+        assert main(["run", "--set", bad]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
 
 def test_overhead_small_cell_exact(capsys):
@@ -135,7 +143,8 @@ def test_attack_expect_violation_fails_on_safe_run(capsys):
 
 
 @pytest.mark.parametrize("text", ['{bad', '{"sim": {"f": "2"}}',
-                                  '{"size_model": {"tx_bytes": true}}'])
+                                  '{"size_model": {"tx_bytes": true}}',
+                                  '{"sim": 2}', '[1]'])
 def test_malformed_config_file_exits_two(tmp_path, capsys, text):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(text)

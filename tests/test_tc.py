@@ -292,6 +292,27 @@ def test_restore_continues_the_same_timeline():
     assert fresh.epoch == tc.epoch
 
 
+def test_restore_carries_the_whole_counter_state():
+    tc = make_hmac_tc(strict=False)
+    tc.create_ui(_h("a"))
+    tc.create_ui(_h("b"))
+    tc.skip_values("msg", 2)
+    tc.advance_watermark("msg", 3)
+    tc.certify_context("prepare", 0, 1, _h("p"))
+    tc.skip_contexts("commit", 1, 4)
+    minted = tc.flexi_create_counter()
+    tc.create_ui(_h("c"), counter=minted)
+    blob = tc.snapshot()
+    fresh = make_hmac_tc(strict=False)
+    fresh.restore(blob)
+    assert fresh.state_key() == tc.state_key()
+    # the copy is independent: the source moving on leaves it unchanged
+    before = fresh.state_key()
+    tc.certify_context("prepare", 0, 2, _h("q"))
+    tc.flexi_create_counter()
+    assert fresh.state_key() == before != tc.state_key()
+
+
 def test_blob_is_single_use():
     tc = make_hmac_tc()
     tc.create_ui(_h("a"))
@@ -411,7 +432,7 @@ def test_untrusted_modules_never_reach_into_component_internals():
     private = ("_key", "_signer", "_counters", "_counter_low", "_phases",
                "_ctx_issued", "_flexi_serial", "_flexi_names", "_issued",
                "_prove", "_issue", "_touch", "_counter_id", "_check_window",
-               "_crashed")
+               "_crashed", "_copy_counter_state")
     pattern = re.compile(r"\.({})\b".format("|".join(private)))
     offenders = []
     for name in ("protocol.py", "sim.py", "clients.py", "adversary.py",
