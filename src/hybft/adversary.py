@@ -26,6 +26,7 @@ import hashlib
 from typing import Dict, List, Set
 
 from . import messages as m
+from .config import ADVERSARY_PARAMS
 from .protocol import Replica, proposal_counter
 from .tc import EquivocationRefused, ModeViolation
 
@@ -79,7 +80,7 @@ class EquivocateWithholdLeader(_Scripted):
         return not (self.tripped and self.cfg.mode != "prevention")
 
     def _propose(self, chunk, now: int) -> List[tuple]:
-        trigger = self.params.get("trigger", 2)
+        trigger = self.params["trigger"]
         if self.tripped:
             return []
         if self.next_seq != trigger:
@@ -123,7 +124,7 @@ class GapLeader(_Scripted):
         return not self.tripped
 
     def _propose(self, chunk, now: int) -> List[tuple]:
-        trigger = self.params.get("trigger", 2)
+        trigger = self.params["trigger"]
         if self.tripped:
             return []
         if self.next_seq != trigger:
@@ -211,23 +212,21 @@ _LEADER_SCRIPTS = {
 def install(sim) -> Set[int]:
     """Swap in scripted replicas / schedule admin events. Returns faulty ids."""
     cfg = sim.cfg
-    params = dict(cfg.adversary_params)
+    params = {name: default for name, (_, default)
+              in ADVERSARY_PARAMS[cfg.adversary].items()}
+    params.update(cfg.adversary_params)
     if cfg.adversary == "none":
         return set()
     if cfg.adversary == "crash_tcs":
-        k = params.get("k", cfg.f)
-        crash_at = params.get("crash_at_ns", 300_000_000)
-        restore_at = params.get("restore_at_ns")
-        restart_at = params.get("restart_at_ns")
-        targets = params.get("targets")
+        k = cfg.f if params["k"] is None else params["k"]
+        targets = params["targets"]
         if targets is None:
             targets = list(range(cfg.n - 1, cfg.n - 1 - k, -1))
         for rid in targets:
-            sim.schedule_admin(crash_at, "tc_crash", {"replica": rid})
-            if restore_at is not None:
-                sim.schedule_admin(restore_at, "tc_restore", {"replica": rid})
-            if restart_at is not None:
-                sim.schedule_admin(restart_at, "tc_restart", {"replica": rid})
+            for action in ("crash", "restore", "restart"):
+                at = params[f"{action}_at_ns"]
+                if at is not None:
+                    sim.schedule_admin(at, f"tc_{action}", {"replica": rid})
         return set()
     cls = _LEADER_SCRIPTS[cfg.adversary]
     byz = {0}

@@ -17,10 +17,21 @@ from typing import Dict, Optional
 
 from .resource_model import SizeModel
 
-ADVERSARY_SCRIPTS = (
-    "none", "equivocate_withhold", "gap_forever", "silent_repliers",
-    "counter_identity", "crash_tcs",
-)
+# Each adversary script's parameters: name -> (type, default). The type is
+# one of _TYPES; a null default means the script derives the value (k: f;
+# targets: the last k replicas) or leaves the step out.
+ADVERSARY_PARAMS: Dict[str, Dict[str, tuple]] = {
+    "none": {},
+    "equivocate_withhold": {"trigger": ("int", 2)},
+    "gap_forever": {"trigger": ("int", 2)},
+    "silent_repliers": {},
+    "counter_identity": {},
+    "crash_tcs": {"k": ("int?", None), "crash_at_ns": ("int", 300_000_000),
+                  "restore_at_ns": ("int?", None),
+                  "restart_at_ns": ("int?", None),
+                  "targets": ("ints?", None)},
+}
+ADVERSARY_SCRIPTS = tuple(ADVERSARY_PARAMS)
 
 
 class ConfigError(Exception):
@@ -97,6 +108,12 @@ class SimConfig:
             raise ConfigError(f"unknown counter_policy {self.counter_policy!r}")
         if self.adversary not in ADVERSARY_SCRIPTS:
             raise ConfigError(f"unknown adversary script {self.adversary!r}")
+        params = ADVERSARY_PARAMS[self.adversary]
+        for name, value in self.adversary_params.items():
+            if name not in params:
+                raise ConfigError(f"unknown parameter {name!r} of adversary "
+                                  f"script {self.adversary!r}")
+            _check_type("adversary", name, params[name][0], value)
         if self.delay_min_ns < 0 or self.delay_max_ns < self.delay_min_ns:
             raise ConfigError("need 0 <= delay_min_ns <= delay_max_ns")
         if self.delta_ns < 0:
@@ -126,17 +143,32 @@ _SIM_OPTIONS = {f.name for f in dataclasses.fields(SimConfig)} - {
 _SIZE_OPTIONS = {f.name for f in dataclasses.fields(SizeModel)}
 
 
-def _check_type(section: str, name: str, default, value) -> None:
-    """A value must have the JSON type of its field's default."""
-    if isinstance(default, bool):
-        want, ok = "a boolean", isinstance(value, bool)
-    elif isinstance(default, str):
-        want, ok = "a string", isinstance(value, str)
-    else:  # int fields, and window, whose default null means "derived"
-        want = "an integer" if default is not None else "an integer or null"
-        ok = (isinstance(value, int) and not isinstance(value, bool)
-              or default is None and value is None)
-    if not ok:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Option value types: name -> (description, test).
+_TYPES = {
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "int?": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "ints?": ("a list of integers or null", lambda v: v is None or (
+        isinstance(v, list) and all(map(_is_int, v)))),
+}
+
+
+def _type_of(default) -> str:
+    """A field's type is the JSON type of its default; window, whose default
+    null means "derived", takes an integer or null."""
+    return ("bool" if isinstance(default, bool) else
+            "str" if isinstance(default, str) else
+            "int" if default is not None else "int?")
+
+
+def _check_type(section: str, name: str, kind: str, value) -> None:
+    want, ok = _TYPES[kind]
+    if not ok(value):
         raise ConfigError(f"{section}.{name} must be {want}, got {value!r}")
 
 
@@ -151,12 +183,12 @@ def _set(cfg: SimConfig, section: str, name: Optional[str], value) -> None:
     if section == "sim":
         if name not in _SIM_OPTIONS:
             raise ConfigError(f"unknown sim option {name!r}")
-        _check_type(section, name, getattr(cfg, name), value)
+        _check_type(section, name, _type_of(getattr(cfg, name)), value)
         setattr(cfg, name, value)
     elif section == "size_model":
         if name not in _SIZE_OPTIONS:
             raise ConfigError(f"unknown size_model option {name!r}")
-        _check_type(section, name, getattr(cfg.sizes, name), value)
+        _check_type(section, name, _type_of(getattr(cfg.sizes, name)), value)
         cfg.sizes = dataclasses.replace(cfg.sizes, **{name: value})
     elif name == "script":
         cfg.adversary = value

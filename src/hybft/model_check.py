@@ -13,23 +13,23 @@ Three layers:
 
 3. Protocol interleavings: a tiny three-replica world (faulty leader, two
    correct followers) explored over every message delivery order and timer
-   schedule, with memoized states. Every reachable state must pass the
-   simulator's safety oracle (sim.safety_violations); at least one terminal
-   state must show full commitment, demonstrating progress is reachable in
-   the scenario.
+   schedule, with memoized states. Every reachable state's ledger must pass
+   the simulator's safety oracle (sim.safety_violations); at least one
+   terminal state must show full commitment, demonstrating progress is
+   reachable in the scenario.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
 from .config import SimConfig
 from .protocol import Replica, proposal_counter
-from .sim import safety_violations
+from .sim import Ledger, safety_violations
 from .tc import (Directory, EquivocationRefused, SequenceRefused, TcMode,
                  TrustedComponent)
 
@@ -205,8 +205,12 @@ class World:
     channels: Dict[Tuple[str, int], Tuple]
     armed: frozenset
     byz: Set[int]
+    ledger: Ledger = field(default_factory=Ledger, init=False)
 
     def state_key(self) -> tuple:
+        # The ledger is left out, as the replica histories and component
+        # audit lists it replaces always were: worlds that differ only in
+        # their past are one state, and the oracle sees the first reached.
         chan = tuple(sorted((k, v) for k, v in self.channels.items() if v))
         reps = tuple((rid, r.state_key()) for rid, r in sorted(self.replicas.items()))
         return (reps, chan, self.armed)
@@ -224,24 +228,22 @@ class World:
         """Successor state after `act`, sharing what the step leaves unchanged.
 
         Channel queues (tuples) and the armed set (a frozenset) are never
-        mutated, so the successor copies only the replica and channel maps
-        and clones the one replica that takes the step; the other replica
-        stays shared with this world.
+        mutated, so the successor copies only the replica and channel maps,
+        and clones the one replica that takes the step and its ledger
+        record; the other replica and its record stay shared with this world.
         """
+        rid = act[1][1] if act[0] == "deliver" else act[1][0]
         w = World(dict(self.replicas), dict(self.channels), self.armed,
                   self.byz)
+        w.ledger = self.ledger.fork(rid)
+        rep = w.replicas[rid] = self.replicas[rid].clone()
         if act[0] == "deliver":
-            key = act[1]
-            queue = w.channels[key]
-            msg, rest = queue[0], queue[1:]
-            w.channels[key] = rest
-            rid = key[1]
-            rep = w.replicas[rid] = self.replicas[rid].clone()
-            effects = rep.handle(msg, 0)
+            queue = w.channels[act[1]]
+            w.channels[act[1]] = queue[1:]
+            effects = rep.handle(queue[0], 0)
         else:
-            rid, kind, tkey = act[1]
+            _, kind, tkey = act[1]
             w.armed = w.armed - {act[1]}
-            rep = w.replicas[rid] = self.replicas[rid].clone()
             effects = rep.on_timer(kind, tkey, 0)
         w._absorb(rid, effects)
         return w
@@ -257,6 +259,9 @@ class World:
             elif eff[0] == "timer":
                 _, kind, tkey, _delay = eff
                 self.armed = self.armed | {(src, kind, tkey)}
+            elif eff[0] == "fact":
+                self.ledger.note(src, eff)
+        self.ledger.take_issued(src, self.replicas[src].tc)
 
     def seed_channel(self, src: str, dst: int, msgs: List) -> None:
         self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
@@ -274,14 +279,15 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
             continue
         seen.add(key)
         assert len(seen) <= max_states, "state budget exceeded"
-        violations = safety_violations(w.replicas.values(), w.byz)
+        violations = safety_violations(w.ledger, w.byz)
         assert not violations, violations
         acts = w.enabled()
         if not acts:
             terminals += 1
-            correct = [r for rid, r in w.replicas.items() if rid not in w.byz]
-            if correct and all(r.committed_history and r.exec_cursor >= 1
-                               for r in correct):
+            correct = [(r, w.ledger.records.get(rid))
+                       for rid, r in w.replicas.items() if rid not in w.byz]
+            if correct and all(rec and rec.committed and r.exec_cursor >= 1
+                               for r, rec in correct):
                 full_commit_terminals += 1
             continue
         for act in acts:

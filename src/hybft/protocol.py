@@ -18,6 +18,8 @@ all actual sending and timer scheduling:
     ("send", ("replica", i) | ("client", c), msg)
     ("timer", kind, key, delay_ns)
     ("note", {...})   # trace annotation
+    ("fact", "admit" | "commit" | "execute", (view, seq) | seq, digest)
+                      # for the host's ledger (sim.Ledger), read by the oracle
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ class _Tracker:
 # of immutable elements. Everything else is a scalar or never mutated
 # (cfg, directory, client_keys) and is shared between forks.
 _FLAT_STATE = (
-    "flagged_views", "cursors", "bound", "prepared_log", "committed_history",
-    "prepared_history", "exec_history", "executed", "last_reply", "pending",
-    "batchq", "inflight", "queued_batches", "timeline", "deferred_commits",
-    "decision_armed", "peer_max_commit", "peer_committed_floor", "vc_sent",
-    "suspect_armed", "stats",
+    "flagged_views", "cursors", "bound", "prepared_log", "checkpoint_exec",
+    "executed", "last_reply", "pending", "batchq", "inflight",
+    "queued_batches", "timeline", "deferred_commits", "decision_armed",
+    "peer_max_commit", "peer_committed_floor", "vc_sent", "suspect_armed",
+    "stats",
 )
 _NESTED_STATE = ("buffered", "checkpoint_claims", "future_commits",
                  "future_prepares", "decision_seen", "vc_votes")
@@ -122,12 +124,11 @@ class Replica:
 
         self.prepared_log: Dict[int, m.Prepare] = {}
         self.trackers: Dict[int, _Tracker] = {}
-        self.committed_history: Dict[int, bytes] = {}
-        self.prepared_history: List[Tuple[int, int, bytes]] = []
 
         self.exec_cursor = 0
         self.exec_digest = hashlib.sha256(b"genesis").digest()
-        self.exec_history: Dict[int, bytes] = {}
+        # exec digest at each checkpoint seq from stable_seq on, for FetchState
+        self.checkpoint_exec: Dict[int, bytes] = {}
         self.executed: Dict[Tuple[int, int], m.Reply] = {}
         self.last_reply: Dict[int, m.Reply] = {}
         self.pending: Dict[Tuple[int, int], m.Request] = {}
@@ -313,17 +314,29 @@ class Replica:
         self.next_seq = seq + 1
         self.inflight.add(seq)
         self._record("prepare", seq, pdig, cert)
-        self.prepared_log[seq] = prep
-        self.prepared_history.append((self.view, seq, bdig))
-        for r in chunk:
-            self.bound[r.key()] = seq
-        out: List[tuple] = [("send", ("replica", p), prep) for p in self.peers()]
-        # leader's echo re-presents the prepare certificate as its attestation
-        echo = m.Commit(self.view, seq, self.id, bdig, cert, echo=True)
-        out += [("send", ("replica", p), echo) for p in self.peers()]
+        out: List[tuple] = [self._bind(prep, fresh=True)]
+        out += [("send", ("replica", p), prep) for p in self.peers()]
+        out += self._echo(prep)
         out += self._credit(seq, self.view, bdig, self.id, "prepare", cert)
         out.append(("note", {"ev": "propose", "seq": seq, "view": self.view}))
         return out
+
+    def _bind(self, prep: m.Prepare, fresh: bool = False) -> tuple:
+        """Hold `prep` at its seq, bind its requests there and return the
+        admission fact. A fresh proposal's requests came from the batch queue;
+        pending stays as it is, since one may have executed meanwhile."""
+        self.prepared_log[prep.seq] = prep
+        for r in prep.requests:
+            self.bound[r.key()] = prep.seq
+            if not fresh:
+                self.pending.setdefault(r.key(), r)
+        return ("fact", "admit", (prep.view, prep.seq), prep.bdigest)
+
+    def _echo(self, prep: m.Prepare) -> List[tuple]:
+        """The leader re-presents its prepare certificate as its attestation."""
+        echo = m.Commit(prep.view, prep.seq, self.id, prep.bdigest, prep.cert,
+                        echo=True)
+        return [("send", ("replica", p), echo) for p in self.peers()]
 
     # ------------------------------------------------------------ admission
 
@@ -376,12 +389,8 @@ class Replica:
                                "seq": prep.seq, "request": list(conflict)})]
                     + self._start_view_change(prep.view + 1, now, reason="flagged"))
         self.cursors[key] = prep.seq
-        self.prepared_log[prep.seq] = prep
-        self.prepared_history.append((prep.view, prep.seq, prep.bdigest))
-        for r in prep.requests:
-            self.bound[r.key()] = prep.seq
-            self.pending.setdefault(r.key(), r)
-        out: List[tuple] = [("note", {"ev": "admit", "seq": prep.seq, "view": prep.view})]
+        out: List[tuple] = [self._bind(prep), ("note", {
+            "ev": "admit", "seq": prep.seq, "view": prep.view})]
         out += self._credit(prep.seq, prep.view, prep.bdigest,
                             leader_of(prep.view, self.cfg.n), "prepare", prep.cert)
         out += self._send_commit(prep, now)
@@ -467,10 +476,9 @@ class Replica:
         t.committed = bdigest
         t.view = max(t.view, view)
         t.via = via
-        self.committed_history[seq] = bdigest
-        out: List[tuple] = [("note", {"ev": "commit", "seq": seq, "via": via})]
-        if seq in self.inflight:
-            self.inflight.discard(seq)
+        out: List[tuple] = [("fact", "commit", seq, bdigest),
+                            ("note", {"ev": "commit", "seq": seq, "via": via})]
+        self.inflight.discard(seq)
         if self.cfg.decisions and via == "quorum":
             if not self.is_leader(view) and seq not in self.decision_armed:
                 self.decision_armed.add(seq)
@@ -484,15 +492,10 @@ class Replica:
         return out
 
     def _fetch_batch(self, seq: int) -> List[tuple]:
-        t = self.trackers.get(seq)
-        target = None
-        if t and t.committed is not None:
-            holders = sorted(t.claims.get(t.committed, {}))
-            holders = [h for h in holders if h != self.id]
-            if holders:
-                target = holders[0]
-        if target is None:
-            target = next(p for p in self.peers())
+        """Ask the lowest other holder of the digest just committed at seq."""
+        t = self.trackers[seq]
+        holders = [h for h in sorted(t.claims.get(t.committed, {})) if h != self.id]
+        target = holders[0] if holders else self.peers()[0]
         return [("send", ("replica", target), m.FetchBatch(seq, self.id)),
                 ("note", {"ev": "fetch_batch", "seq": seq, "from": target})]
 
@@ -532,13 +535,8 @@ class Replica:
         if t is None or t.committed is None:
             return None
         holders = t.claims.get(t.committed, {})
-        items = []
-        for sender in sorted(holders):
-            kind, cert = holders[sender]
-            items.append((sender, kind, cert))
-            if len(items) == self.cfg.f + 1:
-                return tuple(items)
-        return None
+        proof = tuple((s, *holders[s]) for s in sorted(holders))[: self.cfg.f + 1]
+        return proof if len(proof) == self.cfg.f + 1 else None
 
     def on_decision(self, dec: m.Decision, now: int) -> List[tuple]:
         self.decision_seen.setdefault(dec.seq, set()).add(dec.sender)
@@ -588,10 +586,10 @@ class Replica:
         # a checkpoint adopted from peers' certificates but not yet executed
         # here has no local state to serve
         if (self.stable_seq < fs.seq or not self.stable_cert
-                or self.stable_seq not in self.exec_history):
+                or self.stable_seq not in self.checkpoint_exec):
             return []
         replies = tuple(self.last_reply[c] for c in sorted(self.last_reply))
-        resp = m.StateResponse(self.stable_seq, self.exec_history[self.stable_seq],
+        resp = m.StateResponse(self.stable_seq, self.checkpoint_exec[self.stable_seq],
                                replies, self.stable_cert, self.id)
         return [("send", ("replica", fs.sender), resp)]
 
@@ -606,13 +604,14 @@ class Replica:
             return self._drop("state_digest", sr.seq)
         self.exec_cursor = sr.seq
         self.exec_digest = sr.exec_digest
-        self.exec_history[sr.seq] = sr.exec_digest
+        self.checkpoint_exec[sr.seq] = sr.exec_digest
         for rep in sr.last_replies:
             self.last_reply[rep.client_id] = rep
             self.executed[(rep.client_id, rep.client_seq)] = rep
             self.pending.pop((rep.client_id, rep.client_seq), None)
         self._adopt_stable(sr.seq, sr.stable_cert)
-        return ([("note", {"ev": "state_adopted", "seq": sr.seq})]
+        return ([("fact", "execute", sr.seq, sr.exec_digest),
+                 ("note", {"ev": "state_adopted", "seq": sr.seq})]
                 + self._execute(now))
 
     # ------------------------------------------------------------ execution
@@ -641,9 +640,10 @@ class Replica:
                 self.last_reply[r.client_id] = rep
                 self.pending.pop(key, None)
                 out.append(("send", ("client", r.client_id), rep))
-            self.exec_history[nxt] = self.exec_digest
+            out.append(("fact", "execute", nxt, self.exec_digest))
             out.append(("note", {"ev": "execute", "seq": nxt}))
             if nxt % self.checkpoint_interval == 0:
+                self.checkpoint_exec[nxt] = self.exec_digest
                 out += self._emit_checkpoint(nxt, now)
         return out
 
@@ -715,6 +715,8 @@ class Replica:
             del self.trackers[s]
         for k in [k for k in self.checkpoint_claims if k[0] < seq]:
             del self.checkpoint_claims[k]
+        for s in [s for s in self.checkpoint_exec if s < seq]:
+            del self.checkpoint_exec[s]
 
     def _maybe_fetch_state(self) -> List[tuple]:
         holders = self.checkpoint_claims.get(
@@ -950,8 +952,9 @@ class Replica:
         got = {p.seq: p.bdigest for p in nv.prepares}
         if want != got:
             return False
-        for seq, dig in self.committed_history.items():
-            if seq > base and seq in got and got[seq] != dig:
+        for seq, dig in got.items():
+            t = self.trackers.get(seq)
+            if seq > base and t is not None and t.committed not in (None, dig):
                 return False
         stream = self._proposal_stream(nv.view)
         for p in nv.prepares:
@@ -987,15 +990,10 @@ class Replica:
         if as_leader:
             top = nv.base
             for p in nv.prepares:
-                self.prepared_log[p.seq] = p
-                self.prepared_history.append((nv.view, p.seq, p.bdigest))
-                for r in p.requests:
-                    self.bound[r.key()] = p.seq
-                    self.pending.setdefault(r.key(), r)
+                out.append(self._bind(p))
                 out += self._credit(p.seq, nv.view, p.bdigest, self.id,
                                     "prepare", p.cert)
-                echo = m.Commit(nv.view, p.seq, self.id, p.bdigest, p.cert, echo=True)
-                out += [("send", ("replica", q), echo) for q in self.peers()]
+                out += self._echo(p)
                 top = max(top, p.seq)
             self.cursors[(self.id, self._proposal_stream(nv.view))] = top
             self.next_seq = top + 1

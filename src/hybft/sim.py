@@ -9,12 +9,13 @@ two runs that differ only in an extra message class keep identical delays
 for the messages they have in common.
 
 After every run the safety oracle (safety_violations, which the model
-checker also asserts at every reachable state) inspects final replica state:
-committed and admitted digests must not conflict across correct replicas,
-execution digests must agree on common prefixes, and no trusted component
-may have issued two certificates for one counter value or context id. With
-a liveness check (every submitted request should have executed somewhere)
-its findings form the run verdict; scenario tests assert against it.
+checker also asserts at every reachable state) reads the run's Ledger, which
+the host keeps apart from the replicas it observes: committed and admitted
+digests must not conflict across correct replicas, execution digests must
+agree on common prefixes, and no trusted component may have issued two
+certificates for one counter value or context id within one epoch. With a
+liveness check (every submitted request should have executed somewhere) its
+findings form the run verdict; scenario tests assert against it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import adversary as adversary_mod
 from . import messages as m
@@ -138,6 +139,7 @@ class Simulator:
         self.msgs_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
         self._blobs: Dict[int, object] = {}
+        self.ledger = Ledger()
         self._build()
 
     # ------------------------------------------------------------- assembly
@@ -226,8 +228,12 @@ class Simulator:
                     rec = {"t": self.now, "who": src}
                     rec.update(eff[1])
                     self.trace.append(rec)
+            elif tag == "fact":
+                self.ledger.note(owner[1], eff)
             else:
                 raise ValueError(f"unknown effect {tag!r}")
+        if owner[0] == "replica":
+            self.ledger.take_issued(owner[1], self.replicas[owner[1]].tc)
 
     # ------------------------------------------------------------------ run
 
@@ -306,7 +312,7 @@ class Simulator:
 
     def _verdict(self) -> Dict:
         correct = [r for r in self.replicas if r.id not in self.byz_ids]
-        violations = safety_violations(self.replicas, self.byz_ids)
+        violations = safety_violations(self.ledger, self.byz_ids)
 
         submitted = set()
         for c in self.clients:
@@ -336,31 +342,90 @@ class Simulator:
         }
 
 
+@dataclass
+class _Record:
+    """One replica's history as its host saw it."""
+
+    admitted: List[Tuple[int, int, bytes]] = field(default_factory=list)
+    committed: Dict[int, bytes] = field(default_factory=dict)
+    executed: Dict[int, bytes] = field(default_factory=dict)
+    issued: List = field(default_factory=list)
+
+    def copy(self) -> "_Record":
+        return _Record(list(self.admitted), dict(self.committed),
+                       dict(self.executed), list(self.issued))
+
+
+class Ledger:
+    """What the safety oracle audits, kept by the host of a run.
+
+    Per replica: each admission's (view, seq, batch digest) in order, and the
+    batch digest committed and the execution digest reached at each seq,
+    from the replica's "fact" effects; and every certificate its components
+    issued, in order, taken from its component after each step, so the
+    audit spans a component's crash and restore.
+    """
+
+    def __init__(self):
+        self.records: Dict[int, _Record] = {}
+
+    def _record(self, rid: int) -> _Record:
+        rec = self.records.get(rid)
+        if rec is None:
+            rec = self.records[rid] = _Record()
+        return rec
+
+    def note(self, rid: int, fact: tuple) -> None:
+        _, kind, key, digest = fact
+        rec = self._record(rid)
+        if kind == "admit":
+            rec.admitted.append((*key, digest))
+        elif kind == "commit":
+            rec.committed[key] = digest
+        else:
+            rec.executed[key] = digest
+
+    def take_issued(self, rid: int, tc: TrustedComponent) -> None:
+        issued = tc.take_issued()
+        if issued:
+            self._record(rid).issued += issued
+
+    def fork(self, rid: int) -> "Ledger":
+        """A copy to record replica `rid`'s next step in; the other replicas'
+        records are shared, since only the stepping replica's changes."""
+        child = Ledger()
+        child.records.update(self.records)
+        if rid in self.records:
+            child.records[rid] = self.records[rid].copy()
+        return child
+
+
 def _claims(digs: Dict[bytes, List[int]]) -> Dict[str, List[int]]:
     return {d.hex()[:12]: sorted(rs) for d, rs in digs.items()}
 
 
-def safety_violations(replicas: Iterable[Replica], byz: Set[int]) -> List[Dict]:
-    """Every safety violation visible in the replicas' current state.
+def safety_violations(ledger: Ledger, byz: Set[int]) -> List[Dict]:
+    """Every safety violation the ledger shows.
 
     Across correct replicas (ids not in `byz`): no two commit different
     digests at one seq, no two admit different digests at one (view, seq),
     and execution digests agree wherever two replicas executed the same seq.
-    Across every replica's trusted component: no counter value and no
-    context id was certified twice. The simulator reports the list as its
-    verdict; the model checker asserts it is empty at every reachable state.
+    Across every replica's components: no counter value and no context id
+    was certified twice in one epoch (a restart begins a new epoch). The
+    simulator reports the list as its verdict; the model checker asserts it
+    is empty at every reachable state.
     """
-    replicas = list(replicas)
-    correct = [r for r in replicas if r.id not in byz]
+    records = sorted(ledger.records.items())
+    correct = [(rid, rec) for rid, rec in records if rid not in byz]
     violations: List[Dict] = []
 
     by_seq: Dict[int, Dict[bytes, List[int]]] = {}
     by_slot: Dict[Tuple[int, int], Dict[bytes, List[int]]] = {}
-    for r in correct:
-        for seq, dig in r.committed_history.items():
-            by_seq.setdefault(seq, {}).setdefault(dig, []).append(r.id)
-        for view, seq, dig in r.prepared_history:
-            by_slot.setdefault((view, seq), {}).setdefault(dig, []).append(r.id)
+    for rid, rec in correct:
+        for seq, dig in rec.committed.items():
+            by_seq.setdefault(seq, {}).setdefault(dig, []).append(rid)
+        for view, seq, dig in rec.admitted:
+            by_slot.setdefault((view, seq), {}).setdefault(dig, []).append(rid)
     for seq, digs in sorted(by_seq.items()):
         if len(digs) > 1:
             violations.append({"kind": "conflicting_commit", "seq": seq,
@@ -370,30 +435,28 @@ def safety_violations(replicas: Iterable[Replica], byz: Set[int]) -> List[Dict]:
             violations.append({"kind": "conflicting_admission", "view": view,
                                "seq": seq, "claims": _claims(digs)})
 
-    for a in correct:
-        for b in correct:
-            if b.id <= a.id:
-                continue
-            for seq in set(a.exec_history) & set(b.exec_history):
-                if a.exec_history[seq] != b.exec_history[seq]:
+    for i, (a, ra) in enumerate(correct):
+        for b, rb in correct[i + 1:]:
+            for seq in set(ra.executed) & set(rb.executed):
+                if ra.executed[seq] != rb.executed[seq]:
                     violations.append({"kind": "divergent_execution",
-                                       "seq": seq, "replicas": [a.id, b.id]})
+                                       "seq": seq, "replicas": [a, b]})
 
-    for r in replicas:
-        seen_ui: Set[Tuple[str, int]] = set()
-        seen_ctx: Set[Tuple[str, int, int]] = set()
-        for cert in r.tc.issued_certificates():
+    for rid, rec in records:
+        seen_ui: Set[Tuple[int, str, int]] = set()
+        seen_ctx: Set[Tuple[int, str, int, int]] = set()
+        for cert in rec.issued:
             if isinstance(cert, UniqueIdentifier):
-                key = (cert.counter, cert.value)
+                key = (cert.epoch, cert.counter, cert.value)
                 if key in seen_ui:
-                    violations.append({"kind": "double_ui", "replica": r.id,
-                                       "counter": key[0], "value": key[1]})
+                    violations.append({"kind": "double_ui", "replica": rid,
+                                       "counter": key[1], "value": key[2]})
                 seen_ui.add(key)
             elif isinstance(cert, ContextCertificate):
-                key = (cert.phase, cert.view, cert.seq)
+                key = (cert.epoch, cert.phase, cert.view, cert.seq)
                 if key in seen_ctx:
                     violations.append({"kind": "double_context",
-                                       "replica": r.id, "context": key})
+                                       "replica": rid, "context": key[1:]})
                 seen_ctx.add(key)
     return violations
 

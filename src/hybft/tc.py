@@ -243,8 +243,7 @@ class TrustedComponent:
         "certify_context", "skip_contexts", "flexi_create_counter",
         "attest_state", "snapshot", "restore", "crash",
         "replica_id", "epoch", "mode", "strict", "accesses",
-        "issued_certificates", "is_crashed", "public_key", "state_key",
-        "clone",
+        "take_issued", "is_crashed", "public_key", "state_key", "clone",
     )
 
     def __init__(self, replica_id: int, *, mode: TcMode = TcMode.HMAC,
@@ -266,7 +265,7 @@ class TrustedComponent:
         self._ctx_issued: Dict[str, set] = {}
         self._flexi_serial = 0
         self._flexi_names: set = set()
-        self._issued: List = []
+        self._issued: List = []        # issued since the host last took them
         if mode is TcMode.HMAC:
             if system_key is None:
                 raise ValueError("HMAC mode requires a system key")
@@ -291,21 +290,21 @@ class TrustedComponent:
     def crash(self) -> None:
         self._crashed = True
 
-    def issued_certificates(self) -> tuple:
-        """Audit view of every certificate this instance has issued."""
-        return tuple(self._issued)
+    def take_issued(self) -> List:
+        """Certificates issued since the last take, for the host's audit."""
+        taken, self._issued = self._issued, []
+        return taken
 
     def clone(self) -> "TrustedComponent":
         """Independent fork of this instance, for state-space exploration.
 
-        Counter, phase and context state is copied; the key or signer and
-        the issued certificates (all frozen) are shared. Unlike restore, the
-        fork keeps the epoch, the access count and the issued audit trail.
+        Counter, phase and context state is copied, and so is the list of
+        certificates not yet taken; the key or signer is shared. Unlike
+        restore, the fork keeps the epoch and the access count.
         """
         child = type(self).__new__(type(self))
-        child.__dict__.update(self.__dict__)
+        child.__dict__.update(self.__dict__, _issued=list(self._issued))
         _copy_counter_state(self.__dict__, child.__dict__)
-        child._issued = list(self._issued)
         return child
 
     def state_key(self) -> tuple:
@@ -329,7 +328,7 @@ class TrustedComponent:
         return self._signer.sign(payload)
 
     def _issue(self, cls, *fields):
-        """Certificate of type `cls` over `fields`, proven and recorded."""
+        """Certificate of type `cls` over `fields`, proven, kept until taken."""
         draft = cls(self.replica_id, self.epoch, *fields, b"")
         cert = cls(self.replica_id, self.epoch, *fields,
                    self._prove(draft.payload()))
@@ -483,7 +482,7 @@ class TrustedComponent:
             raise RestoreRefused("snapshot blob already consumed")
         if blob.replica_id != self.replica_id:
             raise RestoreRefused("snapshot belongs to a different replica")
-        if self._issued or self._counters or self._phases:
+        if self._counters or self._phases:
             raise RestoreRefused("restore target must be fresh")
         blob.used = True
         self.epoch = blob.epoch

@@ -19,7 +19,7 @@ from hybft import resource_model as rm
 from hybft.cli import _exact_cell
 from hybft.config import ADVERSARY_SCRIPTS, SimConfig
 from hybft.model_check import explore_world, gap_world
-from hybft.sim import measure_overhead, run
+from hybft.sim import Simulator, measure_overhead, run
 from hybft.tc import ContextCertificate, EquivocationRefused
 
 
@@ -149,18 +149,23 @@ def test_criterion_06_equivocation_detected_or_refused():
     assert det.verdict["flagged"], "detection mode must flag the leader"
     assert det.verdict["max_view"] >= 1, "flagged view must be abandoned"
 
-    prev = run(SimConfig(f=1, clients=2, requests_per_client=3,
-                         mode="prevention", adversary="equivocate_withhold",
-                         seed=9, record_trace=True))
+    prev_sim = Simulator(SimConfig(f=1, clients=2, requests_per_client=3,
+                                   mode="prevention",
+                                   adversary="equivocate_withhold", seed=9,
+                                   record_trace=True))
+    prev = prev_sim.run()
     assert prev.verdict["safety_ok"] and prev.verdict["all_clients_done"]
     assert not prev.verdict["flagged"] and prev.verdict["max_view"] == 0
     assert any(e.get("ev") == "equivocation_refused" for e in prev.trace)
 
-    ff = run(SimConfig(f=1, clients=2, requests_per_client=2,
-                       mode="prevention", seed=10, record_trace=False))
-    for rep in (*prev.replicas, *ff.replicas):
+    ff_sim = Simulator(SimConfig(f=1, clients=2, requests_per_client=2,
+                                 mode="prevention", seed=10,
+                                 record_trace=False))
+    ff_sim.run()
+    for rec in (*prev_sim.ledger.records.values(),
+                *ff_sim.ledger.records.values()):
         seen = set()
-        for cert in rep.tc.issued_certificates():
+        for cert in rec.issued:
             if isinstance(cert, ContextCertificate):
                 cid = (cert.replica_id, cert.epoch, cert.phase,
                        cert.view, cert.seq)

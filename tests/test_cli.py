@@ -90,6 +90,11 @@ def test_bad_override_exits_two(capsys):
         assert main(["run", "--set", bad]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+    # adversary parameters: a value of the wrong type, and a misspelt name
+    for bad in ("adversary.k=abc", "adversary.kk=5"):
+        assert main(["attack", "crash_tcs", "--set", bad]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
 
 def test_overhead_small_cell_exact(capsys):

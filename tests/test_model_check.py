@@ -10,6 +10,7 @@ import pytest
 from hybft.model_check import (
     World,
     check_commit_quorum,
+    equivocate_world,
     explore_context_traces,
     explore_counter_traces,
     explore_world,
@@ -38,26 +39,34 @@ def test_counter_traces_at_full_depth():
     assert r["paths"] == 4 ** 8
 
 
+# The exact counts pin the explored state spaces: a change that means to
+# keep behaviour keeps them, and one that changes them must say why.
+
+
 def test_equivocating_leader_world_is_safe_everywhere(equivocate_exploration):
-    r = equivocate_exploration
-    assert r["full_commit_terminals"] >= 1
-    assert r["states"] > 1000
+    assert equivocate_exploration == {
+        "states": 13_571, "terminals": 19, "full_commit_terminals": 17}
+
+
+def test_equivocating_leader_world_without_decisions_is_safe_everywhere():
+    assert explore_world(equivocate_world(decisions=False)) == {
+        "states": 3_215, "terminals": 8, "full_commit_terminals": 6}
 
 
 def test_withholding_leader_world_is_safe_everywhere():
-    r = explore_world(gap_world(), max_states=400_000)
-    assert r["full_commit_terminals"] >= 1
+    assert explore_world(gap_world(), max_states=400_000) == {
+        "states": 377, "terminals": 4, "full_commit_terminals": 3}
 
 
 def test_prevention_world_is_safe_everywhere():
-    r = explore_world(prevention_world(), max_states=400_000)
-    assert r["full_commit_terminals"] >= 1
+    assert explore_world(prevention_world(), max_states=400_000) == {
+        "states": 1_595, "terminals": 7, "full_commit_terminals": 4}
 
 
 def test_explorer_rejects_a_world_that_starts_unsafe():
     world = gap_world()
-    world.replicas[1].committed_history[1] = b"a" * 32
-    world.replicas[2].committed_history[1] = b"b" * 32
+    world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
+    world.ledger.note(2, ("fact", "commit", 1, b"b" * 32))
     with pytest.raises(AssertionError, match="conflicting_commit"):
         explore_world(world)
 

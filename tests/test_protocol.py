@@ -16,7 +16,7 @@ import pytest
 from hybft import messages as m
 from hybft.config import SimConfig
 from hybft.protocol import Replica, _Tracker, proposal_counter
-from hybft.sim import safety_violations
+from hybft.sim import Ledger, safety_violations
 from hybft.tc import Directory, TcMode, TrustedComponent, VerifyStatus
 
 SYSKEY = b"s" * 32
@@ -46,6 +46,7 @@ class Cluster:
         self.timers = []   # (replica_id, kind, key)
         self.notes = []
         self.queue = []    # (dst_rid, msg)
+        self.ledger = Ledger()
         self.now = 0
 
     def _absorb(self, rid, effects):
@@ -60,6 +61,9 @@ class Cluster:
                 self.timers.append((rid, eff[1], eff[2]))
             elif eff[0] == "note":
                 self.notes.append((rid, eff[1]))
+            elif eff[0] == "fact":
+                self.ledger.note(rid, eff)
+        self.ledger.take_issued(rid, self.replicas[rid].tc)
 
     def inject(self, rid, msg):
         self._absorb(rid, self.replicas[rid].handle(msg, self.now))
@@ -488,7 +492,7 @@ def _forged_decision_proof():
              (2, "commit", forger.create_ui(m.commit_digest(0, 1, 2, other))))
     c.inject(1, m.Decision(0, 1, 2, other, proof))
     c.request(0, authed(1)).request(1, authed(1)).pump(drop_to={2})
-    assert safety_violations(c.replicas, {2}) == []
+    assert safety_violations(c.ledger, {2}) == []
     assert c.replicas[0].exec_cursor == c.replicas[1].exec_cursor == 1
 
 
@@ -583,7 +587,7 @@ def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
             if mode == "detection"
             else c.tcs[0].certify_context("prepare", 0, 1, pdig))
     c.inject(1, m.Prepare(0, 1, (r2,), bdig, cert))
-    assert c.replicas[1].committed_history[1] == bdig
+    assert c.ledger.records[1].committed[1] == bdig
     c.queue.clear()
     # replica 2's view-1 vote is lost, so it escalates and leads view 2
     c.fire(2, "suspect", 0)
@@ -596,4 +600,4 @@ def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
     c._absorb(0, faulty._start_view_change(2, c.now, reason="timeout"))
     c.pump(drop_to={0})
     assert c.replicas[2].view == 2
-    assert safety_violations(c.replicas, {0}) == []
+    assert safety_violations(c.ledger, {0}) == []

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from hybft.config import SimConfig
-from hybft.protocol import Replica
-from hybft.sim import TALLY_FIELDS, measure_overhead, run, safety_violations
-from hybft.tc import ContextCertificate, UniqueIdentifier
+from hybft.sim import (TALLY_FIELDS, Ledger, measure_overhead, run,
+                       safety_violations)
+from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
 
 
 def exact_cell(f: int, batch: int, **kw) -> SimConfig:
@@ -282,32 +282,21 @@ def test_outputs_match_the_golden_hashes(name, tmp_path):
 # ----------------------------------------------------------------- oracle
 
 
-class _IssuedOnly:
-    """Component stand-in that only answers the issuance audit."""
-
-    def __init__(self, certs=()):
-        self.certs = tuple(certs)
-
-    def issued_certificates(self):
-        return self.certs
-
-
-def _bare_replica(rid: int, certs=()) -> Replica:
-    return Replica(rid, SimConfig(), _IssuedOnly(certs), None, {})
-
-
 def test_oracle_reports_each_kind_of_violation():
     d1, d2 = hashlib.sha256(b"one").digest(), hashlib.sha256(b"two").digest()
     ui = UniqueIdentifier(0, 1, "r0:msg", 1, d1, b"")
     ctx = ContextCertificate(0, 1, "prepare", 0, 1, d1, b"")
-    # replica 0 is faulty: its histories are ignored, its component audited
-    faulty = _bare_replica(0, certs=(ui, ctx, ui, ctx))
-    a, b = _bare_replica(1), _bare_replica(2)
-    for rep, dig in ((faulty, d2), (a, d1), (b, d2)):
-        rep.committed_history[1] = dig
-        rep.prepared_history.append((0, 1, dig))
-        rep.exec_history[1] = dig
-    assert safety_violations([faulty, a, b], {0}) == [
+    # a restart's new epoch counts afresh: these two are no double issue
+    restarted = (UniqueIdentifier(0, 2, "r0:msg", 1, d2, b""),
+                 ContextCertificate(0, 2, "prepare", 0, 1, d2, b""))
+    ledger = Ledger()
+    # replica 0 is faulty: its history is ignored, its certificates audited
+    for rid, dig in ((0, d2), (1, d1), (2, d2)):
+        ledger.note(rid, ("fact", "admit", (0, 1), dig))
+        ledger.note(rid, ("fact", "commit", 1, dig))
+        ledger.note(rid, ("fact", "execute", 1, dig))
+    ledger.records[0].issued += [ui, ctx, ui, ctx, *restarted]
+    assert safety_violations(ledger, {0}) == [
         {"kind": "conflicting_commit", "seq": 1,
          "claims": {d1.hex()[:12]: [1], d2.hex()[:12]: [2]}},
         {"kind": "conflicting_admission", "view": 0, "seq": 1,
@@ -317,6 +306,20 @@ def test_oracle_reports_each_kind_of_violation():
         {"kind": "double_context", "replica": 0, "context": ("prepare", 0, 1)},
     ]
     # with replica 2 faulty too, one correct replica is left to contradict
-    assert [v["kind"] for v in safety_violations([faulty, a, b], {0, 2})] == [
+    assert [v["kind"] for v in safety_violations(ledger, {0, 2})] == [
         "double_ui", "double_context"]
-    assert safety_violations([a, _bare_replica(2)], set()) == []
+    alone = Ledger()
+    alone.note(1, ("fact", "commit", 1, d1))
+    assert safety_violations(alone, set()) == []
+
+
+def test_audit_spans_a_components_crash_and_restore(monkeypatch):
+    # a restore that loses the counters lets the component issue its old
+    # (counter, value) pairs again in the same epoch; the host's ledger holds
+    # the certificates from before the crash, so the oracle sees the doubles
+    def forgetful_restore(tc, blob):
+        tc.epoch = blob.epoch
+
+    monkeypatch.setattr(TrustedComponent, "restore", forgetful_restore)
+    v = run(GOLDEN["crash_restore"][0]).verdict
+    assert "double_ui" in {x["kind"] for x in v["violations"]}

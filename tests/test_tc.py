@@ -266,16 +266,30 @@ def test_clone_forks_counter_state_and_shares_the_key(hmac_pair):
     a.certify_context("p", 1, 1, _h("y"))
     fork = a.clone()
     assert fork.state_key() == a.state_key()
-    assert fork.issued_certificates() == a.issued_certificates()
     ui = fork.create_ui(_h("z"))
     fork.certify_context("p", 1, 2, _h("w"))
     assert fork.state_key() != a.state_key()
-    assert len(a.issued_certificates()) == 2
+    # each keeps its own list of certificates not yet taken
+    assert len(a.take_issued()) == 2 and len(fork.take_issued()) == 4
     # the parent never saw the fork's steps, so it reaches the same positions
     assert a.create_ui(_h("z")).value == ui.value
     a.certify_context("p", 1, 2, _h("w"))
     assert a.state_key() == fork.state_key()
     assert verify_certificate(ui, directory=directory, via_tc=b) is VerifyStatus.OK
+
+
+def test_take_issued_hands_each_certificate_over_once():
+    tc = make_hmac_tc()
+    ui = tc.create_ui(_h("a"))
+    att = tc.attest_state(b"nonce")
+    accesses = tc.accesses
+    assert tc.take_issued() == [ui, att]
+    assert tc.take_issued() == []
+    skip = tc.skip_values("msg", 2)
+    tc.crash()
+    # taking is the host's audit, not an operation: no access, even when down
+    assert tc.take_issued() == [skip]
+    assert tc.accesses == accesses + 1
 
 
 # --------------------------------------------------------- snapshot/restore
