@@ -34,6 +34,7 @@ class Client:
         self.n = n
         self.f = f
         self.policy = policy
+        self.quorum = n - f if policy == "n-f" else f + 1
         self.total = total_requests
         self.payload_size = payload_size
         self.retransmit_ns = retransmit_ns
@@ -42,6 +43,7 @@ class Client:
         self.inflight: Optional[m.Request] = None
         self.submitted_at = 0
         self.replies: Dict[int, m.Reply] = {}   # replica id -> reply
+        self.tally: Dict = {}                   # result key -> replies naming it
         self.records: List[LatencyRecord] = []
         self.retransmits = 0
 
@@ -61,6 +63,7 @@ class Client:
         self.inflight = req
         self.submitted_at = now
         self.replies = {}
+        self.tally = {}
         out = [("send", ("replica", i), req) for i in range(self.n)]
         out.append(("timer", "retransmit", (self.id, req.client_seq),
                     self.retransmit_ns))
@@ -70,8 +73,14 @@ class Client:
         req = self.inflight
         if req is None or rep.client_seq != req.client_seq:
             return []
+        old = self.replies.get(rep.replica_id)
+        if old is not None:
+            self.tally[self._result_key(old)] -= 1
         self.replies[rep.replica_id] = rep
-        if not self._complete():
+        key = self._result_key(rep)
+        count = self.tally[key] = self.tally.get(key, 0) + 1
+        # no other key gained a reply, and none had a quorum before this one
+        if count < self.quorum:
             return []
         self.records.append(LatencyRecord(self.id, req.client_seq,
                                           self.submitted_at, now))
@@ -81,14 +90,10 @@ class Client:
             return []
         return self._submit(now)
 
-    def _complete(self) -> bool:
-        strict = self.policy == "n-f"
-        need = self.n - self.f if strict else self.f + 1
-        tally: Dict = {}
-        for rep in self.replies.values():
-            k = (rep.result, rep.seq) if strict else rep.result
-            tally[k] = tally.get(k, 0) + 1
-        return any(c >= need for c in tally.values())
+    def _result_key(self, rep: m.Reply):
+        """What replies must agree on: the result, and under "n-f" also the
+        assigned sequence number."""
+        return (rep.result, rep.seq) if self.policy == "n-f" else rep.result
 
     def on_timer(self, kind: str, key, now: int) -> List[tuple]:
         if kind != "retransmit":

@@ -3,6 +3,9 @@
 Digests are computed over canonical length-prefixed encodings so every replica
 derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
+Messages are frozen, so each one computes its digests and encodings once and
+keeps them on the instance (tc._once); a message delivered to every replica
+is hashed once, while its certificate is still verified at every receipt.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart.
 """
@@ -14,7 +17,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .tc import _enc
+from .tc import _enc, _once
 from . import resource_model as rm
 
 
@@ -29,6 +32,7 @@ class Request:
     payload: bytes
     auth: bytes = b""
 
+    @_once
     def digest(self) -> bytes:
         return _h(_enc("req", self.client_id, self.client_seq, self.payload))
 
@@ -62,7 +66,7 @@ def view_change_core_digest(new_view: int, sender: int, stable_seq: int,
                             timeline: Sequence[TimelineEntry]) -> bytes:
     items = [_enc("vc", new_view, sender, stable_seq)]
     items += [p.pdigest() for p in prepares]
-    items += [_enc(e.kind, e.seq, e.digest) for e in timeline]
+    items += [e.encoding() for e in timeline]
     return _h(b"".join(items))
 
 
@@ -87,6 +91,7 @@ class Prepare:
     bdigest: bytes
     cert: object  # UniqueIdentifier or ContextCertificate from the leader's TC
 
+    @_once
     def pdigest(self) -> bytes:
         return prepare_digest(self.view, self.seq, self.bdigest)
 
@@ -100,6 +105,7 @@ class Commit:
     cert: object
     echo: bool = False  # leader re-presenting its Prepare certificate
 
+    @_once
     def cdigest(self) -> bytes:
         return commit_digest(self.view, self.seq, self.sender, self.bdigest)
 
@@ -137,6 +143,10 @@ class Checkpoint:
     sender: int
     cert: object
 
+    @_once
+    def ckdigest(self) -> bytes:
+        return checkpoint_digest(self.seq, self.state_digest)
+
 
 @dataclass(frozen=True)
 class TimelineEntry:
@@ -152,6 +162,11 @@ class TimelineEntry:
     digest: bytes
     cert: object
 
+    @_once
+    def encoding(self) -> bytes:
+        """This entry's share of its vote's core digest."""
+        return _enc(self.kind, self.seq, self.digest)
+
 
 @dataclass(frozen=True)
 class ViewChange:
@@ -164,11 +179,13 @@ class ViewChange:
     attestation: object                  # StateAttestation over all counters
     cert: object
 
+    @_once
     def core_digest(self) -> bytes:
         return view_change_core_digest(self.new_view, self.sender,
                                        self.stable_seq, self.prepares,
                                        self.timeline)
 
+    @_once
     def vdigest(self) -> bytes:
         return view_change_digest(self.core_digest(), self.attestation)
 
@@ -184,6 +201,7 @@ class NewView:
     prepares: Tuple[Prepare, ...]  # re-proposals for base+1..top, new certs
     cert: object
 
+    @_once
     def ndigest(self) -> bytes:
         return new_view_digest(self.view, self.sender, self.base,
                                self.viewchanges, self.prepares)
@@ -216,41 +234,53 @@ class StateResponse:
     sender: int
 
 
+def _view_change_size(vc: ViewChange, sizes: rm.SizeModel, f: int) -> int:
+    return (sizes.header_bytes + sizes.ui_bytes
+            + len(vc.stable_cert) * rm.checkpoint_size(sizes)
+            + sum(rm.prepare_size(sizes, len(p.requests)) for p in vc.prepares)
+            + len(vc.timeline) * (sizes.hash_bytes + sizes.ui_bytes)
+            + sizes.ui_bytes)
+
+
+def _new_view_size(nv: NewView, sizes: rm.SizeModel, f: int) -> int:
+    return (sizes.header_bytes + 2 * sizes.ui_bytes
+            + sum(wire_size(vc, sizes, f) for vc in nv.viewchanges)
+            + len(nv.stable_cert) * rm.checkpoint_size(sizes)
+            + sum(rm.prepare_size(sizes, len(p.requests)) for p in nv.prepares))
+
+
+def _state_response_size(sr: StateResponse, sizes: rm.SizeModel, f: int) -> int:
+    return (sizes.header_bytes + sizes.hash_bytes
+            + len(sr.last_replies) * rm.reply_size(sizes)
+            + len(sr.stable_cert) * rm.checkpoint_size(sizes))
+
+
+# Byte weight of each message type, as (msg, sizes, f) -> bytes.
+_SIZES = {
+    Request: lambda msg, sizes, f: rm.request_size(sizes),
+    Prepare: lambda msg, sizes, f: rm.prepare_size(sizes, len(msg.requests)),
+    Commit: lambda msg, sizes, f: rm.commit_size(sizes),
+    Decision: lambda msg, sizes, f: rm.decision_size(sizes, f, msg.threshold),
+    Reply: lambda msg, sizes, f: rm.reply_size(sizes),
+    Checkpoint: lambda msg, sizes, f: rm.checkpoint_size(sizes),
+    ViewChange: _view_change_size,
+    NewView: _new_view_size,
+    FetchBatch: lambda msg, sizes, f: sizes.header_bytes,
+    FetchState: lambda msg, sizes, f: sizes.header_bytes,
+    BatchResponse: lambda msg, sizes, f: (
+        sizes.header_bytes + rm.prepare_size(sizes, len(msg.prepare.requests))),
+    StateResponse: _state_response_size,
+}
+_TYPE_NAMES = {cls: cls.__name__.lower() for cls in _SIZES}
+
+
 def wire_size(msg, sizes: rm.SizeModel, f: int) -> int:
     """Byte weight of a message under the shared size model."""
-    if isinstance(msg, Request):
-        return rm.request_size(sizes)
-    if isinstance(msg, Prepare):
-        return rm.prepare_size(sizes, len(msg.requests))
-    if isinstance(msg, Commit):
-        return rm.commit_size(sizes)
-    if isinstance(msg, Decision):
-        return rm.decision_size(sizes, f, msg.threshold)
-    if isinstance(msg, Reply):
-        return rm.reply_size(sizes)
-    if isinstance(msg, Checkpoint):
-        return rm.checkpoint_size(sizes)
-    if isinstance(msg, ViewChange):
-        return (sizes.header_bytes + sizes.ui_bytes
-                + len(msg.stable_cert) * rm.checkpoint_size(sizes)
-                + sum(rm.prepare_size(sizes, len(p.requests)) for p in msg.prepares)
-                + len(msg.timeline) * (sizes.hash_bytes + sizes.ui_bytes)
-                + sizes.ui_bytes)
-    if isinstance(msg, NewView):
-        return (sizes.header_bytes + 2 * sizes.ui_bytes
-                + sum(wire_size(vc, sizes, f) for vc in msg.viewchanges)
-                + len(msg.stable_cert) * rm.checkpoint_size(sizes)
-                + sum(rm.prepare_size(sizes, len(p.requests)) for p in msg.prepares))
-    if isinstance(msg, (FetchBatch, FetchState)):
-        return sizes.header_bytes
-    if isinstance(msg, BatchResponse):
-        return sizes.header_bytes + rm.prepare_size(sizes, len(msg.prepare.requests))
-    if isinstance(msg, StateResponse):
-        return (sizes.header_bytes + sizes.hash_bytes
-                + len(msg.last_replies) * rm.reply_size(sizes)
-                + len(msg.stable_cert) * rm.checkpoint_size(sizes))
-    raise TypeError(f"unsized message {type(msg).__name__}")
+    size = _SIZES.get(type(msg))
+    if size is None:
+        raise TypeError(f"unsized message {type(msg).__name__}")
+    return size(msg, sizes, f)
 
 
 def msg_type(msg) -> str:
-    return type(msg).__name__.lower()
+    return _TYPE_NAMES[type(msg)]

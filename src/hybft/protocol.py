@@ -673,8 +673,7 @@ class Replica:
         return out
 
     def on_checkpoint(self, ck: m.Checkpoint, now: int) -> List[tuple]:
-        status = self._check_cert(ck.cert, ck.sender,
-                                  m.checkpoint_digest(ck.seq, ck.state_digest))
+        status = self._check_cert(ck.cert, ck.sender, ck.ckdigest())
         if status is not VerifyStatus.OK:
             return self._drop_status(status, ck.seq)
         # a checkpoint at seq proves the sender executed, hence committed, seq
@@ -801,12 +800,11 @@ class Replica:
 
     def _validate_view_change(self, vc: m.ViewChange) -> bool:
         ok = VerifyStatus.OK
-        core = vc.core_digest()
         att = vc.attestation
-        if self._check_cert(vc.cert, vc.sender,
-                            m.view_change_digest(core, att)) is not ok:
+        if self._check_cert(vc.cert, vc.sender, vc.vdigest()) is not ok:
             return False
-        if self._check_cert(att, vc.sender, None) is not ok or att.nonce != core:
+        if (self._check_cert(att, vc.sender, None) is not ok
+                or att.nonce != vc.core_digest()):
             return False
         if vc.stable_seq > 0 and not self._check_stable_cert(vc.stable_cert,
                                                              vc.stable_seq):
@@ -874,8 +872,8 @@ class Replica:
         for c in cert:
             if c.seq != seq:
                 return False
-            if self._check_cert(c.cert, c.sender, m.checkpoint_digest(
-                    c.seq, c.state_digest)) is not VerifyStatus.OK:
+            if self._check_cert(c.cert, c.sender,
+                                c.ckdigest()) is not VerifyStatus.OK:
                 return False
         return True
 

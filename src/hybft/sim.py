@@ -6,7 +6,7 @@ timers, so a message arriving at the same instant a timer expires is
 processed first. Per-message network delays are derived from a keyed hash of
 the channel and a per-channel counter, never from a shared PRNG stream, so
 two runs that differ only in an extra message class keep identical delays
-for the messages they have in common.
+for the messages they have in common. A constant delay needs neither.
 
 After every run the safety oracle (safety_violations, which the model
 checker also asserts at every reachable state) reads the run's Ledger, which
@@ -133,7 +133,8 @@ class Simulator:
         self.now = 0
         self._eid = 0
         self._heap: List = []
-        self._chan: Dict[Tuple[str, str], int] = {}
+        # per channel: its encoded (src, dst) and its count of varying delays
+        self._chan: Dict[Tuple[str, str], list] = {}
         self._seed_key = hashlib.sha256(_enc("delay", cfg.seed)).digest()[:32]
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
@@ -194,12 +195,15 @@ class Simulator:
         self._push(t, _PRIO_ADMIN, "admin", (action, params))
 
     def _delay(self, src: str, dst: str) -> int:
-        idx = self._chan.get((src, dst), 0)
-        self._chan[(src, dst)] = idx + 1
         lo, hi = self.cfg.delay_min_ns, self.cfg.delay_max_ns
         if lo == hi:
             return lo
-        h = hashlib.blake2b(_enc(src, dst, idx), key=self._seed_key,
+        chan = self._chan.get((src, dst))
+        if chan is None:
+            chan = self._chan[(src, dst)] = [_enc(src, dst), 0]
+        prefix, idx = chan
+        chan[1] = idx + 1
+        h = hashlib.blake2b(prefix + _enc(idx), key=self._seed_key,
                             digest_size=8).digest()
         return lo + int.from_bytes(h, "big") % (hi - lo + 1)
 
@@ -213,8 +217,8 @@ class Simulator:
             tag = eff[0]
             if tag == "send":
                 _, dst, msg = eff
-                mtype = m.msg_type(msg)
                 size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
+                mtype = m.msg_type(msg)
                 self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1
                 self.bytes_by_type[mtype] = self.bytes_by_type.get(mtype, 0) + size
                 t = self.now + self._delay(src, self._label(dst))

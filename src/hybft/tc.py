@@ -10,8 +10,10 @@ restored into it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as hmac_mod
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -60,8 +62,9 @@ class RestoreRefused(Exception):
     """Snapshot blob already consumed, or target component is not fresh."""
 
 
-def _enc(*fields) -> bytes:
-    """Canonical length-prefixed encoding used for every certificate payload."""
+def _enc_fields(fields) -> bytes:
+    """The canonical encoding, one field at a time: every field is a 4-byte
+    big-endian length and its bytes; an int is 8 unsigned big-endian bytes."""
     out = []
     for f in fields:
         if isinstance(f, int):
@@ -75,6 +78,62 @@ def _enc(*fields) -> bytes:
         out.append(len(b).to_bytes(4, "big"))
         out.append(b)
     return b"".join(out)
+
+
+_LEN = struct.Struct(">I").pack
+_INT = struct.Struct(">IQ").pack   # length prefix 8, then the value
+
+
+def _enc(*fields) -> bytes:
+    """Canonical length-prefixed encoding used for every certificate payload.
+
+    Exact int, str and bytes fields are packed directly; any other field
+    (a bool, an int subclass, an int outside 0..2**64-1, an unencodable
+    value) sends the whole call through _enc_fields, so the bytes and the
+    exceptions are its.
+    """
+    out = []
+    append = out.append
+    try:
+        for f in fields:
+            t = type(f)
+            if t is bytes:
+                append(_LEN(len(f)))
+                append(f)
+            elif t is int:
+                append(_INT(8, f))
+            elif t is str:
+                b = f.encode("utf-8")
+                append(_LEN(len(b)))
+                append(b)
+            else:
+                return _enc_fields(fields)
+    except struct.error:
+        return _enc_fields(fields)
+    return b"".join(out)
+
+
+def _once(method):
+    """Memoize a method of a frozen dataclass on the instance it is called on.
+
+    The result is stored in the instance's __dict__ under "_" + the method's
+    name, outside the dataclass fields, so equality and hashing ignore it and
+    dataclasses.replace, which builds a new instance, never carries it over.
+    The returned function is a plain function, so it can be wrapped by
+    setattr on the class like any other method.
+    """
+    slot = "_" + method.__name__
+
+    @functools.wraps(method)
+    def memoized(self):
+        memo = self.__dict__
+        try:
+            return memo[slot]
+        except KeyError:
+            value = memo[slot] = method(self)
+            return value
+
+    return memoized
 
 
 def derive_counter_id(replica_id: int, purpose: str) -> str:
@@ -93,6 +152,7 @@ class UniqueIdentifier:
     msg_hash: bytes
     proof: bytes
 
+    @_once
     def payload(self) -> bytes:
         return _enc("ui", self.replica_id, self.epoch, self.counter,
                     self.value, self.msg_hash)
@@ -109,6 +169,7 @@ class SkipCertificate:
     last: int
     proof: bytes
 
+    @_once
     def payload(self) -> bytes:
         return _enc("skip", self.replica_id, self.epoch, self.counter,
                     self.first, self.last)
@@ -126,6 +187,7 @@ class ContextCertificate:
     msg_hash: bytes
     proof: bytes
 
+    @_once
     def payload(self) -> bytes:
         return _enc("ctx", self.replica_id, self.epoch, self.phase,
                     self.view, self.seq, self.msg_hash)
@@ -144,6 +206,7 @@ class PhaseSkipCertificate:
     to_seq: int
     proof: bytes
 
+    @_once
     def payload(self) -> bytes:
         return _enc("pskip", self.replica_id, self.epoch, self.phase,
                     self.from_view, self.from_seq, self.to_view, self.to_seq)
@@ -165,6 +228,7 @@ class StateAttestation:
     nonce: bytes
     proof: bytes
 
+    @_once
     def payload(self) -> bytes:
         flat: List = ["att", self.replica_id, self.epoch, self.nonce,
                       len(self.counters)]
@@ -324,14 +388,14 @@ class TrustedComponent:
 
     def _prove(self, payload: bytes) -> bytes:
         if self.mode is TcMode.HMAC:
-            return hmac_mod.new(self._key, payload, hashlib.sha256).digest()
+            return hmac_mod.digest(self._key, payload, "sha256")
         return self._signer.sign(payload)
 
     def _issue(self, cls, *fields):
         """Certificate of type `cls` over `fields`, proven, kept until taken."""
-        draft = cls(self.replica_id, self.epoch, *fields, b"")
-        cert = cls(self.replica_id, self.epoch, *fields,
-                   self._prove(draft.payload()))
+        payload = cls(self.replica_id, self.epoch, *fields, b"").payload()
+        cert = cls(self.replica_id, self.epoch, *fields, self._prove(payload))
+        cert.__dict__["_payload"] = payload   # payload() leaves out the proof
         self._issued.append(cert)
         return cert
 
@@ -458,7 +522,7 @@ class TrustedComponent:
             raise ModeViolation("SIG-mode certificates verify via the directory")
         if directory.expected_epoch(cert.replica_id) != cert.epoch:
             return VerifyStatus.STALE_EPOCH
-        want = hmac_mod.new(self._key, cert.payload(), hashlib.sha256).digest()
+        want = hmac_mod.digest(self._key, cert.payload(), "sha256")
         if not hmac_mod.compare_digest(want, cert.proof):
             return VerifyStatus.INVALID
         return VerifyStatus.OK

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hybft import messages as m
 from hybft.clients import Client
 
@@ -130,3 +134,54 @@ def test_payloads_differ_per_request_and_completion_is_counted():
     for rep in replies_from(c.inflight, [1, 2]):
         c.on_reply(rep, 9)
     assert c.done() and c.completed_count() == 2
+
+
+def _reference_complete(replies, n, f, policy) -> bool:
+    """The O(n) tally the incremental one replaced, over the latest reply
+    from each replica."""
+    strict = policy == "n-f"
+    need = n - f if strict else f + 1
+    tally = {}
+    for rep in replies.values():
+        k = (rep.result, rep.seq) if strict else rep.result
+        tally[k] = tally.get(k, 0) + 1
+    return any(c >= need for c in tally.values())
+
+
+def _completes_at(policy, n, f, answers):
+    """Index of the reply that completes the request, by the client and by
+    the reference tally: answers are (replica, result, seq) triples."""
+    c = Client(0, KEY, n=n, f=f, policy=policy, total_requests=1)
+    c.start(0)
+    req = c.inflight
+    latest, got, want = {}, None, None
+    for i, (rid, result, seq) in enumerate(answers):
+        rep = m.Reply(req.client_id, req.client_seq, seq, rid, result)
+        c.on_reply(rep, i)
+        if got is None and c.done():
+            got = i
+        latest[rid] = rep
+        if want is None and _reference_complete(latest, n, f, policy):
+            want = i
+    return got, want
+
+
+@pytest.mark.parametrize("policy,answers,at", [
+    # replica 0 changes its answer: its first one no longer counts
+    ("f+1", [(0, b"a", 1), (0, b"b", 1), (1, b"a", 1), (2, b"b", 1)], 3),
+    ("n-f", [(0, b"a", 1), (0, b"a", 2), (1, b"a", 1), (2, b"a", 2)], 3),
+    # a repeated answer is not a second vote
+    ("f+1", [(0, b"a", 1), (0, b"a", 1), (1, b"a", 1)], 2),
+    ("n-f", [(0, b"a", 1), (0, b"a", 1), (1, b"a", 1)], 2),
+])
+def test_a_replaced_reply_is_taken_off_its_old_result(policy, answers, at):
+    assert _completes_at(policy, 3, 1, answers) == (at, at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=st.sampled_from(["f+1", "n-f"]),
+       answers=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([b"a", b"b"]),
+                                  st.integers(1, 2)), max_size=14))
+def test_incremental_tally_completes_when_the_full_tally_would(policy, answers):
+    got, want = _completes_at(policy, 5, 2, answers)
+    assert got == want

@@ -1,0 +1,286 @@
+"""Message digests, their memos, and wire sizes.
+
+Frozen messages and certificates compute each canonical encoding once and
+keep it on the instance. These tests pin that a memo always equals a fresh
+computation from the fields, never survives dataclasses.replace, and leaves
+equality and hashing to the fields. The wire-size table is checked against
+the isinstance chain it replaced.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import inspect
+
+import pytest
+
+from hybft import messages as m
+from hybft import resource_model as rm
+from hybft.tc import (
+    ContextCertificate,
+    PhaseSkipCertificate,
+    SkipCertificate,
+    StateAttestation,
+    UniqueIdentifier,
+    VerifyStatus,
+    _enc,
+)
+
+from conftest import make_hmac_tc
+from test_protocol import Cluster, authed
+
+
+def _h(tag: bytes) -> bytes:
+    return hashlib.sha256(tag).digest()
+
+
+def fresh(obj):
+    """An equal copy of a message or certificate that carries no memo,
+    at any depth."""
+    if isinstance(obj, tuple):
+        return tuple(fresh(x) for x in obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return type(obj)(*(fresh(getattr(obj, f.name))
+                           for f in dataclasses.fields(obj)))
+    return obj
+
+
+def _memos(obj) -> set:
+    return {k for k in vars(obj) if k.startswith("_")}
+
+
+# ------------------------------------------------------------ certificates
+
+
+def _one_of_each_certificate():
+    det = make_hmac_tc(0)
+    ctx = make_hmac_tc(1)
+    return [
+        det.create_ui(_h(b"a")),
+        det.skip_values("msg", 3),
+        det.attest_state(b"nonce"),
+        ctx.certify_context("prepare", 0, 1, _h(b"b")),
+        ctx.skip_contexts("prepare", 2, 4),
+    ]
+
+
+def _payload_from_fields(cert) -> bytes:
+    if isinstance(cert, UniqueIdentifier):
+        return _enc("ui", cert.replica_id, cert.epoch, cert.counter,
+                    cert.value, cert.msg_hash)
+    if isinstance(cert, SkipCertificate):
+        return _enc("skip", cert.replica_id, cert.epoch, cert.counter,
+                    cert.first, cert.last)
+    if isinstance(cert, ContextCertificate):
+        return _enc("ctx", cert.replica_id, cert.epoch, cert.phase,
+                    cert.view, cert.seq, cert.msg_hash)
+    if isinstance(cert, PhaseSkipCertificate):
+        return _enc("pskip", cert.replica_id, cert.epoch, cert.phase,
+                    cert.from_view, cert.from_seq, cert.to_view, cert.to_seq)
+    assert isinstance(cert, StateAttestation)
+    flat = ["att", cert.replica_id, cert.epoch, cert.nonce, len(cert.counters)]
+    for name, value in cert.counters:
+        flat += [name, value]
+    flat.append(len(cert.phases))
+    for phase, view, seq in cert.phases:
+        flat += [phase, view, seq]
+    return _enc(*flat)
+
+
+def test_each_certificate_type_is_issued_with_its_payload_memoized():
+    certs = _one_of_each_certificate()
+    assert [type(c) for c in certs] == [
+        UniqueIdentifier, SkipCertificate, StateAttestation,
+        ContextCertificate, PhaseSkipCertificate]
+    for cert in certs:
+        assert _memos(cert) == {"_payload"}
+        assert cert.payload() == _payload_from_fields(cert)
+        assert fresh(cert).payload() == cert.payload()
+
+
+def test_a_memo_never_survives_replace():
+    c = Cluster()
+    rep = c.replicas[1]
+    tc0 = c.tcs[0]
+    digest, other = _h(b"x"), _h(b"y")
+    ui = tc0.create_ui(digest)
+    assert rep._check_cert(ui, 0, digest) is VerifyStatus.OK
+    forged = dataclasses.replace(ui, msg_hash=other)
+    assert "_payload" not in vars(forged)
+    assert forged.payload() == _payload_from_fields(forged) != ui.payload()
+    assert rep._check_cert(forged, 0, other) is VerifyStatus.INVALID
+
+
+def test_a_memo_never_survives_replace_in_prevention_mode():
+    c = Cluster(mode="prevention")
+    rep = c.replicas[1]
+    digest, other = _h(b"x"), _h(b"y")
+    cert = c.tcs[0].certify_context("prepare", 0, 1, digest)
+    assert rep._check_cert(cert, 0, digest) is VerifyStatus.OK
+    forged = dataclasses.replace(cert, msg_hash=other)
+    assert rep._check_cert(forged, 0, other) is VerifyStatus.INVALID
+
+
+# ---------------------------------------------------------------- messages
+
+
+def _messages_of_a_view_change():
+    """Every message of one committed request, and of a view change that a
+    second request, kept from the leader, brings about."""
+    c = Cluster(checkpoint_interval=1)
+    seen = []
+
+    def pump():
+        while c.queue:
+            dst, msg = c.queue.pop(0)
+            seen.append(msg)
+            c.inject(dst, msg)
+
+    for rid in range(c.cfg.n):
+        c.request(rid, authed(1))
+    pump()
+    for rid in (1, 2):
+        c.request(rid, authed(2))
+    for rid in (2, 1):
+        # the first expiry sees progress since arming and grants a period
+        c.fire(rid, "suspect", 0).fire(rid, "suspect", 0)
+        pump()
+    assert c.replicas[2].view == 1
+    return seen
+
+
+# memoized method -> its value computed from the fields
+_DIGESTS = {
+    m.Request: {"digest": lambda r: _h(_enc("req", r.client_id, r.client_seq,
+                                            r.payload))},
+    m.Prepare: {"pdigest": lambda p: m.prepare_digest(p.view, p.seq,
+                                                      p.bdigest)},
+    m.Commit: {"cdigest": lambda c: m.commit_digest(c.view, c.seq, c.sender,
+                                                    c.bdigest)},
+    m.Checkpoint: {"ckdigest": lambda k: m.checkpoint_digest(k.seq,
+                                                             k.state_digest)},
+    m.TimelineEntry: {"encoding": lambda e: _enc(e.kind, e.seq, e.digest)},
+    m.ViewChange: {
+        "core_digest": lambda v: m.view_change_core_digest(
+            v.new_view, v.sender, v.stable_seq, fresh(v.prepares),
+            fresh(v.timeline)),
+        "vdigest": lambda v: m.view_change_digest(
+            fresh(v).core_digest(), v.attestation),
+    },
+    m.NewView: {"ndigest": lambda n: m.new_view_digest(
+        n.view, n.sender, n.base, fresh(n.viewchanges), fresh(n.prepares))},
+}
+
+
+def test_each_memoized_digest_equals_a_fresh_computation():
+    msgs = _messages_of_a_view_change()
+    vcs = [x for x in msgs if isinstance(x, m.ViewChange)]
+    msgs += [e for vc in vcs for e in vc.timeline]
+    msgs += [p.requests[0] for p in msgs if isinstance(p, m.Prepare)]
+    found = {type(x) for x in msgs}
+    assert set(_DIGESTS) <= found
+    for msg in msgs:
+        for name, from_fields in _DIGESTS.get(type(msg), {}).items():
+            memo = getattr(msg, name)()
+            assert "_" + name in vars(msg)
+            assert memo == from_fields(msg), (type(msg).__name__, name)
+            assert getattr(fresh(msg), name)() == memo
+
+
+def test_a_memoized_message_equals_and_hashes_like_a_fresh_one():
+    for msg in _messages_of_a_view_change():
+        for name in _DIGESTS.get(type(msg), {}):
+            getattr(msg, name)()
+        twin = fresh(msg)
+        assert twin is not msg and not _memos(twin)
+        assert twin == msg and hash(twin) == hash(msg)
+
+
+def test_memoized_methods_stay_plain_functions_on_the_class():
+    for cls, names in _DIGESTS.items():
+        for name in names:
+            assert inspect.isfunction(cls.__dict__[name])
+
+
+# -------------------------------------------------------------- wire sizes
+
+
+def _reference_wire_size(msg, sizes, f):
+    """The isinstance chain that the type-keyed table replaced."""
+    if isinstance(msg, m.Request):
+        return rm.request_size(sizes)
+    if isinstance(msg, m.Prepare):
+        return rm.prepare_size(sizes, len(msg.requests))
+    if isinstance(msg, m.Commit):
+        return rm.commit_size(sizes)
+    if isinstance(msg, m.Decision):
+        return rm.decision_size(sizes, f, msg.threshold)
+    if isinstance(msg, m.Reply):
+        return rm.reply_size(sizes)
+    if isinstance(msg, m.Checkpoint):
+        return rm.checkpoint_size(sizes)
+    if isinstance(msg, m.ViewChange):
+        return (sizes.header_bytes + sizes.ui_bytes
+                + len(msg.stable_cert) * rm.checkpoint_size(sizes)
+                + sum(rm.prepare_size(sizes, len(p.requests))
+                      for p in msg.prepares)
+                + len(msg.timeline) * (sizes.hash_bytes + sizes.ui_bytes)
+                + sizes.ui_bytes)
+    if isinstance(msg, m.NewView):
+        return (sizes.header_bytes + 2 * sizes.ui_bytes
+                + sum(_reference_wire_size(vc, sizes, f)
+                      for vc in msg.viewchanges)
+                + len(msg.stable_cert) * rm.checkpoint_size(sizes)
+                + sum(rm.prepare_size(sizes, len(p.requests))
+                      for p in msg.prepares))
+    if isinstance(msg, (m.FetchBatch, m.FetchState)):
+        return sizes.header_bytes
+    if isinstance(msg, m.BatchResponse):
+        return sizes.header_bytes + rm.prepare_size(sizes,
+                                                    len(msg.prepare.requests))
+    if isinstance(msg, m.StateResponse):
+        return (sizes.header_bytes + sizes.hash_bytes
+                + len(msg.last_replies) * rm.reply_size(sizes)
+                + len(msg.stable_cert) * rm.checkpoint_size(sizes))
+    raise TypeError(f"unsized message {type(msg).__name__}")
+
+
+def _one_of_each_message():
+    d = _h(b"d")
+    reqs = tuple(authed(s) for s in (1, 2, 3))
+    prep = m.Prepare(0, 1, reqs, d, None)
+    prep1 = m.Prepare(0, 2, reqs[:1], d, None)
+    ck = m.Checkpoint(4, d, 1, None)
+    entry = m.TimelineEntry("prepare", 1, d, None)
+    vc = m.ViewChange(1, 2, 4, (ck, ck), (prep, prep1), (entry,) * 5,
+                      None, None)
+    reply = m.Reply(0, 1, 1, 2, d)
+    return [
+        reqs[0], prep, m.Commit(0, 1, 2, d, None),
+        m.Decision(0, 1, 0, d, ((1, "commit", None),)),
+        m.Decision(0, 1, 0, d, ((1, "commit", None),), threshold=True),
+        reply, ck, vc,
+        m.NewView(1, 1, (vc, vc), 4, (ck,), None, (prep1,), None),
+        m.FetchBatch(1, 2), m.BatchResponse(prep, 1), m.FetchState(4, 2),
+        m.StateResponse(4, d, (reply, reply), (ck, ck, ck), 1),
+    ]
+
+
+@pytest.mark.parametrize("f", [1, 30])
+def test_wire_size_table_matches_the_isinstance_chain(f):
+    sizes = rm.SizeModel()
+    msgs = _one_of_each_message()
+    assert {type(x) for x in msgs} == set(m._SIZES)
+    for msg in msgs:
+        assert m.wire_size(msg, sizes, f) == _reference_wire_size(msg, sizes, f)
+
+
+def test_an_unsized_message_type_raises():
+    with pytest.raises(TypeError, match="unsized message TimelineEntry"):
+        m.wire_size(m.TimelineEntry("prepare", 1, b"", None), rm.SizeModel(), 1)
+
+
+def test_msg_type_is_the_lowercase_class_name():
+    for msg in _one_of_each_message():
+        assert m.msg_type(msg) == type(msg).__name__.lower()

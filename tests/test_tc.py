@@ -27,6 +27,7 @@ from hybft.tc import (
     TrustedComponent,
     VerifyStatus,
     WindowExceeded,
+    _enc,
     derive_counter_id,
     verify_certificate,
 )
@@ -465,3 +466,52 @@ def test_public_surface_is_declared():
               if not n.startswith("_") and n != "PUBLIC_OPS"}
     assert actual <= declared
     assert "create_ui" in declared and "verify" in declared
+
+
+# ------------------------------------------------------ canonical encoding
+
+
+def _reference_enc(*fields) -> bytes:
+    """The field-by-field loop that _enc's packed fast path must agree with."""
+    out = []
+    for f in fields:
+        if isinstance(f, int):
+            b = f.to_bytes(8, "big", signed=False)
+        elif isinstance(f, str):
+            b = f.encode("utf-8")
+        elif isinstance(f, bytes):
+            b = f
+        else:
+            raise TypeError(f"unencodable field {f!r}")
+        out.append(len(b).to_bytes(4, "big"))
+        out.append(b)
+    return b"".join(out)
+
+
+class _Int(int):
+    pass
+
+
+def _outcome(fn, *fields):
+    try:
+        return fn(*fields)
+    except Exception as exc:   # the exception's type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("field", [
+    True, 0, 2**64 - 1, _Int(7),   # encodable ints
+    -1, 2**64,                     # out of range
+    "zähler", b"", 1.5,            # text, empty bytes, unencodable
+], ids=repr)
+def test_enc_matches_the_reference_loop(field):
+    for fields in [(field,), ("tag", 3, field, b"x"), (field, field)]:
+        assert _outcome(_enc, *fields) == _outcome(_reference_enc, *fields)
+
+
+def test_enc_reference_outcomes_are_the_documented_ones():
+    assert _enc(True) == _reference_enc(1)
+    assert _outcome(_enc, -1) is OverflowError
+    assert _outcome(_enc, 2**64) is OverflowError
+    assert _outcome(_enc, 1.5) is TypeError
+    assert _outcome(_enc, "ok", 1.5, -1) is TypeError
