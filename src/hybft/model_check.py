@@ -17,6 +17,29 @@ Three layers:
    the simulator's safety oracle (sim.safety_violations); at least one
    terminal state must show full commitment, demonstrating progress is
    reachable in the scenario.
+
+   Every step belongs to one replica: a delivery to its destination, a
+   timer to its owner. Steps of different replicas commute. A step pops the
+   head of one of its replica's inbound channels or fires one of its own
+   timers. It appends only to that replica's outbound channels and changes
+   only that replica, its armed timers and its ledger record. Suppose
+   replicas a and b each have a step enabled, and b's step delivers from
+   the channel from a to b. That channel is non-empty, so anything a's step
+   appends lands behind its head. b receives the same message either way
+   and leaves the same queue behind. Neither step disables the other, and
+   doing both in either order gives the same state. The explorer therefore
+   prunes reordered paths with sleep sets (Godefroid, "Partial-Order
+   Methods for the Verification of Concurrent Systems", LNCS 1032, 1996).
+   It still visits every reachable state, but it applies fewer steps to
+   reach them.
+
+   The oracle needs nothing from a pruned path. A replica's ledger record
+   depends only on that replica's own steps, in order, and reordering steps
+   of different replicas keeps each replica's order. So both orders leave
+   every record the same. The world key leaves the ledger out. A state
+   reached by several different histories is therefore checked once, on the
+   first path that reaches it (ROADMAP item 8), with or without the
+   reduction.
 """
 
 from __future__ import annotations
@@ -206,14 +229,22 @@ class World:
     armed: frozenset
     byz: Set[int]
     ledger: Ledger = field(default_factory=Ledger, init=False)
+    # Replica.state_key() of each replica, until the replica next steps
+    # (_absorb drops the entry); a successor inherits the untouched one's.
+    rkeys: Dict[int, tuple] = field(default_factory=dict, init=False)
 
     def state_key(self) -> tuple:
         # The ledger is left out, as the replica histories and component
         # audit lists it replaces always were: worlds that differ only in
         # their past are one state, and the oracle sees the first reached.
         chan = tuple(sorted((k, v) for k, v in self.channels.items() if v))
-        reps = tuple((rid, r.state_key()) for rid, r in sorted(self.replicas.items()))
-        return (reps, chan, self.armed)
+        reps = []
+        for rid, r in sorted(self.replicas.items()):
+            rkey = self.rkeys.get(rid)
+            if rkey is None:
+                rkey = self.rkeys[rid] = r.state_key()
+            reps.append((rid, rkey))
+        return (tuple(reps), chan, self.armed)
 
     def enabled(self) -> List[tuple]:
         acts: List[tuple] = []
@@ -232,10 +263,11 @@ class World:
         and clones the one replica that takes the step and its ledger
         record; the other replica and its record stay shared with this world.
         """
-        rid = act[1][1] if act[0] == "deliver" else act[1][0]
+        rid = _stepper(act)
         w = World(dict(self.replicas), dict(self.channels), self.armed,
                   self.byz)
         w.ledger = self.ledger.fork(rid)
+        w.rkeys.update(self.rkeys)
         rep = w.replicas[rid] = self.replicas[rid].clone()
         if act[0] == "deliver":
             queue = w.channels[act[1]]
@@ -249,6 +281,7 @@ class World:
         return w
 
     def _absorb(self, src: int, effects: List[tuple]) -> None:
+        self.rkeys.pop(src, None)
         for eff in effects:
             if eff[0] == "send":
                 _, dst, msg = eff
@@ -263,35 +296,86 @@ class World:
                 self.ledger.note(src, eff)
         self.ledger.take_issued(src, self.replicas[src].tc)
 
+    def fully_committed(self) -> bool:
+        """Every correct replica has committed and executed a request."""
+        correct = [(r, self.ledger.records.get(rid))
+                   for rid, r in self.replicas.items() if rid not in self.byz]
+        return bool(correct) and all(rec and rec.committed and r.exec_cursor >= 1
+                                     for r, rec in correct)
+
     def seed_channel(self, src: str, dst: int, msgs: List) -> None:
         self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
 
 
+def _stepper(act) -> int:
+    """The replica that takes step `act`."""
+    return act[1][1] if act[0] == "deliver" else act[1][0]
+
+
 def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
-    seen: Set[tuple] = set()
+    """Visit every state reachable from `world`, asserting the safety oracle
+    at each. Returns the number of states, of terminal states (no step
+    enabled), and of terminals where every correct replica has committed and
+    executed.
+
+    The search is depth first with sleep sets. A sleep set holds steps that
+    need not be taken from a state, because a path already explored covers
+    them. Once the search has explored step s from a state, s goes into the
+    sleep set of every later successor of that state whose step belongs to
+    another replica. That step t commutes with s (see the module
+    docstring), so taking s after t reaches a state that the subtree under
+    s has already reached. A successor inherits only the sleeping steps of
+    other replicas. A step of the same replica may change what those steps
+    do.
+
+    With memoized states, the sleep set stored with a state is the set of
+    steps not yet taken from it. When a revisit brings a smaller sleep set,
+    the search takes the stored steps that this path leaves awake. The state
+    then keeps only what both paths leave asleep. This is Godefroid's
+    revisit rule. It makes the search reach every reachable state of any
+    finite state graph, including one with cycles, such as a timer that
+    re-arms itself. The worlds built below are acyclic. There, the
+    depth-first order alone reaches each state first by its
+    lexicographically least path, and no sleep set blocks that path. So on
+    those worlds the rule only costs steps. The gap, prevention and
+    equivocate (no decisions) worlds take 729, 4,174 and 8,183 `apply`
+    calls with it, and 682, 3,579 and 7,095 without it. Every reachable
+    state is visited and checked once, on the first path that reaches it.
+    Only steps that would lead to states already seen are skipped.
+    """
+    seen: Dict[tuple, frozenset] = {}
     terminals = 0
     full_commit_terminals = 0
-    stack = [world]
+    stack = [(world, frozenset())]
     while stack:
-        w = stack.pop()
+        w, sleep = stack.pop()
         key = w.state_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        assert len(seen) <= max_states, "state budget exceeded"
-        violations = safety_violations(w.ledger, w.byz)
-        assert not violations, violations
-        acts = w.enabled()
-        if not acts:
-            terminals += 1
-            correct = [(r, w.ledger.records.get(rid))
-                       for rid, r in w.replicas.items() if rid not in w.byz]
-            if correct and all(rec and rec.committed and r.exec_cursor >= 1
-                               for r, rec in correct):
-                full_commit_terminals += 1
-            continue
-        for act in acts:
-            stack.append(w.apply(act))
+        stored = seen.get(key)
+        if stored is None:
+            seen[key] = sleep
+            assert len(seen) <= max_states, "state budget exceeded"
+            violations = safety_violations(w.ledger, w.byz)
+            assert not violations, violations
+            acts = w.enabled()
+            if not acts:
+                terminals += 1
+                if w.fully_committed():
+                    full_commit_terminals += 1
+                continue
+            acts = [a for a in acts if a not in sleep]
+        else:
+            acts = [a for a in w.enabled() if a in stored and a not in sleep]
+            sleep = seen[key] = stored & sleep
+        # The stack pops the last step's successor first, so each successor
+        # sleeps on the steps after its own, whose subtrees are done by then.
+        children = []
+        for act in reversed(acts):
+            rid = _stepper(act)
+            children.append(
+                (w.apply(act),
+                 frozenset(a for a in sleep if _stepper(a) != rid)))
+            sleep = sleep | {act}
+        stack.extend(reversed(children))
     return {"states": len(seen), "terminals": terminals,
             "full_commit_terminals": full_commit_terminals}
 

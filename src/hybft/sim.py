@@ -52,6 +52,8 @@ _PRIO_ADMIN = -1
 _PRIO_DELIVER = 0
 _PRIO_TIMER = 1
 
+_NOT_A_MESSAGE = object()
+
 
 @dataclass
 class RunResult:
@@ -213,12 +215,17 @@ class Simulator:
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
         src = self._label(owner)
+        # A broadcast sends one message object n-1 times in a row: size and
+        # name it once. Sizing comes first, so an unsized message raises.
+        sized = _NOT_A_MESSAGE
         for eff in effects:
             tag = eff[0]
             if tag == "send":
                 _, dst, msg = eff
-                size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
-                mtype = m.msg_type(msg)
+                if msg is not sized:
+                    size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
+                    mtype = m.msg_type(msg)
+                    sized = msg
                 self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1
                 self.bytes_by_type[mtype] = self.bytes_by_type.get(mtype, 0) + size
                 t = self.now + self._delay(src, self._label(dst))

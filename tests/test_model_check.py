@@ -102,10 +102,24 @@ def _reachable_keys(world: World, apply) -> set:
     return seen
 
 
+def _fresh_key(world: World) -> tuple:
+    """World.state_key with every Replica.state_key() recomputed, bypassing
+    the world's cache of replica keys."""
+    bare = copy.copy(world)
+    bare.rkeys = {}
+    return bare.state_key()
+
+
 def _apply_keeping_parent(world: World, act) -> World:
-    key = world.state_key()
+    key = _fresh_key(world)
     child = world.apply(act)
-    assert world.state_key() == key, act
+    assert _fresh_key(world) == key, act
+    return child
+
+
+def _apply_checking_cached_key(world: World, act) -> World:
+    child = world.apply(act)
+    assert child.state_key() == _fresh_key(child), act
     return child
 
 
@@ -114,8 +128,73 @@ def test_apply_never_mutates_the_parent_world(build):
     assert _reachable_keys(build(), _apply_keeping_parent)
 
 
+@pytest.mark.parametrize("build", [gap_world, prevention_world])
+def test_cached_world_key_equals_a_fresh_key_everywhere(build):
+    world = build()
+    assert world.state_key() == _fresh_key(world)
+    assert _reachable_keys(world, _apply_checking_cached_key)
+
+
 def test_forking_explorer_matches_a_deepcopy_explorer():
     forked = _reachable_keys(gap_world(), World.apply)
     reference = _reachable_keys(gap_world(), _deepcopy_apply)
     assert forked == reference
     assert len(forked) == explore_world(gap_world())["states"]
+
+
+# -- sleep sets ------------------------------------------------------------
+
+
+def _reference_explore(world: World):
+    """The plain explorer: every enabled step from every new state. Returns
+    the state keys, explore_world's counts and the number of steps taken."""
+    seen = set()
+    terminals = full_commit_terminals = applies = 0
+    stack = [world]
+    while stack:
+        w = stack.pop()
+        key = w.state_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        acts = w.enabled()
+        if not acts:
+            terminals += 1
+            full_commit_terminals += w.fully_committed()
+        applies += len(acts)
+        stack.extend(w.apply(act) for act in acts)
+    return seen, {"states": len(seen), "terminals": terminals,
+                  "full_commit_terminals": full_commit_terminals}, applies
+
+
+# The step counts are pinned like the state counts. Sleep sets that also
+# sleep a replica's own steps lose states. Dropping the revisit rule loses
+# none on these acyclic worlds, but it takes fewer steps (682, 3,579 and
+# 7,095), so the pins catch it.
+@pytest.mark.parametrize("build, steps", [
+    (gap_world, 729),
+    (prevention_world, 4_174),
+    (lambda: equivocate_world(decisions=False), 8_183),
+], ids=["gap", "prevention", "equivocate_no_decisions"])
+def test_sleep_sets_reach_every_state_with_fewer_steps(build, steps,
+                                                       monkeypatch):
+    ref_keys, ref_counts, ref_applies = _reference_explore(build())
+    keys = set()
+    applies = 0
+    state_key, apply = World.state_key, World.apply
+
+    def recording_key(world):
+        key = state_key(world)
+        keys.add(key)
+        return key
+
+    def counting_apply(world, act):
+        nonlocal applies
+        applies += 1
+        return apply(world, act)
+
+    monkeypatch.setattr(World, "state_key", recording_key)
+    monkeypatch.setattr(World, "apply", counting_apply)
+    assert explore_world(build()) == ref_counts
+    assert keys == ref_keys
+    assert applies == steps < ref_applies
