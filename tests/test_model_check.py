@@ -198,3 +198,31 @@ def test_sleep_sets_reach_every_state_with_fewer_steps(build, steps,
     assert explore_world(build()) == ref_counts
     assert keys == ref_keys
     assert applies == steps < ref_applies
+
+
+# -- no clock --------------------------------------------------------------
+
+
+def _apply_at_two_times(world: World, act) -> World:
+    """World.apply, once clones of the stepping replica have shown that the
+    step's effects and the state it leaves do not depend on the time the
+    host passes in."""
+    results = []
+    for now in (0, 10 ** 12):
+        if act[0] == "deliver":
+            rep = world.replicas[act[1][1]].clone()
+            effects = rep.handle(world.channels[act[1]][0], now)
+        else:
+            rid, kind, tkey = act[1]
+            rep = world.replicas[rid].clone()
+            effects = rep.on_timer(kind, tkey, now)
+        results.append((effects, rep.state_key()))
+    assert results[0] == results[1], act
+    return world.apply(act)
+
+
+@pytest.mark.parametrize("build", [gap_world, prevention_world])
+def test_a_replica_reads_no_clock(build):
+    # the host stamps times on what a replica reports; the replica's own
+    # behaviour is a function of its state and its input alone
+    assert _reachable_keys(build(), _apply_at_two_times)

@@ -601,3 +601,153 @@ def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
     c.pump(drop_to={0})
     assert c.replicas[2].view == 2
     assert safety_violations(c.ledger, {0}) == []
+
+
+# ------------------------------------------------------ view-change checks
+#
+# One valid vote and one valid NewView, each broken in one way; a correct
+# replica must drop every broken one. At f=1 with a checkpoint at every seq,
+# seq 1 is stable everywhere and only replica 2 has committed seq 2, so
+# replica 2's vote for view 1 carries a stable certificate, a prepare above
+# it and a commit that prepare must back.
+
+
+def _vote_setup():
+    c = Cluster(checkpoint_interval=1)
+    broadcast_request(c, 1)
+    c.pump()
+    broadcast_request(c, 2)
+    c.pump(drop_to={0, 1})
+    c.request(2, authed(3))
+    # the first period saw progress and renews; the second defects
+    c.fire(2, "suspect", 0).fire(2, "suspect", 0)
+    vote = next(msg for dst, msg in c.queue
+                if dst == 1 and isinstance(msg, m.ViewChange))
+    c.queue.clear()
+    return c, vote
+
+
+def _recertify(c, vote, att=None, **fields):
+    """`vote` with `fields` replaced, certified again by the voter's own
+    component over the voter's whole timeline so far; `att` replaces the
+    fresh attestation."""
+    tc = c.tcs[vote.sender]
+    fields.setdefault("timeline", tuple(c.replicas[vote.sender].timeline))
+    v = dataclasses.replace(vote, **fields)
+    att = tc.attest_state(v.core_digest()) if att is None else att
+    cert = tc.create_ui(m.view_change_digest(v.core_digest(), att))
+    return dataclasses.replace(v, attestation=att, cert=cert)
+
+
+def _mint_prepare(c, seq, req):
+    """A view-0 prepare certified by the leader's own component."""
+    bdig = m.batch_digest((req,))
+    cert = c.tcs[0].create_ui(m.prepare_digest(0, seq, bdig),
+                              counter=proposal_counter(0))
+    return m.Prepare(0, seq, (req,), bdig, cert)
+
+
+def _break_stable_cert(vote, **fields):
+    return dataclasses.replace(vote, stable_cert=tuple(
+        dataclasses.replace(ck, **fields) for ck in vote.stable_cert))
+
+
+def _late_vote(c, vote):
+    tc = c.tcs[2]
+    v = _recertify(c, vote)
+    att = tc.attest_state(v.core_digest())
+    tc.create_ui(hashlib.sha256(b"unrecorded").digest())
+    return _recertify(c, vote, att=att)
+
+
+def _broken_timeline_cert(c, vote):
+    tl = list(c.replicas[2].timeline)
+    tl[0] = dataclasses.replace(tl[0], digest=hashlib.sha256(b"x").digest())
+    return _recertify(c, vote, timeline=tuple(tl))
+
+
+BROKEN_VOTES = {
+    "foreign_vote_cert": lambda c, v: dataclasses.replace(
+        v, cert=c.tcs[0].create_ui(v.vdigest())),
+    "attestation_nonce": lambda c, v: _recertify(
+        c, v, att=c.tcs[2].attest_state(hashlib.sha256(b"x").digest())),
+    "stable_cert_one_sender": lambda c, v: dataclasses.replace(
+        v, stable_cert=v.stable_cert[:1]),
+    "stable_cert_two_digests": lambda c, v: dataclasses.replace(
+        v, stable_cert=(dataclasses.replace(
+            v.stable_cert[0], state_digest=hashlib.sha256(b"x").digest()),
+            *v.stable_cert[1:])),
+    "stable_cert_other_seq": lambda c, v: _break_stable_cert(v, seq=2),
+    "stable_cert_foreign": lambda c, v: _break_stable_cert(
+        v, cert=v.stable_cert[0].cert),
+    "prepare_gap": lambda c, v: _recertify(c, v, prepares=v.prepares + (
+        _mint_prepare(c, 4, authed(4)),)),
+    "timeline_cert": _broken_timeline_cert,
+    "vote_counter": _late_vote,
+    "timeline_gap": lambda c, v: _recertify(
+        c, v, timeline=tuple(c.replicas[2].timeline)[1:]),
+    "commit_without_prepare": lambda c, v: _recertify(c, v, prepares=()),
+    "commit_other_prepare": lambda c, v: _recertify(
+        c, v, prepares=(_mint_prepare(c, 2, authed(9)),)),
+}
+
+
+@pytest.mark.parametrize("how", [None, *BROKEN_VOTES])
+def test_a_broken_vote_is_dropped(how):
+    c, vote = _vote_setup()
+    if how is not None:
+        vote = BROKEN_VOTES[how](c, vote)
+    c.inject(1, vote)
+    dropped = (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+    assert dropped == (how is not None)
+    assert (2 in c.replicas[1].vc_votes.get(1, {})) == (how is None)
+
+
+def _new_view_setup():
+    c, vote = _vote_setup()
+    c.inject(1, vote)
+    c.fire(1, "suspect", 0).fire(1, "suspect", 0)
+    nv = next(msg for dst, msg in c.queue
+              if dst == 2 and isinstance(msg, m.NewView))
+    c.queue.clear()
+    return c, nv
+
+
+def _renew(c, nv, **fields):
+    """`nv` with `fields` replaced, certified again by the new leader."""
+    v = dataclasses.replace(nv, **fields)
+    return dataclasses.replace(v, cert=c.tcs[1].create_ui(v.ndigest()))
+
+
+def _reproposal(c, nv, **cert_kw):
+    p = nv.prepares[0]
+    cert = c.tcs[1].create_ui(m.prepare_digest(1, p.seq, p.bdigest), **cert_kw)
+    return _renew(c, nv, prepares=(dataclasses.replace(p, cert=cert),))
+
+
+BROKEN_NEW_VIEWS = {
+    "one_vote": lambda c, nv: _renew(c, nv, viewchanges=nv.viewchanges[:1]),
+    "broken_vote": lambda c, nv: _renew(c, nv, viewchanges=(
+        nv.viewchanges[0], BROKEN_VOTES["foreign_vote_cert"](
+            c, nv.viewchanges[1]))),
+    "base": lambda c, nv: _renew(c, nv, base=0),
+    "no_reproposals": lambda c, nv: _renew(c, nv, prepares=()),
+    "old_view_reproposal": lambda c, nv: _renew(
+        c, nv, prepares=(c.replicas[2].prepared_log[2],)),
+    "reproposal_slot": lambda c, nv: _reproposal(c, nv, counter="msg"),
+    "foreign_skip_cert": lambda c, nv: _renew(
+        c, nv, skip_cert=c.tcs[2].skip_values(proposal_counter(1), 1)),
+    "skip_range": lambda c, nv: _renew(
+        c, nv, skip_cert=c.tcs[1].skip_values(proposal_counter(2), 1)),
+}
+
+
+@pytest.mark.parametrize("how", [None, *BROKEN_NEW_VIEWS])
+def test_a_broken_new_view_is_dropped(how):
+    c, nv = _new_view_setup()
+    if how is not None:
+        nv = BROKEN_NEW_VIEWS[how](c, nv)
+    c.inject(2, nv)
+    dropped = (2, {"ev": "drop", "why": "newview", "seq": 1}) in c.notes
+    assert dropped == (how is not None)
+    assert c.replicas[2].view == (0 if how else 1)

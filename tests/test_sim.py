@@ -267,6 +267,35 @@ GOLDEN = {
                   adversary_params={"k": 1, "crash_at_ns": 8_000_000,
                                     "restart_at_ns": 11_000_000}),
         "d406737027807118845f70c2004842cfeac9e58012f5dc33a626618ac0bf01f1"),
+    # the batch timer proposes partial batches: batch_size above clients
+    "batch_timer": (
+        SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=1),
+        "e509b207edaf05c4f459d5538585a9cf7f1ddb2f6863a2592e7df6ecec330454"),
+    "batch_timer_prevention": (
+        SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=1,
+                  mode="prevention"),
+        "2a3d549f89e958cef6810dcfc1936e83258c4eb9c3a53d99da2ffb9657d547fd"),
+    # a partial batch still waits after the timer fires, so it re-arms
+    "batch_timer_backlog": (
+        SimConfig(f=1, clients=7, requests_per_client=5, batch_size=4, seed=1),
+        "10fe72dc96d6bc65626a67a8192052bff38e99cfe2bd5c2b8b82fa2dfa3338a8"),
+    # the new leader arms the batch timer for the backlog it inherits
+    "batch_timer_view_change": (
+        SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=4,
+                  adversary="gap_forever"),
+        "a7b7945a05bc4e781e296e1a26a7d1a22250bc2358a01dde848fd4fd7d1c7347"),
+    "pipelining": (
+        SimConfig(f=1, clients=3, requests_per_client=10, batch_size=4,
+                  pipelining=True, pipeline_depth=4, seed=1),
+        "b2e4fe098b96c736cc73ea921acc6e3c475d8e0692938ee3979757e0c4a910f1"),
+    "pipelining_prevention": (
+        SimConfig(f=1, clients=3, requests_per_client=10, batch_size=4,
+                  pipelining=True, pipeline_depth=4, seed=1, mode="prevention"),
+        "64bb7270e57196583d279585bc36b022f08b1804f21d545adb12698984bfc2bd"),
+    # followers withhold a commit until its predecessor commits
+    "deferred_commit": (
+        SimConfig(f=2, clients=4, requests_per_client=5, seed=2),
+        "b78177aff9d6c646ce62e0a1106f726e881d8277209c42d37bf320864930ba3e"),
 }
 
 
