@@ -79,15 +79,15 @@ class EquivocateWithholdLeader(_Scripted):
     def _keep(self, dst, msg) -> bool:
         return not (self.tripped and self.cfg.mode != "prevention")
 
-    def _propose(self, chunk, now: int) -> List[tuple]:
+    def _propose(self, chunk) -> List[tuple]:
         trigger = self.params["trigger"]
         if self.tripped:
             return []
         if self.next_seq != trigger:
-            return super()._propose(chunk, now)
+            return super()._propose(chunk)
         self.tripped = True
         if self.cfg.mode == "prevention":
-            out = super()._propose(chunk, now)
+            out = super()._propose(chunk)
             seq = trigger
             alt = hashlib.sha256(b"alt" + chunk[0].digest()).digest()
             try:
@@ -123,12 +123,12 @@ class GapLeader(_Scripted):
     def _keep(self, dst, msg) -> bool:
         return not self.tripped
 
-    def _propose(self, chunk, now: int) -> List[tuple]:
+    def _propose(self, chunk) -> List[tuple]:
         trigger = self.params["trigger"]
         if self.tripped:
             return []
         if self.next_seq != trigger:
-            return super()._propose(chunk, now)
+            return super()._propose(chunk)
         self.tripped = True
         bdig = m.batch_digest(chunk)
         pdig = m.prepare_digest(self.view, trigger, bdig)
@@ -173,9 +173,9 @@ class CounterIdentityLeader(_Scripted):
     def _keep(self, dst, msg) -> bool:
         return not self.tripped
 
-    def on_client_request(self, req: m.Request, now: int) -> List[tuple]:
+    def on_client_request(self, req: m.Request) -> List[tuple]:
         if self.tripped or not self._auth_ok(req):
-            return super().on_client_request(req, now)
+            return super().on_client_request(req)
         self.tripped = True
         out: List[tuple] = [("note", {"ev": "attack_counter_identity"})]
         try:
@@ -184,7 +184,7 @@ class CounterIdentityLeader(_Scripted):
         except ModeViolation:
             out.append(("note", {"ev": "mode_violation_refused"}))
             self.tripped = False
-            return out + super().on_client_request(req, now)
+            return out + super().on_client_request(req)
         chunk_a, chunk_b = (req,), ()
         bda, bdb = m.batch_digest(chunk_a), m.batch_digest(chunk_b)
         ui1 = self.tc.create_ui(m.prepare_digest(self.view, 1, bda), counter=q1)

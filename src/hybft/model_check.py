@@ -205,7 +205,7 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
             for sender, dig, cert in combo:
                 if sender == rep.id:
                     continue
-                rep.on_commit(m.Commit(0, 1, sender, dig, cert), 0)
+                rep.handle(m.Commit(0, 1, sender, dig, cert), 0)
             by_digest: Dict[bytes, Set[int]] = {}
             for sender, dig, _ in combo:
                 if sender != rep.id:
@@ -402,7 +402,7 @@ def _mc_setup(mode: str = "detection", decisions: bool = True):
     req = m.Request(0, 1, payload, m.request_auth(ckey, req))
     world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
     for rid, rep in replicas.items():
-        world._absorb(rid, rep.on_client_request(req, 0))
+        world._absorb(rid, rep.handle(req, 0))
     return world, tcs[0], req
 
 

@@ -11,9 +11,13 @@ component only guarantees unique, monotonic counter values and followers
 refuse gapped or conflicting timelines after the fact. In prevention mode
 every prepare/commit/checkpoint statement carries a context certificate and
 the trusted component itself refuses a second binding for the same context.
+In both modes `Replica._cert` (with `_skip` for voided ids) certifies every
+statement a replica makes and records it in the replica's timeline.
 
-Replicas answer handler calls with effect tuples; the hosting event loop does
-all actual sending and timer scheduling:
+The host calls a replica only through `handle` and `on_timer`, which stop a
+replica whose component is down; a replica never reads the time they pass.
+Replicas answer with effect tuples; the hosting event loop does all actual
+sending and timer scheduling:
 
     ("send", ("replica", i) | ("client", c), msg)
     ("timer", kind, key, delay_ns)
@@ -35,7 +39,6 @@ from .tc import (
     PhaseSkipCertificate,
     SequenceRefused,
     SkipCertificate,
-    TcUnavailable,
     TrustedComponent,
     UniqueIdentifier,
     VerifyStatus,
@@ -145,7 +148,7 @@ class Replica:
         self.checkpoint_count = 0
 
         self.timeline: List[m.TimelineEntry] = []
-        self.deferred_commits: Dict[int, m.Commit] = {}
+        self.deferred_commits: set = set()   # seqs whose commit waits
         self.future_commits: Dict[int, List[m.Commit]] = {}
         self.future_prepares: Dict[int, List[m.Prepare]] = {}
 
@@ -157,7 +160,7 @@ class Replica:
         self.decisions_suppressed = 0
 
         self.vc_votes: Dict[int, Dict[int, m.ViewChange]] = {}
-        self.vc_sent: Dict[int, m.ViewChange] = {}
+        self.vc_sent: set = set()            # views this replica voted for
         self.suspect_armed: Dict[int, tuple] = {}
 
         self.stats: Dict[str, int] = {
@@ -172,9 +175,6 @@ class Replica:
 
     def peers(self):
         return [i for i in range(self.cfg.n) if i != self.id]
-
-    def _passive(self) -> bool:
-        return self.tc.is_crashed()
 
     def _check_cert(self, cert, issuer: int,
                     digest: Optional[bytes]) -> VerifyStatus:
@@ -194,9 +194,6 @@ class Replica:
             return VerifyStatus.INVALID
         return status
 
-    def _record(self, kind: str, seq: int, digest: bytes, cert) -> None:
-        self.timeline.append(m.TimelineEntry(kind, seq, digest, cert))
-
     def _committed_up_to(self, seq: int) -> bool:
         if seq <= self.admission_base or seq <= self.stable_seq:
             return True
@@ -205,30 +202,42 @@ class Replica:
 
     # --------------------------------------------------------- certification
 
-    def _cert(self, phase: str, view: int, seq: int, digest: bytes):
-        """Certify one statement other than a detection-mode proposal.
+    def _cert(self, phase: str, view: int, seq: int, digest: bytes,
+              at: Optional[int] = None):
+        """Certify one statement and record it in the timeline at `at`
+        (default `seq`); with `_skip`, the only code that does either.
 
-        Detection mode binds it to the next value of the message counter.
-        Prevention mode certifies the context (phase, view, seq); if the
-        component's position for the phase is behind, the ids in between are
-        voided with a recorded skip first.
+        Detection mode binds a proposal to the next value of the view's
+        proposal counter, which must be `seq`, and any other statement to the
+        message counter. Prevention mode certifies the context (phase, view,
+        seq), voiding the ids in between first if the phase is behind.
         """
-        if self.cfg.mode != "prevention":
-            return self.tc.create_ui(digest, counter=MSG_COUNTER)
-        try:
-            return self.tc.certify_context(phase, view, seq, digest)
-        except SequenceRefused:
-            skip = self.tc.skip_contexts(phase, view, seq - 1)
-            self._record("skip", seq - 1, b"", skip)
-            return self.tc.certify_context(phase, view, seq, digest)
-
-    def _cert_prepare(self, view: int, seq: int, digest: bytes):
         if self.cfg.mode == "prevention":
-            return self._cert("prepare", view, seq, digest)
-        ui = self.tc.create_ui(digest, counter=proposal_counter(view))
-        if ui.value != seq:
-            raise RuntimeError("proposal counter out of step with sequence")
-        return ui
+            try:
+                cert = self.tc.certify_context(phase, view, seq, digest)
+            except SequenceRefused:
+                self._skip(phase, view, seq - 1)
+                cert = self.tc.certify_context(phase, view, seq, digest)
+        elif phase == "prepare":
+            cert = self.tc.create_ui(digest, counter=proposal_counter(view))
+            if cert.value != seq:
+                raise RuntimeError("proposal counter out of step with sequence")
+        else:
+            cert = self.tc.create_ui(digest, counter=MSG_COUNTER)
+        self.timeline.append(m.TimelineEntry(
+            phase, seq if at is None else at, digest, cert))
+        return cert
+
+    def _skip(self, phase: str, view: int, last: int):
+        """Void the ids of `phase` in `view` up to `last` and record the skip.
+        In detection mode only a new view's proposal counter is skipped, from
+        its first value."""
+        if self.cfg.mode == "prevention":
+            skip = self.tc.skip_contexts(phase, view, last)
+        else:
+            skip = self.tc.skip_values(proposal_counter(view), last)
+        self.timeline.append(m.TimelineEntry("skip", last, b"", skip))
+        return skip
 
     def _slot(self, cert) -> Tuple[Optional[str], int]:
         """The (stream, position) a proposal certificate binds: counter and
@@ -247,7 +256,7 @@ class Replica:
 
     # ------------------------------------------------------------- requests
 
-    def on_client_request(self, req: m.Request, now: int) -> List[tuple]:
+    def on_client_request(self, req: m.Request) -> List[tuple]:
         key = req.key()
         if not self._auth_ok(req):
             return [("note", {"ev": "bad_auth", "client": req.client_id})]
@@ -259,10 +268,7 @@ class Replica:
             self.pending[key] = req
             if self.is_leader() and self.voted_view <= self.view:
                 self.batchq.append(req)
-                out += self._seal_batches(now)
-                if self.batchq and not self.batch_timer_armed:
-                    self.batch_timer_armed = True
-                    out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
+                out += self._seal_batches()
             else:
                 out += self._arm_suspicion()
         return out
@@ -284,36 +290,36 @@ class Replica:
 
     # --------------------------------------------------------------- leader
 
-    def _seal_batches(self, now: int) -> List[tuple]:
-        out: List[tuple] = []
+    def _seal_batches(self) -> List[tuple]:
+        """Queue every full batch, propose what the window allows, and arm
+        the batch timer while a partial batch waits."""
         while len(self.batchq) >= self.cfg.batch_size:
             chunk = tuple(self.batchq[: self.cfg.batch_size])
             del self.batchq[: self.cfg.batch_size]
             self.queued_batches.append(chunk)
-        out += self._drain_proposals(now)
+        out = self._drain_proposals()
+        if self.batchq and not self.batch_timer_armed:
+            self.batch_timer_armed = True
+            out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
         return out
 
-    def _drain_proposals(self, now: int) -> List[tuple]:
+    def _drain_proposals(self) -> List[tuple]:
         out: List[tuple] = []
         limit = self.cfg.pipeline_depth if self.cfg.pipelining else 1
         while (self.queued_batches and len(self.inflight) < limit
                and self.next_seq <= self.stable_seq + self.window):
             chunk = self.queued_batches.pop(0)
-            out += self._propose(chunk, now)
+            out += self._propose(chunk)
         return out
 
-    def _propose(self, chunk: Tuple[m.Request, ...], now: int) -> List[tuple]:
+    def _propose(self, chunk: Tuple[m.Request, ...]) -> List[tuple]:
         seq = self.next_seq
         bdig = m.batch_digest(chunk)
-        pdig = m.prepare_digest(self.view, seq, bdig)
-        try:
-            cert = self._cert_prepare(self.view, seq, pdig)
-        except TcUnavailable:
-            return [("note", {"ev": "tc_down", "replica": self.id})]
+        cert = self._cert("prepare", self.view, seq,
+                          m.prepare_digest(self.view, seq, bdig))
         prep = m.Prepare(self.view, seq, chunk, bdig, cert)
         self.next_seq = seq + 1
         self.inflight.add(seq)
-        self._record("prepare", seq, pdig, cert)
         out: List[tuple] = [self._bind(prep, fresh=True)]
         out += [("send", ("replica", p), prep) for p in self.peers()]
         out += self._echo(prep)
@@ -340,7 +346,7 @@ class Replica:
 
     # ------------------------------------------------------------ admission
 
-    def on_prepare(self, prep: m.Prepare, now: int) -> List[tuple]:
+    def on_prepare(self, prep: m.Prepare) -> List[tuple]:
         if prep.view > self.view:
             # proposal may outrun the view installation on the same channel
             self.future_prepares.setdefault(prep.view, []).append(prep)
@@ -368,32 +374,31 @@ class Replica:
             self.buffered.setdefault(key, {})[prep.seq] = prep
             return self._arm_suspicion() + [
                 ("note", {"ev": "buffer", "seq": prep.seq, "cursor": cursor})]
-        return self._admit_and_drain(prep, key, cursor, now)
+        return self._admit_and_drain(prep, key, cursor)
 
     def _admit_and_drain(self, prep: m.Prepare, key: Tuple[int, str],
-                         cursor: int, now: int) -> List[tuple]:
-        out = self._admit(prep, key, now)
+                         cursor: int) -> List[tuple]:
+        out = self._admit(prep, key)
         buf = self.buffered.get(key, {})
         # a flagging admit freezes the view without moving the cursor
         while (prep.view not in self.flagged_views
                and self.cursors.get(key, cursor) + 1 in buf):
-            out += self._admit(buf.pop(self.cursors.get(key, cursor) + 1),
-                               key, now)
+            out += self._admit(buf.pop(self.cursors.get(key, cursor) + 1), key)
         return out
 
-    def _admit(self, prep: m.Prepare, key: Tuple[int, str], now: int) -> List[tuple]:
+    def _admit(self, prep: m.Prepare, key: Tuple[int, str]) -> List[tuple]:
         conflict = self._conflicts(prep)
         if conflict is not None:
             self.flagged_views.add(prep.view)
             return ([("note", {"ev": "flag_leader", "view": prep.view,
                                "seq": prep.seq, "request": list(conflict)})]
-                    + self._start_view_change(prep.view + 1, now, reason="flagged"))
+                    + self._start_view_change(prep.view + 1, reason="flagged"))
         self.cursors[key] = prep.seq
         out: List[tuple] = [self._bind(prep), ("note", {
             "ev": "admit", "seq": prep.seq, "view": prep.view})]
         out += self._credit(prep.seq, prep.view, prep.bdigest,
                             leader_of(prep.view, self.cfg.n), "prepare", prep.cert)
-        out += self._send_commit(prep, now)
+        out += self._send_commit(prep)
         return out
 
     def _conflicts(self, prep: m.Prepare) -> Optional[Tuple[int, int]]:
@@ -403,39 +408,35 @@ class Replica:
                 return r.key()
         return None
 
-    def _send_commit(self, prep: m.Prepare, now: int) -> List[tuple]:
+    def _send_commit(self, prep: m.Prepare) -> List[tuple]:
         if not self.cfg.pipelining and not self._committed_up_to(prep.seq - 1):
             # withholding this attestation until the predecessor commits makes
             # a later commit from us proof that we saw everything before it
-            self.deferred_commits[prep.seq] = None
+            self.deferred_commits.add(prep.seq)
             return []
-        return self._emit_commit(prep.view, prep.seq, prep.bdigest, now)
+        return self._emit_commit(prep.view, prep.seq, prep.bdigest)
 
-    def _emit_commit(self, view: int, seq: int, bdigest: bytes, now: int) -> List[tuple]:
-        cdig = m.commit_digest(view, seq, self.id, bdigest)
-        try:
-            cert = self._cert("commit", view, seq, cdig)
-        except TcUnavailable:
-            return [("note", {"ev": "tc_down", "replica": self.id})]
-        self._record("commit", seq, cdig, cert)
+    def _emit_commit(self, view: int, seq: int, bdigest: bytes) -> List[tuple]:
+        cert = self._cert("commit", view, seq,
+                          m.commit_digest(view, seq, self.id, bdigest))
         com = m.Commit(view, seq, self.id, bdigest, cert)
         out: List[tuple] = [("send", ("replica", p), com) for p in self.peers()]
         out += self._credit(seq, view, bdigest, self.id, "commit", cert)
         return out
 
-    def _flush_deferred(self, now: int) -> List[tuple]:
+    def _flush_deferred(self) -> List[tuple]:
         out: List[tuple] = []
-        for seq in sorted(list(self.deferred_commits)):
+        for seq in sorted(self.deferred_commits):
             if self._committed_up_to(seq - 1):
-                self.deferred_commits.pop(seq)
+                self.deferred_commits.remove(seq)
                 prep = self.prepared_log.get(seq)
                 if prep is not None:
-                    out += self._emit_commit(prep.view, seq, prep.bdigest, now)
+                    out += self._emit_commit(prep.view, seq, prep.bdigest)
         return out
 
     # -------------------------------------------------------------- commits
 
-    def on_commit(self, com: m.Commit, now: int) -> List[tuple]:
+    def on_commit(self, com: m.Commit) -> List[tuple]:
         if com.view > self.view:
             self.future_commits.setdefault(com.view, []).append(com)
             return []
@@ -467,11 +468,11 @@ class Replica:
         if t.committed is not None:
             return []
         if len(holders) >= self.cfg.f + 1:
-            return self._mark_committed(seq, view, bdigest, "quorum", 0)
+            return self._mark_committed(seq, view, bdigest, "quorum")
         return []
 
     def _mark_committed(self, seq: int, view: int, bdigest: bytes,
-                        via: str, now: int) -> List[tuple]:
+                        via: str) -> List[tuple]:
         t = self.trackers.setdefault(seq, _Tracker())
         t.committed = bdigest
         t.view = max(t.view, view)
@@ -485,10 +486,10 @@ class Replica:
                 out.append(("timer", "decision", seq, self.cfg.delta_ns))
         if self.prepared_log.get(seq) is None:
             out += self._fetch_batch(seq)
-        out += self._execute(now)
-        out += self._flush_deferred(now)
+        out += self._execute()
+        out += self._flush_deferred()
         if self.is_leader() and self.voted_view <= self.view:
-            out += self._drain_proposals(now)
+            out += self._drain_proposals()
         return out
 
     def _fetch_batch(self, seq: int) -> List[tuple]:
@@ -501,7 +502,7 @@ class Replica:
 
     # ------------------------------------------------------------ decisions
 
-    def on_timer_decision(self, seq: int, now: int) -> List[tuple]:
+    def on_timer_decision(self, seq: int) -> List[tuple]:
         t = self.trackers.get(seq)
         if t is None or t.committed is None or t.via != "quorum":
             return []
@@ -538,7 +539,7 @@ class Replica:
         proof = tuple((s, *holders[s]) for s in sorted(holders))[: self.cfg.f + 1]
         return proof if len(proof) == self.cfg.f + 1 else None
 
-    def on_decision(self, dec: m.Decision, now: int) -> List[tuple]:
+    def on_decision(self, dec: m.Decision) -> List[tuple]:
         self.decision_seen.setdefault(dec.seq, set()).add(dec.sender)
         t = self.trackers.get(dec.seq)
         if t is not None and t.committed is not None:
@@ -557,7 +558,7 @@ class Replica:
                 return self._drop("decision_proof", dec.seq)
         out = [("note", {"ev": "decision_accepted", "seq": dec.seq,
                          "from": dec.sender})]
-        out += self._mark_committed(dec.seq, dec.view, dec.bdigest, "decision", now)
+        out += self._mark_committed(dec.seq, dec.view, dec.bdigest, "decision")
         if self.prepared_log.get(dec.seq) is None:
             out.append(("send", ("replica", dec.sender),
                         m.FetchBatch(dec.seq, self.id)))
@@ -565,13 +566,13 @@ class Replica:
 
     # ------------------------------------------------------ batch and state
 
-    def on_fetch_batch(self, fb: m.FetchBatch, now: int) -> List[tuple]:
+    def on_fetch_batch(self, fb: m.FetchBatch) -> List[tuple]:
         prep = self.prepared_log.get(fb.seq)
         if prep is None:
             return []
         return [("send", ("replica", fb.sender), m.BatchResponse(prep, self.id))]
 
-    def on_batch_response(self, br: m.BatchResponse, now: int) -> List[tuple]:
+    def on_batch_response(self, br: m.BatchResponse) -> List[tuple]:
         prep = br.prepare
         t = self.trackers.get(prep.seq)
         if t is None or t.committed is None:
@@ -580,9 +581,9 @@ class Replica:
             return self._drop("batch_response", prep.seq)
         if prep.seq not in self.prepared_log:
             self.prepared_log[prep.seq] = prep
-        return self._execute(now)
+        return self._execute()
 
-    def on_fetch_state(self, fs: m.FetchState, now: int) -> List[tuple]:
+    def on_fetch_state(self, fs: m.FetchState) -> List[tuple]:
         # a checkpoint adopted from peers' certificates but not yet executed
         # here has no local state to serve
         if (self.stable_seq < fs.seq or not self.stable_cert
@@ -593,7 +594,7 @@ class Replica:
                                replies, self.stable_cert, self.id)
         return [("send", ("replica", fs.sender), resp)]
 
-    def on_state_response(self, sr: m.StateResponse, now: int) -> List[tuple]:
+    def on_state_response(self, sr: m.StateResponse) -> List[tuple]:
         if sr.seq <= self.exec_cursor:
             return []
         if not self._check_stable_cert(sr.stable_cert, sr.seq):
@@ -612,11 +613,11 @@ class Replica:
         self._adopt_stable(sr.seq, sr.stable_cert)
         return ([("fact", "execute", sr.seq, sr.exec_digest),
                  ("note", {"ev": "state_adopted", "seq": sr.seq})]
-                + self._execute(now))
+                + self._execute())
 
     # ------------------------------------------------------------ execution
 
-    def _execute(self, now: int) -> List[tuple]:
+    def _execute(self) -> List[tuple]:
         out: List[tuple] = []
         while True:
             nxt = self.exec_cursor + 1
@@ -644,7 +645,7 @@ class Replica:
             out.append(("note", {"ev": "execute", "seq": nxt}))
             if nxt % self.checkpoint_interval == 0:
                 self.checkpoint_exec[nxt] = self.exec_digest
-                out += self._emit_checkpoint(nxt, now)
+                out += self._emit_checkpoint(nxt)
         return out
 
     def _state_digest(self) -> bytes:
@@ -658,21 +659,17 @@ class Replica:
 
     # ----------------------------------------------------------- checkpoints
 
-    def _emit_checkpoint(self, seq: int, now: int) -> List[tuple]:
+    def _emit_checkpoint(self, seq: int) -> List[tuple]:
         sdig = self._state_digest()
-        cdig = m.checkpoint_digest(seq, sdig)
         self.checkpoint_count += 1
-        try:
-            cert = self._cert("checkpoint", self.checkpoint_count, 1, cdig)
-        except TcUnavailable:
-            return [("note", {"ev": "tc_down", "replica": self.id})]
-        self._record("checkpoint", seq, cdig, cert)
+        cert = self._cert("checkpoint", self.checkpoint_count, 1,
+                          m.checkpoint_digest(seq, sdig), at=seq)
         ck = m.Checkpoint(seq, sdig, self.id, cert)
         out: List[tuple] = [("send", ("replica", p), ck) for p in self.peers()]
         out += self._credit_checkpoint(ck)
         return out
 
-    def on_checkpoint(self, ck: m.Checkpoint, now: int) -> List[tuple]:
+    def on_checkpoint(self, ck: m.Checkpoint) -> List[tuple]:
         status = self._check_cert(ck.cert, ck.sender, ck.ckdigest())
         if status is not VerifyStatus.OK:
             return self._drop_status(status, ck.seq)
@@ -699,7 +696,7 @@ class Replica:
             if self.exec_cursor < self.stable_seq:
                 out += self._maybe_fetch_state()
             if self.is_leader() and self.voted_view <= self.view:
-                out += self._drain_proposals(0)
+                out += self._drain_proposals()
         return out
 
     def _adopt_stable(self, seq: int, cert: Tuple[m.Checkpoint, ...]) -> None:
@@ -729,7 +726,7 @@ class Replica:
 
     # ----------------------------------------------------------- view change
 
-    def _start_view_change(self, target: int, now: int, reason: str) -> List[tuple]:
+    def _start_view_change(self, target: int, reason: str) -> List[tuple]:
         if self.max_view is not None and target > self.max_view:
             return [("note", {"ev": "vc_capped", "target": target})]
         if target <= self.voted_view:
@@ -740,27 +737,23 @@ class Replica:
         timeline = tuple(self.timeline)
         core = m.view_change_core_digest(target, self.id, self.stable_seq,
                                          prepares, timeline)
-        try:
-            att = self.tc.attest_state(core)
-            vdig = m.view_change_digest(core, att)
-            cert = self._cert("viewchange", target, 1, vdig)
-        except TcUnavailable:
-            return [("note", {"ev": "tc_down", "replica": self.id})]
+        att = self.tc.attest_state(core)
+        cert = self._cert("viewchange", target, 1,
+                          m.view_change_digest(core, att), at=target)
         vc = m.ViewChange(target, self.id, self.stable_seq, self.stable_cert,
                           prepares, timeline, att, cert)
-        self._record("viewchange", target, vdig, cert)
-        self.vc_sent[target] = vc
+        self.vc_sent.add(target)
         out: List[tuple] = [("note", {"ev": "viewchange", "target": target,
                                       "reason": reason})]
         new_leader = leader_of(target, self.cfg.n)
         if new_leader == self.id:
-            out += self.on_view_change(vc, now)
+            out += self.on_view_change(vc)
         else:
             out.append(("send", ("replica", new_leader), vc))
         out.append(("timer", "vcretry", target, self.cfg.viewchange_timeout_ns))
         return out
 
-    def on_timer_suspect(self, armed: tuple, now: int) -> List[tuple]:
+    def on_timer_suspect(self, armed: tuple) -> List[tuple]:
         """`armed` is (view, progress mark taken when the timer was armed)."""
         view, mark = armed
         if self.view != view or self.voted_view > view:
@@ -771,14 +764,14 @@ class Replica:
             # the backlog moved during the period; grant another one
             self.suspect_armed[view] = self._progress_mark()
             return [("timer", "suspect", view, self.cfg.suspicion_timeout_ns)]
-        return self._start_view_change(view + 1, now, reason="timeout")
+        return self._start_view_change(view + 1, reason="timeout")
 
-    def on_timer_vcretry(self, target: int, now: int) -> List[tuple]:
+    def on_timer_vcretry(self, target: int) -> List[tuple]:
         if self.view >= target or self.voted_view > target:
             return []
-        return self._start_view_change(target + 1, now, reason="escalate")
+        return self._start_view_change(target + 1, reason="escalate")
 
-    def on_view_change(self, vc: m.ViewChange, now: int) -> List[tuple]:
+    def on_view_change(self, vc: m.ViewChange) -> List[tuple]:
         if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
             return []
         if not self._validate_view_change(vc):
@@ -788,14 +781,14 @@ class Replica:
         out: List[tuple] = []
         if len(votes) >= self.cfg.f + 1 and self.view < vc.new_view:
             if self.id not in votes:
-                out += self._start_view_change(vc.new_view, now, reason="join")
+                out += self._start_view_change(vc.new_view, reason="join")
                 votes = self.vc_votes.get(vc.new_view, {})
                 if self.id not in votes:
                     return out
             # joining casts our own vote through this same handler, which can
             # complete the quorum and install the view before we get back here
             if self.view < vc.new_view:
-                out += self._emit_new_view(vc.new_view, votes, now)
+                out += self._emit_new_view(vc.new_view, votes)
         return out
 
     def _validate_view_change(self, vc: m.ViewChange) -> bool:
@@ -891,46 +884,36 @@ class Replica:
                     chosen[p.seq] = p
         return base, stable, [chosen[s] for s in sorted(chosen)]
 
-    def _emit_new_view(self, view: int, votes: Dict[int, m.ViewChange],
-                       now: int) -> List[tuple]:
+    def _emit_new_view(self, view: int,
+                       votes: Dict[int, m.ViewChange]) -> List[tuple]:
         base, stable, reprops = self._union(votes)
-        skip = None
-        try:
-            if base >= 1:
-                if self.cfg.mode == "prevention":
-                    skip = self.tc.skip_contexts("prepare", view, base)
-                else:
-                    skip = self.tc.skip_values(proposal_counter(view), base)
-                self._record("skip", base, b"", skip)
-            new_preps = []
-            for old in reprops:
-                bdig = old.bdigest
-                pdig = m.prepare_digest(view, old.seq, bdig)
-                cert = self._cert_prepare(view, old.seq, pdig)
-                new_preps.append(m.Prepare(view, old.seq, old.requests, bdig, cert))
-                self._record("prepare", old.seq, pdig, cert)
-            vcs = tuple(votes[s] for s in sorted(votes))
-            ndig = m.new_view_digest(view, self.id, base, vcs, new_preps)
-            cert = self._cert("newview", view, 1, ndig)
-        except TcUnavailable:
-            return [("note", {"ev": "tc_down", "replica": self.id})]
+        skip = self._skip("prepare", view, base) if base >= 1 else None
+        new_preps = []
+        for old in reprops:
+            cert = self._cert("prepare", view, old.seq,
+                              m.prepare_digest(view, old.seq, old.bdigest))
+            new_preps.append(m.Prepare(view, old.seq, old.requests,
+                                       old.bdigest, cert))
+        vcs = tuple(votes[s] for s in sorted(votes))
+        cert = self._cert("newview", view, 1,
+                          m.new_view_digest(view, self.id, base, vcs, new_preps),
+                          at=view)
         nv = m.NewView(view, self.id, vcs, base, stable, skip,
                        tuple(new_preps), cert)
-        self._record("newview", view, ndig, cert)
         out: List[tuple] = [("send", ("replica", p), nv) for p in self.peers()]
         out.append(("note", {"ev": "newview", "view": view, "base": base,
                              "reproposed": [p.seq for p in new_preps]}))
-        out += self._adopt_new_view(nv, now, as_leader=True)
+        out += self._adopt_new_view(nv, as_leader=True)
         return out
 
-    def on_new_view(self, nv: m.NewView, now: int) -> List[tuple]:
+    def on_new_view(self, nv: m.NewView) -> List[tuple]:
         if nv.view <= self.view:
             return []
         if nv.sender != leader_of(nv.view, self.cfg.n):
             return []
         if not self._validate_new_view(nv):
             return self._drop("newview", nv.view)
-        return self._adopt_new_view(nv, now, as_leader=False)
+        return self._adopt_new_view(nv, as_leader=False)
 
     def _validate_new_view(self, nv: m.NewView) -> bool:
         ok = VerifyStatus.OK
@@ -969,14 +952,14 @@ class Replica:
                 return False
         return True
 
-    def _adopt_new_view(self, nv: m.NewView, now: int, as_leader: bool) -> List[tuple]:
+    def _adopt_new_view(self, nv: m.NewView, as_leader: bool) -> List[tuple]:
         self.view = nv.view
         self.voted_view = max(self.voted_view, nv.view)
         self.admission_base = nv.base
         self.cursors = {}
         self.buffered = {}
         self.bound = {}
-        self.deferred_commits = {}
+        self.deferred_commits = set()
         self.suspect_armed.pop(nv.view, None)
         out: List[tuple] = [("note", {"ev": "adopt_view", "view": nv.view,
                                       "base": nv.base})]
@@ -998,35 +981,35 @@ class Replica:
             self.inflight = {s for s in self.inflight if s > top}
             self.batchq = [r for k, r in sorted(self.pending.items())
                            if k not in self.bound and k not in self.executed]
-            out += self._seal_batches(now)
-            if self.batchq and not self.batch_timer_armed:
-                self.batch_timer_armed = True
-                out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
+            out += self._seal_batches()
         else:
             for p in nv.prepares:
-                out += self.on_prepare(p, now)
+                out += self.on_prepare(p)
             if self.pending:
                 out += self._arm_suspicion()
         for prep in self.future_prepares.pop(nv.view, []):
-            out += self.on_prepare(prep, now)
+            out += self.on_prepare(prep)
         for com in self.future_commits.pop(nv.view, []):
-            out += self.on_commit(com, now)
+            out += self.on_commit(com)
         return out
 
     # -------------------------------------------------------------- dispatch
 
     def handle(self, msg, now: int) -> List[tuple]:
-        """Route one received message to its handler; a crashed component
-        leaves the replica deaf until it is restored or restarted."""
+        """Route one received message to its handler. With `on_timer`, this
+        is the host's only entry point: a component crashes only between
+        steps, and a crashed one leaves the replica deaf until it is restored
+        or restarted. The replica never reads `now`."""
         try:
             name = _HANDLERS[type(msg)]
         except KeyError:
             raise TypeError(f"no handler for {type(msg).__name__}") from None
-        if self._passive():
+        if self.tc.is_crashed():
             return []
-        return getattr(self, name)(msg, now)
+        return getattr(self, name)(msg)
 
     def on_timer(self, kind: str, key, now: int) -> List[tuple]:
+        """Fire one timer this replica armed; see `handle`."""
         name = _TIMERS[kind]
         # these marks say a timer is pending; clear them even while the
         # component is down, or the timer could never be armed again
@@ -1034,23 +1017,17 @@ class Replica:
             self.batch_timer_armed = False
         elif kind == "suspect":
             key = (key, self.suspect_armed.pop(key, None))
-        if self._passive():
+        if self.tc.is_crashed():
             return []
-        return getattr(self, name)(key, now)
+        return getattr(self, name)(key)
 
-    def on_timer_batch(self, view: int, now: int) -> List[tuple]:
+    def on_timer_batch(self, view: int) -> List[tuple]:
         if view != self.view or not self.is_leader():
             return []
-        out: List[tuple] = []
         if self.batchq and not self.queued_batches:
-            chunk = tuple(self.batchq)
+            self.queued_batches.append(tuple(self.batchq))
             self.batchq = []
-            self.queued_batches.append(chunk)
-        out += self._drain_proposals(now)
-        if self.batchq:
-            self.batch_timer_armed = True
-            out.append(("timer", "batch", self.view, self.cfg.batch_timeout_ns))
-        return out
+        return self._seal_batches()
 
     # ----------------------------------------------------------------- drops
 

@@ -70,7 +70,7 @@ class Cluster:
         return self
 
     def request(self, rid, req):
-        self._absorb(rid, self.replicas[rid].on_client_request(req, self.now))
+        self._absorb(rid, self.replicas[rid].handle(req, self.now))
         return self
 
     def fire(self, rid, kind, key):
@@ -535,7 +535,7 @@ def _forged_prepare_in_a_vote():
     cert = c.tcs[2].create_ui(m.prepare_digest(0, 1, bdig),
                               counter=proposal_counter(0))
     voter.prepared_log[1] = m.Prepare(0, 1, (req,), bdig, cert)
-    c._absorb(2, voter._start_view_change(1, c.now, reason="timeout"))
+    c._absorb(2, voter._start_view_change(1, reason="timeout"))
     c.pump()
     assert 2 not in c.replicas[1].vc_votes.get(1, {})
     assert (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
@@ -596,8 +596,8 @@ def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
     # replica 0's view-2 vote: its timeline certifies the prepare, but the
     # vote carries no prepares
     faulty = c.replicas[0]
-    faulty._record("prepare", 1, pdig, cert)
-    c._absorb(0, faulty._start_view_change(2, c.now, reason="timeout"))
+    faulty.timeline.append(m.TimelineEntry("prepare", 1, pdig, cert))
+    c._absorb(0, faulty._start_view_change(2, reason="timeout"))
     c.pump(drop_to={0})
     assert c.replicas[2].view == 2
     assert safety_violations(c.ledger, {0}) == []
