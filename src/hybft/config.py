@@ -90,14 +90,18 @@ class SimConfig:
         return min(self.checkpoint_interval, max(1, w // 2))
 
     def validate(self) -> "SimConfig":
-        if self.f < 1:
-            raise ConfigError("f must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.clients < 1:
-            raise ConfigError("clients must be >= 1")
-        if self.requests_per_client < 0:
-            raise ConfigError("requests_per_client must be >= 0")
+        for fld in dataclasses.fields(self):
+            low = _LOWEST.get(fld.name, 0 if fld.name.endswith("_ns") else None)
+            if low is not None and getattr(self, fld.name) < low:
+                raise ConfigError(f"{fld.name} must be >= {low}")
+        # the canonical encoding packs the seed as an unsigned 64-bit integer
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must be in [0, 2**64)")
+        if self.delay_max_ns < self.delay_min_ns:
+            raise ConfigError("need delay_min_ns <= delay_max_ns")
+        for fld in dataclasses.fields(self.sizes):
+            if getattr(self.sizes, fld.name) < 0:
+                raise ConfigError(f"size_model.{fld.name} must be >= 0")
         if self.mode not in ("detection", "prevention"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.tc_mode not in ("hmac", "sig"):
@@ -114,10 +118,14 @@ class SimConfig:
                 raise ConfigError(f"unknown parameter {name!r} of adversary "
                                   f"script {self.adversary!r}")
             _check_type("adversary", name, params[name][0], value)
-        if self.delay_min_ns < 0 or self.delay_max_ns < self.delay_min_ns:
-            raise ConfigError("need 0 <= delay_min_ns <= delay_max_ns")
-        if self.delta_ns < 0:
-            raise ConfigError("delta_ns must be >= 0")
+            if name.endswith("_ns") and value is not None and value < 0:
+                raise ConfigError(f"adversary.{name} must be >= 0")
+        k = self.adversary_params.get("k")
+        targets = self.adversary_params.get("targets") or ()
+        if ((k is not None and not 0 <= k <= self.n)
+                or any(not 0 <= t < self.n for t in targets)):
+            raise ConfigError(f"adversary.k must be in 0..{self.n} and "
+                              f"adversary.targets in 0..{self.n - 1}")
         if self.vulnerable_tc and self.adversary != "counter_identity":
             raise ConfigError(
                 "vulnerable_tc is only meaningful under the counter_identity script")
@@ -130,11 +138,18 @@ class SimConfig:
             raise ConfigError(
                 "counter_identity targets detection-mode counters; prevention "
                 "certifies contexts, not counter values")
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
         if self.window is not None and self.window < 2:
             raise ConfigError("window must be >= 2")
         return self
+
+
+# The lowest value of each bounded integer option; any other *_ns option
+# must be >= 0. A timer that re-arms itself after no time never lets virtual
+# time reach duration_ns.
+_LOWEST = {"f": 1, "batch_size": 1, "clients": 1, "requests_per_client": 0,
+           "payload_size": 0, "pipeline_depth": 1, "checkpoint_interval": 1,
+           "batch_timeout_ns": 1, "viewchange_timeout_ns": 1,
+           "retransmit_ns": 1}
 
 
 _SECTIONS = ("sim", "size_model", "adversary")

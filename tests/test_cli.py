@@ -7,7 +7,7 @@ import json
 import pytest
 
 from hybft.cli import main
-from hybft.config import load
+from hybft.config import ConfigError, load
 from hybft.sim import TALLY_FIELDS
 
 FAST = ["--set", "clients=1", "--set", "requests_per_client=1",
@@ -156,3 +156,39 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, text):
     assert main(["run", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+# Each of these crashed the run or never let it end before validation
+# checked ranges; the attack cases go through the crash_tcs script.
+OUT_OF_RANGE = [
+    "sim.seed=-1", f"sim.seed={2 ** 64}", "sim.payload_size=-1",
+    "sim.retransmit_ns=0", "sim.retransmit_ns=-5", "sim.batch_timeout_ns=0",
+    "sim.viewchange_timeout_ns=0", "sim.delay_min_ns=-1",
+    "sim.suspicion_timeout_ns=-1", "sim.delta_ns=-1", "sim.duration_ns=-1",
+    "sim.pipeline_depth=0", "size_model.tx_bytes=-1",
+    "size_model.header_bytes=-1",
+    "attack:adversary.crash_at_ns=-5", "attack:adversary.k=9",
+    "attack:adversary.targets=[7]", "attack:adversary.targets=[-1]",
+]
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE)
+def test_out_of_range_value_exits_two(bad, capsys):
+    script, _, override = bad.rpartition(":")
+    with pytest.raises(ConfigError):
+        load(overrides=[override], script="crash_tcs" if script else None)
+    argv = ["attack", "crash_tcs"] if script else ["run"]
+    assert main(argv + ["--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_range_bounds_are_accepted():
+    cfg = load(overrides=["sim.seed=0", "sim.payload_size=0",
+                          "sim.retransmit_ns=1", "sim.delta_ns=0",
+                          "sim.pipeline_depth=1", "size_model.tx_bytes=0"])
+    assert (cfg.seed, cfg.retransmit_ns, cfg.pipeline_depth) == (0, 1, 1)
+    assert load(overrides=[f"sim.seed={2 ** 64 - 1}"]).seed == 2 ** 64 - 1
+    crash = load(overrides=["adversary.k=3", "adversary.targets=[0, 2]"],
+                 script="crash_tcs")
+    assert crash.adversary_params == {"k": 3, "targets": [0, 2]}
