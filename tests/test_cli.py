@@ -158,8 +158,8 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, text):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
-# Each of these crashed the run or never let it end before validation
-# checked ranges; the attack cases go through the crash_tcs script.
+# Each of these would crash a run or keep it from ever ending, so it must be
+# a configuration error; the attack cases go through the crash_tcs script.
 OUT_OF_RANGE = [
     "sim.seed=-1", f"sim.seed={2 ** 64}", "sim.payload_size=-1",
     "sim.retransmit_ns=0", "sim.retransmit_ns=-5", "sim.batch_timeout_ns=0",

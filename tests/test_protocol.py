@@ -653,9 +653,12 @@ def _break_stable_cert(vote, **fields):
 
 
 def _late_vote(c, vote):
+    # the voter's component certifies something between the attestation
+    # and the vote
     tc = c.tcs[2]
-    v = _recertify(c, vote)
-    att = tc.attest_state(v.core_digest())
+    timeline = tuple(c.replicas[2].timeline)
+    att = tc.attest_state(
+        dataclasses.replace(vote, timeline=timeline).core_digest())
     tc.create_ui(hashlib.sha256(b"unrecorded").digest())
     return _recertify(c, vote, att=att)
 
@@ -719,10 +722,21 @@ def _renew(c, nv, **fields):
     return dataclasses.replace(v, cert=c.tcs[1].create_ui(v.ndigest()))
 
 
-def _reproposal(c, nv, **cert_kw):
+def _reproposal_on_the_message_counter(c, nv):
     p = nv.prepares[0]
-    cert = c.tcs[1].create_ui(m.prepare_digest(1, p.seq, p.bdigest), **cert_kw)
+    cert = c.tcs[1].create_ui(m.prepare_digest(1, p.seq, p.bdigest))
     return _renew(c, nv, prepares=(dataclasses.replace(p, cert=cert),))
+
+
+def _reproposal_over_a_commit(c, nv):
+    # the new leader's own vote carries another view-0 prepare at seq 2, so
+    # the votes elect a batch other than the one replica 2 committed there
+    other = _mint_prepare(c, 2, authed(9))
+    vote = _recertify(c, nv.viewchanges[0], prepares=(other,))
+    cert = c.tcs[1].create_ui(m.prepare_digest(1, 2, other.bdigest),
+                              counter=proposal_counter(1))
+    return _renew(c, nv, viewchanges=(vote, nv.viewchanges[1]),
+                  prepares=(dataclasses.replace(other, view=1, cert=cert),))
 
 
 BROKEN_NEW_VIEWS = {
@@ -732,9 +746,10 @@ BROKEN_NEW_VIEWS = {
             c, nv.viewchanges[1]))),
     "base": lambda c, nv: _renew(c, nv, base=0),
     "no_reproposals": lambda c, nv: _renew(c, nv, prepares=()),
+    "reproposal_over_a_commit": _reproposal_over_a_commit,
     "old_view_reproposal": lambda c, nv: _renew(
         c, nv, prepares=(c.replicas[2].prepared_log[2],)),
-    "reproposal_slot": lambda c, nv: _reproposal(c, nv, counter="msg"),
+    "reproposal_slot": _reproposal_on_the_message_counter,
     "foreign_skip_cert": lambda c, nv: _renew(
         c, nv, skip_cert=c.tcs[2].skip_values(proposal_counter(1), 1)),
     "skip_range": lambda c, nv: _renew(
