@@ -296,6 +296,19 @@ GOLDEN = {
     "deferred_commit": (
         SimConfig(f=2, clients=4, requests_per_client=5, seed=2),
         "b78177aff9d6c646ce62e0a1106f726e881d8277209c42d37bf320864930ba3e"),
+    # zero delay: deliveries land at the instant of the timers that send
+    # them, so they must run before that instant's remaining timers
+    "gap_forever_zero_delay": (
+        SimConfig(f=1, clients=2, requests_per_client=3, seed=4,
+                  adversary="gap_forever", delay_min_ns=0, delay_max_ns=0,
+                  delta_ns=0),
+        "09c416ca55b8621a5363b130c16ea240ae36de315dc7def16a2f55d97edfc8e9"),
+    # constant delay: every broadcast arrives at one instant
+    "equivocate_withhold_constant_delay": (
+        SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
+                  adversary="equivocate_withhold", delay_min_ns=1_000_000,
+                  delay_max_ns=1_000_000),
+        "f396052acb47f4665ba55ebfc5203fb9f57962194354768c0d0cf71e1498e0e3"),
 }
 
 
