@@ -5,7 +5,10 @@ derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
 Messages are frozen, so each one computes its digests and encodings once and
 keeps them on the instance (tc._once); a message delivered to every replica
-is hashed once, while its certificate is still verified at every receipt.
+is hashed once, while its certificate is still verified at every receipt. A
+request keeps its execution digests the same way, keyed by the chain digest
+and seq it was executed at, so the replicas that execute one request object
+in step hash it once between them.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart.
 """
@@ -38,6 +41,17 @@ class Request:
 
     def key(self) -> Tuple[int, int]:
         return (self.client_id, self.client_seq)
+
+    def execute(self, prev: bytes, seq: int) -> Tuple[bytes, bytes]:
+        """(execution digest, result) of executing this request at seq after
+        execution digest prev, kept on the instance for the last (prev, seq)
+        like a tc._once result, so a diverged chain computes its own."""
+        memo = self.__dict__.get("_execute")
+        if memo is None or memo[0] != (prev, seq):
+            applied = _h(_enc("apply", prev, seq, self.digest()))
+            result = _h(_enc("result", applied, self.digest()))
+            memo = self.__dict__["_execute"] = ((prev, seq), (applied, result))
+        return memo[1]
 
 
 def request_auth(key: bytes, req: Request) -> bytes:

@@ -632,10 +632,7 @@ class Replica:
                 key = r.key()
                 if key in self.executed:
                     continue
-                self.exec_digest = hashlib.sha256(
-                    _enc("apply", self.exec_digest, nxt, r.digest())).digest()
-                result = hashlib.sha256(
-                    _enc("result", self.exec_digest, r.digest())).digest()
+                self.exec_digest, result = r.execute(self.exec_digest, nxt)
                 rep = m.Reply(r.client_id, r.client_seq, nxt, self.id, result)
                 self.executed[key] = rep
                 self.last_reply[r.client_id] = rep

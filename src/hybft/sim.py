@@ -1,12 +1,16 @@
 """Deterministic discrete-event simulator for the replication protocol.
 
-Virtual time is integer nanoseconds. The event heap orders by (time,
-priority, insertion id); deliveries carry a lower priority number than
-timers, so a message arriving at the same instant a timer expires is
-processed first. Per-message network delays are derived from a keyed hash of
-the channel and a per-channel counter, never from a shared PRNG stream, so
-two runs that differ only in an extra message class keep identical delays
-for the messages they have in common. A constant delay needs neither.
+Virtual time is integer nanoseconds. Events run in (time, priority,
+insertion) order; deliveries carry a lower priority number than timers, so a
+message arriving at the same instant a timer expires is processed first. The
+EventQueue keeps one heap entry per distinct (time, priority) that owns its
+events in insertion order, so a broadcast under a constant delay costs one
+heap entry, not one per recipient. Per-message network delays are derived
+from a keyed hash of the channel and a per-channel counter, never from a
+shared PRNG stream, so two runs that differ only in an extra message class
+keep identical delays for the messages they have in common. A constant delay
+needs neither. A handler's exception leaves the run with a note naming the
+seed, the event's index and time, its owner and its message type or timer.
 
 After every run the safety oracle (safety_violations, which the model
 checker also asserts at every reachable state) reads the run's Ledger, which
@@ -128,15 +132,55 @@ def write_tally_csv(path: str, rows: List[Dict]) -> None:
             w.writerow(row)
 
 
+class EventQueue:
+    """Events in (time, priority, insertion) order.
+
+    The heap holds each distinct (time, priority) key once, and the key owns
+    its events in insertion order. Iterating pops (time, priority, event)
+    until the queue is empty; events pushed meanwhile join in order. When a
+    handler pushes at a key below the one being drained (a zero-delay
+    delivery among the timers of its instant), the key's remaining events go
+    back on the heap, still ahead of any later push at that key.
+    """
+
+    def __init__(self):
+        self._keys: List[Tuple[int, int]] = []
+        self._events: Dict[Tuple[int, int], list] = {}
+
+    def push(self, t: int, prio: int, event) -> None:
+        events = self._events.get((t, prio))
+        if events is None:
+            self._events[(t, prio)] = [event]
+            heapq.heappush(self._keys, (t, prio))
+        else:
+            events.append(event)
+
+    def __iter__(self):
+        keys, lists = self._keys, self._events
+        while keys:
+            key = heapq.heappop(keys)
+            t, prio = key
+            events = lists[key]
+            for i, event in enumerate(events):
+                yield t, prio, event
+                if keys and keys[0] < key:
+                    del lists[key]
+                    if i + 1 < len(events):
+                        lists[key] = events[i + 1:]
+                        heapq.heappush(keys, key)
+                    break
+            else:
+                del lists[key]
+
+
 class Simulator:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
         self.now = 0
-        self._eid = 0
-        self._heap: List = []
+        self._queue = EventQueue()
         # per channel: its encoded (src, dst) and its count of varying delays
-        self._chan: Dict[Tuple[str, str], list] = {}
+        self._chan: Dict[tuple, list] = {}
         self._seed_key = hashlib.sha256(_enc("delay", cfg.seed)).digest()[:32]
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
@@ -165,6 +209,9 @@ class Simulator:
         self.replicas: List[Replica] = [
             Replica(rid, cfg, self.tcs[rid], self.directory, client_keys)
             for rid in range(cfg.n)]
+        self._labels = {("replica", rid): f"r{rid}" for rid in range(cfg.n)}
+        self._labels.update({("client", cid): f"c{cid}"
+                             for cid in range(cfg.clients)})
         self.byz_ids = adversary_mod.install(self)
         self.clients: List[Client] = [
             Client(cid, client_keys[cid], cfg.n, cfg.f,
@@ -189,32 +236,24 @@ class Simulator:
 
     # ------------------------------------------------------------ scheduling
 
-    def _push(self, t: int, prio: int, kind: str, data) -> None:
-        self._eid += 1
-        heapq.heappush(self._heap, (t, prio, self._eid, kind, data))
-
     def schedule_admin(self, t: int, action: str, params: Dict) -> None:
-        self._push(t, _PRIO_ADMIN, "admin", (action, params))
+        self._queue.push(t, _PRIO_ADMIN, (action, params))
 
-    def _delay(self, src: str, dst: str) -> int:
+    def _delay(self, src: Tuple[str, int], dst: Tuple[str, int]) -> int:
         lo, hi = self.cfg.delay_min_ns, self.cfg.delay_max_ns
         if lo == hi:
             return lo
         chan = self._chan.get((src, dst))
         if chan is None:
-            chan = self._chan[(src, dst)] = [_enc(src, dst), 0]
+            chan = self._chan[(src, dst)] = [
+                _enc(self._labels[src], self._labels[dst]), 0]
         prefix, idx = chan
         chan[1] = idx + 1
         h = hashlib.blake2b(prefix + _enc(idx), key=self._seed_key,
                             digest_size=8).digest()
         return lo + int.from_bytes(h, "big") % (hi - lo + 1)
 
-    def _label(self, who: Tuple[str, int]) -> str:
-        kind, ident = who
-        return f"r{ident}" if kind == "replica" else f"c{ident}"
-
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
-        src = self._label(owner)
         # A broadcast sends one message object n-1 times in a row: size and
         # name it once. Sizing comes first, so an unsized message raises.
         sized = _NOT_A_MESSAGE
@@ -228,15 +267,15 @@ class Simulator:
                     sized = msg
                 self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1
                 self.bytes_by_type[mtype] = self.bytes_by_type.get(mtype, 0) + size
-                t = self.now + self._delay(src, self._label(dst))
-                self._push(t, _PRIO_DELIVER, "deliver", (dst, src, msg))
+                self._queue.push(self.now + self._delay(owner, dst),
+                                 _PRIO_DELIVER, (dst, owner, msg))
             elif tag == "timer":
                 _, kind, key, delay = eff
-                self._push(self.now + delay, _PRIO_TIMER, "timer",
-                           (owner, kind, key))
+                self._queue.push(self.now + delay, _PRIO_TIMER,
+                                 (owner, kind, key))
             elif tag == "note":
                 if self.cfg.record_trace:
-                    rec = {"t": self.now, "who": src}
+                    rec = {"t": self.now, "who": self._labels[owner]}
                     rec.update(eff[1])
                     self.trace.append(rec)
             elif tag == "fact":
@@ -251,39 +290,36 @@ class Simulator:
     def run(self) -> RunResult:
         cfg = self.cfg
         end = 0
-        while self._heap:
-            t, prio, eid, kind, data = heapq.heappop(self._heap)
-            if t > cfg.duration_ns:
-                break
-            self.now = t
-            end = t
-            if kind == "deliver":
-                dst, src, msg = data
-                if cfg.record_trace:
-                    self.trace.append({"t": t, "ev": "deliver",
-                                       "dst": self._label(dst), "src": src,
-                                       "type": m.msg_type(msg)})
-                if dst[0] == "replica":
-                    rep = self.replicas[dst[1]]
-                    self._apply(dst, rep.handle(msg, t))
+        try:
+            for index, (t, prio, event) in enumerate(self._queue):
+                if t > cfg.duration_ns:
+                    break
+                self.now = end = t
+                if prio == _PRIO_DELIVER:
+                    dst, src, msg = event
+                    if cfg.record_trace:
+                        self.trace.append({"t": t, "ev": "deliver",
+                                           "dst": self._labels[dst],
+                                           "src": self._labels[src],
+                                           "type": m.msg_type(msg)})
+                    if dst[0] == "replica":
+                        self._apply(dst, self.replicas[dst[1]].handle(msg, t))
+                    elif isinstance(msg, m.Reply):
+                        self._apply(dst, self.clients[dst[1]].on_reply(msg, t))
+                elif prio == _PRIO_TIMER:
+                    owner, kind, key = event
+                    if cfg.record_trace:
+                        self.trace.append({"t": t, "ev": "timer",
+                                           "who": self._labels[owner],
+                                           "kind": kind})
+                    host = (self.replicas if owner[0] == "replica"
+                            else self.clients)[owner[1]]
+                    self._apply(owner, host.on_timer(kind, key, t))
                 else:
-                    cli = self.clients[dst[1]]
-                    if isinstance(msg, m.Reply):
-                        self._apply(dst, cli.on_reply(msg, t))
-            elif kind == "timer":
-                owner, tkind, tkey = data
-                if cfg.record_trace:
-                    self.trace.append({"t": t, "ev": "timer",
-                                       "who": self._label(owner), "kind": tkind})
-                if owner[0] == "replica":
-                    rep = self.replicas[owner[1]]
-                    self._apply(owner, rep.on_timer(tkind, tkey, t))
-                else:
-                    cli = self.clients[owner[1]]
-                    self._apply(owner, cli.on_timer(tkind, tkey, t))
-            elif kind == "admin":
-                action, params = data
-                self._admin(action, params)
+                    self._admin(*event)
+        except Exception as exc:
+            exc.add_note(self._context(index, t, prio, event))
+            raise
         verdict = self._verdict()
         return RunResult(
             cfg=cfg, verdict=verdict,
@@ -292,6 +328,17 @@ class Simulator:
             trace=self.trace, end_ns=end,
             tc_accesses={r.id: r.tc.accesses for r in self.replicas},
             replicas=self.replicas, clients=self.clients)
+
+    def _context(self, index: int, t: int, prio: int, event) -> str:
+        """The seed, index, virtual time, owner and kind of a failed event."""
+        if prio == _PRIO_ADMIN:
+            what = f"admin action {event[0]}"
+        elif prio == _PRIO_TIMER:
+            what = f"{self._labels[event[0]]} handling timer {event[1]}"
+        else:
+            what = (f"{self._labels[event[0]]} handling "
+                    f"{m.msg_type(event[2])} from {self._labels[event[1]]}")
+        return f"seed {self.cfg.seed}, event {index} at t={t} ns: {what}"
 
     # ----------------------------------------------------------- admin hooks
 

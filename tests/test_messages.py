@@ -17,6 +17,7 @@ import pytest
 
 from hybft import messages as m
 from hybft import resource_model as rm
+from hybft.sim import safety_violations
 from hybft.tc import (
     ContextCertificate,
     PhaseSkipCertificate,
@@ -28,7 +29,7 @@ from hybft.tc import (
 )
 
 from conftest import make_hmac_tc
-from test_protocol import Cluster, authed
+from test_protocol import Cluster, authed, broadcast_request
 
 
 def _h(tag: bytes) -> bytes:
@@ -201,6 +202,53 @@ def test_memoized_methods_stay_plain_functions_on_the_class():
     for cls, names in _DIGESTS.items():
         for name in names:
             assert inspect.isfunction(cls.__dict__[name])
+
+
+# --------------------------------------------------------------- execution
+
+
+def _execution_from_fields(req, prev, seq):
+    req_digest = _h(_enc("req", req.client_id, req.client_seq, req.payload))
+    applied = _h(_enc("apply", prev, seq, req_digest))
+    return applied, _h(_enc("result", applied, req_digest))
+
+
+def test_an_execution_memo_hit_equals_the_digests_from_the_fields():
+    req, prev = authed(1), _h(b"prev")
+    first = req.execute(prev, 3)
+    assert "_execute" in vars(req)
+    assert req.execute(prev, 3) is first
+    assert first == _execution_from_fields(req, prev, 3)
+    assert fresh(req).execute(prev, 3) == first
+    # the memo is outside the fields
+    assert fresh(req) == req and hash(fresh(req)) == hash(req)
+
+
+def test_another_chain_or_seq_misses_the_execution_memo():
+    req, prev, other = authed(1), _h(b"prev"), _h(b"other")
+    ours = req.execute(prev, 3)
+    for p, seq in ((other, 3), (prev, 4), (prev, 3)):
+        got = req.execute(p, seq)
+        assert got == _execution_from_fields(req, p, seq)
+        assert (got == ours) == ((p, seq) == (prev, 3))
+
+
+def test_replicas_on_different_chains_execute_one_request_differently():
+    c = Cluster()
+    c.replicas[2].exec_digest = _h(b"corrupted")
+    starts = [r.exec_digest for r in c.replicas]
+    req = broadcast_request(c, 1)
+    c.pump()
+    results = {msg.replica_id: msg.result for _, msg in c.client_box
+               if isinstance(msg, m.Reply)}
+    for r in c.replicas:
+        applied, result = _execution_from_fields(req, starts[r.id], 1)
+        assert r.exec_digest == applied and results[r.id] == result
+    assert results[0] == results[1] != results[2]
+    assert safety_violations(c.ledger, set()) == [
+        {"kind": "divergent_execution", "seq": 1, "replicas": [0, 2]},
+        {"kind": "divergent_execution", "seq": 1, "replicas": [1, 2]},
+    ]
 
 
 # -------------------------------------------------------------- wire sizes

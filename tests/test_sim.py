@@ -5,15 +5,21 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybft import messages as m
 from hybft.config import SimConfig
-from hybft.sim import (TALLY_FIELDS, Ledger, measure_overhead, run,
-                       safety_violations)
+from hybft.protocol import Replica
+from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, measure_overhead,
+                       run, safety_violations)
 from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
 
 
@@ -101,6 +107,86 @@ def test_takeover_stays_single_when_votes_beat_the_leaders_timer():
     assert r.verdict["safety_ok"] and r.verdict["all_clients_done"]
     assert r.verdict["max_view"] == 1
     assert sum(1 for e in r.trace if e.get("ev") == "newview") == 1
+
+
+# ------------------------------------------------------------- event queue
+
+_KEYS = st.tuples(st.integers(0, 3), st.sampled_from((-1, 0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(initial=st.lists(_KEYS, max_size=12),
+       reactions=st.lists(st.lists(_KEYS, max_size=4), max_size=40))
+def test_event_queue_pops_in_time_priority_insertion_order(initial, reactions):
+    # The k-th event popped pushes reactions[k], each (delay, priority) after
+    # its own time; a zero delay at a lower priority lands below the key
+    # being drained. The reference is a heap of (time, priority, insertion).
+    def replay(push, pop_all):
+        eid = 0
+
+        def add(t, prio):
+            nonlocal eid
+            eid += 1
+            push(t, prio, eid)
+
+        for t, prio in initial:
+            add(t, prio)
+        order = []
+        for k, (t, prio, ev) in enumerate(pop_all()):
+            order.append((t, prio, ev))
+            for delay, p in (reactions[k] if k < len(reactions) else ()):
+                add(t + delay, p)
+        return order
+
+    queue = EventQueue()
+    heap = []
+
+    def heap_pop_all():
+        while heap:
+            yield heapq.heappop(heap)
+
+    got = replay(queue.push, lambda: iter(queue))
+    want = replay(lambda t, prio, ev: heapq.heappush(heap, (t, prio, ev)),
+                  heap_pop_all)
+    assert got == want
+
+
+# ------------------------------------------------------------ error context
+
+
+def _failing(monkeypatch, owner, name, when):
+    real = getattr(owner, name)
+
+    def failing(self, *args):
+        if when(self, *args):
+            raise RuntimeError("boom")
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+def test_a_handler_error_names_the_seed_event_time_and_message(monkeypatch):
+    _failing(monkeypatch, Replica, "handle",
+             lambda rep, msg, now: rep.id == 2 and isinstance(msg, m.Commit))
+    with pytest.raises(RuntimeError) as info:
+        run(SimConfig(f=1, clients=1, requests_per_client=1, seed=3))
+    # the exception, its message and its traceback are the handler's own
+    assert str(info.value) == "boom"
+    assert info.traceback[-1].name == "failing"
+    assert len(info.value.__notes__) == 1
+    assert re.fullmatch(r"seed 3, event \d+ at t=\d+ ns: "
+                        r"r2 handling commit from r[01]",
+                        info.value.__notes__[0])
+
+
+def test_a_timer_error_names_the_timer(monkeypatch):
+    _failing(monkeypatch, Replica, "on_timer",
+             lambda rep, kind, key, now: kind == "batch")
+    with pytest.raises(RuntimeError) as info:
+        run(SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4,
+                      seed=1))
+    assert re.fullmatch(r"seed 1, event \d+ at t=\d+ ns: "
+                        r"r0 handling timer batch", info.value.__notes__[0])
 
 
 # --------------------------------------------------------- model vs tallies
