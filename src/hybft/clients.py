@@ -32,7 +32,6 @@ class Client:
         self.id = client_id
         self.key = key
         self.n = n
-        self.f = f
         self.policy = policy
         self.quorum = n - f if policy == "n-f" else f + 1
         self.total = total_requests

@@ -80,8 +80,7 @@ _FLAT_STATE = (
     "flagged_views", "cursors", "bound", "prepared_log", "checkpoint_exec",
     "executed", "last_reply", "pending", "batchq", "inflight",
     "queued_batches", "timeline", "deferred_commits", "decision_armed",
-    "peer_max_commit", "peer_committed_floor", "vc_sent", "suspect_armed",
-    "stats",
+    "peer_max_commit", "peer_committed_floor", "suspect_armed", "stats",
 )
 _NESTED_STATE = ("buffered", "checkpoint_claims", "future_commits",
                  "future_prepares", "decision_seen", "vc_votes")
@@ -160,7 +159,6 @@ class Replica:
         self.decisions_suppressed = 0
 
         self.vc_votes: Dict[int, Dict[int, m.ViewChange]] = {}
-        self.vc_sent: set = set()            # views this replica voted for
         self.suspect_armed: Dict[int, tuple] = {}
 
         self.stats: Dict[str, int] = {
@@ -739,7 +737,6 @@ class Replica:
                           m.view_change_digest(core, att), at=target)
         vc = m.ViewChange(target, self.id, self.stable_seq, self.stable_cert,
                           prepares, timeline, att, cert)
-        self.vc_sent.add(target)
         out: List[tuple] = [("note", {"ev": "viewchange", "target": target,
                                       "reason": reason})]
         new_leader = leader_of(target, self.cfg.n)
@@ -1082,7 +1079,6 @@ class Replica:
             tuple(sorted(self.peer_max_commit.items())),
             tuple(sorted(self.suspect_armed.items())),
             tuple(sorted((v, tuple(sorted(d))) for v, d in self.vc_votes.items())),
-            tuple(sorted(self.vc_sent)),
             len(self.timeline),
             self.tc.state_key(),
         )

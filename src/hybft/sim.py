@@ -198,17 +198,15 @@ class Simulator:
                       if mode is TcMode.HMAC else None)
         self.system_key = system_key
         self.directory = Directory(mode)
-        self.tcs: List[TrustedComponent] = []
+        client_keys = {cid: hashlib.sha256(_enc("client", cfg.seed, cid)).digest()
+                       for cid in range(cfg.clients)}
+        self.replicas: List[Replica] = []
         for rid in range(cfg.n):
             strict = not (cfg.vulnerable_tc and rid == 0)
             tc = self._component(rid, mode, strict, epoch=1)
             self.directory.register(rid, 1, tc.public_key())
-            self.tcs.append(tc)
-        client_keys = {cid: hashlib.sha256(_enc("client", cfg.seed, cid)).digest()
-                       for cid in range(cfg.clients)}
-        self.replicas: List[Replica] = [
-            Replica(rid, cfg, self.tcs[rid], self.directory, client_keys)
-            for rid in range(cfg.n)]
+            self.replicas.append(
+                Replica(rid, cfg, tc, self.directory, client_keys))
         self._labels = {("replica", rid): f"r{rid}" for rid in range(cfg.n)}
         self._labels.update({("client", cid): f"c{cid}"
                              for cid in range(cfg.clients)})

@@ -54,30 +54,8 @@ class SequenceRefused(Exception):
     """Context ids must advance in order; use an explicit skip first."""
 
 
-class WindowExceeded(Exception):
-    """Counter value would leave the watermark window."""
-
-
 class RestoreRefused(Exception):
     """Snapshot blob already consumed, or target component is not fresh."""
-
-
-def _enc_fields(fields) -> bytes:
-    """The canonical encoding, one field at a time: every field is a 4-byte
-    big-endian length and its bytes; an int is 8 unsigned big-endian bytes."""
-    out = []
-    for f in fields:
-        if isinstance(f, int):
-            b = f.to_bytes(8, "big", signed=False)
-        elif isinstance(f, str):
-            b = f.encode("utf-8")
-        elif isinstance(f, bytes):
-            b = f
-        else:
-            raise TypeError(f"unencodable field {f!r}")
-        out.append(len(b).to_bytes(4, "big"))
-        out.append(b)
-    return b"".join(out)
 
 
 _LEN = struct.Struct(">I").pack
@@ -87,10 +65,11 @@ _INT = struct.Struct(">IQ").pack   # length prefix 8, then the value
 def _enc(*fields) -> bytes:
     """Canonical length-prefixed encoding used for every certificate payload.
 
-    Exact int, str and bytes fields are packed directly; any other field
-    (a bool, an int subclass, an int outside 0..2**64-1, an unencodable
-    value) sends the whole call through _enc_fields, so the bytes and the
-    exceptions are its.
+    Every field is a 4-byte big-endian length and its bytes; an int is 8
+    unsigned big-endian bytes. Exact bytes, int and str fields, nearly all
+    of them, are tested first. A bool or other int subclass packs as an int
+    and a str or bytes subclass as its base type; any other field raises
+    TypeError, and an int outside 0..2**64-1 raises OverflowError.
     """
     out = []
     append = out.append
@@ -106,10 +85,17 @@ def _enc(*fields) -> bytes:
                 b = f.encode("utf-8")
                 append(_LEN(len(b)))
                 append(b)
+            elif isinstance(f, int):
+                append(_INT(8, f))
             else:
-                return _enc_fields(fields)
-    except struct.error:
-        return _enc_fields(fields)
+                if isinstance(f, str):
+                    f = f.encode("utf-8")
+                elif not isinstance(f, bytes):
+                    raise TypeError(f"unencodable field {f!r}")
+                append(_LEN(len(f)))
+                append(f)
+    except struct.error as exc:
+        raise OverflowError(f"field out of range: {exc}") from exc
     return b"".join(out)
 
 
@@ -254,7 +240,6 @@ def _copy_counter_state(src: Dict, dst: Dict) -> Dict:
     """Copy the counter state from `src` into `dst` (a component's attributes
     or a blob's): the one list of what clone, snapshot and restore carry."""
     dst["_counters"] = dict(src["_counters"])
-    dst["_counter_low"] = dict(src["_counter_low"])
     dst["_phases"] = dict(src["_phases"])
     dst["_ctx_issued"] = {p: set(s) for p, s in src["_ctx_issued"].items()}
     dst["_flexi_serial"] = src["_flexi_serial"]
@@ -303,9 +288,9 @@ class TrustedComponent:
     """One replica's trusted subsystem: counters, contexts, snapshot, crash."""
 
     PUBLIC_OPS = (
-        "create_ui", "verify", "skip_values", "advance_watermark",
-        "certify_context", "skip_contexts", "flexi_create_counter",
-        "attest_state", "snapshot", "restore", "crash",
+        "create_ui", "verify", "skip_values", "certify_context",
+        "skip_contexts", "flexi_create_counter", "attest_state",
+        "snapshot", "restore", "crash",
         "replica_id", "epoch", "mode", "strict", "accesses",
         "take_issued", "is_crashed", "public_key", "state_key", "clone",
     )
@@ -313,18 +298,15 @@ class TrustedComponent:
     def __init__(self, replica_id: int, *, mode: TcMode = TcMode.HMAC,
                  strict: bool = True, epoch: int = 1,
                  system_key: Optional[bytes] = None,
-                 sig_seed: Optional[bytes] = None,
-                 window: Optional[int] = None):
+                 sig_seed: Optional[bytes] = None):
         self.replica_id = replica_id
         self.epoch = epoch
         self.mode = mode
         self.strict = strict
         self.accesses = 0
         self._crashed = False
-        self._window = window
-        # counter state; _copy_counter_state copies exactly these six
+        # counter state; _copy_counter_state copies exactly these five
         self._counters: Dict[str, int] = {}
-        self._counter_low: Dict[str, int] = {}
         self._phases: Dict[str, Tuple[int, int]] = {}
         self._ctx_issued: Dict[str, set] = {}
         self._flexi_serial = 0
@@ -376,7 +358,6 @@ class TrustedComponent:
         return (self.epoch, self._crashed, self._flexi_serial,
                 tuple(sorted(self._flexi_names)),
                 tuple(sorted(self._counters.items())),
-                tuple(sorted(self._counter_low.items())),
                 tuple(sorted(self._phases.items())),
                 tuple(sorted((p, tuple(sorted(s)))
                              for p, s in self._ctx_issued.items())))
@@ -410,15 +391,6 @@ class TrustedComponent:
             return counter
         return derive_counter_id(self.replica_id, counter)
 
-    def _check_window(self, counter: str, candidate_last: int) -> None:
-        if self._window is None:
-            return
-        low = self._counter_low.get(counter, 1)
-        if candidate_last > low + self._window - 1:
-            raise WindowExceeded(
-                f"counter {counter}: value {candidate_last} past window "
-                f"[{low}, {low + self._window - 1}]")
-
     # -- monotonic counters (detection mode) -----------------------------
 
     def create_ui(self, msg_hash: bytes, counter: str = "msg") -> UniqueIdentifier:
@@ -426,7 +398,6 @@ class TrustedComponent:
         self._touch()
         cid = self._counter_id(counter)
         value = self._counters.get(cid, 0) + 1
-        self._check_window(cid, value)
         self._counters[cid] = value
         return self._issue(UniqueIdentifier, cid, value, msg_hash)
 
@@ -437,19 +408,8 @@ class TrustedComponent:
             raise ValueError("skip count must be >= 1")
         cid = self._counter_id(counter)
         last = self._counters.get(cid, 0)
-        self._check_window(cid, last + count)
         self._counters[cid] = last + count
         return self._issue(SkipCertificate, cid, last + 1, last + count)
-
-    def advance_watermark(self, counter: str, new_low: int) -> None:
-        """Slide the window floor. Only forward, never past the next value."""
-        self._touch()
-        cid = self._counter_id(counter)
-        low = self._counter_low.get(cid, 1)
-        last = self._counters.get(cid, 0)
-        if new_low < low or new_low > last + 1:
-            raise ValueError(f"bad watermark {new_low} (low={low}, last={last})")
-        self._counter_low[cid] = new_low
 
     # -- context certification (prevention mode) -------------------------
 

@@ -275,6 +275,40 @@ def test_decision_proof_needs_weak_quorum():
     assert c.replicas[2].stats["invalid_drops"] == 1
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a Decision for a seq whose tracker was pruned at a stable checkpoint "
+    "commits it again: ROADMAP item 6 (e)"))
+def test_a_decision_below_the_window_commits_nothing():
+    # window 2 clamps the checkpoint interval to 1: after 5 requests every
+    # replica is stable at 5 and keeps the trackers of seqs 4 and 5 only
+    c = Cluster(window=2)
+    broadcast_request(c, 1)
+    c.pump()
+    bdig = c.replicas[2].trackers[1].committed
+    proof = c.replicas[2]._commit_proof(1)
+    for seq in range(2, 6):
+        broadcast_request(c, seq)
+        c.pump()
+    r1 = c.replicas[1]
+    assert (r1.stable_seq, sorted(r1.trackers)) == (5, [4, 5])
+    effects = r1.handle(m.Decision(0, 1, 2, bdig, proof), c.now)
+    assert [eff for eff in effects if eff[:2] == ("fact", "commit")] == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a Decision commit fetches its batch twice: ROADMAP item 6 (d)"))
+def test_a_decision_commit_fetches_its_batch_once():
+    c = Cluster()
+    broadcast_request(c, 1)
+    c.pump(drop_to={2})  # r2 misses the prepare of seq 1
+    c.fire(1, "decision", 1)
+    dec = next(msg for dst, msg in c.queue
+               if dst == 2 and isinstance(msg, m.Decision))
+    assert c.replicas[2].prepared_log.get(1) is None
+    effects = c.replicas[2].handle(dec, c.now)
+    assert sum(isinstance(eff[-1], m.FetchBatch) for eff in effects) == 1
+
+
 def test_decisions_disabled_never_arms_timer():
     c = Cluster(decisions=False)
     broadcast_request(c, 1)

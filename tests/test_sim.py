@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybft import messages as m
+from hybft.cli import _exact_cell
 from hybft.config import SimConfig
 from hybft.protocol import Replica
 from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, measure_overhead,
@@ -24,14 +25,9 @@ from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
 
 
 def exact_cell(f: int, batch: int, **kw) -> SimConfig:
-    """Constant delay, one round in flight, no early timers, no checkpoints
-    inside the run: the regime where tallies equal the closed form."""
-    kw.setdefault("duration_ns", 4_000_000_000)
-    return SimConfig(
-        f=f, batch_size=batch, clients=batch, requests_per_client=2,
-        delay_min_ns=1_000_000, delay_max_ns=1_000_000, delta_ns=0,
-        pipelining=False, checkpoint_interval=5_000, window=10_000,
-        record_trace=False, **kw).validate()
+    """The cell `hybft overhead` runs: the regime where tallies equal the
+    closed form (see cli._exact_cell)."""
+    return _exact_cell(SimConfig(**kw), f, batch)
 
 
 # ------------------------------------------------------------- fault-free
