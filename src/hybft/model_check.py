@@ -383,11 +383,14 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
 # -- scenario builders -------------------------------------------------------
 
 
-def _mc_setup(mode: str = "detection", decisions: bool = True):
-    """(world, faulty replica 0's component, request), request delivered."""
+def _mc_setup(mode: str = "detection", decisions: bool = True,
+              requests: int = 1, checkpoint_interval: int = 1000):
+    """(world, faulty replica 0's component, client 0's first request), with
+    `requests` requests from client 0 delivered to both correct replicas."""
     f, n = 1, 3
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
-                    checkpoint_interval=1000, window=2000,
+                    checkpoint_interval=checkpoint_interval,
+                    window=2 * checkpoint_interval,
                     suspicion_timeout_ns=1, viewchange_timeout_ns=1)
     directory = Directory(TcMode.HMAC)
     tcs = [_fresh_tc(i) for i in range(n)]
@@ -398,12 +401,13 @@ def _mc_setup(mode: str = "detection", decisions: bool = True):
                              max_view=2)
                 for rid in (1, 2)}
     payload = b"transfer-10"
-    req = m.Request(0, 1, payload)
-    req = m.Request(0, 1, payload, m.request_auth(ckey, req))
+    reqs = [m.Request(0, seq, payload, m.request_auth(
+        ckey, m.Request(0, seq, payload))) for seq in range(1, requests + 1)]
     world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
     for rid, rep in replicas.items():
-        world._absorb(rid, rep.handle(req, 0))
-    return world, tcs[0], req
+        for req in reqs:
+            world._absorb(rid, rep.handle(req, 0))
+    return world, tcs[0], reqs[0]
 
 
 def equivocate_world(decisions: bool = True) -> World:
@@ -423,10 +427,12 @@ def equivocate_world(decisions: bool = True) -> World:
     return world
 
 
-def gap_world(decisions: bool = False) -> World:
+def gap_world(decisions: bool = False, requests: int = 1,
+              checkpoint_interval: int = 1000) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
     a view change to make progress."""
-    world, tc0, req = _mc_setup(decisions=decisions)
+    world, tc0, req = _mc_setup(decisions=decisions, requests=requests,
+                                checkpoint_interval=checkpoint_interval)
     tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
                   counter=proposal_counter(0))
     return world

@@ -63,6 +63,27 @@ def test_prevention_world_is_safe_everywhere():
         "states": 1_595, "terminals": 7, "full_commit_terminals": 4}
 
 
+def checkpoint_world() -> World:
+    """The gap world with two requests and a checkpoint after each seq."""
+    return gap_world(requests=2, checkpoint_interval=1)
+
+
+def test_checkpoint_world_is_safe_everywhere_and_reaches_stable_checkpoints(
+        monkeypatch):
+    stable = set()
+    apply = World.apply
+
+    def recording_apply(world, act):
+        child = apply(world, act)
+        stable.update(r.stable_seq for r in child.replicas.values())
+        return child
+
+    monkeypatch.setattr(World, "apply", recording_apply)
+    assert explore_world(checkpoint_world()) == {
+        "states": 1_681, "terminals": 6, "full_commit_terminals": 5}
+    assert max(stable) == 2
+
+
 def test_explorer_rejects_a_world_that_starts_unsafe():
     world = gap_world()
     world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
@@ -128,7 +149,8 @@ def test_apply_never_mutates_the_parent_world(build):
     assert _reachable_keys(build(), _apply_keeping_parent)
 
 
-@pytest.mark.parametrize("build", [gap_world, prevention_world])
+@pytest.mark.parametrize("build", [gap_world, prevention_world,
+                                   checkpoint_world])
 def test_cached_world_key_equals_a_fresh_key_everywhere(build):
     world = build()
     assert world.state_key() == _fresh_key(world)
