@@ -40,6 +40,13 @@ Three layers:
    reached by several different histories is therefore checked once, on the
    first path that reaches it (ROADMAP item 8), with or without the
    reduction.
+
+   A world key is a few small ints. Every world forked from one root shares
+   a table that numbers each distinct replica key (Replica.state_key()) and
+   channel queue, and each world caches the numbers of its replicas and
+   non-empty channels until they change. Two numbers are equal exactly when
+   their values are, so the key tells states apart as the nested key would,
+   but hashing it does not hash every queued message again.
 """
 
 from __future__ import annotations
@@ -229,22 +236,28 @@ class World:
     armed: frozenset
     byz: Set[int]
     ledger: Ledger = field(default_factory=Ledger, init=False)
-    # Replica.state_key() of each replica, until the replica next steps
-    # (_absorb drops the entry); a successor inherits the untouched one's.
-    rkeys: Dict[int, tuple] = field(default_factory=dict, init=False)
+    # The intern table, created with the root world and shared by every
+    # successor. Then the id of each replica's Replica.state_key(), until the
+    # replica next steps (_absorb drops the entry), and of each non-empty
+    # channel's queue, until the channel changes; a successor inherits both.
+    ids: Dict[tuple, int] = field(default_factory=dict, init=False)
+    rkeys: Dict[int, int] = field(default_factory=dict, init=False)
+    qkeys: Dict[Tuple[str, int], int] = field(default_factory=dict,
+                                              init=False)
 
     def state_key(self) -> tuple:
         # The ledger is left out, as the replica histories and component
         # audit lists it replaces always were: worlds that differ only in
         # their past are one state, and the oracle sees the first reached.
-        chan = tuple(sorted((k, v) for k, v in self.channels.items() if v))
-        reps = []
-        for rid, r in sorted(self.replicas.items()):
-            rkey = self.rkeys.get(rid)
-            if rkey is None:
-                rkey = self.rkeys[rid] = r.state_key()
-            reps.append((rid, rkey))
-        return (tuple(reps), chan, self.armed)
+        ids, rkeys, qkeys = self.ids, self.rkeys, self.qkeys
+        for rid, rep in self.replicas.items():
+            if rid not in rkeys:
+                rkeys[rid] = ids.setdefault(rep.state_key(), len(ids))
+        for ch, queue in self.channels.items():
+            if queue and ch not in qkeys:
+                qkeys[ch] = ids.setdefault(queue, len(ids))
+        return (tuple(sorted(rkeys.items())), tuple(sorted(qkeys.items())),
+                self.armed)
 
     def enabled(self) -> List[tuple]:
         acts: List[tuple] = []
@@ -267,16 +280,25 @@ class World:
         w = World(dict(self.replicas), dict(self.channels), self.armed,
                   self.byz)
         w.ledger = self.ledger.fork(rid)
+        w.ids = self.ids
         w.rkeys.update(self.rkeys)
+        w.qkeys.update(self.qkeys)
         rep = w.replicas[rid] = self.replicas[rid].clone()
         if act[0] == "deliver":
             queue = w.channels[act[1]]
             w.channels[act[1]] = queue[1:]
-            effects = rep.handle(queue[0], 0)
+            w.qkeys.pop(act[1], None)
         else:
             _, kind, tkey = act[1]
             w.armed = w.armed - {act[1]}
-            effects = rep.on_timer(kind, tkey, 0)
+        try:
+            effects = (rep.handle(queue[0], 0) if act[0] == "deliver"
+                       else rep.on_timer(kind, tkey, 0))
+        except Exception as exc:
+            exc.add_note(f"model check: r{rid} handling " + (
+                f"{m.msg_type(queue[0])} from channel {act[1]}"
+                if act[0] == "deliver" else f"timer {kind} with key {tkey!r}"))
+            raise
         w._absorb(rid, effects)
         return w
 
@@ -289,6 +311,7 @@ class World:
                     continue
                 key = (f"r{src}", dst[1])
                 self.channels[key] = self.channels.get(key, ()) + (msg,)
+                self.qkeys.pop(key, None)
             elif eff[0] == "timer":
                 _, kind, tkey, _delay = eff
                 self.armed = self.armed | {(src, kind, tkey)}
@@ -305,6 +328,7 @@ class World:
 
     def seed_channel(self, src: str, dst: int, msgs: List) -> None:
         self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
+        self.qkeys.pop((src, dst), None)
 
 
 def _stepper(act) -> int:
@@ -313,8 +337,8 @@ def _stepper(act) -> int:
 
 
 def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
-    """Visit every state reachable from `world`, asserting the safety oracle
-    at each. Returns the number of states, of terminal states (no step
+    """Visit every state reachable from `world`, raising AssertionError at
+    any whose ledger fails the safety oracle, even under python -O. Returns the number of states, of terminal states (no step
     enabled), and of terminals where every correct replica has committed and
     executed.
 
@@ -353,9 +377,12 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
         stored = seen.get(key)
         if stored is None:
             seen[key] = sleep
-            assert len(seen) <= max_states, "state budget exceeded"
+            # explicit raises, so that python -O keeps the checks
+            if len(seen) > max_states:
+                raise AssertionError("state budget exceeded")
             violations = safety_violations(w.ledger, w.byz)
-            assert not violations, violations
+            if violations:
+                raise AssertionError(violations)
             acts = w.enabled()
             if not acts:
                 terminals += 1

@@ -4,9 +4,14 @@ protocol worlds under scripted faults, across every delivery interleaving."""
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hybft
+from hybft import messages as m
 from hybft.model_check import (
     World,
     check_commit_quorum,
@@ -17,6 +22,7 @@ from hybft.model_check import (
     gap_world,
     prevention_world,
 )
+from hybft.protocol import Replica
 
 
 def test_counter_interface_traces_exhaustively():
@@ -92,12 +98,67 @@ def test_explorer_rejects_a_world_that_starts_unsafe():
         explore_world(world)
 
 
+def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
+    # the same world as above, in an interpreter that strips assert
+    # statements
+    code = """if 1:
+        import sys
+        from hybft.model_check import explore_world, gap_world
+        if not sys.flags.optimize:
+            sys.exit("not optimized")
+        world = gap_world()
+        world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
+        world.ledger.note(2, ("fact", "commit", 1, b"b" * 32))
+        explore_world(world)
+    """
+    src = os.path.dirname(os.path.dirname(hybft.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("AssertionError: ") and "conflicting_commit" in last
+
+
+def _failing(monkeypatch, name, when):
+    real = getattr(Replica, name)
+
+    def failing(self, *args):
+        if when(self, *args):
+            raise RuntimeError("boom")
+        return real(self, *args)
+
+    monkeypatch.setattr(Replica, name, failing)
+
+
+def test_a_handler_error_names_the_replica_message_and_channel(monkeypatch):
+    _failing(monkeypatch, "handle",
+             lambda rep, msg, now: rep.id == 2 and isinstance(msg, m.Commit))
+    with pytest.raises(RuntimeError) as info:
+        explore_world(prevention_world())
+    # the exception and its message are the handler's own
+    assert str(info.value) == "boom"
+    assert info.value.__notes__ == [
+        "model check: r2 handling commit from channel ('r1', 2)"]
+
+
+def test_a_timer_error_names_the_timer_and_its_key(monkeypatch):
+    _failing(monkeypatch, "on_timer",
+             lambda rep, kind, key, now: kind == "suspect")
+    with pytest.raises(RuntimeError) as info:
+        explore_world(gap_world())
+    assert info.value.__notes__ == [
+        "model check: r2 handling timer suspect with key 0"]
+
+
 # -- copy-on-write forks -------------------------------------------------
 
 
 def _deepcopy_apply(world: World, act) -> World:
-    """Reference successor: fork by deep-copying the whole world."""
+    """Reference successor: fork by deep-copying the whole world, and drop
+    the cached ids, which this step does not keep up to date."""
     w = copy.deepcopy(world)
+    w.rkeys, w.qkeys = {}, {}
     if act[0] == "deliver":
         queue = w.channels[act[1]]
         w.channels[act[1]] = queue[1:]
@@ -111,12 +172,12 @@ def _deepcopy_apply(world: World, act) -> World:
     return w
 
 
-def _reachable_keys(world: World, apply) -> set:
+def _reachable_keys(world: World, apply, keyof=World.state_key) -> set:
     seen = set()
     stack = [world]
     while stack:
         w = stack.pop()
-        key = w.state_key()
+        key = keyof(w)
         if key not in seen:
             seen.add(key)
             stack.extend(apply(w, act) for act in w.enabled())
@@ -124,11 +185,35 @@ def _reachable_keys(world: World, apply) -> set:
 
 
 def _fresh_key(world: World) -> tuple:
-    """World.state_key with every Replica.state_key() recomputed, bypassing
-    the world's cache of replica keys."""
+    """World.state_key with every Replica.state_key() and channel queue
+    interned again, bypassing the world's caches of their ids."""
     bare = copy.copy(world)
     bare.rkeys = {}
+    bare.qkeys = {}
     return bare.state_key()
+
+
+def _plain_key(world: World) -> tuple:
+    """The world's key with nothing interned: every replica's
+    Replica.state_key() and every non-empty channel's queue."""
+    return (tuple(sorted((rid, r.state_key())
+                         for rid, r in world.replicas.items())),
+            tuple(sorted((ch, q) for ch, q in world.channels.items() if q)),
+            world.armed)
+
+
+def _decoder(world: World):
+    """Maps a key of `world`'s intern table to its plain key, by inverting
+    the table. Ids are comparable only within one table, so keys from two
+    explorations are compared this way."""
+    value = {i: v for v, i in world.ids.items()}
+    return lambda key: (tuple((rid, value[i]) for rid, i in key[0]),
+                        tuple((ch, value[q]) for ch, q in key[1]), key[2])
+
+
+def _decoded_key(world: World) -> tuple:
+    key = world.state_key()
+    return _decoder(world)(key)
 
 
 def _apply_keeping_parent(world: World, act) -> World:
@@ -157,9 +242,35 @@ def test_cached_world_key_equals_a_fresh_key_everywhere(build):
     assert _reachable_keys(world, _apply_checking_cached_key)
 
 
+@pytest.mark.parametrize("build", [gap_world, prevention_world,
+                                   checkpoint_world])
+def test_world_keys_and_plain_keys_are_in_bijection(build, monkeypatch):
+    # interning merges no two states and splits none
+    pairs = set()
+    state_key = World.state_key
+
+    def recording_key(world):
+        key = state_key(world)
+        pairs.add((key, _plain_key(world)))
+        return key
+
+    monkeypatch.setattr(World, "state_key", recording_key)
+    root = build()
+    states = explore_world(root)["states"]
+    assert len({k for k, _ in pairs}) == len({p for _, p in pairs}) \
+        == len(pairs) == states
+    decode = _decoder(root)
+    assert all(decode(k) == p for k, p in pairs)
+
+
 def test_forking_explorer_matches_a_deepcopy_explorer():
-    forked = _reachable_keys(gap_world(), World.apply)
-    reference = _reachable_keys(gap_world(), _deepcopy_apply)
+    # each deep copy has its own copy of the intern table, so compare
+    # decoded keys
+    root = gap_world()
+    keys = _reachable_keys(root, World.apply)
+    decode = _decoder(root)
+    forked = {decode(k) for k in keys}
+    reference = _reachable_keys(gap_world(), _deepcopy_apply, _decoded_key)
     assert forked == reference
     assert len(forked) == explore_world(gap_world())["states"]
 
@@ -200,7 +311,8 @@ def _reference_explore(world: World):
 ], ids=["gap", "prevention", "equivocate_no_decisions"])
 def test_sleep_sets_reach_every_state_with_fewer_steps(build, steps,
                                                        monkeypatch):
-    ref_keys, ref_counts, ref_applies = _reference_explore(build())
+    ref_root, root = build(), build()
+    ref_keys, ref_counts, ref_applies = _reference_explore(ref_root)
     keys = set()
     applies = 0
     state_key, apply = World.state_key, World.apply
@@ -217,8 +329,10 @@ def test_sleep_sets_reach_every_state_with_fewer_steps(build, steps,
 
     monkeypatch.setattr(World, "state_key", recording_key)
     monkeypatch.setattr(World, "apply", counting_apply)
-    assert explore_world(build()) == ref_counts
-    assert keys == ref_keys
+    assert explore_world(root) == ref_counts
+    # two roots, two intern tables: compare decoded keys
+    decode, ref_decode = _decoder(root), _decoder(ref_root)
+    assert {decode(k) for k in keys} == {ref_decode(k) for k in ref_keys}
     assert applies == steps < ref_applies
 
 
