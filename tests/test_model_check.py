@@ -120,7 +120,13 @@ def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
     assert last.startswith("AssertionError: ") and "conflicting_commit" in last
 
 
-def _failing(monkeypatch, name, when):
+@pytest.mark.parametrize("name, when, build, note", [
+    ("handle", lambda rep, msg, now: rep.id == 2 and isinstance(msg, m.Commit),
+     prevention_world, "r2 handling commit from channel ('r1', 2)"),
+    ("on_timer", lambda rep, kind, key, now: kind == "suspect",
+     gap_world, "r2 handling timer suspect with key 0"),
+], ids=["message", "timer"])
+def test_a_handler_error_names_the_step(name, when, build, note, monkeypatch):
     real = getattr(Replica, name)
 
     def failing(self, *args):
@@ -129,26 +135,11 @@ def _failing(monkeypatch, name, when):
         return real(self, *args)
 
     monkeypatch.setattr(Replica, name, failing)
-
-
-def test_a_handler_error_names_the_replica_message_and_channel(monkeypatch):
-    _failing(monkeypatch, "handle",
-             lambda rep, msg, now: rep.id == 2 and isinstance(msg, m.Commit))
     with pytest.raises(RuntimeError) as info:
-        explore_world(prevention_world())
+        explore_world(build())
     # the exception and its message are the handler's own
     assert str(info.value) == "boom"
-    assert info.value.__notes__ == [
-        "model check: r2 handling commit from channel ('r1', 2)"]
-
-
-def test_a_timer_error_names_the_timer_and_its_key(monkeypatch):
-    _failing(monkeypatch, "on_timer",
-             lambda rep, kind, key, now: kind == "suspect")
-    with pytest.raises(RuntimeError) as info:
-        explore_world(gap_world())
-    assert info.value.__notes__ == [
-        "model check: r2 handling timer suspect with key 0"]
+    assert info.value.__notes__ == [f"model check: {note}"]
 
 
 # -- copy-on-write forks -------------------------------------------------
