@@ -7,6 +7,7 @@ import copy
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_explorer_rejects_a_world_that_starts_unsafe():
 def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
     # the same world as above, in an interpreter that strips assert
     # statements
-    code = """if 1:
+    code = textwrap.dedent("""
         import sys
         from hybft.model_check import explore_world, gap_world
         if not sys.flags.optimize:
@@ -110,7 +111,7 @@ def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
         world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
         world.ledger.note(2, ("fact", "commit", 1, b"b" * 32))
         explore_world(world)
-    """
+    """)
     src = os.path.dirname(os.path.dirname(hybft.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=300,
