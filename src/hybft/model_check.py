@@ -236,10 +236,11 @@ class World:
     armed: frozenset
     byz: Set[int]
     ledger: Ledger = field(default_factory=Ledger, init=False)
-    # The intern table, created with the root world and shared by every
-    # successor. Then the id of each replica's Replica.state_key(), until the
-    # replica next steps (_absorb drops the entry), and of each non-empty
-    # channel's queue, until the channel changes; a successor inherits both.
+    # ids is the intern table, created with the root world and shared by
+    # every successor. rkeys holds the id of each replica's
+    # Replica.state_key() until the replica next steps (_absorb drops it),
+    # qkeys that of each non-empty channel's queue until the channel
+    # changes; a successor inherits both.
     ids: Dict[tuple, int] = field(default_factory=dict, init=False)
     rkeys: Dict[int, int] = field(default_factory=dict, init=False)
     qkeys: Dict[Tuple[str, int], int] = field(default_factory=dict,
