@@ -8,7 +8,9 @@ keeps them on the instance (tc._once); a message delivered to every replica
 is hashed once, while its certificate is still verified at every receipt. A
 request keeps its execution digests the same way, keyed by the chain digest
 and seq it was executed at, so the replicas that execute one request object
-in step hash it once between them.
+in step hash it once between them. A request's authenticator is computed
+once per key (request_auth) and compared against its tag at every receipt,
+so each replica still checks each request with its own key.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart.
 """
@@ -55,8 +57,14 @@ class Request:
 
 
 def request_auth(key: bytes, req: Request) -> bytes:
-    """The client's authenticator: an HMAC over the request digest."""
-    return hmac.new(key, req.digest(), "sha256").digest()
+    """The client's authenticator: an HMAC over the request digest, kept on
+    the request for the last key like Request.execute, so the replicas that
+    receive one request object compute its expected tag once between them."""
+    memo = req.__dict__.get("_request_auth")
+    if memo is None or memo[0] != key:
+        memo = req.__dict__["_request_auth"] = (
+            key, hmac.digest(key, req.digest(), "sha256"))
+    return memo[1]
 
 
 def batch_digest(requests: Tuple[Request, ...]) -> bytes:

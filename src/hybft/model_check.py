@@ -91,15 +91,17 @@ def explore_counter_traces(depth: int = 8) -> Dict[str, int]:
         tc, facts, d = stack.pop()
         nodes += 1
         values = [v for kind, v in facts if kind == "ui"]
-        assert values == sorted(values) and len(values) == len(set(values)), facts
+        if values != sorted(values) or len(values) != len(set(values)):
+            raise AssertionError(facts)
         skipped: Set[int] = set()
         for kind, v in facts:
             if kind == "skip":
-                assert not (set(range(v[0], v[1] + 1)) & skipped), facts
+                if set(range(v[0], v[1] + 1)) & skipped:
+                    raise AssertionError(facts)
                 skipped.update(range(v[0], v[1] + 1))
-        assert not (set(values) & skipped), facts
         covered = sorted(set(values) | skipped)
-        assert covered == list(range(1, len(covered) + 1)), facts
+        if set(values) & skipped or covered != list(range(1, len(covered) + 1)):
+            raise AssertionError(facts)
         if d == depth:
             paths += 1
             continue
@@ -167,7 +169,8 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
                     stack.append((child, pos, issued, d + 1))
                 else:
                     cert = child.certify_context("p", view, seq, _H1)
-                    assert (cert.view, cert.seq) == (view, seq)
+                    if (cert.view, cert.seq) != (view, seq):
+                        raise AssertionError(f"misbound ({view},{seq})")
                     stack.append((child, (view, seq),
                                   issued | {(view, seq)}, d + 1))
             else:
@@ -220,7 +223,8 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
             expect = any(len(s) >= f + 1 for s in by_digest.values())
             tr = rep.trackers.get(1)
             got = tr is not None and tr.committed is not None
-            assert got == expect, (combo, got, expect)
+            if got != expect:
+                raise AssertionError((combo, got, expect))
             checked += 1
     return {"orders": checked}
 
@@ -474,12 +478,11 @@ def prevention_world(decisions: bool = False) -> World:
     bdig = m.batch_digest(chunk)
     cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
     alt = hashlib.sha256(b"other-batch").digest()
-    refused = False
     try:
         tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
+        raise AssertionError("component must refuse the second context binding")
     except EquivocationRefused:
-        refused = True
-    assert refused, "component must refuse the second context binding"
+        pass
     prep = m.Prepare(0, 1, chunk, bdig, cert)
     world.seed_channel("byz", 1, [prep])
     world.seed_channel("byz", 2, [prep])

@@ -179,7 +179,7 @@ class Simulator:
         self.cfg = cfg
         self.now = 0
         self._queue = EventQueue()
-        # per channel: its encoded (src, dst) and its count of varying delays
+        # per channel: a keyed hash of (src, dst) and a count of varying delays
         self._chan: Dict[tuple, list] = {}
         self._seed_key = hashlib.sha256(_enc("delay", cfg.seed)).digest()[:32]
         self.trace: List[Dict] = []
@@ -243,13 +243,14 @@ class Simulator:
             return lo
         chan = self._chan.get((src, dst))
         if chan is None:
-            chan = self._chan[(src, dst)] = [
-                _enc(self._labels[src], self._labels[dst]), 0]
-        prefix, idx = chan
+            chan = self._chan[(src, dst)] = [hashlib.blake2b(
+                _enc(self._labels[src], self._labels[dst]),
+                key=self._seed_key, digest_size=8), 0]
+        keyed, idx = chan
         chan[1] = idx + 1
-        h = hashlib.blake2b(prefix + _enc(idx), key=self._seed_key,
-                            digest_size=8).digest()
-        return lo + int.from_bytes(h, "big") % (hi - lo + 1)
+        h = keyed.copy()
+        h.update(_enc(idx))
+        return lo + int.from_bytes(h.digest(), "big") % (hi - lo + 1)
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
         # A broadcast sends one message object n-1 times in a row: size and

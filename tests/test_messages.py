@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
 import inspect
 
 import pytest
 
 from hybft import messages as m
 from hybft import resource_model as rm
-from hybft.sim import safety_violations
+from hybft.cli import _exact_cell
+from hybft.config import SimConfig
+from hybft.sim import Simulator, safety_violations
 from hybft.tc import (
     ContextCertificate,
     PhaseSkipCertificate,
@@ -29,7 +32,7 @@ from hybft.tc import (
 )
 
 from conftest import make_hmac_tc
-from test_protocol import Cluster, authed, broadcast_request
+from test_protocol import CLIENT_KEY, Cluster, authed, broadcast_request
 
 
 def _h(tag: bytes) -> bytes:
@@ -249,6 +252,56 @@ def test_replicas_on_different_chains_execute_one_request_differently():
         {"kind": "divergent_execution", "seq": 1, "replicas": [0, 2]},
         {"kind": "divergent_execution", "seq": 1, "replicas": [1, 2]},
     ]
+
+
+# ----------------------------------------------------------- authenticators
+
+
+def test_a_request_tag_is_memoized_per_key():
+    req, key, other = m.Request(0, 1, b"op"), _h(b"k1"), _h(b"k2")
+    tag = m.request_auth(key, req)
+    assert "_request_auth" in vars(req)
+    assert tag == hmac.new(key, req.digest(), "sha256").digest()
+    assert tag == m.request_auth(key, fresh(req))
+    assert m.request_auth(key, req) is tag
+    # another key misses the memo and gets its own tag
+    other_tag = m.request_auth(other, req)
+    assert other_tag == hmac.new(other, req.digest(), "sha256").digest() != tag
+    assert m.request_auth(key, req) == tag
+
+
+def test_the_tag_memo_is_not_a_field():
+    req = authed(1)
+    m.request_auth(CLIENT_KEY, req)
+    assert "_request_auth" in vars(req)
+    assert "_request_auth" not in {f.name for f in dataclasses.fields(req)}
+    twin = fresh(req)
+    assert not _memos(twin) and twin == req and hash(twin) == hash(req)
+    for twin in (dataclasses.replace(req), dataclasses.replace(req, auth=b"")):
+        assert "_request_auth" not in vars(twin)
+    assert dataclasses.replace(req) == req
+
+
+def test_a_run_computes_each_request_tag_at_most_twice(monkeypatch):
+    # the client tags an untagged twin, and the first replica to receive
+    # the tagged request computes the tag its peers then reuse
+    keys = []
+    for name in ("new", "digest"):
+        real = getattr(hmac, name)
+
+        def counting(key, *args, real=real, **kw):
+            keys.append(key)
+            return real(key, *args, **kw)
+
+        monkeypatch.setattr(hmac, name, counting)
+    cfg = _exact_cell(SimConfig(), f=2, batch=10)
+    sim = Simulator(cfg)
+    res = sim.run()
+    assert res.verdict["all_clients_done"]
+    client_keys = set(sim.replicas[0].client_keys.values())
+    tags = sum(key in client_keys for key in keys)
+    requests = cfg.clients * cfg.requests_per_client
+    assert requests <= tags <= 2 * requests < requests * (cfg.n + 1)
 
 
 # -------------------------------------------------------------- wire sizes

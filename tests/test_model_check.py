@@ -99,26 +99,46 @@ def test_explorer_rejects_a_world_that_starts_unsafe():
         explore_world(world)
 
 
-def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
-    # the same world as above, in an interpreter that strips assert
-    # statements
-    code = textwrap.dedent("""
-        import sys
-        from hybft.model_check import explore_world, gap_world
-        if not sys.flags.optimize:
-            sys.exit("not optimized")
-        world = gap_world()
-        world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
-        world.ledger.note(2, ("fact", "commit", 1, b"b" * 32))
-        explore_world(world)
-    """)
+def _error_under_python_O(code: str) -> str:
+    """The last stderr line of `code` run in an interpreter that strips
+    assert statements; the code must fail."""
+    code = ("import sys\nif not sys.flags.optimize:\n    sys.exit('not optimized')"
+            + textwrap.dedent(code))
     src = os.path.dirname(os.path.dirname(hybft.__file__))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1
-    last = proc.stderr.strip().splitlines()[-1]
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_explorer_rejects_a_world_that_starts_unsafe_under_python_O():
+    # the same world as above
+    last = _error_under_python_O("""
+        from hybft.model_check import explore_world, gap_world
+        world = gap_world()
+        world.ledger.note(1, ("fact", "commit", 1, b"a" * 32))
+        world.ledger.note(2, ("fact", "commit", 1, b"b" * 32))
+        explore_world(world)
+    """)
     assert last.startswith("AssertionError: ") and "conflicting_commit" in last
+
+
+def test_counter_traces_catch_a_repeated_value_under_python_O():
+    # a component that stamps every identifier with value 1
+    last = _error_under_python_O("""
+        import dataclasses
+        from hybft.model_check import explore_counter_traces
+        from hybft.tc import TrustedComponent
+        real = TrustedComponent.create_ui
+
+        def stamp_one(self, *args, **kw):
+            return dataclasses.replace(real(self, *args, **kw), value=1)
+
+        TrustedComponent.create_ui = stamp_one
+        explore_counter_traces(depth=3)
+    """)
+    assert last.startswith("AssertionError: ")
 
 
 @pytest.mark.parametrize("name, when, build, note", [

@@ -120,10 +120,27 @@ def test_leader_proposes_on_first_authed_request():
 
 def test_unauthenticated_request_refused():
     c = Cluster()
-    c.request(0, m.Request(0, 1, b"op", b"junk"))
+    req = m.Request(0, 1, b"op")
+    other = hashlib.sha256(b"client1").digest()
+    c.request(0, dataclasses.replace(req, auth=b"junk"))
+    # a tag that is valid under another client's key
+    c.request(1, dataclasses.replace(
+        req, auth=hmaclib.new(other, req.digest(), "sha256").digest()))
     assert c.queue == []
-    assert ("bad_auth" in ev for _, ev in c.note_events())
-    assert c.replicas[0].pending == {}
+    assert c.note_events() == [(0, "bad_auth"), (1, "bad_auth")]
+    assert c.replicas[0].pending == {} == c.replicas[1].pending
+
+
+def test_a_retagged_copy_of_an_accepted_request_is_refused():
+    # the accepted request keeps its expected tag; the copy is a new
+    # instance and is checked against its own tag
+    c = Cluster()
+    req = authed(1)
+    c.request(0, req)
+    assert req.key() in c.replicas[0].pending
+    c.request(1, dataclasses.replace(req, auth=b"junk"))
+    assert c.note_events() == [(0, "propose"), (1, "bad_auth")]
+    assert c.replicas[1].pending == {}
 
 
 def test_full_round_executes_everywhere_and_replies():

@@ -19,9 +19,10 @@ from hybft import messages as m
 from hybft.cli import _exact_cell
 from hybft.config import SimConfig
 from hybft.protocol import Replica
-from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, measure_overhead,
-                       run, safety_violations)
-from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
+from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, Simulator,
+                       measure_overhead, run, safety_violations)
+from hybft.tc import (ContextCertificate, TrustedComponent, UniqueIdentifier,
+                      _enc)
 
 
 def exact_cell(f: int, batch: int, **kw) -> SimConfig:
@@ -103,6 +104,26 @@ def test_takeover_stays_single_when_votes_beat_the_leaders_timer():
     assert r.verdict["safety_ok"] and r.verdict["all_clients_done"]
     assert r.verdict["max_view"] == 1
     assert sum(1 for e in r.trace if e.get("ev") == "newview") == 1
+
+
+def _delay_from_scratch(cfg: SimConfig, src: str, dst: str, idx: int) -> int:
+    """A channel's idx-th varying delay, hashed from scratch."""
+    key = hashlib.sha256(_enc("delay", cfg.seed)).digest()[:32]
+    h = hashlib.blake2b(_enc(src, dst) + _enc(idx), key=key,
+                        digest_size=8).digest()
+    span = cfg.delay_max_ns - cfg.delay_min_ns + 1
+    return cfg.delay_min_ns + int.from_bytes(h, "big") % span
+
+
+def test_each_channel_keeps_its_own_delay_sequence():
+    cfg = SimConfig(f=1, clients=2, seed=9)
+    sim = Simulator(cfg)   # its clients' first sends use no channel below
+    chans = [(("replica", 0), ("replica", 1)), (("replica", 1), ("replica", 0)),
+             (("replica", 2), ("client", 1))]
+    for idx in range(200):
+        for src, dst in chans:
+            assert sim._delay(src, dst) == _delay_from_scratch(
+                cfg, sim._labels[src], sim._labels[dst], idx)
 
 
 # ------------------------------------------------------------- event queue
