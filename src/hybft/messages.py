@@ -8,9 +8,10 @@ keeps them on the instance (tc._once); a message delivered to every replica
 is hashed once, while its certificate is still verified at every receipt. A
 request keeps its execution digests the same way, keyed by the chain digest
 and seq it was executed at, so the replicas that execute one request object
-in step hash it once between them. A request's authenticator is computed
-once per key (request_auth) and compared against its tag at every receipt,
-so each replica still checks each request with its own key.
+in step hash it once between them, and share its key tuple. A request's
+authenticator is computed once per key (request_auth) and compared against
+its tag at every receipt, so each replica still checks each request with its
+own key.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart.
 """
@@ -41,6 +42,7 @@ class Request:
     def digest(self) -> bytes:
         return _h(_enc("req", self.client_id, self.client_seq, self.payload))
 
+    @_once
     def key(self) -> Tuple[int, int]:
         return (self.client_id, self.client_seq)
 

@@ -157,7 +157,8 @@ def _messages_of_a_view_change():
 # memoized method -> its value computed from the fields
 _DIGESTS = {
     m.Request: {"digest": lambda r: _h(_enc("req", r.client_id, r.client_seq,
-                                            r.payload))},
+                                            r.payload)),
+                "key": lambda r: (r.client_id, r.client_seq)},
     m.Prepare: {"pdigest": lambda p: m.prepare_digest(p.view, p.seq,
                                                       p.bdigest)},
     m.Commit: {"cdigest": lambda c: m.commit_digest(c.view, c.seq, c.sender,
