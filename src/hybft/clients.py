@@ -49,8 +49,7 @@ class Client:
     def _make_request(self, seq: int) -> m.Request:
         payload = hashlib.shake_256(
             f"client{self.id}:{seq}".encode()).digest(self.payload_size)
-        req = m.Request(self.id, seq, payload)
-        return m.Request(self.id, seq, payload, m.request_auth(self.key, req))
+        return m.tagged_request(self.key, self.id, seq, payload)
 
     def start(self, now: int) -> List[tuple]:
         if self.total < 1:

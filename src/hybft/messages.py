@@ -5,15 +5,18 @@ derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
 Messages are frozen, so each one computes its digests and encodings once and
 keeps them on the instance (tc._once); a message delivered to every replica
-is hashed once, while its certificate is still verified at every receipt. A
+is hashed once, while its certificate is still checked at every receipt,
+against the expected tag or signature verdict that the certificate keeps
+for the last key (tc.TrustedComponent.verify, tc.Directory.verify). A
 request keeps its execution digests the same way, keyed by the chain digest
 and seq it was executed at, so the replicas that execute one request object
 in step hash it once between them, and share its key tuple. A request's
-authenticator is computed once per key (request_auth) and compared against
-its tag at every receipt, so each replica still checks each request with its
-own key.
+authenticator is computed once per key (request_auth; a client builds its
+request with tagged_request) and compared against its tag at every receipt,
+so each replica still checks each request with its own key.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
-analytic model cannot drift apart.
+analytic model cannot drift apart; a fixed-size type (FIXED_SIZE) may be
+sized once and the size reused.
 """
 
 from __future__ import annotations
@@ -67,6 +70,21 @@ def request_auth(key: bytes, req: Request) -> bytes:
         memo = req.__dict__["_request_auth"] = (
             key, hmac.digest(key, req.digest(), "sha256"))
     return memo[1]
+
+
+def tagged_request(key: bytes, client_id: int, client_seq: int,
+                   payload: bytes) -> Request:
+    """A client's request, tagged with request_auth under its key.
+
+    The tag is computed on an untagged twin. digest() leaves out auth, so the
+    twin's digest and tag memos hold for the tagged request too, and it
+    carries them: a run computes each request's tag once.
+    """
+    twin = Request(client_id, client_seq, payload)
+    req = Request(client_id, client_seq, payload, request_auth(key, twin))
+    req.__dict__.update(_digest=twin.__dict__["_digest"],
+                        _request_auth=twin.__dict__["_request_auth"])
+    return req
 
 
 def batch_digest(requests: Tuple[Request, ...]) -> bytes:
@@ -296,6 +314,10 @@ _SIZES = {
     StateResponse: _state_response_size,
 }
 _TYPE_NAMES = {cls: cls.__name__.lower() for cls in _SIZES}
+# Types whose byte weight reads no field, so a sender may size one message
+# of the type and reuse that size for every other.
+FIXED_SIZE = frozenset({Request, Reply, Commit, Checkpoint, FetchBatch,
+                        FetchState})
 
 
 def wire_size(msg, sizes: rm.SizeModel, f: int) -> int:

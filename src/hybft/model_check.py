@@ -433,8 +433,8 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
                              max_view=2)
                 for rid in (1, 2)}
     payload = b"transfer-10"
-    reqs = [m.Request(0, seq, payload, m.request_auth(
-        ckey, m.Request(0, seq, payload))) for seq in range(1, requests + 1)]
+    reqs = [m.tagged_request(ckey, 0, seq, payload)
+            for seq in range(1, requests + 1)]
     world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
     for rid, rep in replicas.items():
         for req in reqs:

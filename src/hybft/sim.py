@@ -185,6 +185,7 @@ class Simulator:
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
+        self._type_size: Dict[type, int] = {}   # one size per m.FIXED_SIZE type
         self._blobs: Dict[int, object] = {}
         self.ledger = Ledger()
         self._build()
@@ -254,14 +255,20 @@ class Simulator:
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
         # A broadcast sends one message object n-1 times in a row: size and
-        # name it once. Sizing comes first, so an unsized message raises.
+        # name it once, and a fixed-size type once per simulator. Sizing
+        # comes first, so an unsized message raises.
         sized = _NOT_A_MESSAGE
         for eff in effects:
             tag = eff[0]
             if tag == "send":
                 _, dst, msg = eff
                 if msg is not sized:
-                    size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
+                    cls = type(msg)
+                    size = self._type_size.get(cls)
+                    if size is None:
+                        size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
+                        if cls in m.FIXED_SIZE:
+                            self._type_size[cls] = size
                     mtype = m.msg_type(msg)
                     sized = msg
                 self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1

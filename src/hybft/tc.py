@@ -5,7 +5,10 @@ only call the public operations below; key material and counter state live in
 underscore-prefixed attributes behind this module boundary. Components are
 crash-only: a crashed instance answers every call with TcUnavailable, and a
 restarted instance gets a fresh instance epoch unless an admin snapshot is
-restored into it.
+restored into it. Certificates are frozen, so each one keeps its payload
+encoding, and for the last verifying key its expected HMAC tag or its
+signature's verdict, on the instance; every check is still counted and
+still compares.
 """
 
 from __future__ import annotations
@@ -269,7 +272,14 @@ class Directory:
         return self._epochs[replica_id]
 
     def verify(self, cert) -> VerifyStatus:
-        """SIG-mode verification. No trusted component is involved."""
+        """SIG-mode verification. No trusted component is involved.
+
+        The epoch is checked at every call. The signature's verdict is kept
+        on the certificate for the last public-key object, matched by
+        identity, so the receivers of one certificate check its signature
+        once between them, and a key registered again (a restart) checks it
+        afresh.
+        """
         if self.mode is not TcMode.SIG:
             raise ModeViolation("directory verification requires SIG mode")
         if self._epochs.get(cert.replica_id) != cert.epoch:
@@ -277,11 +287,16 @@ class Directory:
         key = self._public_keys.get(cert.replica_id)
         if key is None:
             return VerifyStatus.INVALID
-        try:
-            key.verify(cert.proof, cert.payload())
-        except InvalidSignature:
-            return VerifyStatus.INVALID
-        return VerifyStatus.OK
+        memo = cert.__dict__.get("_sig_verdict")
+        if memo is None or memo[0] is not key:
+            try:
+                key.verify(cert.proof, cert.payload())
+            except InvalidSignature:
+                verdict = VerifyStatus.INVALID
+            else:
+                verdict = VerifyStatus.OK
+            memo = cert.__dict__["_sig_verdict"] = (key, verdict)
+        return memo[1]
 
 
 class TrustedComponent:
@@ -475,15 +490,23 @@ class TrustedComponent:
         """HMAC-mode verification: needs this component's shared key.
 
         Counts as one access against this (the verifier's) component; that is
-        the cost asymmetry between the two certificate modes.
+        the cost asymmetry between the two certificate modes. Every call
+        checks the epoch and compares the certificate's proof with the
+        expected tag. The tag is kept on the certificate for the last key,
+        like messages.request_auth, so the receivers of one certificate
+        compute it once between them.
         """
         self._touch()
         if self.mode is not TcMode.HMAC:
             raise ModeViolation("SIG-mode certificates verify via the directory")
         if directory.expected_epoch(cert.replica_id) != cert.epoch:
             return VerifyStatus.STALE_EPOCH
-        want = hmac_mod.digest(self._key, cert.payload(), "sha256")
-        if not hmac_mod.compare_digest(want, cert.proof):
+        key = self._key
+        memo = cert.__dict__.get("_hmac_tag")
+        if memo is None or memo[0] != key:
+            memo = cert.__dict__["_hmac_tag"] = (
+                key, hmac_mod.digest(key, cert.payload(), "sha256"))
+        if not hmac_mod.compare_digest(memo[1], cert.proof):
             return VerifyStatus.INVALID
         return VerifyStatus.OK
 

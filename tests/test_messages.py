@@ -271,6 +271,18 @@ def test_a_request_tag_is_memoized_per_key():
     assert m.request_auth(key, req) == tag
 
 
+def test_a_tagged_request_carries_memos_equal_to_fresh_ones(monkeypatch):
+    key = _h(b"k1")
+    req = m.tagged_request(key, 3, 7, b"op")
+    twin = m.Request(3, 7, b"op")
+    assert req == m.Request(3, 7, b"op", m.request_auth(key, twin))
+    assert _memos(req) == {"_digest", "_request_auth"}
+    assert req.digest() == twin.digest()
+    monkeypatch.setattr(hmac, "digest", None)   # a hit computes nothing
+    assert m.request_auth(key, req) == req.auth
+    assert not _memos(dataclasses.replace(req))
+
+
 def test_the_tag_memo_is_not_a_field():
     req = authed(1)
     m.request_auth(CLIENT_KEY, req)
@@ -283,9 +295,9 @@ def test_the_tag_memo_is_not_a_field():
     assert dataclasses.replace(req) == req
 
 
-def test_a_run_computes_each_request_tag_at_most_twice(monkeypatch):
-    # the client tags an untagged twin, and the first replica to receive
-    # the tagged request computes the tag its peers then reuse
+def test_a_run_computes_each_request_tag_once(monkeypatch):
+    # the client computes the tag, and the tagged request carries it to
+    # every replica that checks it
     keys = []
     for name in ("new", "digest"):
         real = getattr(hmac, name)
@@ -302,7 +314,7 @@ def test_a_run_computes_each_request_tag_at_most_twice(monkeypatch):
     client_keys = set(sim.replicas[0].client_keys.values())
     tags = sum(key in client_keys for key in keys)
     requests = cfg.clients * cfg.requests_per_client
-    assert requests <= tags <= 2 * requests < requests * (cfg.n + 1)
+    assert tags == requests
 
 
 # -------------------------------------------------------------- wire sizes
@@ -376,6 +388,31 @@ def test_wire_size_table_matches_the_isinstance_chain(f):
     assert {type(x) for x in msgs} == set(m._SIZES)
     for msg in msgs:
         assert m.wire_size(msg, sizes, f) == _reference_wire_size(msg, sizes, f)
+        if type(msg) in m.FIXED_SIZE:   # its size reads no field
+            blank = type(msg)(*[None] * len(dataclasses.fields(msg)))
+            assert m.wire_size(blank, sizes, f) == m.wire_size(msg, sizes, f)
+
+
+def test_a_simulator_sizes_each_fixed_size_type_once(monkeypatch):
+    sized = []
+    real = m.wire_size
+
+    def counting(msg, sizes, f):
+        sized.append(type(msg))
+        return real(msg, sizes, f)
+
+    monkeypatch.setattr(m, "wire_size", counting)
+    sim = Simulator(SimConfig(f=1, clients=2, requests_per_client=3,
+                              checkpoint_interval=2, seed=8))
+    res = sim.run()
+    assert res.verdict["all_clients_done"]
+    fixed = [cls for cls in sized if cls in m.FIXED_SIZE]
+    assert {m.Request, m.Reply, m.Commit, m.Checkpoint} <= set(fixed)
+    assert len(fixed) == len(set(fixed))
+    for cls in set(fixed):
+        mtype = cls.__name__.lower()
+        assert res.bytes_by_type[mtype] == res.msgs_by_type[mtype] * real(
+            cls(*[None] * len(dataclasses.fields(cls))), sim.cfg.sizes, 1)
 
 
 def test_an_unsized_message_type_raises():

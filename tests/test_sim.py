@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import hmac
 import itertools
 import json
 import re
@@ -267,6 +268,55 @@ def test_signature_mode_spares_verifier_accesses():
     assert hm.verdict["all_clients_done"] and sg.verdict["all_clients_done"]
     for rid in range(3):
         assert sg.tc_accesses[rid] < hm.tc_accesses[rid]
+
+
+def test_a_run_computes_each_certificate_tag_at_most_twice(monkeypatch):
+    # issuing computes a certificate's proof and its first verifier the
+    # expected tag that every later check of it compares against; dropping
+    # that memo before every check changes no output and no count
+    cfg = GOLDEN["gap_forever"][0]
+    real_verify = TrustedComponent.verify
+    checks = []
+
+    def verify_afresh(self, cert, directory):
+        checks.append(cert)
+        cert.__dict__.pop("_hmac_tag", None)
+        return real_verify(self, cert, directory)
+
+    monkeypatch.setattr(TrustedComponent, "verify", verify_afresh)
+    afresh = run(cfg)
+    afresh_checks = len(checks)
+    monkeypatch.undo()
+
+    sim = Simulator(cfg)
+    tags = []
+    real_prove = TrustedComponent._prove
+    real_digest = hmac.digest
+    issued = []
+
+    def prove(self, payload):
+        issued.append(payload)
+        return real_prove(self, payload)
+
+    def digest(key, msg, name):
+        if key == sim.system_key:
+            tags.append(msg)
+        return real_digest(key, msg, name)
+
+    def verify(self, cert, directory):
+        checks.append(cert)
+        return real_verify(self, cert, directory)
+
+    monkeypatch.setattr(TrustedComponent, "_prove", prove)
+    monkeypatch.setattr(TrustedComponent, "verify", verify)
+    monkeypatch.setattr(hmac, "digest", digest)
+    checks.clear()
+    res = sim.run()
+    assert res.summary_dict() == afresh.summary_dict()
+    assert res.tc_accesses == afresh.tc_accesses
+    assert len(checks) == afresh_checks > len(tags) - len(issued)
+    assert res.msgs_by_type["viewchange"] > 0
+    assert len(issued) < len(tags) <= 2 * len(issued)
 
 
 # -------------------------------------------------------------- scenarios

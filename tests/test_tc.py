@@ -1,13 +1,16 @@
 """Behavior of the simulated trusted components.
 
 Covers counter monotonicity, skip attestations, context certification,
-counter-creation policy, snapshot/restore and instance-epoch semantics, plus
-the access-tally difference between the two certificate modes.
+counter-creation policy, snapshot/restore and instance-epoch semantics, the
+access-tally difference between the two certificate modes, and the expected
+tag and signature verdict a certificate keeps for its verifiers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import hmac
 import re
 from pathlib import Path
 
@@ -187,9 +190,11 @@ def test_hmac_verify_ok_and_tamper_detected(hmac_pair):
     a, b, directory = hmac_pair
     ui = a.create_ui(_h("m"))
     assert verify_certificate(ui, directory=directory, via_tc=b) is VerifyStatus.OK
+    # after the original's expected tag is kept on it
     forged = type(ui)(ui.replica_id, ui.epoch, ui.counter, ui.value,
                       _h("other"), ui.proof)
     assert verify_certificate(forged, directory=directory, via_tc=b) is VerifyStatus.INVALID
+    assert verify_certificate(ui, directory=directory, via_tc=b) is VerifyStatus.OK
 
 
 def test_hmac_verify_charges_exactly_one_access(hmac_pair):
@@ -212,6 +217,8 @@ def test_sig_verify_charges_no_accesses(sig_pair):
 def test_sig_tamper_detected(sig_pair):
     a, _, directory = sig_pair
     ui = a.create_ui(_h("m"))
+    # after the original's verdict is kept on it
+    assert directory.verify(ui) is VerifyStatus.OK
     forged = type(ui)(ui.replica_id, ui.epoch, ui.counter, ui.value,
                       _h("other"), ui.proof)
     assert directory.verify(forged) is VerifyStatus.INVALID
@@ -231,6 +238,99 @@ def test_mode_mismatch_raises(sig_pair, hmac_pair):
         hdir.verify(ha.create_ui(_h("m")))
     with pytest.raises(ModeViolation):
         sa.verify(sa.create_ui(_h("m")), sdir)
+
+
+# ------------------------------------------------------ verification memos
+
+
+def _counting_hmac(monkeypatch) -> list:
+    keys = []
+    real = hmac.digest
+
+    def counting(key, msg, name):
+        keys.append(key)
+        return real(key, msg, name)
+
+    monkeypatch.setattr(hmac, "digest", counting)
+    return keys
+
+
+def test_a_second_hmac_verify_computes_no_hmac(hmac_pair, monkeypatch):
+    a, b, directory = hmac_pair
+    ui = a.create_ui(_h("m"))
+    assert "_hmac_tag" not in vars(ui)   # never seeded from the proof
+    keys = _counting_hmac(monkeypatch)
+    assert b.verify(ui, directory) is VerifyStatus.OK
+    assert keys == [SYSTEM_KEY]
+    assert ui.__dict__["_hmac_tag"] == (
+        SYSTEM_KEY, hmac.new(SYSTEM_KEY, ui.payload(), "sha256").digest())
+    # another receiver with the same key, and the same one again: every
+    # call is still an access and a comparison, but no HMAC
+    c = make_hmac_tc(2)
+    before = (b.accesses, c.accesses)
+    assert b.verify(ui, directory) is VerifyStatus.OK
+    assert c.verify(ui, directory) is VerifyStatus.OK
+    assert (b.accesses, c.accesses) == (before[0] + 1, before[1] + 1)
+    assert keys == [SYSTEM_KEY]
+
+
+def test_a_component_with_another_key_gets_its_own_tag(hmac_pair):
+    a, b, directory = hmac_pair
+    ui = a.create_ui(_h("m"))
+    assert b.verify(ui, directory) is VerifyStatus.OK
+    other_key = b"o" * 32
+    other = make_hmac_tc(2, system_key=other_key)
+    assert other.verify(ui, directory) is VerifyStatus.INVALID
+    assert ui.__dict__["_hmac_tag"] == (
+        other_key, hmac.new(other_key, ui.payload(), "sha256").digest())
+    assert b.verify(ui, directory) is VerifyStatus.OK
+
+
+def test_replace_drops_the_verification_memos(hmac_pair, sig_pair):
+    for issuer, verify, slot in (
+            (hmac_pair[0], lambda c: hmac_pair[1].verify(c, hmac_pair[2]),
+             "_hmac_tag"),
+            (sig_pair[0], sig_pair[2].verify, "_sig_verdict")):
+        ui = issuer.create_ui(_h("m"))
+        assert verify(ui) is VerifyStatus.OK
+        assert slot in vars(ui)
+        assert slot not in {f.name for f in dataclasses.fields(ui)}
+        twin = dataclasses.replace(ui)
+        assert slot not in vars(twin) and twin == ui
+        assert hash(twin) == hash(ui)
+        assert verify(twin) is VerifyStatus.OK
+
+
+class _CountingKey:
+    """A public key that counts its signature checks."""
+
+    def __init__(self, key):
+        self.key, self.calls = key, 0
+
+    def verify(self, signature, data):
+        self.calls += 1
+        self.key.verify(signature, data)
+
+
+def test_an_ed25519_certificate_checked_twice_is_verified_once(sig_pair):
+    a, _, directory = sig_pair
+    key = _CountingKey(a.public_key())
+    directory.register(0, a.epoch, key)
+    ui = a.create_ui(_h("m"))
+    forged = type(ui)(ui.replica_id, ui.epoch, ui.counter, ui.value,
+                      _h("other"), ui.proof)
+    for _ in range(2):
+        assert directory.verify(ui) is VerifyStatus.OK
+        assert directory.verify(forged) is VerifyStatus.INVALID
+    assert key.calls == 2
+    # the epoch is checked at every call, whatever the memo says
+    directory.register(0, a.epoch + 1, key)
+    assert directory.verify(ui) is VerifyStatus.STALE_EPOCH
+    # a key registered again, even with the same material, checks afresh
+    again = _CountingKey(a.public_key())
+    directory.register(0, a.epoch, again)
+    assert directory.verify(ui) is VerifyStatus.OK
+    assert (key.calls, again.calls) == (2, 1)
 
 
 # ------------------------------------------------------------------ clone
