@@ -5,10 +5,7 @@ only call the public operations below; key material and counter state live in
 underscore-prefixed attributes behind this module boundary. Components are
 crash-only: a crashed instance answers every call with TcUnavailable, and a
 restarted instance gets a fresh instance epoch unless an admin snapshot is
-restored into it. Certificates are frozen, so each one keeps its payload
-encoding, and for the last verifying key its expected HMAC tag or its
-signature's verdict, on the instance; every check is still counted and
-still compares.
+restored into it.
 """
 
 from __future__ import annotations

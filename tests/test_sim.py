@@ -270,53 +270,47 @@ def test_signature_mode_spares_verifier_accesses():
         assert sg.tc_accesses[rid] < hm.tc_accesses[rid]
 
 
-def test_a_run_computes_each_certificate_tag_at_most_twice(monkeypatch):
-    # issuing computes a certificate's proof and its first verifier the
-    # expected tag that every later check of it compares against; dropping
-    # that memo before every check changes no output and no count
-    cfg = GOLDEN["gap_forever"][0]
-    real_verify = TrustedComponent.verify
-    checks = []
+def _certificate_crypto(monkeypatch, cfg, afresh):
+    """One run, and its counts of certificate checks, certificates issued
+    and HMACs under the system key; afresh drops each certificate's
+    expected tag before every check."""
+    sim = Simulator(cfg)
+    n = {"checks": 0, "issued": 0, "hmacs": 0}
+    real_verify, real_prove = TrustedComponent.verify, TrustedComponent._prove
+    real_digest = hmac.digest
 
-    def verify_afresh(self, cert, directory):
-        checks.append(cert)
-        cert.__dict__.pop("_hmac_tag", None)
+    def verify(self, cert, directory):
+        n["checks"] += 1
+        if afresh:
+            cert.__dict__.pop("_hmac_tag", None)
         return real_verify(self, cert, directory)
 
-    monkeypatch.setattr(TrustedComponent, "verify", verify_afresh)
-    afresh = run(cfg)
-    afresh_checks = len(checks)
-    monkeypatch.undo()
-
-    sim = Simulator(cfg)
-    tags = []
-    real_prove = TrustedComponent._prove
-    real_digest = hmac.digest
-    issued = []
-
     def prove(self, payload):
-        issued.append(payload)
+        n["issued"] += 1
         return real_prove(self, payload)
 
     def digest(key, msg, name):
-        if key == sim.system_key:
-            tags.append(msg)
+        n["hmacs"] += key == sim.system_key
         return real_digest(key, msg, name)
 
-    def verify(self, cert, directory):
-        checks.append(cert)
-        return real_verify(self, cert, directory)
+    with monkeypatch.context() as mp:
+        mp.setattr(TrustedComponent, "verify", verify)
+        mp.setattr(TrustedComponent, "_prove", prove)
+        mp.setattr(hmac, "digest", digest)
+        return sim.run(), n
 
-    monkeypatch.setattr(TrustedComponent, "_prove", prove)
-    monkeypatch.setattr(TrustedComponent, "verify", verify)
-    monkeypatch.setattr(hmac, "digest", digest)
-    checks.clear()
-    res = sim.run()
-    assert res.summary_dict() == afresh.summary_dict()
-    assert res.tc_accesses == afresh.tc_accesses
-    assert len(checks) == afresh_checks > len(tags) - len(issued)
+
+def test_a_run_computes_each_certificate_tag_at_most_twice(monkeypatch):
+    # issuing computes a certificate's proof, and its first check the tag
+    # every later check compares against; the memo changes no output or count
+    cfg = GOLDEN["gap_forever"][0]
+    res, n = _certificate_crypto(monkeypatch, cfg, afresh=False)
+    ref, ref_n = _certificate_crypto(monkeypatch, cfg, afresh=True)
     assert res.msgs_by_type["viewchange"] > 0
-    assert len(issued) < len(tags) <= 2 * len(issued)
+    assert res.summary_dict() == ref.summary_dict()
+    assert res.tc_accesses == ref.tc_accesses
+    assert (n["checks"], n["issued"]) == (ref_n["checks"], ref_n["issued"])
+    assert n["issued"] < n["hmacs"] <= 2 * n["issued"] < ref_n["hmacs"]
 
 
 # -------------------------------------------------------------- scenarios

@@ -243,25 +243,23 @@ def test_mode_mismatch_raises(sig_pair, hmac_pair):
 # ------------------------------------------------------ verification memos
 
 
-def _counting_hmac(monkeypatch) -> list:
-    keys = []
-    real = hmac.digest
-
-    def counting(key, msg, name):
-        keys.append(key)
-        return real(key, msg, name)
-
-    monkeypatch.setattr(hmac, "digest", counting)
-    return keys
-
-
 def test_a_second_hmac_verify_computes_no_hmac(hmac_pair, monkeypatch):
     a, b, directory = hmac_pair
     ui = a.create_ui(_h("m"))
     assert "_hmac_tag" not in vars(ui)   # never seeded from the proof
-    keys = _counting_hmac(monkeypatch)
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(hmac, "digest", counted("hmac", hmac.digest))
+    monkeypatch.setattr(hmac, "compare_digest",
+                        counted("compare", hmac.compare_digest))
     assert b.verify(ui, directory) is VerifyStatus.OK
-    assert keys == [SYSTEM_KEY]
+    assert calls == ["hmac", "compare"]
     assert ui.__dict__["_hmac_tag"] == (
         SYSTEM_KEY, hmac.new(SYSTEM_KEY, ui.payload(), "sha256").digest())
     # another receiver with the same key, and the same one again: every
@@ -271,7 +269,7 @@ def test_a_second_hmac_verify_computes_no_hmac(hmac_pair, monkeypatch):
     assert b.verify(ui, directory) is VerifyStatus.OK
     assert c.verify(ui, directory) is VerifyStatus.OK
     assert (b.accesses, c.accesses) == (before[0] + 1, before[1] + 1)
-    assert keys == [SYSTEM_KEY]
+    assert calls == ["hmac", "compare", "compare", "compare"]
 
 
 def test_a_component_with_another_key_gets_its_own_tag(hmac_pair):
