@@ -22,11 +22,11 @@ Scripts:
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Set
 
 from . import messages as m
 from .config import ADVERSARY_PARAMS
+from .encoding import _h
 from .protocol import Replica, proposal_counter
 from .tc import EquivocationRefused, ModeViolation
 
@@ -89,7 +89,7 @@ class EquivocateWithholdLeader(_Scripted):
         if self.cfg.mode == "prevention":
             out = super()._propose(chunk)
             seq = trigger
-            alt = hashlib.sha256(b"alt" + chunk[0].digest()).digest()
+            alt = _h(b"alt" + chunk[0].digest())
             try:
                 self.tc.certify_context("prepare", self.view, seq,
                                         m.prepare_digest(self.view, seq, alt))

@@ -3,17 +3,10 @@
 Digests are computed over canonical length-prefixed encodings so every replica
 derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
-Messages are frozen, so each one computes its digests and encodings once and
-keeps them on the instance (tc._once); a message delivered to every replica
-is hashed once, while its certificate is still checked at every receipt,
-against the expected tag or signature verdict that the certificate keeps
-for the last key (tc.TrustedComponent.verify, tc.Directory.verify). A
-request keeps its execution digests the same way, keyed by the chain digest
-and seq it was executed at, so the replicas that execute one request object
-in step hash it once between them, and share its key tuple. A request's
-authenticator is computed once per key (request_auth; a client builds its
-request with tagged_request) and compared against its tag at every receipt,
-so each replica still checks each request with its own key.
+A message keeps its digests, and a request its execution digests and its
+authenticator (request_auth; a client tags with tagged_request), under the
+memo rules of hybft.encoding, so the replicas that receive one message object
+compute each once between them.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart; a fixed-size type (FIXED_SIZE) may be
 sized once and the size reused.
@@ -21,17 +14,12 @@ sized once and the size reused.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .tc import _enc, _once
+from .encoding import _enc, _h, _keyed, _once
 from . import resource_model as rm
-
-
-def _h(payload: bytes) -> bytes:
-    return hashlib.sha256(payload).digest()
 
 
 @dataclass(frozen=True)
@@ -49,27 +37,20 @@ class Request:
     def key(self) -> Tuple[int, int]:
         return (self.client_id, self.client_seq)
 
-    def execute(self, prev: bytes, seq: int) -> Tuple[bytes, bytes]:
-        """(execution digest, result) of executing this request at seq after
-        execution digest prev, kept on the instance for the last (prev, seq)
-        like a tc._once result, so a diverged chain computes its own."""
-        memo = self.__dict__.get("_execute")
-        if memo is None or memo[0] != (prev, seq):
-            applied = _h(_enc("apply", prev, seq, self.digest()))
-            result = _h(_enc("result", applied, self.digest()))
-            memo = self.__dict__["_execute"] = ((prev, seq), (applied, result))
-        return memo[1]
+    @_keyed
+    def execute(self, at: Tuple[bytes, int]) -> Tuple[bytes, bytes]:
+        """(execution digest, result) of this request executed at (prev,
+        seq), after execution digest prev; a diverged chain gets its own."""
+        prev, seq = at
+        applied = _h(_enc("apply", prev, seq, self.digest()))
+        return applied, _h(_enc("result", applied, self.digest()))
 
 
-def request_auth(key: bytes, req: Request) -> bytes:
-    """The client's authenticator: an HMAC over the request digest, kept on
-    the request for the last key like Request.execute, so the replicas that
-    receive one request object compute its expected tag once between them."""
-    memo = req.__dict__.get("_request_auth")
-    if memo is None or memo[0] != key:
-        memo = req.__dict__["_request_auth"] = (
-            key, hmac.digest(key, req.digest(), "sha256"))
-    return memo[1]
+@_keyed
+def request_auth(req: Request, key: bytes) -> bytes:
+    """The client's authenticator: an HMAC under key over the request
+    digest."""
+    return hmac.digest(key, req.digest(), "sha256")
 
 
 def tagged_request(key: bytes, client_id: int, client_seq: int,
@@ -81,7 +62,7 @@ def tagged_request(key: bytes, client_id: int, client_seq: int,
     carries them: a run computes each request's tag once.
     """
     twin = Request(client_id, client_seq, payload)
-    req = Request(client_id, client_seq, payload, request_auth(key, twin))
+    req = Request(client_id, client_seq, payload, request_auth(twin, key))
     req.__dict__.update(_digest=twin.__dict__["_digest"],
                         _request_auth=twin.__dict__["_request_auth"])
     return req

@@ -51,21 +51,21 @@ Three layers:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
 from .config import SimConfig
+from .encoding import _h
 from .protocol import Replica, proposal_counter
 from .sim import Ledger, safety_violations
 from .tc import (Directory, EquivocationRefused, SequenceRefused, TcMode,
                  TrustedComponent)
 
-_KEY = hashlib.sha256(b"model-check-key").digest()
-_H1 = hashlib.sha256(b"payload-one").digest()
-_H2 = hashlib.sha256(b"payload-two").digest()
+_KEY = _h(b"model-check-key")
+_H1 = _h(b"payload-one")
+_H2 = _h(b"payload-two")
 
 
 def _fresh_tc(replica_id: int = 0) -> TrustedComponent:
@@ -195,10 +195,9 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
     """Feed one slot every subset and order of attestations; committed must
     appear exactly at f+1 distinct senders behind a single digest."""
     n = 2 * f + 1
-    key = hashlib.sha256(b"clients").digest()
+    key = _h(b"clients")
     checked = 0
-    digests = [hashlib.sha256(b"batch-a").digest(),
-               hashlib.sha256(b"batch-b").digest()]
+    digests = [_h(b"batch-a"), _h(b"batch-b")]
     tcs = [_fresh_tc(i) for i in range(n)]
     pool = []
     for sender in range(1, n):
@@ -428,7 +427,7 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
     tcs = [_fresh_tc(i) for i in range(n)]
     for i in range(n):
         directory.register(i, 1)
-    ckey = hashlib.sha256(b"mc-client").digest()
+    ckey = _h(b"mc-client")
     replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey},
                              max_view=2)
                 for rid in (1, 2)}
@@ -477,7 +476,7 @@ def prevention_world(decisions: bool = False) -> World:
     chunk = (req,)
     bdig = m.batch_digest(chunk)
     cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
-    alt = hashlib.sha256(b"other-batch").digest()
+    alt = _h(b"other-batch")
     try:
         tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
         raise AssertionError("component must refuse the second context binding")

@@ -28,13 +28,13 @@ sending and timer scheduling:
 
 from __future__ import annotations
 
-import hashlib
 import hmac as hmaclib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import messages as m
 from .config import SimConfig
+from .encoding import _enc, _h
 from .tc import (
     PhaseSkipCertificate,
     SequenceRefused,
@@ -44,7 +44,6 @@ from .tc import (
     VerifyStatus,
     derive_counter_id,
     verify_certificate,
-    _enc,
 )
 
 MSG_COUNTER = "msg"
@@ -128,7 +127,7 @@ class Replica:
         self.trackers: Dict[int, _Tracker] = {}
 
         self.exec_cursor = 0
-        self.exec_digest = hashlib.sha256(b"genesis").digest()
+        self.exec_digest = _h(b"genesis")
         # exec digest at each checkpoint seq from stable_seq on, for FetchState
         self.checkpoint_exec: Dict[int, bytes] = {}
         self.executed: Dict[Tuple[int, int], m.Reply] = {}
@@ -275,7 +274,7 @@ class Replica:
         keyb = self.client_keys.get(req.client_id)
         if keyb is None:
             return False
-        return hmaclib.compare_digest(m.request_auth(keyb, req), req.auth)
+        return hmaclib.compare_digest(m.request_auth(req, keyb), req.auth)
 
     def _progress_mark(self) -> tuple:
         return (self.exec_cursor, len(self.executed))
@@ -630,7 +629,7 @@ class Replica:
                 key = r.key()
                 if key in self.executed:
                     continue
-                self.exec_digest, result = r.execute(self.exec_digest, nxt)
+                self.exec_digest, result = r.execute((self.exec_digest, nxt))
                 rep = m.Reply(r.client_id, r.client_seq, nxt, self.id, result)
                 self.executed[key] = rep
                 self.last_reply[r.client_id] = rep
@@ -649,8 +648,7 @@ class Replica:
     def _state_digest_from(self, exec_digest: bytes,
                            replies: Iterable[m.Reply]) -> bytes:
         ordered = sorted(replies, key=lambda r: r.client_id)
-        return hashlib.sha256(
-            _enc("state", exec_digest, *[r.result for r in ordered])).digest()
+        return _h(_enc("state", exec_digest, *[r.result for r in ordered]))
 
     # ----------------------------------------------------------- checkpoints
 

@@ -38,6 +38,7 @@ from . import messages as m
 from . import resource_model as rm
 from .clients import Client
 from .config import SimConfig
+from .encoding import _enc, _h
 from .protocol import Replica
 from .tc import (
     ContextCertificate,
@@ -45,7 +46,6 @@ from .tc import (
     TcMode,
     TrustedComponent,
     UniqueIdentifier,
-    _enc,
 )
 
 TALLY_FIELDS = ["f", "n", "B", "delta", "decisions", "msgs_total",
@@ -181,7 +181,7 @@ class Simulator:
         self._queue = EventQueue()
         # per channel: a keyed hash of (src, dst) and a count of varying delays
         self._chan: Dict[tuple, list] = {}
-        self._seed_key = hashlib.sha256(_enc("delay", cfg.seed)).digest()[:32]
+        self._seed_key = _h(_enc("delay", cfg.seed))[:32]
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
@@ -195,11 +195,11 @@ class Simulator:
     def _build(self) -> None:
         cfg = self.cfg
         mode = TcMode.HMAC if cfg.tc_mode == "hmac" else TcMode.SIG
-        system_key = (hashlib.sha256(_enc("syskey", cfg.seed)).digest()
+        system_key = (_h(_enc("syskey", cfg.seed))
                       if mode is TcMode.HMAC else None)
         self.system_key = system_key
         self.directory = Directory(mode)
-        client_keys = {cid: hashlib.sha256(_enc("client", cfg.seed, cid)).digest()
+        client_keys = {cid: _h(_enc("client", cfg.seed, cid))
                        for cid in range(cfg.clients)}
         self.replicas: List[Replica] = []
         for rid in range(cfg.n):
@@ -231,7 +231,7 @@ class Simulator:
         return TrustedComponent(
             rid, mode=mode, strict=strict, epoch=epoch,
             system_key=self.system_key,
-            sig_seed=hashlib.sha256(_enc("sig", self.cfg.seed, *key_id)).digest())
+            sig_seed=_h(_enc("sig", self.cfg.seed, *key_id)))
 
     # ------------------------------------------------------------ scheduling
 

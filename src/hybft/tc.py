@@ -10,10 +10,7 @@ restored into it.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import hmac as hmac_mod
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -23,6 +20,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+
+from .encoding import _enc, _h, _keyed, _once
 
 
 class TcMode(Enum):
@@ -56,70 +55,6 @@ class SequenceRefused(Exception):
 
 class RestoreRefused(Exception):
     """Snapshot blob already consumed, or target component is not fresh."""
-
-
-_LEN = struct.Struct(">I").pack
-_INT = struct.Struct(">IQ").pack   # length prefix 8, then the value
-
-
-def _enc(*fields) -> bytes:
-    """Canonical length-prefixed encoding used for every certificate payload.
-
-    Every field is a 4-byte big-endian length and its bytes; an int is 8
-    unsigned big-endian bytes. Exact bytes, int and str fields, nearly all
-    of them, are tested first. A bool or other int subclass packs as an int
-    and a str or bytes subclass as its base type; any other field raises
-    TypeError, and an int outside 0..2**64-1 raises OverflowError.
-    """
-    out = []
-    append = out.append
-    try:
-        for f in fields:
-            t = type(f)
-            if t is bytes:
-                append(_LEN(len(f)))
-                append(f)
-            elif t is int:
-                append(_INT(8, f))
-            elif t is str:
-                b = f.encode("utf-8")
-                append(_LEN(len(b)))
-                append(b)
-            elif isinstance(f, int):
-                append(_INT(8, f))
-            else:
-                if isinstance(f, str):
-                    f = f.encode("utf-8")
-                elif not isinstance(f, bytes):
-                    raise TypeError(f"unencodable field {f!r}")
-                append(_LEN(len(f)))
-                append(f)
-    except struct.error as exc:
-        raise OverflowError(f"field out of range: {exc}") from exc
-    return b"".join(out)
-
-
-def _once(method):
-    """Memoize a method of a frozen dataclass on the instance it is called on.
-
-    The result is stored in the instance's __dict__ under "_" + the method's
-    name, outside the dataclass fields, so equality and hashing ignore it and
-    dataclasses.replace, which builds a new instance, never carries it over.
-    The returned function is a plain function, so it can be wrapped by
-    setattr on the class like any other method.
-    """
-    slot = "_" + method.__name__
-
-    @functools.wraps(method)
-    def memoized(self):
-        memo = self.__dict__
-        try:
-            return memo[slot]
-        except KeyError:
-            value = memo[slot] = method(self)
-            return value
-
-    return memoized
 
 
 def derive_counter_id(replica_id: int, purpose: str) -> str:
@@ -226,6 +161,23 @@ class StateAttestation:
         return _enc(*flat)
 
 
+@_keyed
+def hmac_tag(cert, key: bytes) -> bytes:
+    """The tag cert's proof must equal under the shared key."""
+    return hmac_mod.digest(key, cert.payload(), "sha256")
+
+
+@_keyed
+def sig_verdict(cert, key: Ed25519PublicKey) -> VerifyStatus:
+    """Whether cert's proof is key's signature over its payload. Public keys
+    compare equal by material, the only part of a key a verdict reads."""
+    try:
+        key.verify(cert.proof, cert.payload())
+    except InvalidSignature:
+        return VerifyStatus.INVALID
+    return VerifyStatus.OK
+
+
 @dataclass
 class SnapshotBlob:
     """Sealed counter state for admin-driven restore. Single use."""
@@ -269,14 +221,8 @@ class Directory:
         return self._epochs[replica_id]
 
     def verify(self, cert) -> VerifyStatus:
-        """SIG-mode verification. No trusted component is involved.
-
-        The epoch is checked at every call. The signature's verdict is kept
-        on the certificate for the last public-key object, matched by
-        identity, so the receivers of one certificate check its signature
-        once between them, and a key registered again (a restart) checks it
-        afresh.
-        """
+        """SIG-mode verification, with no trusted component: the epoch is
+        checked at every call, the signature once per key (sig_verdict)."""
         if self.mode is not TcMode.SIG:
             raise ModeViolation("directory verification requires SIG mode")
         if self._epochs.get(cert.replica_id) != cert.epoch:
@@ -284,16 +230,7 @@ class Directory:
         key = self._public_keys.get(cert.replica_id)
         if key is None:
             return VerifyStatus.INVALID
-        memo = cert.__dict__.get("_sig_verdict")
-        if memo is None or memo[0] is not key:
-            try:
-                key.verify(cert.proof, cert.payload())
-            except InvalidSignature:
-                verdict = VerifyStatus.INVALID
-            else:
-                verdict = VerifyStatus.OK
-            memo = cert.__dict__["_sig_verdict"] = (key, verdict)
-        return memo[1]
+        return sig_verdict(cert, key)
 
 
 class TrustedComponent:
@@ -330,8 +267,7 @@ class TrustedComponent:
             self._key = system_key
             self._signer = None
         else:
-            seed = sig_seed or hashlib.sha256(
-                _enc("tc-seed", replica_id, epoch)).digest()
+            seed = sig_seed or _h(_enc("tc-seed", replica_id, epoch))
             self._signer = Ed25519PrivateKey.from_private_bytes(seed[:32])
             self._key = None
 
@@ -488,22 +424,15 @@ class TrustedComponent:
 
         Counts as one access against this (the verifier's) component; that is
         the cost asymmetry between the two certificate modes. Every call
-        checks the epoch and compares the certificate's proof with the
-        expected tag. The tag is kept on the certificate for the last key,
-        like messages.request_auth, so the receivers of one certificate
-        compute it once between them.
+        checks the epoch and compares the certificate's proof with its
+        expected tag, which hmac_tag computes once per key.
         """
         self._touch()
         if self.mode is not TcMode.HMAC:
             raise ModeViolation("SIG-mode certificates verify via the directory")
         if directory.expected_epoch(cert.replica_id) != cert.epoch:
             return VerifyStatus.STALE_EPOCH
-        key = self._key
-        memo = cert.__dict__.get("_hmac_tag")
-        if memo is None or memo[0] != key:
-            memo = cert.__dict__["_hmac_tag"] = (
-                key, hmac_mod.digest(key, cert.payload(), "sha256"))
-        if not hmac_mod.compare_digest(memo[1], cert.proof):
+        if not hmac_mod.compare_digest(hmac_tag(cert, self._key), cert.proof):
             return VerifyStatus.INVALID
         return VerifyStatus.OK
 

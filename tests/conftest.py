@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hybft.model_check import equivocate_world, explore_world
@@ -43,3 +45,14 @@ def make_hmac_tc(rid: int = 0, **kw) -> TrustedComponent:
     kw.setdefault("mode", TcMode.HMAC)
     kw.setdefault("system_key", SYSTEM_KEY)
     return TrustedComponent(rid, **kw)
+
+
+def assert_memo_slots(obj, functions) -> None:
+    """obj holds a memo of each of `functions` and nothing else besides its
+    fields: each in "_" + the function's name, a slot that is no field and
+    no other memo's. dataclasses.replace drops every one."""
+    fields = {f.name for f in dataclasses.fields(obj)}
+    slots = {"_" + fn.__name__ for fn in functions}
+    assert len(slots) == len(functions) and not slots & fields
+    assert set(vars(obj)) - fields == slots
+    assert set(vars(dataclasses.replace(obj))) == fields

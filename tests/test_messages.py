@@ -20,6 +20,7 @@ from hybft import messages as m
 from hybft import resource_model as rm
 from hybft.cli import _exact_cell
 from hybft.config import SimConfig
+from hybft.encoding import _enc
 from hybft.sim import Simulator, safety_violations
 from hybft.tc import (
     ContextCertificate,
@@ -28,10 +29,9 @@ from hybft.tc import (
     StateAttestation,
     UniqueIdentifier,
     VerifyStatus,
-    _enc,
 )
 
-from conftest import make_hmac_tc
+from conftest import assert_memo_slots, make_hmac_tc
 from test_protocol import CLIENT_KEY, Cluster, authed, broadcast_request
 
 
@@ -194,9 +194,14 @@ def test_each_memoized_digest_equals_a_fresh_computation():
 
 
 def test_a_memoized_message_equals_and_hashes_like_a_fresh_one():
-    for msg in _messages_of_a_view_change():
-        for name in _DIGESTS.get(type(msg), {}):
+    msgs = _messages_of_a_view_change()
+    msgs += [e for vc in msgs if isinstance(vc, m.ViewChange)
+             for e in vc.timeline]
+    for msg in msgs:
+        names = _DIGESTS.get(type(msg), {})
+        for name in names:
             getattr(msg, name)()
+        assert_memo_slots(msg, [getattr(type(msg), name) for name in names])
         twin = fresh(msg)
         assert twin is not msg and not _memos(twin)
         assert twin == msg and hash(twin) == hash(msg)
@@ -219,20 +224,20 @@ def _execution_from_fields(req, prev, seq):
 
 def test_an_execution_memo_hit_equals_the_digests_from_the_fields():
     req, prev = authed(1), _h(b"prev")
-    first = req.execute(prev, 3)
+    first = req.execute((prev, 3))
     assert "_execute" in vars(req)
-    assert req.execute(prev, 3) is first
+    assert req.execute((prev, 3)) is first
     assert first == _execution_from_fields(req, prev, 3)
-    assert fresh(req).execute(prev, 3) == first
+    assert fresh(req).execute((prev, 3)) == first
     # the memo is outside the fields
     assert fresh(req) == req and hash(fresh(req)) == hash(req)
 
 
 def test_another_chain_or_seq_misses_the_execution_memo():
     req, prev, other = authed(1), _h(b"prev"), _h(b"other")
-    ours = req.execute(prev, 3)
+    ours = req.execute((prev, 3))
     for p, seq in ((other, 3), (prev, 4), (prev, 3)):
-        got = req.execute(p, seq)
+        got = req.execute((p, seq))
         assert got == _execution_from_fields(req, p, seq)
         assert (got == ours) == ((p, seq) == (prev, 3))
 
@@ -260,34 +265,38 @@ def test_replicas_on_different_chains_execute_one_request_differently():
 
 def test_a_request_tag_is_memoized_per_key():
     req, key, other = m.Request(0, 1, b"op"), _h(b"k1"), _h(b"k2")
-    tag = m.request_auth(key, req)
+    tag = m.request_auth(req, key)
     assert "_request_auth" in vars(req)
     assert tag == hmac.new(key, req.digest(), "sha256").digest()
-    assert tag == m.request_auth(key, fresh(req))
-    assert m.request_auth(key, req) is tag
+    assert tag == m.request_auth(fresh(req), key)
+    assert m.request_auth(req, key) is tag
     # another key misses the memo and gets its own tag
-    other_tag = m.request_auth(other, req)
+    other_tag = m.request_auth(req, other)
     assert other_tag == hmac.new(other, req.digest(), "sha256").digest() != tag
-    assert m.request_auth(key, req) == tag
+    assert m.request_auth(req, key) == tag
 
 
 def test_a_tagged_request_carries_memos_equal_to_fresh_ones(monkeypatch):
     key = _h(b"k1")
     req = m.tagged_request(key, 3, 7, b"op")
     twin = m.Request(3, 7, b"op")
-    assert req == m.Request(3, 7, b"op", m.request_auth(key, twin))
+    assert req == m.Request(3, 7, b"op", m.request_auth(twin, key))
     assert _memos(req) == {"_digest", "_request_auth"}
     assert req.digest() == twin.digest()
     monkeypatch.setattr(hmac, "digest", None)   # a hit computes nothing
-    assert m.request_auth(key, req) == req.auth
+    assert m.request_auth(req, key) == req.auth
     assert not _memos(dataclasses.replace(req))
 
 
 def test_the_tag_memo_is_not_a_field():
     req = authed(1)
-    m.request_auth(CLIENT_KEY, req)
+    m.request_auth(req, CLIENT_KEY)
     assert "_request_auth" in vars(req)
     assert "_request_auth" not in {f.name for f in dataclasses.fields(req)}
+    req.key()
+    req.execute((_h(b"prev"), 1))
+    assert_memo_slots(req, [m.Request.digest, m.Request.key,
+                            m.Request.execute, m.request_auth])
     twin = fresh(req)
     assert not _memos(twin) and twin == req and hash(twin) == hash(req)
     for twin in (dataclasses.replace(req), dataclasses.replace(req, auth=b"")):

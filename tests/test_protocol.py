@@ -313,6 +313,25 @@ def test_a_decision_below_the_window_commits_nothing():
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "a Decision timer that fires after its tracker was pruned sends no "
+    "Decision and counts no suppression: ROADMAP item 6 (f)"))
+def test_a_decision_timer_fired_after_pruning_is_accounted_for():
+    # replica 2 is cut off from seqs 1-5, while replica 1 becomes stable at 5
+    # and keeps the trackers of seqs 4 and 5 only
+    c = Cluster(window=2)
+    for seq in range(1, 6):
+        broadcast_request(c, seq)
+        c.pump(drop_to={2})
+    r1 = c.replicas[1]
+    assert (r1.stable_seq, sorted(r1.trackers)) == (5, [4, 5])
+    assert (1, "decision", 1) in c.timers
+    assert c.replicas[2].exec_cursor == 0
+    before = r1.decisions_sent + r1.decisions_suppressed
+    c.fire(1, "decision", 1)
+    assert r1.decisions_sent + r1.decisions_suppressed > before
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "a Decision commit fetches its batch twice: ROADMAP item 6 (d)"))
 def test_a_decision_commit_fetches_its_batch_once():
     c = Cluster()

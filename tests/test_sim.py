@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybft import messages as m
+from hybft import resource_model as rm
 from hybft.cli import _exact_cell
 from hybft.config import SimConfig
+from hybft.encoding import _enc
 from hybft.protocol import Replica
 from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, Simulator,
                        measure_overhead, run, safety_violations)
-from hybft.tc import (ContextCertificate, TrustedComponent, UniqueIdentifier,
-                      _enc)
+from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
 
 
 def exact_cell(f: int, batch: int, **kw) -> SimConfig:
@@ -325,6 +326,22 @@ def test_silent_repliers_dichotomy_smallest():
                         record_trace=False)).verdict
     assert on["safety_ok"] and on["all_clients_done"]
     assert off["safety_ok"] and not off["all_clients_done"]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_n_f_replies_and_threshold_proofs_under_silent_repliers(f):
+    # the two options no other simulator run sets; 10 s of virtual time,
+    # since the default 2 s can end a longer run before its last request
+    r = run(SimConfig(f=f, clients=4, requests_per_client=20, seed=42,
+                      adversary="silent_repliers", reply_policy="n-f",
+                      threshold_proofs=True, duration_ns=10_000_000_000,
+                      record_trace=False))
+    v = r.verdict
+    assert v["safety_ok"] and v["all_committed"] and v["all_clients_done"]
+    decisions = r.msgs_by_type["decision"]
+    assert decisions > 0
+    assert r.bytes_by_type["decision"] == decisions * rm.decision_size(
+        r.cfg.sizes, f, threshold=True)
 
 
 def test_crash_beyond_f_stalls_and_restore_recovers():

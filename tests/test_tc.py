@@ -8,6 +8,7 @@ tag and signature verdict a certificate keeps for its verifiers.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import hmac
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybft.encoding import _enc
 from hybft.tc import (
     Directory,
     EquivocationRefused,
@@ -28,12 +30,13 @@ from hybft.tc import (
     TcUnavailable,
     TrustedComponent,
     VerifyStatus,
-    _enc,
     derive_counter_id,
+    hmac_tag,
+    sig_verdict,
     verify_certificate,
 )
 
-from conftest import SYSTEM_KEY, make_hmac_tc
+from conftest import SYSTEM_KEY, assert_memo_slots, make_hmac_tc
 
 
 def _h(tag: str) -> bytes:
@@ -285,10 +288,10 @@ def test_a_component_with_another_key_gets_its_own_tag(hmac_pair):
 
 
 def test_replace_drops_the_verification_memos(hmac_pair, sig_pair):
-    for issuer, verify, slot in (
+    for issuer, verify, slot, memo in (
             (hmac_pair[0], lambda c: hmac_pair[1].verify(c, hmac_pair[2]),
-             "_hmac_tag"),
-            (sig_pair[0], sig_pair[2].verify, "_sig_verdict")):
+             "_hmac_tag", hmac_tag),
+            (sig_pair[0], sig_pair[2].verify, "_sig_verdict", sig_verdict)):
         ui = issuer.create_ui(_h("m"))
         assert verify(ui) is VerifyStatus.OK
         assert slot in vars(ui)
@@ -297,6 +300,14 @@ def test_replace_drops_the_verification_memos(hmac_pair, sig_pair):
         assert slot not in vars(twin) and twin == ui
         assert hash(twin) == hash(ui)
         assert verify(twin) is VerifyStatus.OK
+        # every certificate type keeps its payload and its verification
+        # memo, and nothing else
+        for cert in (ui, issuer.skip_values("msg", 2),
+                     issuer.attest_state(b"n"),
+                     issuer.certify_context("p", 0, 1, _h("c")),
+                     issuer.skip_contexts("p", 1, 3)):
+            assert verify(cert) is VerifyStatus.OK
+            assert_memo_slots(cert, [type(cert).payload, memo])
 
 
 class _CountingKey:
@@ -324,7 +335,8 @@ def test_an_ed25519_certificate_checked_twice_is_verified_once(sig_pair):
     # the epoch is checked at every call, whatever the memo says
     directory.register(0, a.epoch + 1, key)
     assert directory.verify(ui) is VerifyStatus.STALE_EPOCH
-    # a key registered again, even with the same material, checks afresh
+    # a key object that compares unequal to the last one checks afresh;
+    # this proxy compares by identity, so even the same material does
     again = _CountingKey(a.public_key())
     directory.register(0, a.epoch, again)
     assert directory.verify(ui) is VerifyStatus.OK
@@ -538,6 +550,37 @@ def test_public_surface_is_declared():
               if not n.startswith("_") and n != "PUBLIC_OPS"}
     assert set(TrustedComponent.PUBLIC_OPS) == actual
     assert "create_ui" in actual and "verify" in actual
+
+
+def _hybft_imports(module: str) -> set:
+    """The hybft modules that src/hybft/<module>.py imports or imports from,
+    read from its source."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hybft"
+    found = set()
+    for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "hybft"}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:   # relative: from . import x, from .x import y
+                base = f"hybft.{node.module}" if node.module else "hybft"
+            elif (node.module or "").split(".")[0] == "hybft":
+                base = node.module
+            else:
+                continue
+            found.add(base)
+            if base == "hybft":
+                found |= {f"hybft.{a.name}" for a in node.names}
+    return found
+
+
+def test_the_encoding_sits_below_the_component_and_the_messages():
+    # the trusted kit must not own the message layer's encoding again
+    assert _hybft_imports("encoding") == set()
+    assert "hybft.encoding" in _hybft_imports("tc")
+    assert {"hybft.encoding", "hybft.resource_model"} <= _hybft_imports(
+        "messages")
+    assert "hybft.tc" not in _hybft_imports("messages")
 
 
 # ------------------------------------------------------ canonical encoding
