@@ -47,6 +47,14 @@ Three layers:
    non-empty channels until they change. Two numbers are equal exactly when
    their values are, so the key tells states apart as the nested key would,
    but hashing it does not hash every queued message again.
+
+   The worlds of one root also share a memo of replica steps, keyed by the
+   stepping replica object and its input (the message, by equality, or the
+   timer). A replica in a world is never changed in place and reads no
+   clock, so the step is the same every time; it repeats often, as worlds
+   share the replicas their paths have not stepped. A hit reuses the
+   successor, its effects, its certificates and its key id. The memo holds
+   each source replica, so no id is reused; a step that raises is not kept.
 """
 
 from __future__ import annotations
@@ -239,12 +247,13 @@ class World:
     armed: frozenset
     byz: Set[int]
     ledger: Ledger = field(default_factory=Ledger, init=False)
-    # ids is the intern table, created with the root world and shared by
-    # every successor. rkeys holds the id of each replica's
-    # Replica.state_key() until the replica next steps (_absorb drops it),
-    # qkeys that of each non-empty channel's queue until the channel
+    # ids is the intern table and memo the step memo, both created with the
+    # root world and shared by every successor. rkeys holds the id of each
+    # replica's Replica.state_key(), set from the memo when the replica
+    # steps, qkeys that of each non-empty channel's queue until the channel
     # changes; a successor inherits both.
     ids: Dict[tuple, int] = field(default_factory=dict, init=False)
+    memo: Dict[tuple, tuple] = field(default_factory=dict, init=False)
     rkeys: Dict[int, int] = field(default_factory=dict, init=False)
     qkeys: Dict[Tuple[str, int], int] = field(default_factory=dict,
                                               init=False)
@@ -276,37 +285,51 @@ class World:
         """Successor state after `act`, sharing what the step leaves unchanged.
 
         Channel queues (tuples) and the armed set (a frozenset) are never
-        mutated, so the successor copies only the replica and channel maps,
-        and clones the one replica that takes the step and its ledger
-        record; the other replica and its record stay shared with this world.
+        mutated, so the successor copies only the replica and channel maps
+        and the stepping replica's ledger record; the other replica and its
+        record stay shared with this world. The stepping replica's successor
+        comes from the memo, or, the first time, from a clone that takes the
+        step.
         """
         rid = _stepper(act)
         w = World(dict(self.replicas), dict(self.channels), self.armed,
                   self.byz)
         w.ledger = self.ledger.fork(rid)
-        w.ids = self.ids
+        w.ids, w.memo = self.ids, self.memo
         w.rkeys.update(self.rkeys)
         w.qkeys.update(self.qkeys)
-        rep = w.replicas[rid] = self.replicas[rid].clone()
+        src = self.replicas[rid]
         if act[0] == "deliver":
             queue = w.channels[act[1]]
             w.channels[act[1]] = queue[1:]
             w.qkeys.pop(act[1], None)
+            step = (src, queue[0])
         else:
             _, kind, tkey = act[1]
             w.armed = w.armed - {act[1]}
-        try:
-            effects = (rep.handle(queue[0], 0) if act[0] == "deliver"
-                       else rep.on_timer(kind, tkey, 0))
-        except Exception as exc:
-            exc.add_note(f"model check: r{rid} handling " + (
-                f"{m.msg_type(queue[0])} from channel {act[1]}"
-                if act[0] == "deliver" else f"timer {kind} with key {tkey!r}"))
-            raise
-        w._absorb(rid, effects)
+            step = (src, kind, tkey)
+        hit = self.memo.get(step)
+        if hit is None:
+            rep = src.clone()
+            try:
+                effects = (rep.handle(queue[0], 0) if act[0] == "deliver"
+                           else rep.on_timer(kind, tkey, 0))
+            except Exception as exc:
+                exc.add_note(f"model check: r{rid} handling " + (
+                    f"{m.msg_type(queue[0])} from channel {act[1]}"
+                    if act[0] == "deliver" else f"timer {kind} with key {tkey!r}"))
+                raise
+            rep.share_equal_state(src)
+            hit = self.memo[step] = (
+                rep, effects, rep.tc.take_issued(),
+                self.ids.setdefault(rep.state_key(), len(self.ids)))
+        rep, effects, issued, kid = hit
+        w.replicas[rid] = rep
+        w._absorb(rid, effects, issued)
+        w.rkeys[rid] = kid
         return w
 
-    def _absorb(self, src: int, effects: List[tuple]) -> None:
+    def _absorb(self, src: int, effects: List[tuple], issued: List) -> None:
         self.rkeys.pop(src, None)
         for eff in effects:
             if eff[0] == "send":
@@ -321,7 +344,7 @@ class World:
                 self.armed = self.armed | {(src, kind, tkey)}
             elif eff[0] == "fact":
                 self.ledger.note(src, eff)
-        self.ledger.take_issued(src, self.replicas[src].tc)
+        self.ledger.note_issued(src, issued)
 
     def fully_committed(self) -> bool:
         """Every correct replica has committed and executed a request."""
@@ -342,9 +365,9 @@ def _stepper(act) -> int:
 
 def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     """Visit every state reachable from `world`, raising AssertionError at
-    any whose ledger fails the safety oracle, even under python -O. Returns the number of states, of terminal states (no step
-    enabled), and of terminals where every correct replica has committed and
-    executed.
+    any whose ledger fails the safety oracle, even under python -O. Returns
+    the number of states, of terminal states (no step enabled), and of
+    terminals where every correct replica has committed and executed.
 
     The search is depth first with sleep sets. A sleep set holds steps that
     need not be taken from a state, because a path already explored covers
@@ -369,7 +392,8 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     equivocate (no decisions) worlds take 729, 4,174 and 8,183 `apply`
     calls with it, and 682, 3,579 and 7,095 without it. Every reachable
     state is visited and checked once, on the first path that reaches it.
-    Only steps that would lead to states already seen are skipped.
+    Only steps that would lead to states already seen are skipped. Of those
+    calls, only 149, 521 and 767 run a handler; the rest hit the step memo.
     """
     seen: Dict[tuple, frozenset] = {}
     terminals = 0
@@ -437,7 +461,7 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
     world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
     for rid, rep in replicas.items():
         for req in reqs:
-            world._absorb(rid, rep.handle(req, 0))
+            world._absorb(rid, rep.handle(req, 0), rep.tc.take_issued())
     return world, tcs[0], reqs[0]
 
 

@@ -1054,6 +1054,19 @@ class Replica:
         state["tc"] = self.tc.clone()
         return child
 
+    def share_equal_state(self, other: "Replica") -> None:
+        """Point each container of this replica that equals `other`'s (those
+        clone copies) at `other`'s, so a host that keeps both holds one copy.
+
+        Sound only while neither replica is ever changed in place again, as
+        in the model checker, which steps clones only: a change to either
+        would show in the other.
+        """
+        mine, theirs = self.__dict__, other.__dict__
+        for name in (*_FLAT_STATE, *_NESTED_STATE, "trackers"):
+            if mine[name] == theirs[name]:
+                mine[name] = theirs[name]
+
     def state_key(self) -> tuple:
         """Canonical snapshot of behavior-relevant state for model checking."""
         return (

@@ -450,7 +450,9 @@ class Ledger:
             rec.executed[key] = digest
 
     def take_issued(self, rid: int, tc: TrustedComponent) -> None:
-        issued = tc.take_issued()
+        self.note_issued(rid, tc.take_issued())
+
+    def note_issued(self, rid: int, issued: List) -> None:
         if issued:
             self._record(rid).issued += issued
 
