@@ -53,8 +53,18 @@ Three layers:
    timer). A replica in a world is never changed in place and reads no
    clock, so the step is the same every time; it repeats often, as worlds
    share the replicas their paths have not stepped. A hit reuses the
-   successor, its effects, its certificates and its key id. The memo holds
+   successor, the step's delta, its certificates and its key id. The delta
+   is the step's effects as they land in a world: sends grouped per
+   channel, the armed timers as a frozenset, and the facts. The memo holds
    each source replica, so no id is reused; a step that raises is not kept.
+
+   A world never mutates the ledger it holds. A step that notes no fact and
+   issues no certificate hands its parent's ledger object to the successor;
+   only a recording step forks it. The oracle runs once per distinct ledger
+   object, and every state that shares the ledger reuses the verdict,
+   which the ledger keeps until its next note. The gap, prevention,
+   equivocate (no decisions) and checkpoint worlds scan 104, 127, 405 and
+   372 ledgers for 377, 1,595, 3,215 and 1,681 states.
 """
 
 from __future__ import annotations
@@ -284,31 +294,30 @@ class World:
     def apply(self, act) -> "World":
         """Successor state after `act`, sharing what the step leaves unchanged.
 
-        Channel queues (tuples) and the armed set (a frozenset) are never
-        mutated, so the successor copies only the replica and channel maps
-        and the stepping replica's ledger record; the other replica and its
-        record stay shared with this world. The stepping replica's successor
-        comes from the memo, or, the first time, from a clone that takes the
-        step.
+        Channel queues (tuples), the armed set (a frozenset) and a ledger a
+        world holds are never mutated. So the successor copies only the
+        replica and channel maps and the two key caches. It keeps this
+        world's ledger when the step notes no fact and issues no
+        certificate, and otherwise a fork with the stepping replica's record
+        copied. The stepping replica's successor and the step's delta (see
+        _delta) come from the memo, or, the first time, from a clone that
+        takes the step.
         """
         rid = _stepper(act)
-        w = World(dict(self.replicas), dict(self.channels), self.armed,
-                  self.byz)
-        w.ledger = self.ledger.fork(rid)
-        w.ids, w.memo = self.ids, self.memo
-        w.rkeys.update(self.rkeys)
-        w.qkeys.update(self.qkeys)
         src = self.replicas[rid]
+        channels, armed = dict(self.channels), self.armed
+        qkeys = dict(self.qkeys)
         if act[0] == "deliver":
-            queue = w.channels[act[1]]
-            w.channels[act[1]] = queue[1:]
-            w.qkeys.pop(act[1], None)
+            queue = channels[act[1]]
+            channels[act[1]] = queue[1:]
+            qkeys.pop(act[1], None)
             step = (src, queue[0])
         else:
             _, kind, tkey = act[1]
-            w.armed = w.armed - {act[1]}
+            armed = armed - {act[1]}
             step = (src, kind, tkey)
-        hit = self.memo.get(step)
+        memo = self.memo
+        hit = memo.get(step)
         if hit is None:
             rep = src.clone()
             try:
@@ -320,31 +329,44 @@ class World:
                     if act[0] == "deliver" else f"timer {kind} with key {tkey!r}"))
                 raise
             rep.share_equal_state(src)
-            hit = self.memo[step] = (
-                rep, effects, rep.tc.take_issued(),
+            hit = memo[step] = (
+                rep, _delta(rid, effects, self.byz), rep.tc.take_issued(),
                 self.ids.setdefault(rep.state_key(), len(self.ids)))
-        rep, effects, issued, kid = hit
+        rep, delta, issued, kid = hit
+        # built field by field: World() would make a ledger and four dicts
+        # only to drop them
+        w = object.__new__(World)
+        w.replicas = dict(self.replicas)
         w.replicas[rid] = rep
-        w._absorb(rid, effects, issued)
+        w.channels, w.armed, w.byz = channels, armed, self.byz
+        w.ids, w.memo, w.qkeys = self.ids, memo, qkeys
+        w.rkeys = dict(self.rkeys)
         w.rkeys[rid] = kid
+        w._land(rid, delta, issued, self.ledger.fork(rid)
+                if delta[2] or issued else self.ledger)
         return w
 
     def _absorb(self, src: int, effects: List[tuple], issued: List) -> None:
+        """Land replica `src`'s step in this world in place, noting its facts
+        and certificates in this world's own ledger."""
         self.rkeys.pop(src, None)
-        for eff in effects:
-            if eff[0] == "send":
-                _, dst, msg = eff
-                if dst[0] != "replica" or dst[1] in self.byz:
-                    continue
-                key = (f"r{src}", dst[1])
-                self.channels[key] = self.channels.get(key, ()) + (msg,)
-                self.qkeys.pop(key, None)
-            elif eff[0] == "timer":
-                _, kind, tkey, _delay = eff
-                self.armed = self.armed | {(src, kind, tkey)}
-            elif eff[0] == "fact":
-                self.ledger.note(src, eff)
-        self.ledger.note_issued(src, issued)
+        self._land(src, _delta(src, effects, self.byz), issued, self.ledger)
+
+    def _land(self, src: int, delta: tuple, issued: List,
+              ledger: Ledger) -> None:
+        """Add a step's delta to this world's channels and timers, note its
+        facts and certificates in `ledger` and make it this world's."""
+        sends, timers, facts = delta
+        channels, qkeys = self.channels, self.qkeys
+        for key, msgs in sends:
+            channels[key] = channels.get(key, ()) + msgs
+            qkeys.pop(key, None)
+        if timers:
+            self.armed = self.armed | timers
+        for fact in facts:
+            ledger.note(src, fact)
+        ledger.note_issued(src, issued)
+        self.ledger = ledger
 
     def fully_committed(self) -> bool:
         """Every correct replica has committed and executed a request."""
@@ -361,6 +383,38 @@ class World:
 def _stepper(act) -> int:
     """The replica that takes step `act`."""
     return act[1][1] if act[0] == "deliver" else act[1][0]
+
+
+def _delta(src: int, effects: List[tuple], byz: Set[int]) -> tuple:
+    """What replica `src`'s step effects change in a world, as
+    (sends, timers, facts). sends holds each outbound channel once, with its
+    new messages in order; sends to a client or a faulty replica go nowhere.
+    timers is the frozenset of timers armed, and facts the fact effects in
+    order."""
+    sends: Dict[Tuple[str, int], tuple] = {}
+    timers = []
+    facts = []
+    for eff in effects:
+        if eff[0] == "send":
+            _, dst, msg = eff
+            if dst[0] == "replica" and dst[1] not in byz:
+                key = (f"r{src}", dst[1])
+                sends[key] = sends.get(key, ()) + (msg,)
+        elif eff[0] == "timer":
+            timers.append((src, eff[1], eff[2]))
+        elif eff[0] == "fact":
+            facts.append(eff)
+    return tuple(sends.items()), frozenset(timers), tuple(facts)
+
+
+def _verdict(ledger: Ledger, byz: frozenset) -> List[Dict]:
+    """safety_violations(ledger, byz), kept in ledger.verdict. A world
+    never changes the ledger it holds, so each ledger object is scanned
+    once however many states share it."""
+    kept = ledger.verdict
+    if kept is None or kept[0] != byz:
+        kept = ledger.verdict = (byz, safety_violations(ledger, byz))
+    return kept[1]
 
 
 def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
@@ -394,8 +448,14 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     state is visited and checked once, on the first path that reaches it.
     Only steps that would lead to states already seen are skipped. Of those
     calls, only 149, 521 and 767 run a handler; the rest hit the step memo.
+
+    A state's check is safety_violations on its ledger, run once per
+    ledger object (_verdict): a state whose last step recorded nothing
+    shares its parent's ledger, and its verdict. The three worlds scan 104,
+    127 and 405 ledgers for 377, 1,595 and 3,215 states.
     """
     seen: Dict[tuple, frozenset] = {}
+    byz = frozenset(world.byz)
     terminals = 0
     full_commit_terminals = 0
     stack = [(world, frozenset())]
@@ -408,7 +468,7 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
             # explicit raises, so that python -O keeps the checks
             if len(seen) > max_states:
                 raise AssertionError("state budget exceeded")
-            violations = safety_violations(w.ledger, w.byz)
+            violations = _verdict(w.ledger, byz)
             if violations:
                 raise AssertionError(violations)
             acts = w.enabled()

@@ -428,10 +428,15 @@ class Ledger:
     from the replica's "fact" effects; and every certificate its components
     issued, in order, taken from its component after each step, so the
     audit spans a component's crash and restore.
+
+    `verdict` is a slot for a caller that scans one ledger more than once
+    (the model checker): a byz set and the safety_violations list for it.
+    Every note drops it.
     """
 
     def __init__(self):
         self.records: Dict[int, _Record] = {}
+        self.verdict = None
 
     def _record(self, rid: int) -> _Record:
         rec = self.records.get(rid)
@@ -441,6 +446,7 @@ class Ledger:
 
     def note(self, rid: int, fact: tuple) -> None:
         _, kind, key, digest = fact
+        self.verdict = None
         rec = self._record(rid)
         if kind == "admit":
             rec.admitted.append((*key, digest))
@@ -454,6 +460,7 @@ class Ledger:
 
     def note_issued(self, rid: int, issued: List) -> None:
         if issued:
+            self.verdict = None
             self._record(rid).issued += issued
 
     def fork(self, rid: int) -> "Ledger":

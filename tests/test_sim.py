@@ -344,6 +344,19 @@ def test_n_f_replies_and_threshold_proofs_under_silent_repliers(f):
         r.cfg.sizes, f, threshold=True)
 
 
+@pytest.mark.parametrize("mode", ["detection", "prevention"])
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("option", [{"reply_policy": "n-f"},
+                                    {"threshold_proofs": True}],
+                         ids=["n_f_replies", "threshold_proofs"])
+def test_each_reply_option_alone_is_safe_and_live(option, f, mode):
+    # fault-free, each option without the other, in both modes
+    v = run(SimConfig(f=f, mode=mode, clients=4, requests_per_client=20,
+                      seed=42, duration_ns=10_000_000_000, record_trace=False,
+                      **option)).verdict
+    assert v["safety_ok"] and v["all_committed"] and v["all_clients_done"]
+
+
 def test_crash_beyond_f_stalls_and_restore_recovers():
     base = SimConfig(f=1, clients=2, requests_per_client=2, seed=7,
                      record_trace=False)
