@@ -174,8 +174,8 @@ class Replica:
         return [i for i in range(self.cfg.n) if i != self.id]
 
     def _check_cert(self, cert, issuer: int,
-                    digest: Optional[bytes]) -> VerifyStatus:
-        """The one acceptance test for a received certificate.
+                    digest: Optional[bytes]) -> Optional[str]:
+        """The one acceptance test for a received certificate; None if it passes.
 
         The certificate must come from `issuer`'s component, verify, and
         cover `digest` (None for skip certificates and attestations, which
@@ -183,13 +183,26 @@ class Replica:
         replica from speaking in another replica's name.
         """
         if getattr(cert, "replica_id", None) != issuer:
-            return VerifyStatus.INVALID
+            return "invalid_cert"
         self.stats["verifies"] += 1
         status = verify_certificate(cert, directory=self.directory, via_tc=self.tc)
-        if (status is VerifyStatus.OK and digest is not None
-                and getattr(cert, "msg_hash", None) != digest):
-            return VerifyStatus.INVALID
-        return status
+        if status is VerifyStatus.OK and (
+                digest is None or getattr(cert, "msg_hash", None) == digest):
+            return None
+        return "stale_epoch" if status is VerifyStatus.STALE_EPOCH else "invalid_cert"
+
+    def _check_prepare(self, view: int, seq: int, digest: bytes, cert) -> Optional[str]:
+        """The one rule for a leader's prepare, however it arrives; None if it
+        passes. The view leader's certificate must bind position `seq` of the
+        one stream that leader may use (any stream under the announced policy)."""
+        why = self._check_cert(cert, leader_of(view, self.cfg.n), digest)
+        if why is not None:
+            return why
+        stream, pos = self._slot(cert)
+        if pos != seq or (self.cfg.counter_policy == "pinned"
+                          and stream != self._proposal_stream(view)):
+            return "prepare_slot"
+        return None
 
     def _committed_up_to(self, seq: int) -> bool:
         if seq <= self.admission_base or seq <= self.stable_seq:
@@ -353,17 +366,12 @@ class Replica:
             return [("note", {"ev": "drop_prepare", "view": prep.view, "seq": prep.seq})]
         if self.view in self.flagged_views:
             return []
-        leader = leader_of(prep.view, self.cfg.n)
-        status = self._check_cert(prep.cert, leader, prep.pdigest())
-        if status is not VerifyStatus.OK:
-            return self._drop_status(status, prep.seq)
-        # both modes admit exactly the next position of one certified stream;
-        # the announced counter policy lets the leader pick any stream
-        stream, pos = self._slot(prep.cert)
+        why = self._check_prepare(prep.view, prep.seq, prep.pdigest(), prep.cert)
+        if why is not None:
+            return self._drop(why, prep.seq)
+        # both modes admit exactly the next position of the prepare's stream
+        key = (leader_of(prep.view, self.cfg.n), self._slot(prep.cert)[0])
         pinned = self.cfg.counter_policy == "pinned"
-        if pos != prep.seq or (pinned and stream != self._proposal_stream(prep.view)):
-            return self._drop("prepare_slot", prep.seq)
-        key = (leader, stream)
         cursor = self.cursors.get(key, self.admission_base if pinned else 0)
         if prep.seq <= cursor:
             return []
@@ -444,11 +452,12 @@ class Replica:
             # credited to the leader whoever relays it
             issuer, kind = leader_of(com.view, self.cfg.n), "prepare"
             want = m.prepare_digest(com.view, com.seq, com.bdigest)
+            why = self._check_prepare(com.view, com.seq, want, com.cert)
         else:
-            issuer, kind, want = com.sender, "commit", com.cdigest()
-        status = self._check_cert(com.cert, issuer, want)
-        if status is not VerifyStatus.OK:
-            return self._drop_status(status, com.seq)
+            issuer, kind = com.sender, "commit"
+            why = self._check_cert(com.cert, issuer, com.cdigest())
+        if why is not None:
+            return self._drop(why, com.seq)
         if not com.echo:
             prev = self.peer_max_commit.get(issuer, 0)
             self.peer_max_commit[issuer] = max(prev, com.seq)
@@ -549,9 +558,11 @@ class Replica:
                 if sender != lead:
                     return self._drop("decision_proof", dec.seq)
                 want = m.prepare_digest(dec.view, dec.seq, dec.bdigest)
+                why = self._check_prepare(dec.view, dec.seq, want, cert)
             else:
                 want = m.commit_digest(dec.view, dec.seq, sender, dec.bdigest)
-            if self._check_cert(cert, sender, want) is not VerifyStatus.OK:
+                why = self._check_cert(cert, sender, want)
+            if why is not None:
                 return self._drop("decision_proof", dec.seq)
         out = [("note", {"ev": "decision_accepted", "seq": dec.seq,
                          "from": dec.sender})]
@@ -594,7 +605,7 @@ class Replica:
     def on_state_response(self, sr: m.StateResponse) -> List[tuple]:
         if sr.seq <= self.exec_cursor:
             return []
-        if not self._check_stable_cert(sr.stable_cert, sr.seq):
+        if self._check_stable_cert(sr.stable_cert, sr.seq) is not None:
             return self._drop("state_cert", sr.seq)
         state = self._state_digest_from(sr.exec_digest, sr.last_replies)
         want = sr.stable_cert[0].state_digest
@@ -663,9 +674,9 @@ class Replica:
         return out
 
     def on_checkpoint(self, ck: m.Checkpoint) -> List[tuple]:
-        status = self._check_cert(ck.cert, ck.sender, ck.ckdigest())
-        if status is not VerifyStatus.OK:
-            return self._drop_status(status, ck.seq)
+        why = self._check_cert(ck.cert, ck.sender, ck.ckdigest())
+        if why is not None:
+            return self._drop(why, ck.seq)
         # a checkpoint at seq proves the sender executed, hence committed, seq
         prev = self.peer_committed_floor.get(ck.sender, 0)
         self.peer_committed_floor[ck.sender] = max(prev, ck.seq)
@@ -766,7 +777,7 @@ class Replica:
     def on_view_change(self, vc: m.ViewChange) -> List[tuple]:
         if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
             return []
-        if not self._validate_view_change(vc):
+        if self._validate_view_change(vc) is not None:
             return self._drop("viewchange", vc.new_view)
         votes = self.vc_votes.setdefault(vc.new_view, {})
         votes[vc.sender] = vc
@@ -783,40 +794,39 @@ class Replica:
                 out += self._emit_new_view(vc.new_view, votes)
         return out
 
-    def _validate_view_change(self, vc: m.ViewChange) -> bool:
-        ok = VerifyStatus.OK
+    def _validate_view_change(self, vc: m.ViewChange) -> Optional[str]:
+        """None if `vc` is a valid vote, else the name of the rule it fails.
+        The sender's certified history must be gapless up to its attested
+        counter positions, and every commit in it must expose its prepare."""
         att = vc.attestation
-        if self._check_cert(vc.cert, vc.sender, vc.vdigest()) is not ok:
-            return False
-        if (self._check_cert(att, vc.sender, None) is not ok
+        if self._check_cert(vc.cert, vc.sender, vc.vdigest()) is not None:
+            return "vote_cert"
+        if (self._check_cert(att, vc.sender, None) is not None
                 or att.nonce != vc.core_digest()):
-            return False
-        if vc.stable_seq > 0 and not self._check_stable_cert(vc.stable_cert,
-                                                             vc.stable_seq):
-            return False
+            return "attestation_nonce"
+        if vc.stable_seq > 0:
+            why = self._check_stable_cert(vc.stable_cert, vc.stable_seq)
+            if why is not None:
+                return why
+        covered: Dict[str, set] = {}
         for p in vc.prepares:
-            if self._check_cert(p.cert, leader_of(p.view, self.cfg.n),
-                                p.pdigest()) is not ok:
-                return False
+            why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
+            if why is not None:
+                return why
+            if isinstance(p.cert, UniqueIdentifier):
+                covered.setdefault(p.cert.counter, set()).add(p.cert.value)
         seqs = [p.seq for p in vc.prepares]
         if seqs and (min(seqs) > vc.stable_seq + 1
                      or sorted(seqs) != list(range(min(seqs), max(seqs) + 1))):
-            return False
-        return self._check_timeline(vc)
-
-    def _check_timeline(self, vc: m.ViewChange) -> bool:
-        """The sender's certified history must be gapless up to its attested
-        counter positions, and every commit in it must expose its prepare."""
-        att = vc.attestation
+            return "prepare_gap"
         counters = dict(att.counters)
-        covered: Dict[str, set] = {}
         commits: List[Tuple[int, bytes]] = []
         for e in vc.timeline:
             cert = e.cert
             skip = isinstance(cert, (SkipCertificate, PhaseSkipCertificate))
             if self._check_cert(cert, vc.sender,
-                                None if skip else e.digest) is not VerifyStatus.OK:
-                return False
+                                None if skip else e.digest) is not None:
+                return "timeline_cert"
             if isinstance(cert, SkipCertificate):
                 covered.setdefault(cert.counter, set()).update(
                     range(cert.first, cert.last + 1))
@@ -824,43 +834,39 @@ class Replica:
                 covered.setdefault(cert.counter, set()).add(cert.value)
                 if e.kind == "commit":
                     commits.append((e.seq, e.digest))
-        for p in vc.prepares:
-            if isinstance(p.cert, UniqueIdentifier):
-                covered.setdefault(p.cert.counter, set()).add(p.cert.value)
         if self.cfg.mode != "prevention":
             # the attestation precedes the vote certificate, so the vote must
             # sit exactly one past the attested position: nothing was minted
             # between taking the snapshot and certifying it
             own = derive_counter_id(vc.sender, MSG_COUNTER)
             if vc.cert.counter != own or vc.cert.value != counters.get(own, 0) + 1:
-                return False
+                return "vote_counter"
             for name, last in counters.items():
                 want = set(range(1, last + 1))
                 if not want <= covered.get(name, set()):
-                    return False
+                    return "timeline_gap"
         for seq, digest in commits:
             if seq <= vc.stable_seq:
                 continue
             prep = next((p for p in vc.prepares if p.seq == seq), None)
             if prep is None:
-                return False
+                return "commit_without_prepare"
             if m.commit_digest(prep.view, seq, vc.sender, prep.bdigest) != digest:
-                return False
-        return True
+                return "commit_other_prepare"
+        return None
 
-    def _check_stable_cert(self, cert: Tuple[m.Checkpoint, ...], seq: int) -> bool:
+    def _check_stable_cert(self, cert: Tuple[m.Checkpoint, ...],
+                           seq: int) -> Optional[str]:
         if len({c.sender for c in cert}) < self.cfg.f + 1:
-            return False
-        digests = {c.state_digest for c in cert}
-        if len(digests) != 1:
-            return False
+            return "stable_cert_quorum"
+        if len({c.state_digest for c in cert}) != 1:
+            return "stable_cert_digest"
         for c in cert:
             if c.seq != seq:
-                return False
-            if self._check_cert(c.cert, c.sender,
-                                c.ckdigest()) is not VerifyStatus.OK:
-                return False
-        return True
+                return "stable_cert_seq"
+            if self._check_cert(c.cert, c.sender, c.ckdigest()) is not None:
+                return "stable_cert_cert"
+        return None
 
     def _union(self, votes: Dict[int, m.ViewChange]):
         base = max(vc.stable_seq for vc in votes.values())
@@ -899,50 +905,48 @@ class Replica:
         return out
 
     def on_new_view(self, nv: m.NewView) -> List[tuple]:
-        if nv.view <= self.view:
+        if nv.view <= self.view or nv.sender != leader_of(nv.view, self.cfg.n):
             return []
-        if nv.sender != leader_of(nv.view, self.cfg.n):
-            return []
-        if not self._validate_new_view(nv):
+        if self._validate_new_view(nv) is not None:
             return self._drop("newview", nv.view)
         return self._adopt_new_view(nv, as_leader=False)
 
-    def _validate_new_view(self, nv: m.NewView) -> bool:
-        ok = VerifyStatus.OK
-        if self._check_cert(nv.cert, nv.sender, nv.ndigest()) is not ok:
-            return False
+    def _validate_new_view(self, nv: m.NewView) -> Optional[str]:
+        """None if `nv` is a valid NewView, else the name of the rule it fails."""
+        if self._check_cert(nv.cert, nv.sender, nv.ndigest()) is not None:
+            return "new_view_cert"
         if len({vc.sender for vc in nv.viewchanges}) < self.cfg.f + 1:
-            return False
+            return "vote_quorum"
         votes = {}
         for vc in nv.viewchanges:
-            if vc.new_view != nv.view or not self._validate_view_change(vc):
-                return False
+            if vc.new_view != nv.view or self._validate_view_change(vc) is not None:
+                return "vote"
             votes[vc.sender] = vc
         base, _, reprops = self._union(votes)
         if base != nv.base:
-            return False
+            return "base"
         want = {p.seq: p.bdigest for p in reprops}
         got = {p.seq: p.bdigest for p in nv.prepares}
         if want != got:
-            return False
+            return "reproposals"
         for seq, dig in got.items():
             t = self.trackers.get(seq)
             if seq > base and t is not None and t.committed not in (None, dig):
-                return False
-        stream = self._proposal_stream(nv.view)
+                return "reproposal_over_a_commit"
         for p in nv.prepares:
-            if p.view != nv.view or self._check_cert(
-                    p.cert, nv.sender, p.pdigest()) is not ok:
-                return False
-            if self._slot(p.cert) != (stream, p.seq):
-                return False
+            if p.view != nv.view:
+                return "reproposal_view"
+            why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
+            if why is not None:
+                return why
         if nv.base >= 1 and self.cfg.mode != "prevention":
             sk = nv.skip_cert
-            if self._check_cert(sk, nv.sender, None) is not ok:
-                return False
-            if (sk.counter, sk.first, sk.last) != (stream, 1, nv.base):
-                return False
-        return True
+            if self._check_cert(sk, nv.sender, None) is not None:
+                return "skip_cert"
+            if (sk.counter, sk.first, sk.last) != (
+                    self._proposal_stream(nv.view), 1, nv.base):
+                return "skip_range"
+        return None
 
     def _adopt_new_view(self, nv: m.NewView, as_leader: bool) -> List[tuple]:
         self.view = nv.view
@@ -956,7 +960,7 @@ class Replica:
         out: List[tuple] = [("note", {"ev": "adopt_view", "view": nv.view,
                                       "base": nv.base})]
         if nv.base > self.stable_seq and nv.stable_cert:
-            if self._check_stable_cert(nv.stable_cert, nv.base):
+            if self._check_stable_cert(nv.stable_cert, nv.base) is None:
                 self._adopt_stable(nv.base, nv.stable_cert)
         if self.exec_cursor < self.stable_seq:
             out += self._maybe_fetch_state()
@@ -1024,14 +1028,9 @@ class Replica:
     # ----------------------------------------------------------------- drops
 
     def _drop(self, why: str, seq: int) -> List[tuple]:
-        self.stats["invalid_drops"] += 1
+        stat = "stale_epoch_drops" if why == "stale_epoch" else "invalid_drops"
+        self.stats[stat] += 1
         return [("note", {"ev": "drop", "why": why, "seq": seq})]
-
-    def _drop_status(self, status: VerifyStatus, seq: int) -> List[tuple]:
-        if status is VerifyStatus.STALE_EPOCH:
-            self.stats["stale_epoch_drops"] += 1
-            return [("note", {"ev": "drop", "why": "stale_epoch", "seq": seq})]
-        return self._drop("invalid_cert", seq)
 
     # ------------------------------------------------------------- inspection
 

@@ -7,13 +7,16 @@ timing behavior lives in test_sim.py.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import hmac as hmaclib
+from pathlib import Path
 
 import pytest
 
 from hybft import messages as m
+from hybft import protocol
 from hybft.config import SimConfig
 from hybft.protocol import Replica, _Tracker, proposal_counter
 from hybft.sim import Ledger, safety_violations
@@ -673,13 +676,93 @@ def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
     assert safety_violations(c.ledger, {0}) == []
 
 
+def _a_vote_carries(mode, view, certify):
+    """f=1. Faulty replica 0 certifies batch A at seq 1 of its view-0 stream
+    and shows it only to replica 1, which commits A. Its vote for view 1 then
+    carries a view-`view` prepare of batch B at seq 1, certified by
+    `certify(component, prepare digest)`, and reaches replica 1, the view-1
+    leader, before replica 1's own vote (two suspicion periods)."""
+    c = Cluster(mode=mode)
+    ra, rb = authed(1), authed(2)
+    for rid in (1, 2):
+        c.request(rid, ra).request(rid, rb)
+    faulty = c.replicas[0]
+    adig = m.batch_digest((ra,))
+    acert = faulty._cert("prepare", 0, 1, m.prepare_digest(0, 1, adig))
+    c.inject(1, m.Prepare(0, 1, (ra,), adig, acert))
+    assert c.ledger.records[1].committed[1] == adig
+    c.queue.clear()
+    bdig = m.batch_digest((rb,))
+    bcert = certify(c.tcs[0], m.prepare_digest(view, 1, bdig))
+    faulty.prepared_log[1] = m.Prepare(view, 1, (rb,), bdig, bcert)
+    c._absorb(0, faulty._start_view_change(1, reason="timeout"))
+    c.pump(drop_to={0})
+    c.fire(1, "suspect", 0).fire(1, "suspect", 0).pump(drop_to={0})
+    return c
+
+
+@pytest.mark.parametrize("mode", ["detection", "prevention"])
+def test_a_vote_cannot_carry_a_prepare_off_the_leaders_stream(mode):
+    # B is bound to the message counter, or to a commit-phase context; were
+    # the vote counted, the union would elect B over the committed A
+    def off_stream(tc, pdig):
+        if mode == "detection":
+            return tc.create_ui(pdig)
+        return tc.certify_context("commit", 0, 1, pdig)
+
+    c = _a_vote_carries(mode, 0, off_stream)
+    assert safety_violations(c.ledger, {0}) == []
+    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a vote may carry a prepare from a view that was never installed: "
+    "ROADMAP item 6 (h)"))
+@pytest.mark.parametrize("mode", ["detection", "prevention"])
+def test_a_vote_cannot_carry_a_prepare_from_an_uninstalled_view(mode):
+    # B holds its slot on replica 0's view-3 stream, and the union takes the
+    # highest view, so B replaces the committed A
+    def view_3_stream(tc, pdig):
+        if mode == "detection":
+            return tc.create_ui(pdig, counter=proposal_counter(3))
+        return tc.certify_context("prepare", 3, 1, pdig)
+
+    c = _a_vote_carries(mode, 3, view_3_stream)
+    assert safety_violations(c.ledger, {0}) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a vote whose timeline commits one seq in two views is rejected: "
+    "ROADMAP item 6 (i)"))
+def test_a_seq_committed_in_two_views_leaves_its_voters_valid():
+    c = Cluster()
+    broadcast_request(c, 1)
+    c.pump()
+    # request 2 bypasses the view-0 leader; view 1 re-proposes seq 1, and
+    # every replica commits it a second time
+    r2 = authed(2)
+    c.request(1, r2).request(2, r2)
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    assert [r.view for r in c.replicas] == [1, 1, 1]
+    # request 3 bypasses the view-1 leader, so replicas 0 and 2 vote for
+    # view 2; its leader, replica 2, must count its own vote
+    r3 = authed(3)
+    c.request(0, r3).request(2, r3)
+    for rid in (0, 2):
+        c.fire(rid, "suspect", 1).fire(rid, "suspect", 1)
+    c.pump()
+    assert c.replicas[2].view == 2
+
+
 # ------------------------------------------------------ view-change checks
 #
 # One valid vote and one valid NewView, each broken in one way; a correct
-# replica must drop every broken one. At f=1 with a checkpoint at every seq,
-# seq 1 is stable everywhere and only replica 2 has committed seq 2, so
-# replica 2's vote for view 1 carries a stable certificate, a prepare above
-# it and a commit that prepare must back.
+# replica must drop every broken one, and its validator must name the rule
+# the break was written for. At f=1 with a checkpoint at every seq, seq 1 is
+# stable everywhere and only replica 2 has committed seq 2, so replica 2's
+# vote for view 1 carries a stable certificate, a prepare above it and a
+# commit that prepare must back.
 
 
 def _vote_setup():
@@ -709,12 +792,13 @@ def _recertify(c, vote, att=None, **fields):
     return dataclasses.replace(v, attestation=att, cert=cert)
 
 
-def _mint_prepare(c, seq, req):
-    """A view-0 prepare certified by the leader's own component."""
+def _mint_prepare(c, view, seq, req):
+    """A view-`view` prepare at `seq`, certified by replica 0 (the leader of
+    views 0 and 3) at the next value of its proposal counter for `view`."""
     bdig = m.batch_digest((req,))
-    cert = c.tcs[0].create_ui(m.prepare_digest(0, seq, bdig),
-                              counter=proposal_counter(0))
-    return m.Prepare(0, seq, (req,), bdig, cert)
+    cert = c.tcs[0].create_ui(m.prepare_digest(view, seq, bdig),
+                              counter=proposal_counter(view))
+    return m.Prepare(view, seq, (req,), bdig, cert)
 
 
 def _break_stable_cert(vote, **fields):
@@ -739,37 +823,71 @@ def _broken_timeline_cert(c, vote):
     return _recertify(c, vote, timeline=tuple(tl))
 
 
+def _two_state_digests(c, vote):
+    first = dataclasses.replace(vote.stable_cert[0],
+                                state_digest=hashlib.sha256(b"x").digest())
+    return dataclasses.replace(vote, stable_cert=(first, *vote.stable_cert[1:]))
+
+
+def _foreign_vote_cert(c, vote):
+    return dataclasses.replace(vote, cert=c.tcs[0].create_ui(vote.vdigest()))
+
+
+def _prepare_off_its_slot(c, vote):
+    # the leader certifies the carried prepare again, at value 3 for seq 2
+    p = vote.prepares[0]
+    cert = c.tcs[0].create_ui(p.pdigest(), counter=proposal_counter(0))
+    return _recertify(c, vote, prepares=(dataclasses.replace(p, cert=cert),))
+
+
+def _prepare_past_a_gap(c, vote):
+    # the leader voids value 3, so a prepare at seq 4 holds its slot while
+    # the carried seqs skip 3
+    c.tcs[0].skip_values(proposal_counter(0), 1)
+    return _recertify(c, vote, prepares=vote.prepares + (
+        _mint_prepare(c, 0, 4, authed(4)),))
+
+
+def _commit_over_another_batch(c, vote):
+    # the voter's timeline also commits another batch at seq 2
+    dig = m.commit_digest(0, 2, 2, m.batch_digest((authed(9),)))
+    entry = m.TimelineEntry("commit", 2, dig, c.tcs[2].create_ui(dig))
+    return _recertify(c, vote, timeline=(*c.replicas[2].timeline, entry))
+
+
+# break -> (the rule _validate_view_change names, the break)
 BROKEN_VOTES = {
-    "foreign_vote_cert": lambda c, v: dataclasses.replace(
-        v, cert=c.tcs[0].create_ui(v.vdigest())),
-    "attestation_nonce": lambda c, v: _recertify(
-        c, v, att=c.tcs[2].attest_state(hashlib.sha256(b"x").digest())),
-    "stable_cert_one_sender": lambda c, v: dataclasses.replace(
-        v, stable_cert=v.stable_cert[:1]),
-    "stable_cert_two_digests": lambda c, v: dataclasses.replace(
-        v, stable_cert=(dataclasses.replace(
-            v.stable_cert[0], state_digest=hashlib.sha256(b"x").digest()),
-            *v.stable_cert[1:])),
-    "stable_cert_other_seq": lambda c, v: _break_stable_cert(v, seq=2),
-    "stable_cert_foreign": lambda c, v: _break_stable_cert(
-        v, cert=v.stable_cert[0].cert),
-    "prepare_gap": lambda c, v: _recertify(c, v, prepares=v.prepares + (
-        _mint_prepare(c, 4, authed(4)),)),
-    "timeline_cert": _broken_timeline_cert,
-    "vote_counter": _late_vote,
-    "timeline_gap": lambda c, v: _recertify(
-        c, v, timeline=tuple(c.replicas[2].timeline)[1:]),
-    "commit_without_prepare": lambda c, v: _recertify(c, v, prepares=()),
-    "commit_other_prepare": lambda c, v: _recertify(
-        c, v, prepares=(_mint_prepare(c, 2, authed(9)),)),
+    "foreign_vote_cert": ("vote_cert", _foreign_vote_cert),
+    "attestation_nonce": ("attestation_nonce", lambda c, v: _recertify(
+        c, v, att=c.tcs[2].attest_state(hashlib.sha256(b"x").digest()))),
+    "stable_cert_one_sender": ("stable_cert_quorum", lambda c, v: (
+        dataclasses.replace(v, stable_cert=v.stable_cert[:1]))),
+    "stable_cert_two_digests": ("stable_cert_digest", _two_state_digests),
+    "stable_cert_other_seq": ("stable_cert_seq", lambda c, v: (
+        _break_stable_cert(v, seq=2))),
+    "stable_cert_foreign": ("stable_cert_cert", lambda c, v: (
+        _break_stable_cert(v, cert=v.stable_cert[0].cert))),
+    "prepare_slot": ("prepare_slot", _prepare_off_its_slot),
+    "prepare_gap": ("prepare_gap", _prepare_past_a_gap),
+    "timeline_cert": ("timeline_cert", _broken_timeline_cert),
+    "vote_counter": ("vote_counter", _late_vote),
+    "timeline_gap": ("timeline_gap", lambda c, v: _recertify(
+        c, v, timeline=tuple(c.replicas[2].timeline)[1:])),
+    "commit_without_prepare": ("commit_without_prepare", lambda c, v: (
+        _recertify(c, v, prepares=()))),
+    "commit_other_prepare": ("commit_other_prepare",
+                             _commit_over_another_batch),
 }
 
 
 @pytest.mark.parametrize("how", [None, *BROKEN_VOTES])
 def test_a_broken_vote_is_dropped(how):
     c, vote = _vote_setup()
+    reason = None
     if how is not None:
-        vote = BROKEN_VOTES[how](c, vote)
+        reason, brk = BROKEN_VOTES[how]
+        vote = brk(c, vote)
+    assert c.replicas[1].clone()._validate_view_change(vote) == reason
     c.inject(1, vote)
     dropped = (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
     assert dropped == (how is not None)
@@ -799,9 +917,14 @@ def _reproposal_on_the_message_counter(c, nv):
 
 
 def _reproposal_over_a_commit(c, nv):
-    # the new leader's own vote carries another view-0 prepare at seq 2, so
-    # the votes elect a batch other than the one replica 2 committed there
-    other = _mint_prepare(c, 2, authed(9))
+    # the new leader's own vote carries a prepare of another batch at seq 2,
+    # so the votes elect a batch other than the one replica 2 committed
+    # there. A carried prepare must hold its slot, and the view-0 leader
+    # already bound seq 2, so only a prepare from a view that was never
+    # installed gets this far (ROADMAP item 6 (h)): replica 0 binds seq 2 of
+    # its view-3 stream, which outranks view 0 in the union.
+    c.tcs[0].skip_values(proposal_counter(3), 1)
+    other = _mint_prepare(c, 3, 2, authed(9))
     vote = _recertify(c, nv.viewchanges[0], prepares=(other,))
     cert = c.tcs[1].create_ui(m.prepare_digest(1, 2, other.bdigest),
                               counter=proposal_counter(1))
@@ -809,30 +932,56 @@ def _reproposal_over_a_commit(c, nv):
                   prepares=(dataclasses.replace(other, view=1, cert=cert),))
 
 
+# break -> (the rule _validate_new_view names, the break)
 BROKEN_NEW_VIEWS = {
-    "one_vote": lambda c, nv: _renew(c, nv, viewchanges=nv.viewchanges[:1]),
-    "broken_vote": lambda c, nv: _renew(c, nv, viewchanges=(
-        nv.viewchanges[0], BROKEN_VOTES["foreign_vote_cert"](
-            c, nv.viewchanges[1]))),
-    "base": lambda c, nv: _renew(c, nv, base=0),
-    "no_reproposals": lambda c, nv: _renew(c, nv, prepares=()),
-    "reproposal_over_a_commit": _reproposal_over_a_commit,
-    "old_view_reproposal": lambda c, nv: _renew(
-        c, nv, prepares=(c.replicas[2].prepared_log[2],)),
-    "reproposal_slot": _reproposal_on_the_message_counter,
-    "foreign_skip_cert": lambda c, nv: _renew(
-        c, nv, skip_cert=c.tcs[2].skip_values(proposal_counter(1), 1)),
-    "skip_range": lambda c, nv: _renew(
-        c, nv, skip_cert=c.tcs[1].skip_values(proposal_counter(2), 1)),
+    "foreign_new_view_cert": ("new_view_cert", lambda c, nv: (
+        dataclasses.replace(nv, cert=c.tcs[2].create_ui(nv.ndigest())))),
+    "one_vote": ("vote_quorum", lambda c, nv: _renew(
+        c, nv, viewchanges=nv.viewchanges[:1])),
+    "broken_vote": ("vote", lambda c, nv: _renew(c, nv, viewchanges=(
+        nv.viewchanges[0], _foreign_vote_cert(c, nv.viewchanges[1])))),
+    "base": ("base", lambda c, nv: _renew(c, nv, base=0)),
+    "no_reproposals": ("reproposals", lambda c, nv: _renew(
+        c, nv, prepares=())),
+    "reproposal_over_a_commit": ("reproposal_over_a_commit",
+                                 _reproposal_over_a_commit),
+    "old_view_reproposal": ("reproposal_view", lambda c, nv: _renew(
+        c, nv, prepares=(c.replicas[2].prepared_log[2],))),
+    "reproposal_slot": ("prepare_slot", _reproposal_on_the_message_counter),
+    "foreign_skip_cert": ("skip_cert", lambda c, nv: _renew(
+        c, nv, skip_cert=c.tcs[2].skip_values(proposal_counter(1), 1))),
+    "skip_range": ("skip_range", lambda c, nv: _renew(
+        c, nv, skip_cert=c.tcs[1].skip_values(proposal_counter(2), 1))),
 }
 
 
 @pytest.mark.parametrize("how", [None, *BROKEN_NEW_VIEWS])
 def test_a_broken_new_view_is_dropped(how):
     c, nv = _new_view_setup()
+    reason = None
     if how is not None:
-        nv = BROKEN_NEW_VIEWS[how](c, nv)
+        reason, brk = BROKEN_NEW_VIEWS[how]
+        nv = brk(c, nv)
+    assert c.replicas[2].clone()._validate_new_view(nv) == reason
     c.inject(2, nv)
     dropped = (2, {"ev": "drop", "why": "newview", "seq": 1}) in c.notes
     assert dropped == (how is not None)
     assert c.replicas[2].view == (0 if how else 1)
+
+
+def test_every_rule_a_validator_names_is_pinned_by_a_break():
+    # each reason literal a validator returns is the asserted reason of some
+    # break above, so no branch can go dead unseen after a reordering
+    validators = {"_check_prepare", "_check_stable_cert",
+                  "_validate_view_change", "_validate_new_view"}
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    named = {node.value.value
+             for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name in validators
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Return)
+             and isinstance(node.value, ast.Constant)
+             and isinstance(node.value.value, str)}
+    asserted = {reason for table in (BROKEN_VOTES, BROKEN_NEW_VIEWS)
+                for reason, _ in table.values()}
+    assert named == asserted
