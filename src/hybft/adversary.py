@@ -61,9 +61,6 @@ class _Scripted(Replica):
     def on_timer(self, kind: str, key, now: int) -> List[tuple]:
         return self._filtered(super().on_timer(kind, key, now))
 
-    def _followers(self) -> List[int]:
-        return [i for i in range(self.cfg.n) if i != self.id]
-
 
 class EquivocateWithholdLeader(_Scripted):
     """Re-binds one batch at two consecutive counter values, partitioned.
@@ -107,7 +104,7 @@ class EquivocateWithholdLeader(_Scripted):
                                  counter=proposal_counter(self.view))
         px = m.Prepare(self.view, seq, chunk, bdig, ui_x)
         py = m.Prepare(self.view, seq + 1, chunk, bdig, ui_y)
-        followers = self._followers()
+        followers = self.peers()
         first = followers[: self.cfg.f]
         out: List[tuple] = [("note", {"ev": "attack_equivocate", "seq": seq,
                                       "values": [ui_x.value, ui_y.value]})]
@@ -145,8 +142,7 @@ class SilentRepliersLeader(_Scripted):
     def _keep(self, dst, msg) -> bool:
         if not isinstance(msg, m.Prepare) or dst[0] != "replica":
             return False
-        allowed = set(range(1, self.cfg.f)) | {self.cfg.f}
-        return dst[1] in allowed
+        return dst[1] in range(1, self.cfg.f + 1)
 
 
 class SilentPartner(_Scripted):
@@ -191,7 +187,7 @@ class CounterIdentityLeader(_Scripted):
         ui2 = self.tc.create_ui(m.prepare_digest(self.view, 1, bdb), counter=q2)
         pa = m.Prepare(self.view, 1, chunk_a, bda, ui1)
         pb = m.Prepare(self.view, 1, chunk_b, bdb, ui2)
-        followers = self._followers()
+        followers = self.peers()
         out.append(("note", {"ev": "parallel_timelines",
                              "counters": [ui1.counter, ui2.counter],
                              "values": [ui1.value, ui2.value]}))

@@ -18,28 +18,12 @@ Three layers:
    terminal state must show full commitment, demonstrating progress is
    reachable in the scenario.
 
-   Every step belongs to one replica: a delivery to its destination, a
-   timer to its owner. Steps of different replicas commute. A step pops the
-   head of one of its replica's inbound channels or fires one of its own
-   timers. It appends only to that replica's outbound channels and changes
-   only that replica, its armed timers and its ledger record. Suppose
-   replicas a and b each have a step enabled, and b's step delivers from
-   the channel from a to b. That channel is non-empty, so anything a's step
-   appends lands behind its head. b receives the same message either way
-   and leaves the same queue behind. Neither step disables the other, and
-   doing both in either order gives the same state. The explorer therefore
-   prunes reordered paths with sleep sets (Godefroid, "Partial-Order
-   Methods for the Verification of Concurrent Systems", LNCS 1032, 1996).
-   It still visits every reachable state, but it applies fewer steps to
-   reach them.
-
-   The oracle needs nothing from a pruned path. A replica's ledger record
-   depends only on that replica's own steps, in order, and reordering steps
-   of different replicas keeps each replica's order. So both orders leave
-   every record the same. The world key leaves the ledger out. A state
-   reached by several different histories is therefore checked once, on the
-   first path that reaches it (ROADMAP item 8), with or without the
-   reduction.
+   The search is a plain depth-first search over world keys. Every
+   reachable key is visited and checked once, on the first path that
+   reaches it. The key leaves the ledger out, so a state reached by
+   several different histories is checked on that first path only. It
+   also leaves out some state that later steps read, so the order of the
+   search decides which successors a key gets (ROADMAP item 8).
 
    A world key is a few small ints. Every world forked from one root shares
    a table that numbers each distinct replica key (Replica.state_key()) and
@@ -62,9 +46,7 @@ Three layers:
    issues no certificate hands its parent's ledger object to the successor;
    only a recording step forks it. The oracle runs once per distinct ledger
    object, and every state that shares the ledger reuses the verdict,
-   which the ledger keeps until its next note. The gap, prevention,
-   equivocate (no decisions) and checkpoint worlds scan 104, 127, 405 and
-   372 ledgers for 377, 1,595, 3,215 and 1,681 states.
+   which the ledger keeps until its next note.
 """
 
 from __future__ import annotations
@@ -423,74 +405,41 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     the number of states, of terminal states (no step enabled), and of
     terminals where every correct replica has committed and executed.
 
-    The search is depth first with sleep sets. A sleep set holds steps that
-    need not be taken from a state, because a path already explored covers
-    them. Once the search has explored step s from a state, s goes into the
-    sleep set of every later successor of that state whose step belongs to
-    another replica. That step t commutes with s (see the module
-    docstring), so taking s after t reaches a state that the subtree under
-    s has already reached. A successor inherits only the sleeping steps of
-    other replicas. A step of the same replica may change what those steps
-    do.
-
-    With memoized states, the sleep set stored with a state is the set of
-    steps not yet taken from it. When a revisit brings a smaller sleep set,
-    the search takes the stored steps that this path leaves awake. The state
-    then keeps only what both paths leave asleep. This is Godefroid's
-    revisit rule. It makes the search reach every reachable state of any
-    finite state graph, including one with cycles, such as a timer that
-    re-arms itself. The worlds built below are acyclic. There, the
-    depth-first order alone reaches each state first by its
-    lexicographically least path, and no sleep set blocks that path. So on
-    those worlds the rule only costs steps. The gap, prevention and
-    equivocate (no decisions) worlds take 729, 4,174 and 8,183 `apply`
-    calls with it, and 682, 3,579 and 7,095 without it. Every reachable
-    state is visited and checked once, on the first path that reaches it.
-    Only steps that would lead to states already seen are skipped. Of those
-    calls, only 149, 521 and 767 run a handler; the rest hit the step memo.
+    The search is depth first over world keys. The stack holds (world,
+    step) pairs, and a step is applied when its pair is popped. Pairs are
+    pushed in enabled() order, so the last enabled step's successor is
+    explored first. Each key is checked once, on the first path that
+    reaches it (see the module docstring).
 
     A state's check is safety_violations on its ledger, run once per
     ledger object (_verdict): a state whose last step recorded nothing
-    shares its parent's ledger, and its verdict. The three worlds scan 104,
-    127 and 405 ledgers for 377, 1,595 and 3,215 states.
+    shares its parent's ledger, and its verdict.
     """
-    seen: Dict[tuple, frozenset] = {}
+    seen: Set[tuple] = set()
     byz = frozenset(world.byz)
     terminals = 0
     full_commit_terminals = 0
-    stack = [(world, frozenset())]
+    stack = [(world, None)]
     while stack:
-        w, sleep = stack.pop()
+        w, act = stack.pop()
+        if act is not None:
+            w = w.apply(act)
         key = w.state_key()
-        stored = seen.get(key)
-        if stored is None:
-            seen[key] = sleep
-            # explicit raises, so that python -O keeps the checks
-            if len(seen) > max_states:
-                raise AssertionError("state budget exceeded")
-            violations = _verdict(w.ledger, byz)
-            if violations:
-                raise AssertionError(violations)
-            acts = w.enabled()
-            if not acts:
-                terminals += 1
-                if w.fully_committed():
-                    full_commit_terminals += 1
-                continue
-            acts = [a for a in acts if a not in sleep]
-        else:
-            acts = [a for a in w.enabled() if a in stored and a not in sleep]
-            sleep = seen[key] = stored & sleep
-        # The stack pops the last step's successor first, so each successor
-        # sleeps on the steps after its own, whose subtrees are done by then.
-        children = []
-        for act in reversed(acts):
-            rid = _stepper(act)
-            children.append(
-                (w.apply(act),
-                 frozenset(a for a in sleep if _stepper(a) != rid)))
-            sleep = sleep | {act}
-        stack.extend(reversed(children))
+        if key in seen:
+            continue
+        seen.add(key)
+        # explicit raises, so that python -O keeps the checks
+        if len(seen) > max_states:
+            raise AssertionError("state budget exceeded")
+        violations = _verdict(w.ledger, byz)
+        if violations:
+            raise AssertionError(violations)
+        acts = w.enabled()
+        if not acts:
+            terminals += 1
+            if w.fully_committed():
+                full_commit_terminals += 1
+        stack.extend((w, act) for act in acts)
     return {"states": len(seen), "terminals": terminals,
             "full_commit_terminals": full_commit_terminals}
 

@@ -808,18 +808,16 @@ class Replica:
             why = self._check_stable_cert(vc.stable_cert, vc.stable_seq)
             if why is not None:
                 return why
-        covered: Dict[str, set] = {}
         for p in vc.prepares:
             why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
             if why is not None:
                 return why
-            if isinstance(p.cert, UniqueIdentifier):
-                covered.setdefault(p.cert.counter, set()).add(p.cert.value)
         seqs = [p.seq for p in vc.prepares]
         if seqs and (min(seqs) > vc.stable_seq + 1
                      or sorted(seqs) != list(range(min(seqs), max(seqs) + 1))):
             return "prepare_gap"
         counters = dict(att.counters)
+        covered: Dict[str, set] = {}
         commits: List[Tuple[int, bytes]] = []
         for e in vc.timeline:
             cert = e.cert

@@ -680,8 +680,9 @@ def _a_vote_carries(mode, view, certify):
     """f=1. Faulty replica 0 certifies batch A at seq 1 of its view-0 stream
     and shows it only to replica 1, which commits A. Its vote for view 1 then
     carries a view-`view` prepare of batch B at seq 1, certified by
-    `certify(component, prepare digest)`, and reaches replica 1, the view-1
-    leader, before replica 1's own vote (two suspicion periods)."""
+    `certify(component, prepare digest)` and entered in its timeline, and
+    reaches replica 1, the view-1 leader, before replica 1's own vote (two
+    suspicion periods)."""
     c = Cluster(mode=mode)
     ra, rb = authed(1), authed(2)
     for rid in (1, 2):
@@ -693,8 +694,10 @@ def _a_vote_carries(mode, view, certify):
     assert c.ledger.records[1].committed[1] == adig
     c.queue.clear()
     bdig = m.batch_digest((rb,))
-    bcert = certify(c.tcs[0], m.prepare_digest(view, 1, bdig))
+    bpdig = m.prepare_digest(view, 1, bdig)
+    bcert = certify(c.tcs[0], bpdig)
     faulty.prepared_log[1] = m.Prepare(view, 1, (rb,), bdig, bcert)
+    faulty.timeline.append(m.TimelineEntry("prepare", 1, bpdig, bcert))
     c._absorb(0, faulty._start_view_change(1, reason="timeout"))
     c.pump(drop_to={0})
     c.fire(1, "suspect", 0).fire(1, "suspect", 0).pump(drop_to={0})
