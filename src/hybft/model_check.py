@@ -20,10 +20,11 @@ Three layers:
 
    The search is a plain depth-first search over world keys. Every
    reachable key is visited and checked once, on the first path that
-   reaches it. The key leaves the ledger out, so a state reached by
-   several different histories is checked on that first path only. It
-   also leaves out some state that later steps read, so the order of the
-   search decides which successors a key gets (ROADMAP item 8).
+   reaches it. A replica's key holds all its state (Replica.state_key), so
+   a key's successors do not depend on the path, and the order of the
+   search does not change what it reaches. The key leaves the ledger out,
+   so a state reached by several different histories is checked on that
+   first path only (ROADMAP item 8).
 
    A world key is a few small ints. Every world forked from one root shares
    a table that numbers each distinct replica key (Replica.state_key()) and
@@ -33,14 +34,14 @@ Three layers:
    but hashing it does not hash every queued message again.
 
    The worlds of one root also share a memo of replica steps, keyed by the
-   stepping replica object and its input (the message, by equality, or the
-   timer). A replica in a world is never changed in place and reads no
-   clock, so the step is the same every time; it repeats often, as worlds
-   share the replicas their paths have not stepped. A hit reuses the
+   stepping replica's id, the id of its key and its input (the message, by
+   equality, or the timer). A replica reads no clock and its key holds all
+   its state, so a step is a function of that triple; it repeats often, as
+   paths that differ elsewhere reach equal replicas. A hit reuses the
    successor, the step's delta, its certificates and its key id. The delta
    is the step's effects as they land in a world: sends grouped per
-   channel, the armed timers as a frozenset, and the facts. The memo holds
-   each source replica, so no id is reused; a step that raises is not kept.
+   channel, the armed timers as a frozenset, and the facts. A step that
+   raises is not kept.
 
    A world never mutates the ledger it holds. A step that notes no fact and
    issues no certificate hands its parent's ledger object to the successor;
@@ -242,8 +243,9 @@ class World:
     # ids is the intern table and memo the step memo, both created with the
     # root world and shared by every successor. rkeys holds the id of each
     # replica's Replica.state_key(), set from the memo when the replica
-    # steps, qkeys that of each non-empty channel's queue until the channel
-    # changes; a successor inherits both.
+    # steps (or when a key or a step first needs it), qkeys that of each
+    # non-empty channel's queue until the channel changes; a successor
+    # inherits both.
     ids: Dict[tuple, int] = field(default_factory=dict, init=False)
     memo: Dict[tuple, tuple] = field(default_factory=dict, init=False)
     rkeys: Dict[int, int] = field(default_factory=dict, init=False)
@@ -282,22 +284,25 @@ class World:
         world's ledger when the step notes no fact and issues no
         certificate, and otherwise a fork with the stepping replica's record
         copied. The stepping replica's successor and the step's delta (see
-        _delta) come from the memo, or, the first time, from a clone that
-        takes the step.
+        _delta) come from the memo, keyed by the replica's id, its key id
+        and the input, or, the first time, from a clone that takes the step.
         """
         rid = _stepper(act)
-        src = self.replicas[rid]
+        src, ids = self.replicas[rid], self.ids
+        src_kid = self.rkeys.get(rid)
+        if src_kid is None:
+            src_kid = self.rkeys[rid] = ids.setdefault(src.state_key(), len(ids))
         channels, armed = dict(self.channels), self.armed
         qkeys = dict(self.qkeys)
         if act[0] == "deliver":
             queue = channels[act[1]]
             channels[act[1]] = queue[1:]
             qkeys.pop(act[1], None)
-            step = (src, queue[0])
+            step = (rid, src_kid, queue[0])
         else:
             _, kind, tkey = act[1]
             armed = armed - {act[1]}
-            step = (src, kind, tkey)
+            step = (rid, src_kid, kind, tkey)
         memo = self.memo
         hit = memo.get(step)
         if hit is None:
@@ -313,7 +318,7 @@ class World:
             rep.share_equal_state(src)
             hit = memo[step] = (
                 rep, _delta(rid, effects, self.byz), rep.tc.take_issued(),
-                self.ids.setdefault(rep.state_key(), len(self.ids)))
+                ids.setdefault(rep.state_key(), len(ids)))
         rep, delta, issued, kid = hit
         # built field by field: World() would make a ledger and four dicts
         # only to drop them
@@ -408,8 +413,9 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     The search is depth first over world keys. The stack holds (world,
     step) pairs, and a step is applied when its pair is popped. Pairs are
     pushed in enabled() order, so the last enabled step's successor is
-    explored first. Each key is checked once, on the first path that
-    reaches it (see the module docstring).
+    explored first; any order reaches the same keys. Each key is checked
+    once, on the first path that reaches it, since the key leaves the
+    ledger out (see the module docstring).
 
     A state's check is safety_violations on its ledger, run once per
     ledger object (_verdict): a state whose last step recorded nothing

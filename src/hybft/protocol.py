@@ -67,22 +67,43 @@ class _Tracker:
     via: str = ""
 
     def clone(self) -> "_Tracker":
-        return _Tracker({d: dict(h) for d, h in self.claims.items()},
-                        self.committed, self.view, self.via)
+        return _Tracker(_copy(self.claims), self.committed, self.view, self.via)
+
+    def state_key(self) -> tuple:
+        return (_key(self.claims), self.committed, self.view, self.via)
 
 
-# Replica attributes that Replica.clone copies. Their elements are immutable
-# (ints, bytes, tuples, frozen messages), or, in the nested ones, containers
-# of immutable elements. Everything else is a scalar or never mutated
-# (cfg, directory, client_keys) and is shared between forks.
-_FLAT_STATE = (
-    "flagged_views", "cursors", "bound", "prepared_log", "checkpoint_exec",
-    "executed", "last_reply", "pending", "batchq", "inflight",
-    "queued_batches", "timeline", "deferred_commits", "decision_armed",
-    "peer_max_commit", "peer_committed_floor", "suspect_armed", "stats",
-)
-_NESTED_STATE = ("buffered", "checkpoint_claims", "future_commits",
-                 "future_prepares", "decision_seen", "vc_votes")
+# The Replica attributes that are not state: the configuration, which
+# clones share, and the write-only counters, which clones copy and no step
+# reads. Every other attribute, a subclass's too, is state: clone copies it,
+# share_equal_state shares it and state_key keys it (see _copy and _key).
+_CONFIG = frozenset({"id", "cfg", "window", "checkpoint_interval", "max_view",
+                     "directory", "client_keys"})
+_NOT_STATE = _CONFIG | {"stats", "decisions_sent", "decisions_suppressed"}
+
+
+def _copy(value):
+    """A copy of `value` that shares no mutable object with it (see _COPY)."""
+    copy = _COPY.get(type(value))
+    return value if copy is None else copy(value)
+
+
+def _key(value):
+    """The hashable key of `value` (see _KEY)."""
+    key = _KEY.get(type(value))
+    return value if key is None else key(value)
+
+
+# How _copy and _key treat each mutable type, by exact type; a value of any
+# other type is immutable, shared by copies and its own key. Dicts are copied
+# at every depth and keyed as the frozenset of their keyed items; the
+# elements of lists and sets are immutable.
+_COPY = {dict: lambda d: {k: _copy(v) for k, v in d.items()},
+         list: list.copy, set: set.copy,
+         _Tracker: _Tracker.clone, TrustedComponent: TrustedComponent.clone}
+_KEY = {dict: lambda d: frozenset([(k, _key(v)) for k, v in d.items()]),
+        list: tuple, set: frozenset,
+        _Tracker: _Tracker.state_key, TrustedComponent: TrustedComponent.state_key}
 
 
 # Handler for each message type and timer kind, looked up by name so that a
@@ -1033,22 +1054,13 @@ class Replica:
     # ------------------------------------------------------------- inspection
 
     def clone(self) -> "Replica":
-        """Independent fork of this replica, for state-space exploration.
-
-        Handling a message on the fork never changes this replica: every
-        mutable container is copied (see _FLAT_STATE), and so are the
-        trackers and the trusted component. Frozen messages and certificates
-        are shared. A subclass keeps its type; attributes it adds are
-        shared too, so they must be scalars or never mutated.
-        """
+        """Independent fork of this replica, for state-space exploration:
+        every attribute but the configuration is copied by _copy, so handling
+        a message on the fork never changes this replica. A subclass keeps
+        its type, and the attributes it adds are state like any other."""
         child = type(self).__new__(type(self))
-        state = child.__dict__ = self.__dict__.copy()
-        for name in _FLAT_STATE:
-            state[name] = state[name].copy()
-        for name in _NESTED_STATE:
-            state[name] = {k: v.copy() for k, v in state[name].items()}
-        state["trackers"] = {s: t.clone() for s, t in self.trackers.items()}
-        state["tc"] = self.tc.clone()
+        child.__dict__ = {name: value if name in _CONFIG else _copy(value)
+                          for name, value in self.__dict__.items()}
         return child
 
     def share_equal_state(self, other: "Replica") -> None:
@@ -1060,33 +1072,13 @@ class Replica:
         would show in the other.
         """
         mine, theirs = self.__dict__, other.__dict__
-        for name in (*_FLAT_STATE, *_NESTED_STATE, "trackers"):
-            if mine[name] == theirs[name]:
+        for name, value in mine.items():
+            if (name not in _CONFIG and type(value) in _COPY
+                    and value == theirs[name]):
                 mine[name] = theirs[name]
 
     def state_key(self) -> tuple:
-        """Canonical snapshot of behavior-relevant state for model checking."""
-        return (
-            self.view, self.voted_view, tuple(sorted(self.flagged_views)),
-            tuple(sorted(self.cursors.items())),
-            tuple(sorted((k, tuple(sorted(v))) for k, v in self.buffered.items())),
-            tuple((s, p.bdigest) for s, p in sorted(self.prepared_log.items())),
-            tuple(sorted((s, t.committed, t.via,
-                          tuple(sorted((d, tuple(sorted(h)))
-                                       for d, h in t.claims.items())))
-                         for s, t in self.trackers.items())),
-            self.exec_cursor, self.exec_digest,
-            tuple(sorted(self.pending)), tuple(sorted(self.executed)),
-            self.stable_seq, self.next_seq,
-            tuple(sorted(self.deferred_commits)),
-            tuple(sorted((v, len(ps)) for v, ps in self.future_prepares.items())),
-            tuple(sorted((v, len(cs)) for v, cs in self.future_commits.items())),
-            tuple(sorted(self.decision_armed)),
-            tuple(sorted((k, tuple(sorted(v)))
-                         for k, v in self.decision_seen.items())),
-            tuple(sorted(self.peer_max_commit.items())),
-            tuple(sorted(self.suspect_armed.items())),
-            tuple(sorted((v, tuple(sorted(d))) for v, d in self.vc_votes.items())),
-            len(self.timeline),
-            self.tc.state_key(),
-        )
+        """The _key of every attribute not in _NOT_STATE, for model checking,
+        in attribute order (which __init__ fixes and clone keeps)."""
+        return tuple(_key(value) for name, value in self.__dict__.items()
+                     if name not in _NOT_STATE)

@@ -188,6 +188,14 @@ class SnapshotBlob:
     used: bool = False
 
 
+def _frozen(value):
+    """`value` made hashable: a dict as the frozenset of its items, a set as
+    a frozenset, at any depth."""
+    if type(value) is dict:
+        return frozenset((k, _frozen(v)) for k, v in value.items())
+    return frozenset(value) if type(value) is set else value
+
+
 def _copy_counter_state(src: Dict, dst: Dict) -> Dict:
     """Copy the counter state from `src` into `dst` (a component's attributes
     or a blob's): the one list of what clone, snapshot and restore carry."""
@@ -302,13 +310,10 @@ class TrustedComponent:
         return child
 
     def state_key(self) -> tuple:
-        """Canonical hashable snapshot of counter state, for model checking."""
-        return (self.epoch, self._crashed, self._flexi_serial,
-                tuple(sorted(self._flexi_names)),
-                tuple(sorted(self._counters.items())),
-                tuple(sorted(self._phases.items())),
-                tuple(sorted((p, tuple(sorted(s)))
-                             for p, s in self._ctx_issued.items())))
+        """Canonical hashable snapshot, for model checking: the epoch, the
+        crash flag and the counter state that _copy_counter_state copies."""
+        return (self.epoch, self._crashed, *map(
+            _frozen, _copy_counter_state(self.__dict__, {}).values()))
 
     def _touch(self) -> None:
         if self._crashed:

@@ -192,3 +192,33 @@ def test_range_bounds_are_accepted():
     crash = load(overrides=["adversary.k=3", "adversary.targets=[0, 2]"],
                  script="crash_tcs")
     assert crash.adversary_params == {"k": 3, "targets": [0, 2]}
+
+
+# Each remaining configuration error, with the message a user sees: unknown
+# names and values, and option combinations that mean nothing.
+@pytest.mark.parametrize("overrides, script, message", [
+    (["sim.delay_min_ns=5", "sim.delay_max_ns=4"], None,
+     "need delay_min_ns <= delay_max_ns"),
+    (["sim.mode=fast"], None, "unknown mode 'fast'"),
+    (["sim.tc_mode=rsa"], None, "unknown tc_mode 'rsa'"),
+    (["sim.reply_policy=all"], None, "unknown reply_policy 'all'"),
+    (["sim.counter_policy=free"], None, "unknown counter_policy 'free'"),
+    (["adversary.script=byzantine"], None,
+     "unknown adversary script 'byzantine'"),
+    (["sim.vulnerable_tc=true"], None,
+     "vulnerable_tc is only meaningful under the counter_identity script"),
+    (["sim.counter_policy=announced"], None,
+     "announced counter policy exists to demonstrate the vulnerable "
+     "component; enable vulnerable_tc"),
+    (["sim.mode=prevention"], "counter_identity",
+     "counter_identity targets detection-mode counters; prevention "
+     "certifies contexts, not counter values"),
+    (["sim.window=1"], None, "window must be >= 2"),
+    (["size_model.tx_kbytes=1"], None, "unknown size_model option 'tx_kbytes'"),
+], ids=["delays", "mode", "tc_mode", "reply_policy", "counter_policy",
+        "script", "vulnerable_tc", "announced", "prevention_identity",
+        "window", "size_option"])
+def test_each_config_error_names_its_cause(overrides, script, message):
+    with pytest.raises(ConfigError) as info:
+        load(overrides=overrides, script=script)
+    assert str(info.value) == message

@@ -56,7 +56,7 @@ def test_counter_traces_at_full_depth():
 
 def test_equivocating_leader_world_is_safe_everywhere(equivocate_exploration):
     assert equivocate_exploration == {
-        "states": 13_571, "terminals": 19, "full_commit_terminals": 17}
+        "states": 14_407, "terminals": 22, "full_commit_terminals": 20}
 
 
 def test_equivocating_leader_world_without_decisions_is_safe_everywhere():
@@ -91,7 +91,7 @@ def test_checkpoint_world_is_safe_everywhere_and_reaches_stable_checkpoints(
 
     monkeypatch.setattr(World, "apply", recording_apply)
     assert explore_world(checkpoint_world()) == {
-        "states": 1_681, "terminals": 6, "full_commit_terminals": 5}
+        "states": 1_729, "terminals": 7, "full_commit_terminals": 6}
     assert max(stable) == 2
 
 
@@ -195,11 +195,11 @@ def test_a_handler_error_names_the_step(name, when, build, note, monkeypatch):
 
 
 def _deepcopy_apply(world: World, act) -> World:
-    """Reference successor: fork by deep-copying the whole world, and drop
+    """Reference successor: fork by deep-copying the whole world, but for
     the cached ids, which this step does not keep up to date, and the step
-    memo, which it does not use."""
-    w = copy.deepcopy(world)
-    w.rkeys, w.qkeys, w.memo = {}, {}, {}
+    memo, which it does not use; the fork starts both empty."""
+    w = copy.deepcopy(world, {id(world.ids): {}, id(world.memo): {}})
+    w.rkeys, w.qkeys = {}, {}
     if act[0] == "deliver":
         queue = w.channels[act[1]]
         w.channels[act[1]] = queue[1:]
@@ -358,6 +358,36 @@ def test_explorer_visits_every_reachable_state(build, steps, monkeypatch):
     assert applies == steps
 
 
+# With every replica attribute but the configuration and the counters in
+# the key, a key's successors do not depend on the path that reached it, so
+# the order of the search does not change what it reaches (ROADMAP item 8).
+@pytest.mark.parametrize("build", [
+    gap_world, prevention_world, checkpoint_world,
+    lambda: equivocate_world(decisions=False), equivocate_world,
+], ids=["gap", "prevention", "checkpoint", "equivocate_no_decisions",
+        "equivocate"])
+def test_both_pop_orders_reach_the_same_states(build, monkeypatch):
+    state_key, enabled = World.state_key, World.enabled
+
+    def reach(order):
+        root, keys = build(), set()
+
+        def recording_key(world):
+            key = state_key(world)
+            keys.add(key)
+            return key
+
+        monkeypatch.setattr(World, "state_key", recording_key)
+        monkeypatch.setattr(World, "enabled", lambda w: order(enabled(w)))
+        counts = explore_world(root)
+        decode = _decoder(root)
+        return counts, {decode(k) for k in keys}
+
+    # explore_world pops the last enabled step first; reversed, the first
+    last, first = reach(list), reach(lambda acts: acts[::-1])
+    assert last == first
+
+
 # -- no clock --------------------------------------------------------------
 
 
@@ -409,8 +439,11 @@ def _memo_free_apply(world: World, act) -> World:
     return w
 
 
-@pytest.mark.parametrize("build", [gap_world, prevention_world,
-                                   checkpoint_world])
+@pytest.mark.parametrize("build", [
+    gap_world, prevention_world, checkpoint_world,
+    lambda: equivocate_world(decisions=False),
+], ids=["gap_world", "prevention_world", "checkpoint_world",
+        "equivocate_no_decisions"])
 def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
     applies = 0
 
@@ -431,13 +464,13 @@ def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
     assert len(root.memo) < applies / 2
 
 
-# Handler runs are pinned like the step counts: each distinct (replica,
-# input) pair runs once, against 1,120, 6,207 and 12,617 steps.
+# Handler runs are pinned like the step counts: each distinct (replica id,
+# replica key, input) triple runs once, against 1,120, 6,207 and 12,617 steps.
 @pytest.mark.parametrize("build, runs", [
-    (gap_world, 149),
-    (prevention_world, 425),
-    (lambda: equivocate_world(decisions=False), 668),
-    (checkpoint_world, 491),
+    (gap_world, 71),
+    (prevention_world, 132),
+    (lambda: equivocate_world(decisions=False), 225),
+    (checkpoint_world, 229),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
 def test_each_replica_step_runs_its_handler_once(build, runs, monkeypatch):
     root = build()
@@ -460,17 +493,19 @@ def test_each_replica_step_runs_its_handler_once(build, runs, monkeypatch):
                                    checkpoint_world])
 def test_memoized_replicas_never_change(build):
     # a successor shares every container that equals its source's; a step
-    # that changed a shared container would change a kept replica's key
+    # that changed a shared container would change a kept replica's key.
+    # A memo entry is keyed by (replica id, the id of the source's key,
+    # input), and its source key and successor key are both interned.
     root = build()
+    roots = {rid: rep.state_key() for rid, rep in root.replicas.items()}
     explore_world(root)
     value = {i: v for v, i in root.ids.items()}
-    kept = {id(r): root.rkeys[rid] for rid, r in root.replicas.items()}
-    kept.update((id(rep), kid) for rep, _, _, kid in root.memo.values())
-    sources = {id(step[0]): step[0] for step in root.memo}
-    assert sources.keys() <= kept.keys()
-    replicas = [rep for rep, _, _, _ in root.memo.values()]
-    for rep in replicas + list(sources.values()):
-        assert rep.state_key() == value[kept[id(rep)]]
+    for rid, kid, *_ in root.memo:
+        assert rid in root.replicas and kid in value
+    for rid, rep in root.replicas.items():
+        assert rep.state_key() == roots[rid] == value[root.rkeys[rid]]
+    for rep, _, _, kid in root.memo.values():
+        assert rep.state_key() == value[kid]
 
 
 # -- one oracle scan per distinct ledger ----------------------------------
@@ -489,12 +524,12 @@ def _records_something(world: World, act) -> bool:
 
 
 # Oracle scans are pinned like handler runs: one per distinct ledger object
-# among the explored states, against 377, 1,595, 3,215 and 1,681 states.
+# among the explored states, against 377, 1,595, 3,215 and 1,729 states.
 @pytest.mark.parametrize("build, scans", [
     (gap_world, 104),
     (prevention_world, 127),
     (lambda: equivocate_world(decisions=False), 405),
-    (checkpoint_world, 372),
+    (checkpoint_world, 380),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
 def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
     root = build()
@@ -576,4 +611,4 @@ def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
         notes.append(info.value.__notes__)
     assert notes == [["model check: r2 handling prepare from channel "
                       "('byz', 2)"]] * 3
-    assert all(step[0] is not root.replicas[2] for step in root.memo)
+    assert all(step[0] != 2 for step in root.memo)

@@ -18,7 +18,8 @@ import pytest
 from hybft import messages as m
 from hybft import protocol
 from hybft.config import SimConfig
-from hybft.protocol import Replica, _Tracker, proposal_counter
+from hybft.protocol import (_CONFIG, _NOT_STATE, Replica, _Tracker,
+                             proposal_counter)
 from hybft.sim import Ledger, safety_violations
 from hybft.tc import Directory, TcMode, TrustedComponent, VerifyStatus
 
@@ -516,24 +517,92 @@ def _owned_containers(rep: Replica) -> set:
                 for item in (obj.values() if isinstance(obj, dict) else obj):
                     walk(item)
 
-    shared = {"cfg", "directory", "client_keys", "tc"}
+    # the configuration is shared by design; the component is walked below
     for name, value in vars(rep).items():
-        if name not in shared:
+        if name not in _CONFIG | {"tc"}:
             walk(value)
     for value in vars(rep.tc).values():
         walk(value)
     return found
 
 
-def test_clone_shares_no_mutable_state_with_its_parent():
+def _forked_cluster() -> Cluster:
+    """Three replicas past two stable checkpoints and a view change, with
+    request 3 pending at replicas 1 and 2."""
     c = Cluster(checkpoint_interval=1)
     broadcast_request(c, 1)
     c.pump()
-    for rep in c.replicas:
+    broadcast_request(c, 2)
+    c.pump()
+    r3 = authed(3)
+    c.request(1, r3).request(2, r3)
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    assert all(r.view == 1 and r.stable_seq == 3 for r in c.replicas)
+    return c
+
+
+def test_clone_shares_no_mutable_state_with_its_parent():
+    for rep in _forked_cluster().replicas:
         assert rep.trackers and rep.checkpoint_claims
         child = rep.clone()
         assert child.state_key() == rep.state_key()
         assert not _owned_containers(child) & _owned_containers(rep)
+
+
+def _change(value):
+    """`value` changed: a container, tracker or component in place at its
+    first mutable element, or at the top; any other value replaced by a
+    different one of its type."""
+    if isinstance(value, dict):
+        inner = next((v for v in value.values()
+                      if isinstance(v, (dict, list, set, _Tracker))), None)
+        if inner is None:
+            value[("changed",)] = ("changed",)
+        else:
+            _change(inner)
+    elif isinstance(value, _Tracker):
+        _change(value.claims)
+    elif isinstance(value, list):
+        value.append(("changed",))
+    elif isinstance(value, set):
+        value.add(("changed",))
+    elif isinstance(value, TrustedComponent):
+        value.create_ui(b"c" * 32)
+    elif isinstance(value, bool):
+        return not value
+    elif isinstance(value, int):
+        return value + 1
+    elif isinstance(value, (bytes, tuple)):
+        return value + type(value)([0])
+    else:
+        raise TypeError(f"no change for {type(value).__name__}")
+    return value
+
+
+def test_every_state_attribute_is_cloned_and_keyed():
+    # one rule decides what is state: whatever attribute of a clone changes,
+    # its key changes and its parent's does not
+    rep = _forked_cluster().replicas[2]
+    key = rep.state_key()
+    kinds = set()
+    for name, value in vars(rep).items():
+        if name in _NOT_STATE:
+            continue
+        kinds.add(type(value).__name__)
+        child = rep.clone()
+        setattr(child, name, _change(getattr(child, name)))
+        assert child.state_key() != key, name
+        assert rep.state_key() == key, name
+    assert kinds == {"dict", "list", "set", "tuple", "int", "bool", "bytes",
+                     "TrustedComponent"}
+    # checkpoint_count is the view of each checkpoint certificate
+    assert "checkpoint_count" not in _NOT_STATE
+    # the counters are copied, not keyed
+    child = rep.clone()
+    child.stats["verifies"] += 1
+    child.decisions_sent += 1
+    assert child.state_key() == key and child.stats != rep.stats
 
 
 def test_clone_keeps_the_subclass_and_its_attributes():
@@ -543,8 +612,17 @@ def test_clone_keeps_the_subclass_and_its_attributes():
     c = Cluster()
     rep = Tagged(1, c.cfg, c.tcs[1], c.directory, {0: CLIENT_KEY})
     rep.tag = "faulty"
+    rep.seen = {1: {2}}
     child = rep.clone()
     assert type(child) is Tagged and child.tag == "faulty"
+    # an attribute the subclass adds is state: copied at every depth, keyed
+    assert child.state_key() == rep.state_key()
+    child.seen[1].add(3)
+    assert rep.seen == {1: {2}}
+    assert child.state_key() != rep.state_key()
+    child.seen[1].discard(3)
+    child.tag = "correct"
+    assert child.state_key() != rep.state_key()
 
 
 # ------------------------------------------------------- forged issuers
