@@ -13,47 +13,34 @@ Three layers:
 
 3. Protocol interleavings: a tiny three-replica world (faulty leader, two
    correct followers) explored over every message delivery order and timer
-   schedule, with memoized states. Every reachable state's ledger must pass
-   the simulator's safety oracle (sim.safety_violations); at least one
-   terminal state must show full commitment, demonstrating progress is
-   reachable in the scenario.
+   schedule. Every reachable state's ledger must pass the simulator's
+   safety oracle (sim.safety_violations); at least one terminal state must
+   show full commitment, demonstrating progress is reachable in the
+   scenario.
 
-   The search is a plain depth-first search over world keys. Every
-   reachable key is visited and checked once, on the first path that
-   reaches it. A replica's key holds all its state (Replica.state_key), so
-   a key's successors do not depend on the path, and the order of the
-   search does not change what it reaches. The key leaves the ledger out,
-   so a state reached by several different histories is checked on that
-   first path only (ROADMAP item 8).
+   A world is its key plus its ledger. The key holds ids: one per correct
+   replica, numbering (replica id, Replica.state_key()), the ids of each
+   non-empty channel's messages, and the armed timers. All worlds of one
+   root share a table of the values, numbered when first made, and a memo
+   of replica steps; a step runs its handler only the first time a replica
+   in that state meets that input (see _Table). Equal ids mean equal
+   values, so the key tells states apart as the values would.
 
-   A world key is a few small ints. Every world forked from one root shares
-   a table that numbers each distinct replica key (Replica.state_key()) and
-   channel queue, and each world caches the numbers of its replicas and
-   non-empty channels until they change. Two numbers are equal exactly when
-   their values are, so the key tells states apart as the nested key would,
-   but hashing it does not hash every queued message again.
-
-   The worlds of one root also share a memo of replica steps, keyed by the
-   stepping replica's id, the id of its key and its input (the message, by
-   equality, or the timer). A replica reads no clock and its key holds all
-   its state, so a step is a function of that triple; it repeats often, as
-   paths that differ elsewhere reach equal replicas. A hit reuses the
-   successor, the step's delta, its certificates and its key id. The delta
-   is the step's effects as they land in a world: sends grouped per
-   channel, the armed timers as a frozenset, and the facts. A step that
-   raises is not kept.
-
-   A world never mutates the ledger it holds. A step that notes no fact and
-   issues no certificate hands its parent's ledger object to the successor;
-   only a recording step forks it. The oracle runs once per distinct ledger
-   object, and every state that shares the ledger reuses the verdict,
-   which the ledger keeps until its next note.
+   The search is a plain depth-first search over world keys. A replica's
+   key holds all its state, so a key's successors do not depend on the path
+   and the order of the search does not change what it reaches. Every
+   reachable key is checked once, on the first path that reaches it. The
+   key leaves the ledger out, so a state reached by several different
+   histories is checked on that first path only (ROADMAP item 8). A step
+   that notes no fact and issues no certificate hands its parent's ledger
+   object on, and the oracle's verdict is kept on the ledger until its next
+   note, so the oracle runs once per distinct ledger.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
@@ -233,165 +220,163 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
 # 3. protocol interleaving exploration
 
 
-@dataclass
+class _Table:
+    """What every world of one root shares: the intern table, the faulty
+    replica ids and the step memo.
+
+    `ids` numbers each distinct replica, by (replica id,
+    Replica.state_key()), and each distinct message, by equality. The
+    replica id is part of the replica's key because state_key leaves the
+    configuration out. `values[i]` is the first replica or message numbered
+    i, and `rids` the correct replicas' ids in the order a world lists them.
+
+    `memo` maps (the stepping replica's table id, its input) to its step:
+    (the successor's table id, the step's delta, its certificates). The
+    input is the delivered message's id or the timer (replica id, kind,
+    key). A replica reads no clock and its key holds all its state, so a
+    step is a function of that pair; it repeats often, as paths that differ
+    elsewhere reach equal replicas. The delta is the step's effects as they
+    land in a world: the message ids sent per channel, the armed timers as
+    a frozenset, and the facts. A step that raises is not kept.
+    """
+
+    def __init__(self, rids, byz):
+        self.ids: Dict[object, int] = {}
+        self.values: List = []
+        self.rids = tuple(rids)
+        self.byz = frozenset(byz)
+        self.memo: Dict[tuple, tuple] = {}
+
+    def intern(self, value, key) -> int:
+        """The id of `key`, numbering it with `value` if it is new."""
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.values)
+            self.values.append(value)
+        return i
+
+    def replica(self, rep: Replica) -> int:
+        return self.intern(rep, (rep.id, rep.state_key()))
+
+    def step(self, kid: int, act, inp) -> tuple:
+        """The memo entry for replica `kid` taking step `act` on input
+        `inp`, computed by a clone of the replica that takes the step."""
+        src = self.values[kid]
+        rep = src.clone()
+        try:
+            effects = (rep.handle(self.values[inp], 0) if act[0] == "deliver"
+                       else rep.on_timer(inp[1], inp[2], 0))
+        except Exception as exc:
+            exc.add_note(f"model check: r{rep.id} handling " + (
+                f"{m.msg_type(self.values[inp])} from channel {act[1]}"
+                if act[0] == "deliver" else f"timer {inp[1]} with key {inp[2]!r}"))
+            raise
+        rep.share_equal_state(src)
+        delta, issued = self._delta(rep.id, effects), rep.tc.take_issued()
+        return self.replica(rep), delta, issued
+
+    def _delta(self, src: int, effects: List[tuple]) -> tuple:
+        """What replica `src`'s step effects change in a world, as
+        (sends, timers, facts). sends holds each outbound channel once, with
+        the ids of its new messages in order; sends to a client or a faulty
+        replica go nowhere."""
+        sends: Dict[Tuple[str, int], tuple] = {}
+        timers = []
+        facts = []
+        for eff in effects:
+            if eff[0] == "send":
+                _, dst, msg = eff
+                if dst[0] == "replica" and dst[1] not in self.byz:
+                    key = (f"r{src}", dst[1])
+                    sends[key] = sends.get(key, ()) + (self.intern(msg, msg),)
+            elif eff[0] == "timer":
+                timers.append((src, eff[1], eff[2]))
+            elif eff[0] == "fact":
+                facts.append(eff)
+        return tuple(sends.items()), frozenset(timers), tuple(facts)
+
+
+@dataclass(eq=False)
 class World:
-    replicas: Dict[int, Replica]
-    channels: Dict[Tuple[str, int], Tuple]
+    """One state of an exploration: its key and its ledger.
+
+    `replicas` holds the id of each correct replica, in `table.rids` order;
+    `channels` the (channel, message ids) of each non-empty channel, sorted
+    by channel; `armed` the armed timers as (replica id, kind, key). A world
+    holds no replica or message: `table`, shared by every world of one root,
+    holds their values.
+    """
+    replicas: Tuple[int, ...]
+    channels: Tuple[Tuple[Tuple[str, int], Tuple[int, ...]], ...]
     armed: frozenset
-    byz: Set[int]
-    ledger: Ledger = field(default_factory=Ledger, init=False)
-    # ids is the intern table and memo the step memo, both created with the
-    # root world and shared by every successor. rkeys holds the id of each
-    # replica's Replica.state_key(), set from the memo when the replica
-    # steps (or when a key or a step first needs it), qkeys that of each
-    # non-empty channel's queue until the channel changes; a successor
-    # inherits both.
-    ids: Dict[tuple, int] = field(default_factory=dict, init=False)
-    memo: Dict[tuple, tuple] = field(default_factory=dict, init=False)
-    rkeys: Dict[int, int] = field(default_factory=dict, init=False)
-    qkeys: Dict[Tuple[str, int], int] = field(default_factory=dict,
-                                              init=False)
+    ledger: Ledger
+    table: _Table
+
+    @classmethod
+    def root(cls, replicas: Dict[int, Replica], channels: Dict[tuple, tuple],
+             byz: Set[int]) -> "World":
+        """A world of the correct `replicas` with `channels` in flight, no
+        timer armed, an empty ledger and a new table."""
+        t = _Table(sorted(replicas), byz)
+        return cls(tuple(t.replica(replicas[rid]) for rid in t.rids),
+                   tuple(sorted((ch, tuple(t.intern(msg, msg) for msg in msgs))
+                                for ch, msgs in channels.items() if msgs)),
+                   frozenset(), Ledger(), t)
 
     def state_key(self) -> tuple:
         # The ledger is left out, as the replica histories and component
         # audit lists it replaces always were: worlds that differ only in
         # their past are one state, and the oracle sees the first reached.
-        ids, rkeys, qkeys = self.ids, self.rkeys, self.qkeys
-        for rid, rep in self.replicas.items():
-            if rid not in rkeys:
-                rkeys[rid] = ids.setdefault(rep.state_key(), len(ids))
-        for ch, queue in self.channels.items():
-            if queue and ch not in qkeys:
-                qkeys[ch] = ids.setdefault(queue, len(ids))
-        return (tuple(sorted(rkeys.items())), tuple(sorted(qkeys.items())),
-                self.armed)
+        return self.replicas, self.channels, self.armed
 
     def enabled(self) -> List[tuple]:
-        acts: List[tuple] = []
-        for key in sorted(self.channels):
-            if self.channels[key]:
-                acts.append(("deliver", key))
-        for t in sorted(self.armed):
-            acts.append(("timer", t))
-        return acts
+        return ([("deliver", ch) for ch, _ in self.channels]
+                + [("timer", t) for t in sorted(self.armed)])
 
     def apply(self, act) -> "World":
-        """Successor state after `act`, sharing what the step leaves unchanged.
+        """Successor state after `act`.
 
-        Channel queues (tuples), the armed set (a frozenset) and a ledger a
-        world holds are never mutated. So the successor copies only the
-        replica and channel maps and the two key caches. It keeps this
-        world's ledger when the step notes no fact and issues no
-        certificate, and otherwise a fork with the stepping replica's record
-        copied. The stepping replica's successor and the step's delta (see
-        _delta) come from the memo, keyed by the replica's id, its key id
-        and the input, or, the first time, from a clone that takes the step.
+        The stepping replica's successor id and the step's delta come from
+        the table's memo, or, the first time, from _Table.step. The ledger
+        is never mutated: the successor keeps this world's ledger when the
+        step notes no fact and issues no certificate, and otherwise a fork
+        with the stepping replica's record copied.
         """
-        rid = _stepper(act)
-        src, ids = self.replicas[rid], self.ids
-        src_kid = self.rkeys.get(rid)
-        if src_kid is None:
-            src_kid = self.rkeys[rid] = ids.setdefault(src.state_key(), len(ids))
+        t = self.table
         channels, armed = dict(self.channels), self.armed
-        qkeys = dict(self.qkeys)
         if act[0] == "deliver":
-            queue = channels[act[1]]
-            channels[act[1]] = queue[1:]
-            qkeys.pop(act[1], None)
-            step = (rid, src_kid, queue[0])
+            rid = act[1][1]
+            queue = channels.pop(act[1])
+            if len(queue) > 1:
+                channels[act[1]] = queue[1:]
+            inp = queue[0]
         else:
-            _, kind, tkey = act[1]
+            rid = act[1][0]
             armed = armed - {act[1]}
-            step = (rid, src_kid, kind, tkey)
-        memo = self.memo
-        hit = memo.get(step)
+            inp = act[1]
+        at = t.rids.index(rid)
+        kid = self.replicas[at]
+        hit = t.memo.get((kid, inp))
         if hit is None:
-            rep = src.clone()
-            try:
-                effects = (rep.handle(queue[0], 0) if act[0] == "deliver"
-                           else rep.on_timer(kind, tkey, 0))
-            except Exception as exc:
-                exc.add_note(f"model check: r{rid} handling " + (
-                    f"{m.msg_type(queue[0])} from channel {act[1]}"
-                    if act[0] == "deliver" else f"timer {kind} with key {tkey!r}"))
-                raise
-            rep.share_equal_state(src)
-            hit = memo[step] = (
-                rep, _delta(rid, effects, self.byz), rep.tc.take_issued(),
-                ids.setdefault(rep.state_key(), len(ids)))
-        rep, delta, issued, kid = hit
-        # built field by field: World() would make a ledger and four dicts
-        # only to drop them
-        w = object.__new__(World)
-        w.replicas = dict(self.replicas)
-        w.replicas[rid] = rep
-        w.channels, w.armed, w.byz = channels, armed, self.byz
-        w.ids, w.memo, w.qkeys = self.ids, memo, qkeys
-        w.rkeys = dict(self.rkeys)
-        w.rkeys[rid] = kid
-        w._land(rid, delta, issued, self.ledger.fork(rid)
-                if delta[2] or issued else self.ledger)
-        return w
-
-    def _absorb(self, src: int, effects: List[tuple], issued: List) -> None:
-        """Land replica `src`'s step in this world in place, noting its facts
-        and certificates in this world's own ledger."""
-        self.rkeys.pop(src, None)
-        self._land(src, _delta(src, effects, self.byz), issued, self.ledger)
-
-    def _land(self, src: int, delta: tuple, issued: List,
-              ledger: Ledger) -> None:
-        """Add a step's delta to this world's channels and timers, note its
-        facts and certificates in `ledger` and make it this world's."""
-        sends, timers, facts = delta
-        channels, qkeys = self.channels, self.qkeys
-        for key, msgs in sends:
-            channels[key] = channels.get(key, ()) + msgs
-            qkeys.pop(key, None)
-        if timers:
-            self.armed = self.armed | timers
-        for fact in facts:
-            ledger.note(src, fact)
-        ledger.note_issued(src, issued)
-        self.ledger = ledger
+            hit = t.memo[kid, inp] = t.step(kid, act, inp)
+        succ, (sends, timers, facts), issued = hit
+        for ch, mids in sends:
+            channels[ch] = channels.get(ch, ()) + mids
+        ledger = self.ledger
+        if facts or issued:
+            ledger = ledger.fork(rid)
+            for fact in facts:
+                ledger.note(rid, fact)
+            ledger.note_issued(rid, issued)
+        return World(self.replicas[:at] + (succ,) + self.replicas[at + 1:],
+                     tuple(sorted(channels.items())), armed | timers, ledger, t)
 
     def fully_committed(self) -> bool:
         """Every correct replica has committed and executed a request."""
-        correct = [(r, self.ledger.records.get(rid))
-                   for rid, r in self.replicas.items() if rid not in self.byz]
-        return bool(correct) and all(rec and rec.committed and r.exec_cursor >= 1
-                                     for r, rec in correct)
-
-    def seed_channel(self, src: str, dst: int, msgs: List) -> None:
-        self.channels[(src, dst)] = self.channels.get((src, dst), ()) + tuple(msgs)
-        self.qkeys.pop((src, dst), None)
-
-
-def _stepper(act) -> int:
-    """The replica that takes step `act`."""
-    return act[1][1] if act[0] == "deliver" else act[1][0]
-
-
-def _delta(src: int, effects: List[tuple], byz: Set[int]) -> tuple:
-    """What replica `src`'s step effects change in a world, as
-    (sends, timers, facts). sends holds each outbound channel once, with its
-    new messages in order; sends to a client or a faulty replica go nowhere.
-    timers is the frozenset of timers armed, and facts the fact effects in
-    order."""
-    sends: Dict[Tuple[str, int], tuple] = {}
-    timers = []
-    facts = []
-    for eff in effects:
-        if eff[0] == "send":
-            _, dst, msg = eff
-            if dst[0] == "replica" and dst[1] not in byz:
-                key = (f"r{src}", dst[1])
-                sends[key] = sends.get(key, ()) + (msg,)
-        elif eff[0] == "timer":
-            timers.append((src, eff[1], eff[2]))
-        elif eff[0] == "fact":
-            facts.append(eff)
-    return tuple(sends.items()), frozenset(timers), tuple(facts)
+        records = self.ledger.records
+        reps = [self.table.values[kid] for kid in self.replicas]
+        return bool(reps) and all(r.id in records and records[r.id].committed
+                                  and r.exec_cursor >= 1 for r in reps)
 
 
 def _verdict(ledger: Ledger, byz: frozenset) -> List[Dict]:
@@ -406,23 +391,21 @@ def _verdict(ledger: Ledger, byz: frozenset) -> List[Dict]:
 
 def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     """Visit every state reachable from `world`, raising AssertionError at
-    any whose ledger fails the safety oracle, even under python -O. Returns
-    the number of states, of terminal states (no step enabled), and of
-    terminals where every correct replica has committed and executed.
+    any whose ledger fails the safety oracle, or once more than
+    `max_states` states are seen, even under python -O. Returns the number
+    of states, of terminal states (no step enabled), and of terminals where
+    every correct replica has committed and executed.
 
     The search is depth first over world keys. The stack holds (world,
     step) pairs, and a step is applied when its pair is popped. Pairs are
     pushed in enabled() order, so the last enabled step's successor is
     explored first; any order reaches the same keys. Each key is checked
-    once, on the first path that reaches it, since the key leaves the
-    ledger out (see the module docstring).
-
-    A state's check is safety_violations on its ledger, run once per
-    ledger object (_verdict): a state whose last step recorded nothing
-    shares its parent's ledger, and its verdict.
+    once, on the first path that reaches it (see the module docstring).
+    The check is _verdict on the state's ledger, which a state whose last
+    step recorded nothing shares with its parent.
     """
     seen: Set[tuple] = set()
-    byz = frozenset(world.byz)
+    byz = world.table.byz
     terminals = 0
     full_commit_terminals = 0
     stack = [(world, None)]
@@ -453,10 +436,12 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
 # -- scenario builders -------------------------------------------------------
 
 
-def _mc_setup(mode: str = "detection", decisions: bool = True,
-              requests: int = 1, checkpoint_interval: int = 1000):
-    """(world, faulty replica 0's component, client 0's first request), with
-    `requests` requests from client 0 delivered to both correct replicas."""
+def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
+              requests: int = 1, checkpoint_interval: int = 1000) -> World:
+    """The world once `requests` requests from client 0 have reached both
+    correct replicas, delivered by apply from channels ("c0", replica id).
+    Replica 0 is faulty: `leader(its component, client 0's first request)`
+    returns the messages it sends each follower, by replica id."""
     f, n = 1, 3
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
                     checkpoint_interval=checkpoint_interval,
@@ -471,57 +456,59 @@ def _mc_setup(mode: str = "detection", decisions: bool = True,
                              max_view=2)
                 for rid in (1, 2)}
     payload = b"transfer-10"
-    reqs = [m.tagged_request(ckey, 0, seq, payload)
-            for seq in range(1, requests + 1)]
-    world = World(replicas=replicas, channels={}, armed=frozenset(), byz={0})
-    for rid, rep in replicas.items():
-        for req in reqs:
-            world._absorb(rid, rep.handle(req, 0), rep.tc.take_issued())
-    return world, tcs[0], reqs[0]
+    reqs = tuple(m.tagged_request(ckey, 0, seq, payload)
+                 for seq in range(1, requests + 1))
+    channels = {("c0", rid): reqs for rid in replicas}
+    for rid, msgs in leader(tcs[0], reqs[0]).items():
+        channels["byz", rid] = tuple(msgs)
+    world = World.root(replicas, channels, byz={0})
+    for rid in replicas:
+        for _ in reqs:
+            world = world.apply(("deliver", ("c0", rid)))
+    return world
 
 
 def equivocate_world(decisions: bool = True) -> World:
     """Faulty leader re-binds the request at values 1 and 2; follower 1 sees
     both (flags the duplicate), follower 2 sees only value 2 (freezes)."""
-    world, tc0, req = _mc_setup(decisions=decisions)
-    chunk = (req,)
-    bdig = m.batch_digest(chunk)
-    ui_x = tc0.create_ui(m.prepare_digest(0, 1, bdig),
-                         counter=proposal_counter(0))
-    ui_y = tc0.create_ui(m.prepare_digest(0, 2, bdig),
-                         counter=proposal_counter(0))
-    px = m.Prepare(0, 1, chunk, bdig, ui_x)
-    py = m.Prepare(0, 2, chunk, bdig, ui_y)
-    world.seed_channel("byz", 1, [px, py])
-    world.seed_channel("byz", 2, [py])
-    return world
+    def leader(tc0, req):
+        chunk = (req,)
+        bdig = m.batch_digest(chunk)
+        ui_x = tc0.create_ui(m.prepare_digest(0, 1, bdig),
+                             counter=proposal_counter(0))
+        ui_y = tc0.create_ui(m.prepare_digest(0, 2, bdig),
+                             counter=proposal_counter(0))
+        px = m.Prepare(0, 1, chunk, bdig, ui_x)
+        py = m.Prepare(0, 2, chunk, bdig, ui_y)
+        return {1: [px, py], 2: [py]}
+    return _mc_setup(leader, decisions=decisions)
 
 
 def gap_world(decisions: bool = False, requests: int = 1,
               checkpoint_interval: int = 1000) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
     a view change to make progress."""
-    world, tc0, req = _mc_setup(decisions=decisions, requests=requests,
-                                checkpoint_interval=checkpoint_interval)
-    tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
-                  counter=proposal_counter(0))
-    return world
+    def leader(tc0, req):
+        tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
+                      counter=proposal_counter(0))
+        return {}
+    return _mc_setup(leader, decisions=decisions, requests=requests,
+                     checkpoint_interval=checkpoint_interval)
 
 
 def prevention_world(decisions: bool = False) -> World:
     """Prevention mode: the double binding dies inside the leader's component,
     so only the single certified proposal ever reaches the followers."""
-    world, tc0, req = _mc_setup(mode="prevention", decisions=decisions)
-    chunk = (req,)
-    bdig = m.batch_digest(chunk)
-    cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
-    alt = _h(b"other-batch")
-    try:
-        tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
-        raise AssertionError("component must refuse the second context binding")
-    except EquivocationRefused:
-        pass
-    prep = m.Prepare(0, 1, chunk, bdig, cert)
-    world.seed_channel("byz", 1, [prep])
-    world.seed_channel("byz", 2, [prep])
-    return world
+    def leader(tc0, req):
+        chunk = (req,)
+        bdig = m.batch_digest(chunk)
+        cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
+        alt = _h(b"other-batch")
+        try:
+            tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
+            raise AssertionError("component must refuse the second context binding")
+        except EquivocationRefused:
+            pass
+        prep = m.Prepare(0, 1, chunk, bdig, cert)
+        return {1: [prep], 2: [prep]}
+    return _mc_setup(leader, mode="prevention", decisions=decisions)

@@ -519,11 +519,16 @@ class Replica:
             out += self._drain_proposals()
         return out
 
+    def _source(self, holders) -> int:
+        """Whom to fetch from: the lowest other replica among `holders`, else
+        the first peer."""
+        return min((h for h in holders if h != self.id),
+                   default=self.peers()[0])
+
     def _fetch_batch(self, seq: int) -> List[tuple]:
-        """Ask the lowest other holder of the digest just committed at seq."""
+        """Ask a holder of the digest just committed at seq (_source)."""
         t = self.trackers[seq]
-        holders = [h for h in sorted(t.claims.get(t.committed, {})) if h != self.id]
-        target = holders[0] if holders else self.peers()[0]
+        target = self._source(t.claims.get(t.committed, {}))
         return [("send", ("replica", target), m.FetchBatch(seq, self.id)),
                 ("note", {"ev": "fetch_batch", "seq": seq, "from": target})]
 
@@ -743,10 +748,7 @@ class Replica:
         holders = self.checkpoint_claims.get(
             (self.stable_seq, self.stable_cert[0].state_digest
              if self.stable_cert else b""), {})
-        targets = sorted(h for h in holders if h != self.id)
-        if not targets:
-            targets = self.peers()[:1]
-        return [("send", ("replica", targets[0]),
+        return [("send", ("replica", self._source(holders)),
                  m.FetchState(self.stable_seq, self.id))]
 
     # ----------------------------------------------------------- view change

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
+from typing import Dict
 
 import pytest
 
@@ -17,7 +19,6 @@ from hybft import model_check, sim
 from hybft.model_check import (
     World,
     _fresh_tc,
-    _stepper,
     _verdict,
     check_commit_quorum,
     equivocate_world,
@@ -28,6 +29,7 @@ from hybft.model_check import (
     prevention_world,
 )
 from hybft.protocol import Replica
+from hybft.sim import Ledger
 
 
 def test_counter_interface_traces_exhaustively():
@@ -86,7 +88,7 @@ def test_checkpoint_world_is_safe_everywhere_and_reaches_stable_checkpoints(
 
     def recording_apply(world, act):
         child = apply(world, act)
-        stable.update(r.stable_seq for r in child.replicas.values())
+        stable.update(r.stable_seq for r in _plain(child).replicas.values())
         return child
 
     monkeypatch.setattr(World, "apply", recording_apply)
@@ -121,7 +123,7 @@ def test_explorer_rejects_a_commit_that_conflicts_below_the_root(
 
     monkeypatch.setattr(Replica, "handle", forging)
     world = prevention_world()
-    assert _verdict(world.ledger, frozenset(world.byz)) == []
+    assert _verdict(world.ledger, world.table.byz) == []
     with pytest.raises(AssertionError, match="conflicting_commit"):
         explore_world(world)
     assert forged
@@ -191,29 +193,115 @@ def test_a_handler_error_names_the_step(name, when, build, note, monkeypatch):
     assert info.value.__notes__ == [f"model check: {note}"]
 
 
-# -- copy-on-write forks -------------------------------------------------
+# -- the representation ----------------------------------------------------
 
 
-def _deepcopy_apply(world: World, act) -> World:
-    """Reference successor: fork by deep-copying the whole world, but for
-    the cached ids, which this step does not keep up to date, and the step
-    memo, which it does not use; the fork starts both empty."""
-    w = copy.deepcopy(world, {id(world.ids): {}, id(world.memo): {}})
-    w.rkeys, w.qkeys = {}, {}
+@dataclass
+class _Plain:
+    """A world with every id replaced by its value: the correct replicas by
+    id, each channel's queue of messages, the armed timers and the ledger.
+    The reference steppers below step it without the intern table or the
+    step memo."""
+    replicas: Dict[int, Replica]
+    channels: Dict[tuple, tuple]
+    armed: frozenset
+    ledger: Ledger
+    byz: frozenset
+
+
+def _plain(world: World) -> _Plain:
+    value = world.table.values
+    return _Plain({value[k].id: value[k] for k in world.replicas},
+                  {ch: tuple(value[i] for i in q) for ch, q in world.channels},
+                  world.armed, world.ledger, world.table.byz)
+
+
+def _queues(p: _Plain) -> dict:
+    """Each non-empty channel's queue."""
+    return {ch: q for ch, q in p.channels.items() if q}
+
+
+def _plain_key(p: _Plain) -> tuple:
+    """The key of a plain state: every replica's Replica.state_key() and
+    every non-empty channel's queue, with nothing interned."""
+    return (tuple(sorted((rid, r.state_key()) for rid, r in p.replicas.items())),
+            tuple(sorted(_queues(p).items())), p.armed)
+
+
+def _plain_enabled(p: _Plain) -> list:
+    return ([("deliver", ch) for ch in sorted(_queues(p))]
+            + [("timer", t) for t in sorted(p.armed)])
+
+
+def _decoder(table):
+    """Maps a world key read through `table` to its plain key, by inverting
+    the table's intern dict. Ids are comparable only within one table, so
+    keys from two explorations are compared this way."""
+    value = {i: v for v, i in table.ids.items()}
+    return lambda key: (tuple(value[k] for k in key[0]),
+                        tuple((ch, tuple(value[i] for i in q))
+                              for ch, q in key[1]), key[2])
+
+
+def _stepper(act) -> int:
+    """The replica that takes step `act`."""
+    return act[1][1] if act[0] == "deliver" else act[1][0]
+
+
+def _run(p: _Plain, act) -> tuple:
+    """Let replica _stepper(act) of `p` take `act` in place: (effects,
+    certificates issued)."""
+    rep = p.replicas[_stepper(act)]
     if act[0] == "deliver":
-        queue = w.channels[act[1]]
-        w.channels[act[1]] = queue[1:]
-        rid = act[1][1]
-        effects = w.replicas[rid].handle(queue[0], 0)
+        queue = p.channels[act[1]]
+        p.channels[act[1]] = queue[1:]
+        effects = rep.handle(queue[0], 0)
     else:
-        rid, kind, tkey = act[1]
-        w.armed = w.armed - {act[1]}
-        effects = w.replicas[rid].on_timer(kind, tkey, 0)
-    w._absorb(rid, effects, w.replicas[rid].tc.take_issued())
+        _, kind, tkey = act[1]
+        p.armed = p.armed - {act[1]}
+        effects = rep.on_timer(kind, tkey, 0)
+    return effects, rep.tc.take_issued()
+
+
+def _plain_step(p: _Plain, act, fork) -> _Plain:
+    """The successor of `p` after `act`, in `fork(p, stepping replica id)`,
+    a copy of `p` whose stepping replica and ledger the step may change."""
+    rid = _stepper(act)
+    w = fork(p, rid)
+    effects, issued = _run(w, act)
+    for eff in effects:
+        if eff[0] == "send" and eff[1][0] == "replica" and eff[1][1] not in w.byz:
+            ch = (f"r{rid}", eff[1][1])
+            w.channels[ch] = w.channels.get(ch, ()) + (eff[2],)
+        elif eff[0] == "timer":
+            w.armed = w.armed | {(rid, eff[1], eff[2])}
+        elif eff[0] == "fact":
+            w.ledger.note(rid, eff)
+    w.ledger.note_issued(rid, issued)
     return w
 
 
-def _reachable_keys(world: World, apply, keyof=World.state_key) -> set:
+def _deepcopy_apply(p: _Plain, act) -> _Plain:
+    """Reference successor: fork by deep-copying the whole plain state."""
+    return _plain_step(p, act, lambda p, rid: copy.deepcopy(p))
+
+
+def _clone_fork(p: _Plain, rid: int) -> _Plain:
+    """A copy of `p` with replica `rid` cloned and the ledger forked."""
+    reps = dict(p.replicas)
+    reps[rid] = reps[rid].clone()
+    return _Plain(reps, dict(p.channels), p.armed, p.ledger.fork(rid), p.byz)
+
+
+def _memo_free_apply(p: _Plain, act) -> _Plain:
+    """World.apply without the step memo or the intern table: clone the
+    stepping replica and fork the ledger, as every step did before the
+    memo."""
+    return _plain_step(p, act, _clone_fork)
+
+
+def _reachable_keys(world, apply, keyof=World.state_key,
+                    enabled=World.enabled) -> set:
     seen = set()
     stack = [world]
     while stack:
@@ -221,40 +309,8 @@ def _reachable_keys(world: World, apply, keyof=World.state_key) -> set:
         key = keyof(w)
         if key not in seen:
             seen.add(key)
-            stack.extend(apply(w, act) for act in w.enabled())
+            stack.extend(apply(w, act) for act in enabled(w))
     return seen
-
-
-def _fresh_key(world: World) -> tuple:
-    """World.state_key with every Replica.state_key() and channel queue
-    interned again, bypassing the world's caches of their ids."""
-    bare = copy.copy(world)
-    bare.rkeys = {}
-    bare.qkeys = {}
-    return bare.state_key()
-
-
-def _plain_key(world: World) -> tuple:
-    """The world's key with nothing interned: every replica's
-    Replica.state_key() and every non-empty channel's queue."""
-    return (tuple(sorted((rid, r.state_key())
-                         for rid, r in world.replicas.items())),
-            tuple(sorted((ch, q) for ch, q in world.channels.items() if q)),
-            world.armed)
-
-
-def _decoder(world: World):
-    """Maps a key of `world`'s intern table to its plain key, by inverting
-    the table. Ids are comparable only within one table, so keys from two
-    explorations are compared this way."""
-    value = {i: v for v, i in world.ids.items()}
-    return lambda key: (tuple((rid, value[i]) for rid, i in key[0]),
-                        tuple((ch, value[q]) for ch, q in key[1]), key[2])
-
-
-def _decoded_key(world: World) -> tuple:
-    key = world.state_key()
-    return _decoder(world)(key)
 
 
 def _records(world: World) -> dict:
@@ -263,16 +319,10 @@ def _records(world: World) -> dict:
 
 
 def _apply_keeping_parent(world: World, act) -> World:
-    key, records = _fresh_key(world), _records(world)
+    key, records = _plain_key(_plain(world)), _records(world)
     child = world.apply(act)
-    assert _fresh_key(world) == key, act
+    assert _plain_key(_plain(world)) == key, act
     assert _records(world) == records, act
-    return child
-
-
-def _apply_checking_cached_key(world: World, act) -> World:
-    child = world.apply(act)
-    assert child.state_key() == _fresh_key(child), act
     return child
 
 
@@ -281,12 +331,33 @@ def test_apply_never_mutates_the_parent_world(build):
     assert _reachable_keys(build(), _apply_keeping_parent)
 
 
+def _plain_data(value) -> bool:
+    """Whether `value` is ints, strings, bytes and None, in tuples and
+    frozensets: no message, replica or other object."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(_plain_data(v) for v in value)
+    return value is None or isinstance(value, (int, str, bytes))
+
+
 @pytest.mark.parametrize("build", [gap_world, prevention_world,
                                    checkpoint_world])
-def test_cached_world_key_equals_a_fresh_key_everywhere(build):
-    world = build()
-    assert world.state_key() == _fresh_key(world)
-    assert _reachable_keys(world, _apply_checking_cached_key)
+def test_world_and_memo_keys_hold_no_message(build, monkeypatch):
+    # a world is its key and its ledger; messages and replicas live in the
+    # table only, and the memo keys a delivery by the message's id
+    keys = []
+    state_key = World.state_key
+
+    def recording_key(world):
+        key = state_key(world)
+        assert key == (world.replicas, world.channels, world.armed)
+        keys.append(key)
+        return key
+
+    monkeypatch.setattr(World, "state_key", recording_key)
+    root = build()
+    explore_world(root)
+    assert keys and all(_plain_data(key) for key in keys)
+    assert all(_plain_data(step) for step in root.table.memo)
 
 
 @pytest.mark.parametrize("build", [gap_world, prevention_world,
@@ -298,7 +369,7 @@ def test_world_keys_and_plain_keys_are_in_bijection(build, monkeypatch):
 
     def recording_key(world):
         key = state_key(world)
-        pairs.add((key, _plain_key(world)))
+        pairs.add((key, _plain_key(_plain(world))))
         return key
 
     monkeypatch.setattr(World, "state_key", recording_key)
@@ -306,23 +377,38 @@ def test_world_keys_and_plain_keys_are_in_bijection(build, monkeypatch):
     states = explore_world(root)["states"]
     assert len({k for k, _ in pairs}) == len({p for _, p in pairs}) \
         == len(pairs) == states
-    decode = _decoder(root)
-    assert all(decode(k) == p for k, p in pairs)
+    # ids and values match one to one: each value is numbered by its own key
+    t = root.table
+    assert len(t.ids) == len(t.values)
+    assert all(t.ids[(v.id, v.state_key()) if isinstance(v, Replica) else v]
+               == i for i, v in enumerate(t.values))
 
 
 def test_forking_explorer_matches_a_deepcopy_explorer():
-    # each deep copy has its own copy of the intern table, so compare
-    # decoded keys
     root = gap_world()
     keys = _reachable_keys(root, World.apply)
-    decode = _decoder(root)
-    forked = {decode(k) for k in keys}
-    reference = _reachable_keys(gap_world(), _deepcopy_apply, _decoded_key)
+    forked = set(map(_decoder(root.table), keys))
+    reference = _reachable_keys(_plain(gap_world()), _deepcopy_apply,
+                                _plain_key, _plain_enabled)
     assert forked == reference
     assert len(forked) == explore_world(gap_world())["states"]
 
 
 # -- the search ------------------------------------------------------------
+
+
+def test_the_state_budget_is_enforced():
+    assert explore_world(gap_world(), max_states=377)["states"] == 377
+    with pytest.raises(AssertionError, match="^state budget exceeded$"):
+        explore_world(gap_world(), max_states=376)
+
+
+def test_the_state_budget_is_enforced_under_python_O():
+    last = _error_under_python_O("""
+        from hybft.model_check import explore_world, gap_world
+        explore_world(gap_world(), max_states=376)
+    """)
+    assert last == "AssertionError: state budget exceeded"
 
 
 # The step counts are pinned like the state counts: every enabled step of
@@ -352,9 +438,9 @@ def test_explorer_visits_every_reachable_state(build, steps, monkeypatch):
     monkeypatch.setattr(World, "state_key", recording_key)
     monkeypatch.setattr(World, "apply", counting_apply)
     assert explore_world(root)["states"] == len(ref_keys)
-    # two roots, two intern tables: compare decoded keys
-    decode, ref_decode = _decoder(root), _decoder(ref_root)
-    assert {decode(k) for k in keys} == {ref_decode(k) for k in ref_keys}
+    # two roots, two tables: compare decoded keys
+    assert set(map(_decoder(root.table), keys)) == \
+        set(map(_decoder(ref_root.table), ref_keys))
     assert applies == steps
 
 
@@ -380,8 +466,7 @@ def test_both_pop_orders_reach_the_same_states(build, monkeypatch):
         monkeypatch.setattr(World, "state_key", recording_key)
         monkeypatch.setattr(World, "enabled", lambda w: order(enabled(w)))
         counts = explore_world(root)
-        decode = _decoder(root)
-        return counts, {decode(k) for k in keys}
+        return counts, set(map(_decoder(root.table), keys))
 
     # explore_world pops the last enabled step first; reversed, the first
     last, first = reach(list), reach(lambda acts: acts[::-1])
@@ -395,14 +480,14 @@ def _apply_at_two_times(world: World, act) -> World:
     """World.apply, once clones of the stepping replica have shown that the
     step's effects and the state it leaves do not depend on the time the
     host passes in."""
+    p = _plain(world)
     results = []
     for now in (0, 10 ** 12):
+        rep = p.replicas[_stepper(act)].clone()
         if act[0] == "deliver":
-            rep = world.replicas[act[1][1]].clone()
-            effects = rep.handle(world.channels[act[1]][0], now)
+            effects = rep.handle(p.channels[act[1]][0], now)
         else:
-            rid, kind, tkey = act[1]
-            rep = world.replicas[rid].clone()
+            _, kind, tkey = act[1]
             effects = rep.on_timer(kind, tkey, now)
         results.append((effects, rep.state_key()))
     assert results[0] == results[1], act
@@ -419,26 +504,6 @@ def test_a_replica_reads_no_clock(build):
 # -- the step memo ---------------------------------------------------------
 
 
-def _memo_free_apply(world: World, act) -> World:
-    """World.apply without the step memo: clone the stepping replica, run
-    its handler and absorb the step, as every step did before the memo."""
-    rid = _stepper(act)
-    w = World(dict(world.replicas), dict(world.channels), world.armed,
-              world.byz)
-    w.ledger = world.ledger.fork(rid)
-    rep = w.replicas[rid] = world.replicas[rid].clone()
-    if act[0] == "deliver":
-        queue = w.channels[act[1]]
-        w.channels[act[1]] = queue[1:]
-        effects = rep.handle(queue[0], 0)
-    else:
-        _, kind, tkey = act[1]
-        w.armed = w.armed - {act[1]}
-        effects = rep.on_timer(kind, tkey, 0)
-    w._absorb(rid, effects, rep.tc.take_issued())
-    return w
-
-
 @pytest.mark.parametrize("build", [
     gap_world, prevention_world, checkpoint_world,
     lambda: equivocate_world(decisions=False),
@@ -451,29 +516,34 @@ def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
         nonlocal applies
         applies += 1
         rid = _stepper(act)
-        child, ref = world.apply(act), _memo_free_apply(world, act)
-        assert child.replicas[rid].state_key() == \
+        child = world.apply(act)
+        got, ref = _plain(child), _memo_free_apply(_plain(world), act)
+        assert got.replicas[rid].state_key() == \
             ref.replicas[rid].state_key(), act
-        assert (child.channels, child.armed) == (ref.channels, ref.armed), act
-        assert child.ledger.records.get(rid) == ref.ledger.records.get(rid), act
+        assert (_queues(got), got.armed) == (_queues(ref), ref.armed), act
+        assert got.ledger.records.get(rid) == ref.ledger.records.get(rid), act
         return child
 
     root = build()
     assert _reachable_keys(root, apply_checking_memo)
     # the memo was used: most steps were hits
-    assert len(root.memo) < applies / 2
+    assert len(root.table.memo) < applies / 2
 
 
-# Handler runs are pinned like the step counts: each distinct (replica id,
-# replica key, input) triple runs once, against 1,120, 6,207 and 12,617 steps.
-@pytest.mark.parametrize("build, runs", [
-    (gap_world, 71),
-    (prevention_world, 132),
-    (lambda: equivocate_world(decisions=False), 225),
-    (checkpoint_world, 229),
+# Handler runs are pinned like the step counts: each distinct (replica key,
+# input) pair runs once, against 1,120, 6,207 and 12,617 steps. The memo
+# also holds the root's deliveries of the client's requests: one per
+# request and correct replica.
+@pytest.mark.parametrize("build, runs, setup", [
+    (gap_world, 71, 2),
+    (prevention_world, 132, 2),
+    (lambda: equivocate_world(decisions=False), 225, 2),
+    (checkpoint_world, 229, 4),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
-def test_each_replica_step_runs_its_handler_once(build, runs, monkeypatch):
+def test_each_replica_step_runs_its_handler_once(build, runs, setup,
+                                                 monkeypatch):
     root = build()
+    assert len(root.table.memo) == setup
     calls = 0
 
     def counting(real):
@@ -486,7 +556,7 @@ def test_each_replica_step_runs_its_handler_once(build, runs, monkeypatch):
     for name in ("handle", "on_timer"):
         monkeypatch.setattr(Replica, name, counting(getattr(Replica, name)))
     explore_world(root)
-    assert calls == len(root.memo) == runs
+    assert calls == len(root.table.memo) - setup == runs
 
 
 @pytest.mark.parametrize("build", [gap_world, prevention_world,
@@ -494,18 +564,19 @@ def test_each_replica_step_runs_its_handler_once(build, runs, monkeypatch):
 def test_memoized_replicas_never_change(build):
     # a successor shares every container that equals its source's; a step
     # that changed a shared container would change a kept replica's key.
-    # A memo entry is keyed by (replica id, the id of the source's key,
-    # input), and its source key and successor key are both interned.
+    # Each replica in the table must still have the key it was numbered by,
+    # and each memo entry names a replica before and after its step.
     root = build()
-    roots = {rid: rep.state_key() for rid, rep in root.replicas.items()}
+    value = root.table.values
+    roots = [value[k].state_key() for k in root.replicas]
     explore_world(root)
-    value = {i: v for v, i in root.ids.items()}
-    for rid, kid, *_ in root.memo:
-        assert rid in root.replicas and kid in value
-    for rid, rep in root.replicas.items():
-        assert rep.state_key() == roots[rid] == value[root.rkeys[rid]]
-    for rep, _, _, kid in root.memo.values():
-        assert rep.state_key() == value[kid]
+    assert [value[k].state_key() for k in root.replicas] == roots
+    for (kid, _), (succ, _, _) in root.table.memo.items():
+        assert value[kid].id == value[succ].id
+        assert root.table.ids[value[succ].id, value[succ].state_key()] == succ
+    for kid, rep in enumerate(value):
+        if isinstance(rep, Replica):
+            assert root.table.ids[rep.id, rep.state_key()] == kid
 
 
 # -- one oracle scan per distinct ledger ----------------------------------
@@ -514,13 +585,8 @@ def test_memoized_replicas_never_change(build):
 def _records_something(world: World, act) -> bool:
     """Whether `act` notes a fact or issues a certificate, from a clone of
     the stepping replica that takes the step again."""
-    rep = world.replicas[_stepper(act)].clone()
-    if act[0] == "deliver":
-        effects = rep.handle(world.channels[act[1]][0], 0)
-    else:
-        _, kind, tkey = act[1]
-        effects = rep.on_timer(kind, tkey, 0)
-    return any(e[0] == "fact" for e in effects) or bool(rep.tc.take_issued())
+    effects, issued = _run(_clone_fork(_plain(world), _stepper(act)), act)
+    return any(e[0] == "fact" for e in effects) or bool(issued)
 
 
 # Oracle scans are pinned like handler runs: one per distinct ledger object
@@ -544,7 +610,7 @@ def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
 
     def checking_verdict(ledger, byz):
         verdict = real_verdict(ledger, byz)
-        assert verdict == fresh(ledger, root.byz)
+        assert verdict == fresh(ledger, root.table.byz)
         verdicts.append(ledger)
         return verdict
 
@@ -590,12 +656,13 @@ def test_a_kept_verdict_ends_at_the_next_note():
 
 def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
     # replica 2's delivery from the faulty leader is the same step from the
-    # root and after replica 1's first step, which leaves replica 2 shared
+    # root and after replica 1's first step, which leaves replica 2's id
     root = prevention_world()
     first = ("deliver", ("byz", 1))
     again = ("deliver", ("byz", 2))
     other = root.apply(first)
-    assert other.replicas[2] is root.replicas[2]
+    assert other.replicas[1] == root.replicas[1] and root.table.rids == (1, 2)
+    memo = dict(root.table.memo)
     real = Replica.handle
 
     def failing(self, msg, now):
@@ -611,4 +678,4 @@ def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
         notes.append(info.value.__notes__)
     assert notes == [["model check: r2 handling prepare from channel "
                       "('byz', 2)"]] * 3
-    assert all(step[0] != 2 for step in root.memo)
+    assert root.table.memo == memo
