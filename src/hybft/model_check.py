@@ -11,20 +11,22 @@ Three layers:
    attestations for one slot, asserting a replica marks it committed exactly
    when f+1 distinct senders back one digest.
 
-3. Protocol interleavings: a tiny three-replica world (faulty leader, two
-   correct followers) explored over every message delivery order and timer
+3. Protocol interleavings: a small world (faulty leader 0, correct
+   followers 1..2f) explored over every message delivery order and timer
    schedule. Every reachable state's ledger must pass the simulator's
    safety oracle (sim.safety_violations); at least one terminal state must
    show full commitment, demonstrating progress is reachable in the
    scenario.
 
-   A world is its key plus its ledger. The key holds ids: one per correct
-   replica, numbering (replica id, Replica.state_key()), the ids of each
-   non-empty channel's messages, and the armed timers. All worlds of one
-   root share a table of the values, numbered when first made, and a memo
-   of replica steps; a step runs its handler only the first time a replica
-   in that state meets that input (see _Table). Equal ids mean equal
-   values, so the key tells states apart as the values would.
+   A world is its row plus its ledger. The row is its key: one flat tuple
+   of ids into a table that all worlds of one root share (SPIN's collapse
+   compression). It holds the armed-timer set, each correct replica
+   (numbering (replica id, Replica.state_key())) and each channel slot's
+   queue of message ids. Equal ids mean equal values, so the row tells
+   states apart as the values would. The table memoizes replica steps, so
+   a handler runs only the first time a replica in one state meets one
+   input, and the moves on queues and timer sets, so a step is a few
+   lookups (see _Table).
 
    The search is a plain depth-first search over world keys. A replica's
    key holds all its state, so a key's successors do not depend on the path
@@ -220,40 +222,73 @@ def check_commit_quorum(f: int = 2) -> Dict[str, int]:
 # 3. protocol interleaving exploration
 
 
-class _Table:
-    """What every world of one root shares: the intern table, the faulty
-    replica ids and the step memo.
+class _Memo(dict):
+    """A dict that computes a missing entry with `fn` and keeps it."""
 
-    `ids` numbers each distinct replica, by (replica id,
-    Replica.state_key()), and each distinct message, by equality. The
-    replica id is part of the replica's key because state_key leaves the
-    configuration out. `values[i]` is the first replica or message numbered
-    i, and `rids` the correct replicas' ids in the order a world lists them.
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Table:
+    """What every world of one root shares: the intern table, the row
+    layout, the faulty replica ids and the memos.
+
+    `ids` numbers a replica by (replica id, Replica.state_key()), since
+    state_key leaves the configuration out, and a message, a queue (a tuple
+    of message ids) or an armed-timer set by itself. `values[i]` is the
+    first value numbered i. The empty queue is numbered first, so 0 is the
+    one false queue id. A row is the armed set's id, one id per correct
+    replica (`rids`) and one queue id per channel slot (`slots`, sorted);
+    `at` maps a replica id or a channel to its position in the row, and
+    `queues` is the first slot's.
 
     `memo` maps (the stepping replica's table id, its input) to its step:
     (the successor's table id, the step's delta, its certificates). The
     input is the delivered message's id or the timer (replica id, kind,
     key). A replica reads no clock and its key holds all its state, so a
     step is a function of that pair; it repeats often, as paths that differ
-    elsewhere reach equal replicas. The delta is the step's effects as they
-    land in a world: the message ids sent per channel, the armed timers as
-    a frozenset, and the facts. A step that raises is not kept.
+    elsewhere reach equal replicas. The delta is what the step changes in a
+    row: (position, id of the queue it sends) per channel, the id of the
+    timer set it arms or None, and its facts. A step that raises is not
+    kept. The moves on queues and armed sets map ids to ids: `pop` a queue
+    to its head and the rest, `append` two queues to their join, `fire` an
+    armed set and a timer to the set without it, `arm` two sets to their
+    union, and `timers` an armed set to its timer steps, sorted.
     """
 
-    def __init__(self, rids, byz):
+    def __init__(self, rids, byz, slots):
         self.ids: Dict[object, int] = {}
         self.values: List = []
+        ids, v = self.ids, self.values
+
+        # closures over ids and values, not methods, so that no memo refers
+        # to the table: a cycle would keep each table until the collector ran
+        def intern(value, key) -> int:
+            """The id of `key`, numbering it with `value` if it is new."""
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(v)
+                v.append(value)
+            return i
+        self.intern = intern
+        self.own = own = lambda value: intern(value, value)
+        own(())
         self.rids = tuple(rids)
         self.byz = frozenset(byz)
+        self.slots = tuple(slots)
+        self.at = {key: i for i, key in enumerate(self.rids + self.slots, 1)}
+        self.queues = 1 + len(self.rids)
+        self.delivers = tuple(("deliver", ch) for ch in self.slots)
         self.memo: Dict[tuple, tuple] = {}
-
-    def intern(self, value, key) -> int:
-        """The id of `key`, numbering it with `value` if it is new."""
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.values)
-            self.values.append(value)
-        return i
+        self.pop = _Memo(lambda q: (v[q][0], own(v[q][1:])))
+        self.append = _Memo(lambda qs: own(v[qs[0]] + v[qs[1]]))
+        self.fire = _Memo(lambda at: own(v[at[0]] - {at[1]}))
+        self.arm = _Memo(lambda aa: own(v[aa[0]] | v[aa[1]]))
+        self.timers = _Memo(lambda a: [("timer", t) for t in sorted(v[a])])
 
     def replica(self, rep: Replica) -> int:
         return self.intern(rep, (rep.id, rep.state_key()))
@@ -276,39 +311,34 @@ class _Table:
         return self.replica(rep), delta, issued
 
     def _delta(self, src: int, effects: List[tuple]) -> tuple:
-        """What replica `src`'s step effects change in a world, as
-        (sends, timers, facts). sends holds each outbound channel once, with
-        the ids of its new messages in order; sends to a client or a faulty
-        replica go nowhere."""
-        sends: Dict[Tuple[str, int], tuple] = {}
-        timers = []
-        facts = []
+        """What replica `src`'s step effects change in a row, as (sends,
+        timers, facts). sends holds each outbound channel's position once,
+        with the id of the queue of its new messages; sends to a client or
+        a faulty replica go nowhere."""
+        sends: Dict[int, tuple] = {}
+        timers, facts = [], []
         for eff in effects:
             if eff[0] == "send":
                 _, dst, msg = eff
                 if dst[0] == "replica" and dst[1] not in self.byz:
-                    key = (f"r{src}", dst[1])
-                    sends[key] = sends.get(key, ()) + (self.intern(msg, msg),)
+                    at = self.at[f"r{src}", dst[1]]
+                    sends[at] = sends.get(at, ()) + (self.own(msg),)
             elif eff[0] == "timer":
                 timers.append((src, eff[1], eff[2]))
             elif eff[0] == "fact":
                 facts.append(eff)
-        return tuple(sends.items()), frozenset(timers), tuple(facts)
+        return (tuple((at, self.own(q)) for at, q in sends.items()),
+                self.own(frozenset(timers)) if timers else None, tuple(facts))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class World:
-    """One state of an exploration: its key and its ledger.
-
-    `replicas` holds the id of each correct replica, in `table.rids` order;
-    `channels` the (channel, message ids) of each non-empty channel, sorted
-    by channel; `armed` the armed timers as (replica id, kind, key). A world
-    holds no replica or message: `table`, shared by every world of one root,
-    holds their values.
+    """One state of an exploration: its row and its ledger. The row is its
+    key, a flat tuple of ids of a fixed width per root: the armed-timer
+    set, each correct replica in `table.rids` order and each channel slot's
+    queue. `table`, shared by every world of one root, holds their values.
     """
-    replicas: Tuple[int, ...]
-    channels: Tuple[Tuple[Tuple[str, int], Tuple[int, ...]], ...]
-    armed: frozenset
+    row: Tuple[int, ...]
     ledger: Ledger
     table: _Table
 
@@ -316,65 +346,71 @@ class World:
     def root(cls, replicas: Dict[int, Replica], channels: Dict[tuple, tuple],
              byz: Set[int]) -> "World":
         """A world of the correct `replicas` with `channels` in flight, no
-        timer armed, an empty ledger and a new table."""
-        t = _Table(sorted(replicas), byz)
-        return cls(tuple(t.replica(replicas[rid]) for rid in t.rids),
-                   tuple(sorted((ch, tuple(t.intern(msg, msg) for msg in msgs))
-                                for ch, msgs in channels.items() if msgs)),
-                   frozenset(), Ledger(), t)
+        timer armed, an empty ledger and a new table. The slots are the
+        channels of `channels` and every channel between two correct
+        replicas."""
+        rids = sorted(replicas)
+        t = _Table(rids, byz, sorted(set(channels) | {
+            (f"r{a}", b) for a in rids for b in rids if a != b}))
+        return cls((t.own(frozenset()),)
+                   + tuple(t.replica(replicas[rid]) for rid in rids)
+                   + tuple(t.own(tuple(map(t.own, channels.get(ch, ()))))
+                           for ch in t.slots), Ledger(), t)
 
     def state_key(self) -> tuple:
         # The ledger is left out, as the replica histories and component
         # audit lists it replaces always were: worlds that differ only in
         # their past are one state, and the oracle sees the first reached.
-        return self.replicas, self.channels, self.armed
+        return self.row
 
     def enabled(self) -> List[tuple]:
-        return ([("deliver", ch) for ch, _ in self.channels]
-                + [("timer", t) for t in sorted(self.armed)])
+        """A delivery from each non-empty slot in channel order, then each
+        armed timer in sorted order."""
+        t = self.table
+        return (list(itertools.compress(t.delivers, self.row[t.queues:]))
+                + t.timers[self.row[0]])
 
     def apply(self, act) -> "World":
         """Successor state after `act`.
 
-        The stepping replica's successor id and the step's delta come from
-        the table's memo, or, the first time, from _Table.step. The ledger
-        is never mutated: the successor keeps this world's ledger when the
-        step notes no fact and issues no certificate, and otherwise a fork
-        with the stepping replica's record copied.
+        Each part of the row that changes is a table lookup: the pop or the
+        fired timer, the stepping replica's step (from _Table.step the
+        first time), and the step's sends and timers. The ledger is never
+        mutated: the successor keeps this world's ledger when the step notes
+        no fact and issues no certificate, and otherwise a fork with the
+        stepping replica's record copied.
         """
         t = self.table
-        channels, armed = dict(self.channels), self.armed
+        row = list(self.row)
         if act[0] == "deliver":
             rid = act[1][1]
-            queue = channels.pop(act[1])
-            if len(queue) > 1:
-                channels[act[1]] = queue[1:]
-            inp = queue[0]
+            at = t.at[act[1]]
+            inp, row[at] = t.pop[row[at]]
         else:
             rid = act[1][0]
-            armed = armed - {act[1]}
+            row[0] = t.fire[row[0], act[1]]
             inp = act[1]
-        at = t.rids.index(rid)
-        kid = self.replicas[at]
-        hit = t.memo.get((kid, inp))
+        at = t.at[rid]
+        hit = t.memo.get((row[at], inp))
         if hit is None:
-            hit = t.memo[kid, inp] = t.step(kid, act, inp)
-        succ, (sends, timers, facts), issued = hit
-        for ch, mids in sends:
-            channels[ch] = channels.get(ch, ()) + mids
+            hit = t.memo[row[at], inp] = t.step(row[at], act, inp)
+        row[at], (sends, timers, facts), issued = hit
+        for to, add in sends:
+            row[to] = t.append[row[to], add]
+        if timers is not None:
+            row[0] = t.arm[row[0], timers]
         ledger = self.ledger
         if facts or issued:
             ledger = ledger.fork(rid)
             for fact in facts:
                 ledger.note(rid, fact)
             ledger.note_issued(rid, issued)
-        return World(self.replicas[:at] + (succ,) + self.replicas[at + 1:],
-                     tuple(sorted(channels.items())), armed | timers, ledger, t)
+        return World(tuple(row), ledger, t)
 
     def fully_committed(self) -> bool:
         """Every correct replica has committed and executed a request."""
-        records = self.ledger.records
-        reps = [self.table.values[kid] for kid in self.replicas]
+        records, t = self.ledger.records, self.table
+        reps = [t.values[kid] for kid in self.row[1:t.queues]]
         return bool(reps) and all(r.id in records and records[r.id].committed
                                   and r.exec_cursor >= 1 for r in reps)
 
@@ -437,12 +473,14 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
 
 
 def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
-              requests: int = 1, checkpoint_interval: int = 1000) -> World:
-    """The world once `requests` requests from client 0 have reached both
-    correct replicas, delivered by apply from channels ("c0", replica id).
-    Replica 0 is faulty: `leader(its component, client 0's first request)`
-    returns the messages it sends each follower, by replica id."""
-    f, n = 1, 3
+              requests: int = 1, checkpoint_interval: int = 1000,
+              f: int = 1) -> World:
+    """The world of n = 2f+1 replicas once `requests` requests from client 0
+    have reached each correct replica 1..2f, delivered by apply from
+    channels ("c0", replica id). Replica 0 is faulty: `leader(its
+    component, client 0's first request)` returns the messages it sends
+    each follower, by replica id."""
+    n = 2 * f + 1
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
                     checkpoint_interval=checkpoint_interval,
                     window=2 * checkpoint_interval,
@@ -454,7 +492,7 @@ def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
     ckey = _h(b"mc-client")
     replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey},
                              max_view=2)
-                for rid in (1, 2)}
+                for rid in range(1, n)}
     payload = b"transfer-10"
     reqs = tuple(m.tagged_request(ckey, 0, seq, payload)
                  for seq in range(1, requests + 1))
@@ -485,15 +523,15 @@ def equivocate_world(decisions: bool = True) -> World:
 
 
 def gap_world(decisions: bool = False, requests: int = 1,
-              checkpoint_interval: int = 1000) -> World:
+              checkpoint_interval: int = 1000, f: int = 1) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
-    a view change to make progress."""
+    a view change to make progress. At f=2 the world has n=5."""
     def leader(tc0, req):
         tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
                       counter=proposal_counter(0))
         return {}
     return _mc_setup(leader, decisions=decisions, requests=requests,
-                     checkpoint_interval=checkpoint_interval)
+                     checkpoint_interval=checkpoint_interval, f=f)
 
 
 def prevention_world(decisions: bool = False) -> World:

@@ -4,10 +4,12 @@ protocol worlds under scripted faults, across every delivery interleaving."""
 from __future__ import annotations
 
 import copy
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import dataclass
 from typing import Dict
 
@@ -209,11 +211,19 @@ class _Plain:
     byz: frozenset
 
 
+def _fields(table, row: tuple) -> tuple:
+    """A row's parts: the armed set's id, the correct replicas' ids and
+    (channel, queue id) per slot."""
+    return (row[0], row[1:table.queues],
+            tuple(zip(table.slots, row[table.queues:])))
+
+
 def _plain(world: World) -> _Plain:
-    value = world.table.values
-    return _Plain({value[k].id: value[k] for k in world.replicas},
-                  {ch: tuple(value[i] for i in q) for ch, q in world.channels},
-                  world.armed, world.ledger, world.table.byz)
+    t, value = world.table, world.table.values
+    armed, replicas, queues = _fields(t, world.row)
+    return _Plain({value[k].id: value[k] for k in replicas},
+                  {ch: tuple(value[i] for i in value[q]) for ch, q in queues},
+                  value[armed], world.ledger, t.byz)
 
 
 def _queues(p: _Plain) -> dict:
@@ -238,9 +248,13 @@ def _decoder(table):
     the table's intern dict. Ids are comparable only within one table, so
     keys from two explorations are compared this way."""
     value = {i: v for v, i in table.ids.items()}
-    return lambda key: (tuple(value[k] for k in key[0]),
-                        tuple((ch, tuple(value[i] for i in q))
-                              for ch, q in key[1]), key[2])
+
+    def decode(key):
+        armed, replicas, queues = _fields(table, key)
+        return (tuple(value[k] for k in replicas),
+                tuple((ch, tuple(value[i] for i in value[q]))
+                      for ch, q in queues if value[q]), value[armed])
+    return decode
 
 
 def _stepper(act) -> int:
@@ -342,21 +356,24 @@ def _plain_data(value) -> bool:
 @pytest.mark.parametrize("build", [gap_world, prevention_world,
                                    checkpoint_world])
 def test_world_and_memo_keys_hold_no_message(build, monkeypatch):
-    # a world is its key and its ledger; messages and replicas live in the
-    # table only, and the memo keys a delivery by the message's id
+    # a world is its row and its ledger; messages, replicas and queues live
+    # in the table only, and the memo keys a delivery by the message's id
     keys = []
     state_key = World.state_key
 
     def recording_key(world):
         key = state_key(world)
-        assert key == (world.replicas, world.channels, world.armed)
+        assert key is world.row
         keys.append(key)
         return key
 
     monkeypatch.setattr(World, "state_key", recording_key)
     root = build()
     explore_world(root)
-    assert keys and all(_plain_data(key) for key in keys)
+    # the armed set, each correct replica and each slot, all ids
+    width = 1 + len(root.table.rids) + len(root.table.slots)
+    assert keys and all(type(key) is tuple and len(key) == width
+                        and all(type(i) is int for i in key) for key in keys)
     assert all(_plain_data(step) for step in root.table.memo)
 
 
@@ -377,11 +394,16 @@ def test_world_keys_and_plain_keys_are_in_bijection(build, monkeypatch):
     states = explore_world(root)["states"]
     assert len({k for k, _ in pairs}) == len({p for _, p in pairs}) \
         == len(pairs) == states
-    # ids and values match one to one: each value is numbered by its own key
+    # ids and values match one to one: each value is numbered by its own
+    # key, and a queue or an armed set is its own key
     t = root.table
     assert len(t.ids) == len(t.values)
     assert all(t.ids[(v.id, v.state_key()) if isinstance(v, Replica) else v]
                == i for i, v in enumerate(t.values))
+    kinds = {type(v) for v in t.values}
+    assert tuple in kinds and frozenset in kinds and t.values[0] == ()
+    assert all(type(v) is not tuple or all(type(i) is int for i in v)
+               for v in t.values)
 
 
 def test_forking_explorer_matches_a_deepcopy_explorer():
@@ -392,6 +414,20 @@ def test_forking_explorer_matches_a_deepcopy_explorer():
                                 _plain_key, _plain_enabled)
     assert forked == reference
     assert len(forked) == explore_world(gap_world())["states"]
+
+
+def test_a_table_is_freed_with_its_last_world():
+    # no memo refers back to its table, so a table goes with its worlds and
+    # does not wait for the cycle collector, which would raise peak memory
+    root = gap_world()
+    explore_world(root)
+    table = weakref.ref(root.table)
+    gc.disable()
+    try:
+        del root
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 # -- the search ------------------------------------------------------------
@@ -444,14 +480,17 @@ def test_explorer_visits_every_reachable_state(build, steps, monkeypatch):
     assert applies == steps
 
 
-# With every replica attribute but the configuration and the counters in
-# the key, a key's successors do not depend on the path that reached it, so
-# the order of the search does not change what it reaches (ROADMAP item 8).
-@pytest.mark.parametrize("build", [
+_FIVE_WORLDS = pytest.mark.parametrize("build", [
     gap_world, prevention_world, checkpoint_world,
     lambda: equivocate_world(decisions=False), equivocate_world,
 ], ids=["gap", "prevention", "checkpoint", "equivocate_no_decisions",
         "equivocate"])
+
+
+# With every replica attribute but the configuration and the counters in
+# the key, a key's successors do not depend on the path that reached it, so
+# the order of the search does not change what it reaches (ROADMAP item 8).
+@_FIVE_WORLDS
 def test_both_pop_orders_reach_the_same_states(build, monkeypatch):
     state_key, enabled = World.state_key, World.enabled
 
@@ -471,6 +510,35 @@ def test_both_pop_orders_reach_the_same_states(build, monkeypatch):
     # explore_world pops the last enabled step first; reversed, the first
     last, first = reach(list), reach(lambda acts: acts[::-1])
     assert last == first
+
+
+# The step order does fix which path reaches a key first, and so which
+# ledger the oracle scans there: the scan pins below rest on it.
+@_FIVE_WORLDS
+def test_steps_are_enabled_in_channel_order_then_timer_order(build,
+                                                            monkeypatch):
+    enabled, states = World.enabled, 0
+
+    def checking(world):
+        nonlocal states
+        states += 1
+        acts = enabled(world)
+        assert acts == _plain_enabled(_plain(world))
+        return acts
+
+    monkeypatch.setattr(World, "enabled", checking)
+    assert explore_world(build())["states"] == states
+
+
+def test_an_n5_gap_world_is_safe_up_to_a_fixed_budget():
+    # ROADMAP item 21: the gap world at f=2 has four correct replicas and
+    # does not finish in tier-1's time, so its first 50,000 states are
+    # checked; the only error may be the budget's
+    world = gap_world(f=2)
+    assert world.table.rids == (1, 2, 3, 4) and world.table.byz == {0}
+    assert world.table.values[world.row[1]].cfg.n == 5
+    with pytest.raises(AssertionError, match="^state budget exceeded$"):
+        explore_world(world, max_states=50_000)
 
 
 # -- no clock --------------------------------------------------------------
@@ -568,9 +636,10 @@ def test_memoized_replicas_never_change(build):
     # and each memo entry names a replica before and after its step.
     root = build()
     value = root.table.values
-    roots = [value[k].state_key() for k in root.replicas]
+    replicas = _fields(root.table, root.row)[1]
+    roots = [value[k].state_key() for k in replicas]
     explore_world(root)
-    assert [value[k].state_key() for k in root.replicas] == roots
+    assert [value[k].state_key() for k in replicas] == roots
     for (kid, _), (succ, _, _) in root.table.memo.items():
         assert value[kid].id == value[succ].id
         assert root.table.ids[value[succ].id, value[succ].state_key()] == succ
@@ -661,7 +730,7 @@ def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
     first = ("deliver", ("byz", 1))
     again = ("deliver", ("byz", 2))
     other = root.apply(first)
-    assert other.replicas[1] == root.replicas[1] and root.table.rids == (1, 2)
+    assert root.table.rids == (1, 2) and other.row[2] == root.row[2]
     memo = dict(root.table.memo)
     real = Replica.handle
 
