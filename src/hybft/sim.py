@@ -12,6 +12,14 @@ keep identical delays for the messages they have in common. A constant delay
 needs neither. A handler's exception leaves the run with a note naming the
 seed, the event's index and time, its owner and its message type or timer.
 
+The event loop runs with CPython's cycle collector off and puts back the
+caller's setting when it ends, as timeit does. A run makes no reference
+cycles, so every object it drops is freed by reference counting, and the
+collector would only re-scan the live Replies, dict entries and queued
+events on each pass (a quarter of the CPU time of the f=30 overhead pair)
+to free nothing. A RunResult holds no hosts, so a finished run's replicas
+and clients go as soon as its Simulator does.
+
 After every run the safety oracle (safety_violations, which the model
 checker also asserts at every reachable state) reads the run's Ledger, which
 the host keeps apart from the replicas it observes: committed and admitted
@@ -25,6 +33,7 @@ findings form the run verdict; scenario tests assert against it.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import heapq
 import json
@@ -38,7 +47,7 @@ from . import messages as m
 from . import resource_model as rm
 from .clients import Client
 from .config import SimConfig
-from .encoding import _enc, _h
+from .encoding import _INT, _enc, _h
 from .protocol import Replica
 from .tc import (
     ContextCertificate,
@@ -69,8 +78,6 @@ class RunResult:
     trace: List[Dict]
     end_ns: int
     tc_accesses: Dict[int, int]
-    replicas: List[Replica] = field(repr=False, default_factory=list)
-    clients: List[Client] = field(repr=False, default_factory=list)
 
     @property
     def msgs_total(self) -> int:
@@ -250,7 +257,7 @@ class Simulator:
         keyed, idx = chan
         chan[1] = idx + 1
         h = keyed.copy()
-        h.update(_enc(idx))
+        h.update(_INT(8, idx))
         return lo + int.from_bytes(h.digest(), "big") % (hi - lo + 1)
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
@@ -296,6 +303,8 @@ class Simulator:
     def run(self) -> RunResult:
         cfg = self.cfg
         end = 0
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             for index, (t, prio, event) in enumerate(self._queue):
                 if t > cfg.duration_ns:
@@ -326,14 +335,16 @@ class Simulator:
         except Exception as exc:
             exc.add_note(self._context(index, t, prio, event))
             raise
+        finally:
+            if collecting:
+                gc.enable()
         verdict = self._verdict()
         return RunResult(
             cfg=cfg, verdict=verdict,
             msgs_by_type=self.msgs_by_type, bytes_by_type=self.bytes_by_type,
             latency=[r for c in self.clients for r in c.records],
             trace=self.trace, end_ns=end,
-            tc_accesses={r.id: r.tc.accesses for r in self.replicas},
-            replicas=self.replicas, clients=self.clients)
+            tc_accesses={r.id: r.tc.accesses for r in self.replicas})
 
     def _context(self, index: int, t: int, prio: int, event) -> str:
         """The seed, index, virtual time, owner and kind of a failed event."""

@@ -4,12 +4,14 @@ between simulated tallies and the closed-form cost model."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import heapq
 import hmac
 import itertools
 import json
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,45 @@ def test_a_timer_error_names_the_timer(monkeypatch):
                       seed=1))
     assert re.fullmatch(r"seed 1, event \d+ at t=\d+ ns: "
                         r"r0 handling timer batch", info.value.__notes__[0])
+
+
+# -------------------------------------------------------- cycle collector
+
+
+@pytest.fixture
+def collector():
+    """Puts back the cycle collector's state on entry after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_run_leaves_the_collector_as_it_found_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    run(SimConfig(f=1, clients=1, requests_per_client=1, seed=3))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_failed_run_leaves_the_collector_as_it_found_it(
+        monkeypatch, collector, enabled):
+    _failing(monkeypatch, Replica, "handle",
+             lambda rep, msg, now: isinstance(msg, m.Commit))
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError):
+        run(SimConfig(f=1, clients=1, requests_per_client=1, seed=3))
+    assert gc.isenabled() is enabled
+
+
+def test_a_finished_run_frees_its_replicas_by_reference_counting(collector):
+    gc.disable()
+    sim = Simulator(SimConfig(f=1, clients=2, requests_per_client=2, seed=3))
+    replica = weakref.ref(sim.replicas[1])
+    result = sim.run()
+    del sim
+    assert replica() is None
+    assert result.verdict["all_clients_done"]
 
 
 # --------------------------------------------------------- model vs tallies
@@ -492,7 +533,11 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_the_golden_hashes(name, tmp_path):
     cfg, want = GOLDEN[name]
-    run(cfg).write_outputs(str(tmp_path))
+    gc.collect()
+    result = run(cfg)
+    # a run makes no reference cycles, so its loop can leave the collector off
+    assert gc.collect() == 0
+    result.write_outputs(str(tmp_path))
     got = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()
                          + (tmp_path / "summary.json").read_bytes())
     assert got.hexdigest() == want
