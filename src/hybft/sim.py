@@ -12,13 +12,22 @@ keep identical delays for the messages they have in common. A constant delay
 needs neither. A handler's exception leaves the run with a note naming the
 seed, the event's index and time, its owner and its message type or timer.
 
-The event loop runs with CPython's cycle collector off and puts back the
-caller's setting when it ends, as timeit does. A run makes no reference
-cycles, so every object it drops is freed by reference counting, and the
-collector would only re-scan the live Replies, dict entries and queued
-events on each pass (a quarter of the CPU time of the f=30 overhead pair)
-to free nothing. A RunResult holds no hosts, so a finished run's replicas
-and clients go as soon as its Simulator does.
+The host's bookkeeping is per step, not per message. Most steps return no
+effects (at f=30 nearly every request and reply delivery), and those skip
+`_apply`; the ledger still takes the component's certificates after every
+replica step. `_apply` sizes, names and counts a run of one message object
+(a broadcast) once, and under a constant delay appends every send of the
+step to the one event list of its (time, priority) key.
+
+Construction, the event loop and the verdict run with CPython's cycle
+collector off and put back the caller's setting when they end, as timeit
+does. A run makes no reference cycles, so every object it drops is freed by
+reference counting, and the collector would only re-scan the live Replies,
+dict entries and queued events on each pass (a quarter of the CPU time of
+the f=30 overhead pair) to free nothing. A RunResult holds no hosts, so a
+finished run's replicas and clients go as soon as its Simulator does; `run`
+puts the collector back only then, or its first pass would re-scan every
+object the run still held.
 
 After every run the safety oracle (safety_violations, which the model
 checker also asserts at every reachable state) reads the run's Ledger, which
@@ -38,6 +47,7 @@ import hashlib
 import heapq
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Set, Tuple
@@ -155,12 +165,15 @@ class EventQueue:
         self._events: Dict[Tuple[int, int], list] = {}
 
     def push(self, t: int, prio: int, event) -> None:
+        self.slot(t, prio).append(event)
+
+    def slot(self, t: int, prio: int) -> list:
+        """The event list of key (t, prio): appending to it is a push."""
         events = self._events.get((t, prio))
         if events is None:
-            self._events[(t, prio)] = [event]
+            events = self._events[(t, prio)] = []
             heapq.heappush(self._keys, (t, prio))
-        else:
-            events.append(event)
+        return events
 
     def __iter__(self):
         keys, lists = self._keys, self._events
@@ -180,6 +193,18 @@ class EventQueue:
                 del lists[key]
 
 
+@contextmanager
+def _collector_off():
+    """The cycle collector off inside, the caller's setting back after."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 class Simulator:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -192,10 +217,12 @@ class Simulator:
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
         self.bytes_by_type: Dict[str, int] = {}
-        self._type_size: Dict[type, int] = {}   # one size per m.FIXED_SIZE type
+        # (size, name) per m.FIXED_SIZE type
+        self._sized: Dict[type, Tuple[int, str]] = {}
         self._blobs: Dict[int, object] = {}
         self.ledger = Ledger()
-        self._build()
+        with _collector_off():
+            self._build()
 
     # ------------------------------------------------------------- assembly
 
@@ -247,8 +274,6 @@ class Simulator:
 
     def _delay(self, src: Tuple[str, int], dst: Tuple[str, int]) -> int:
         lo, hi = self.cfg.delay_min_ns, self.cfg.delay_max_ns
-        if lo == hi:
-            return lo
         chan = self._chan.get((src, dst))
         if chan is None:
             chan = self._chan[(src, dst)] = [hashlib.blake2b(
@@ -261,84 +286,104 @@ class Simulator:
         return lo + int.from_bytes(h.digest(), "big") % (hi - lo + 1)
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
-        # A broadcast sends one message object n-1 times in a row: size and
-        # name it once, and a fixed-size type once per simulator. Sizing
-        # comes first, so an unsized message raises.
-        sized = _NOT_A_MESSAGE
+        # Sizing comes first, so an unsized message raises before any send
+        # of it is queued or counted; a fixed-size type is sized once per
+        # simulator. A varying delay is drawn per send, on its channel.
+        cfg, queue, now = self.cfg, self._queue, self.now
+        msgs, nbytes = self.msgs_by_type, self.bytes_by_type
+        constant = cfg.delay_min_ns == cfg.delay_max_ns
+        deliveries = None
+        sent, sends = _NOT_A_MESSAGE, 0
         for eff in effects:
             tag = eff[0]
             if tag == "send":
                 _, dst, msg = eff
-                if msg is not sized:
+                if msg is not sent:   # a broadcast repeats one object
+                    if sends:
+                        msgs[mtype] = msgs.get(mtype, 0) + sends
+                        nbytes[mtype] = nbytes.get(mtype, 0) + sends * size
                     cls = type(msg)
-                    size = self._type_size.get(cls)
-                    if size is None:
-                        size = m.wire_size(msg, self.cfg.sizes, self.cfg.f)
+                    sized = self._sized.get(cls)
+                    if sized is None:
+                        sized = (m.wire_size(msg, cfg.sizes, cfg.f),
+                                 m.msg_type(msg))
                         if cls in m.FIXED_SIZE:
-                            self._type_size[cls] = size
-                    mtype = m.msg_type(msg)
-                    sized = msg
-                self.msgs_by_type[mtype] = self.msgs_by_type.get(mtype, 0) + 1
-                self.bytes_by_type[mtype] = self.bytes_by_type.get(mtype, 0) + size
-                self._queue.push(self.now + self._delay(owner, dst),
-                                 _PRIO_DELIVER, (dst, owner, msg))
+                            self._sized[cls] = sized
+                    size, mtype = sized
+                    sent, sends = msg, 0
+                sends += 1
+                if constant:
+                    if deliveries is None:
+                        deliveries = queue.slot(now + cfg.delay_min_ns,
+                                                _PRIO_DELIVER)
+                    deliveries.append((dst, owner, msg))
+                else:
+                    queue.push(now + self._delay(owner, dst), _PRIO_DELIVER,
+                               (dst, owner, msg))
             elif tag == "timer":
                 _, kind, key, delay = eff
-                self._queue.push(self.now + delay, _PRIO_TIMER,
-                                 (owner, kind, key))
+                queue.push(now + delay, _PRIO_TIMER, (owner, kind, key))
             elif tag == "note":
-                if self.cfg.record_trace:
-                    rec = {"t": self.now, "who": self._labels[owner]}
+                if cfg.record_trace:
+                    rec = {"t": now, "who": self._labels[owner]}
                     rec.update(eff[1])
                     self.trace.append(rec)
             elif tag == "fact":
                 self.ledger.note(owner[1], eff)
             else:
                 raise ValueError(f"unknown effect {tag!r}")
-        if owner[0] == "replica":
-            self.ledger.take_issued(owner[1], self.replicas[owner[1]].tc)
+        if sends:
+            msgs[mtype] = msgs.get(mtype, 0) + sends
+            nbytes[mtype] = nbytes.get(mtype, 0) + sends * size
 
     # ------------------------------------------------------------------ run
 
     def run(self) -> RunResult:
+        """Run every event up to cfg.duration_ns. A step's effects go to
+        `_apply` only if there are any, and after every replica step the
+        ledger takes what its component issued."""
         cfg = self.cfg
+        duration, record = cfg.duration_ns, cfg.record_trace
+        replicas, clients, ledger = self.replicas, self.clients, self.ledger
+        apply, trace, labels = self._apply, self.trace, self._labels
         end = 0
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for index, (t, prio, event) in enumerate(self._queue):
-                if t > cfg.duration_ns:
-                    break
-                self.now = end = t
-                if prio == _PRIO_DELIVER:
-                    dst, src, msg = event
-                    if cfg.record_trace:
-                        self.trace.append({"t": t, "ev": "deliver",
-                                           "dst": self._labels[dst],
-                                           "src": self._labels[src],
-                                           "type": m.msg_type(msg)})
-                    if dst[0] == "replica":
-                        self._apply(dst, self.replicas[dst[1]].handle(msg, t))
-                    elif isinstance(msg, m.Reply):
-                        self._apply(dst, self.clients[dst[1]].on_reply(msg, t))
-                elif prio == _PRIO_TIMER:
-                    owner, kind, key = event
-                    if cfg.record_trace:
-                        self.trace.append({"t": t, "ev": "timer",
-                                           "who": self._labels[owner],
-                                           "kind": kind})
-                    host = (self.replicas if owner[0] == "replica"
-                            else self.clients)[owner[1]]
-                    self._apply(owner, host.on_timer(kind, key, t))
-                else:
-                    self._admin(*event)
-        except Exception as exc:
-            exc.add_note(self._context(index, t, prio, event))
-            raise
-        finally:
-            if collecting:
-                gc.enable()
-        verdict = self._verdict()
+        with _collector_off():
+            try:
+                for index, (t, prio, event) in enumerate(self._queue):
+                    if t > duration:
+                        break
+                    self.now = end = t
+                    if prio == _PRIO_DELIVER:
+                        owner, src, msg = event
+                        if record:
+                            trace.append({"t": t, "ev": "deliver",
+                                          "dst": labels[owner],
+                                          "src": labels[src],
+                                          "type": m.msg_type(msg)})
+                        if owner[0] == "replica":
+                            effects = replicas[owner[1]].handle(msg, t)
+                        elif isinstance(msg, m.Reply):
+                            effects = clients[owner[1]].on_reply(msg, t)
+                        else:
+                            continue
+                    elif prio == _PRIO_TIMER:
+                        owner, kind, key = event
+                        if record:
+                            trace.append({"t": t, "ev": "timer",
+                                          "who": labels[owner], "kind": kind})
+                        effects = (replicas if owner[0] == "replica" else
+                                   clients)[owner[1]].on_timer(kind, key, t)
+                    else:
+                        self._admin(*event)
+                        continue
+                    if effects:
+                        apply(owner, effects)
+                    if owner[0] == "replica":
+                        ledger.take_issued(owner[1], replicas[owner[1]].tc)
+            except Exception as exc:
+                exc.add_note(self._context(index, t, prio, event))
+                raise
+            verdict = self._verdict()
         return RunResult(
             cfg=cfg, verdict=verdict,
             msgs_by_type=self.msgs_by_type, bytes_by_type=self.bytes_by_type,
@@ -546,7 +591,8 @@ def safety_violations(ledger: Ledger, byz: Set[int]) -> List[Dict]:
 
 
 def run(cfg: SimConfig) -> RunResult:
-    return Simulator(cfg).run()
+    with _collector_off():
+        return Simulator(cfg).run()
 
 
 def measure_overhead(cfg: SimConfig) -> Dict:

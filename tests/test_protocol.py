@@ -836,6 +836,23 @@ def test_a_seq_committed_in_two_views_leaves_its_voters_valid():
     assert c.replicas[2].view == 2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a re-proposed request that has already executed stays pending: "
+    "ROADMAP item 6 (j)"))
+def test_a_reproposed_request_that_executed_leaves_pending():
+    c = Cluster()
+    broadcast_request(c, 1)
+    c.pump()
+    # request 2 bypasses the view-0 leader, and view 1 re-proposes seq 1
+    r2 = authed(2)
+    c.request(1, r2).request(2, r2)
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    assert [(r.view, r.exec_cursor) for r in c.replicas] == [(1, 2)] * 3
+    assert all((0, 1) in r.executed for r in c.replicas)
+    assert [r.id for r in c.replicas if (0, 1) in r.pending] == []
+
+
 # ------------------------------------------------------ view-change checks
 #
 # One valid vote and one valid NewView, each broken in one way; a correct

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from hybft import messages as m
 from hybft import resource_model as rm
 from hybft.cli import _exact_cell
+from hybft.clients import Client
 from hybft.config import SimConfig
 from hybft.encoding import _enc
 from hybft.protocol import Replica
@@ -132,7 +133,9 @@ def test_each_channel_keeps_its_own_delay_sequence():
 
 # ------------------------------------------------------------- event queue
 
-_KEYS = st.tuples(st.integers(0, 3), st.sampled_from((-1, 0, 1)))
+# (delay, priority, entry): an entry of True appends to the list that
+# EventQueue.slot returns, fetched once per key per step as the host does.
+_KEYS = st.tuples(st.integers(0, 3), st.sampled_from((-1, 0, 1)), st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,31 +148,101 @@ def test_event_queue_pops_in_time_priority_insertion_order(initial, reactions):
     def replay(push, pop_all):
         eid = 0
 
-        def add(t, prio):
+        def step(t, keys):
             nonlocal eid
-            eid += 1
-            push(t, prio, eid)
+            held = {}
+            for delay, prio, bulk in keys:
+                eid += 1
+                push(t + delay, prio, eid, bulk, held)
 
-        for t, prio in initial:
-            add(t, prio)
+        step(0, initial)
         order = []
         for k, (t, prio, ev) in enumerate(pop_all()):
             order.append((t, prio, ev))
-            for delay, p in (reactions[k] if k < len(reactions) else ()):
-                add(t + delay, p)
+            step(t, reactions[k] if k < len(reactions) else ())
         return order
 
     queue = EventQueue()
     heap = []
 
+    def queue_push(t, prio, ev, bulk, held):
+        if not bulk:
+            queue.push(t, prio, ev)
+            return
+        events = held.get((t, prio))
+        if events is None:
+            events = held[(t, prio)] = queue.slot(t, prio)
+        events.append(ev)
+
     def heap_pop_all():
         while heap:
             yield heapq.heappop(heap)
 
-    got = replay(queue.push, lambda: iter(queue))
-    want = replay(lambda t, prio, ev: heapq.heappush(heap, (t, prio, ev)),
-                  heap_pop_all)
+    got = replay(queue_push, lambda: iter(queue))
+    want = replay(lambda t, prio, ev, bulk, held:
+                  heapq.heappush(heap, (t, prio, ev)), heap_pop_all)
     assert got == want
+
+
+# ------------------------------------------------------- host bookkeeping
+
+_CONSTANT = (1_000_000, 1_000_000)
+_SEEDED = (1_000_000, 5_000_000)
+
+
+def _bare_host(delays) -> Simulator:
+    """A built f=1 simulator at t=1 ms with an empty queue and no counts."""
+    sim = Simulator(SimConfig(f=1, clients=1, seed=9, delay_min_ns=delays[0],
+                              delay_max_ns=delays[1]))
+    sim._queue, sim.now = EventQueue(), 1_000_000
+    sim.msgs_by_type.clear()
+    sim.bytes_by_type.clear()
+    return sim
+
+
+@pytest.mark.parametrize("delays", [_CONSTANT, _SEEDED],
+                         ids=["constant", "seeded"])
+def test_a_step_counts_and_queues_each_send(delays):
+    # message a to two peers, then b to one, then a again: three runs of
+    # one object each, counted per run
+    sim = _bare_host(delays)
+    cfg, src = sim.cfg, ("replica", 0)
+    a, b = m.FetchBatch(seq=1, sender=0), m.Reply(0, 1, 1, 0, b"r")
+    sends = [(("replica", 1), a), (("replica", 2), a), (("client", 0), b),
+             (("replica", 1), a)]
+    sim._apply(src, [("send", dst, msg) for dst, msg in sends])
+
+    msgs, nbytes, want, used = {}, {}, [], {}
+    for i, (dst, msg) in enumerate(sends):
+        mtype = m.msg_type(msg)
+        msgs[mtype] = msgs.get(mtype, 0) + 1
+        nbytes[mtype] = nbytes.get(mtype, 0) + m.wire_size(msg, cfg.sizes, cfg.f)
+        delay = cfg.delay_min_ns
+        if delays == _SEEDED:
+            idx = used[dst] = used.get(dst, -1) + 1
+            delay = _delay_from_scratch(cfg, "r0", sim._labels[dst], idx)
+        want.append((sim.now + delay, i, (dst, src, msg)))
+    assert sim.msgs_by_type == msgs
+    assert sim.bytes_by_type == nbytes
+    assert list(sim._queue) == [(t, 0, ev) for t, _, ev in sorted(want)]
+
+
+@pytest.mark.parametrize("delays", [_CONSTANT, _SEEDED],
+                         ids=["constant", "seeded"])
+def test_an_unsized_message_raises_before_it_is_queued_or_counted(delays):
+    sim = _bare_host(delays)
+    a = m.FetchBatch(seq=1, sender=0)
+    with pytest.raises(TypeError, match="unsized message object"):
+        sim._apply(("replica", 0), [("send", ("replica", 1), a),
+                                    ("send", ("replica", 2), a),
+                                    ("send", ("replica", 1), object()),
+                                    ("send", ("replica", 2), a)])
+    # a's first run is counted and queued as sent; nothing after it is
+    assert sim.msgs_by_type == {"fetchbatch": 2}
+    assert sim.bytes_by_type == {"fetchbatch": 2 * m.wire_size(
+        a, sim.cfg.sizes, sim.cfg.f)}
+    assert [ev for _, _, ev in sim._queue] == [
+        (("replica", 1), ("replica", 0), a), (("replica", 2), ("replica", 0), a)]
 
 
 # ------------------------------------------------------------ error context
@@ -222,20 +295,51 @@ def collector():
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_a_run_leaves_the_collector_as_it_found_it(collector, enabled):
+def test_a_run_leaves_the_collector_as_it_found_it(
+        monkeypatch, collector, enabled):
+    # the collector stays off while the host builds, runs and judges, and
+    # under run(cfg) until the simulator is freed
+    seen = []
+    for owner, name in ((Client, "start"), (Replica, "handle"),
+                        (Simulator, "_verdict")):
+        real = getattr(owner, name)
+
+        def spy(self, *args, real=real):
+            seen.append(gc.isenabled())
+            return real(self, *args)
+
+        monkeypatch.setattr(owner, name, spy)
+    cfg, freed = SimConfig(f=1, clients=1, requests_per_client=1, seed=3), []
+
+    def on_free(sim):
+        if sim.cfg is cfg:
+            freed.append(gc.isenabled())
+
+    monkeypatch.setattr(Simulator, "__del__", on_free, raising=False)
     (gc.enable if enabled else gc.disable)()
-    run(SimConfig(f=1, clients=1, requests_per_client=1, seed=3))
+    run(cfg)
     assert gc.isenabled() is enabled
+    assert freed == [False]
+    Simulator(dataclasses.replace(cfg)).run()
+    assert gc.isenabled() is enabled
+    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_a_failed_run_leaves_the_collector_as_it_found_it(
         monkeypatch, collector, enabled):
-    _failing(monkeypatch, Replica, "handle",
-             lambda rep, msg, now: isinstance(msg, m.Commit))
+    cfg = SimConfig(f=1, clients=1, requests_per_client=1, seed=3)
     (gc.enable if enabled else gc.disable)()
+    with monkeypatch.context() as patch:
+        _failing(patch, Replica, "handle",
+                 lambda rep, msg, now: isinstance(msg, m.Commit))
+        with pytest.raises(RuntimeError):
+            run(cfg)
+    assert gc.isenabled() is enabled
+    # a construction that raises, at the first client's first request
+    _failing(monkeypatch, Client, "start", lambda client, now: True)
     with pytest.raises(RuntimeError):
-        run(SimConfig(f=1, clients=1, requests_per_client=1, seed=3))
+        Simulator(cfg)
     assert gc.isenabled() is enabled
 
 
