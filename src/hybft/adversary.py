@@ -102,8 +102,8 @@ class EquivocateWithholdLeader(_Scripted):
                                  counter=proposal_counter(self.view))
         ui_y = self.tc.create_ui(m.prepare_digest(self.view, seq + 1, bdig),
                                  counter=proposal_counter(self.view))
-        px = m.Prepare(self.view, seq, chunk, bdig, ui_x)
-        py = m.Prepare(self.view, seq + 1, chunk, bdig, ui_y)
+        px = m.Prepare(self.view, seq, chunk, ui_x)
+        py = m.Prepare(self.view, seq + 1, chunk, ui_y)
         followers = self.peers()
         first = followers[: self.cfg.f]
         out: List[tuple] = [("note", {"ev": "attack_equivocate", "seq": seq,
@@ -185,8 +185,8 @@ class CounterIdentityLeader(_Scripted):
         bda, bdb = m.batch_digest(chunk_a), m.batch_digest(chunk_b)
         ui1 = self.tc.create_ui(m.prepare_digest(self.view, 1, bda), counter=q1)
         ui2 = self.tc.create_ui(m.prepare_digest(self.view, 1, bdb), counter=q2)
-        pa = m.Prepare(self.view, 1, chunk_a, bda, ui1)
-        pb = m.Prepare(self.view, 1, chunk_b, bdb, ui2)
+        pa = m.Prepare(self.view, 1, chunk_a, ui1)
+        pb = m.Prepare(self.view, 1, chunk_b, ui2)
         followers = self.peers()
         out.append(("note", {"ev": "parallel_timelines",
                              "counters": [ui1.counter, ui2.counter],

@@ -85,10 +85,8 @@ def checkpoint_digest(seq: int, state_digest: bytes) -> bytes:
 
 
 def view_change_core_digest(new_view: int, sender: int, stable_seq: int,
-                            prepares: Sequence[Prepare],
                             timeline: Sequence[TimelineEntry]) -> bytes:
     items = [_enc("vc", new_view, sender, stable_seq)]
-    items += [p.pdigest() for p in prepares]
     items += [e.encoding() for e in timeline]
     return _h(b"".join(items))
 
@@ -111,12 +109,16 @@ class Prepare:
     view: int
     seq: int
     requests: Tuple[Request, ...]
-    bdigest: bytes
     cert: object  # UniqueIdentifier or ContextCertificate from the leader's TC
 
     @_once
+    def bdigest(self) -> bytes:
+        """Derived, so a certificate over pdigest() binds the requests."""
+        return batch_digest(self.requests)
+
+    @_once
     def pdigest(self) -> bytes:
-        return prepare_digest(self.view, self.seq, self.bdigest)
+        return prepare_digest(self.view, self.seq, self.bdigest())
 
 
 @dataclass(frozen=True)
@@ -175,38 +177,48 @@ class Checkpoint:
 class TimelineEntry:
     """One certified statement a replica has issued, with its certificate.
 
-    View-change validation demands these form a gapless cover of the sender's
-    counters up to its attested positions, which is what stops a faulty
-    replica from hiding the tail of its history.
+    A prepare or commit entry also carries the leader's Prepare it certifies
+    (a vote sends those at or below its stable seq bare). The digest
+    binds that prepare's view, seq and batch, so the encoding leaves it out.
+    View-change validation walks the certificates along each of the
+    sender's streams to its attested positions, which is what stops a
+    faulty replica from hiding part of its history.
     """
 
     kind: str        # prepare | commit | checkpoint | viewchange | newview | skip
     seq: int
     digest: bytes
     cert: object
+    prepare: Optional[Prepare] = None
 
     @_once
     def encoding(self) -> bytes:
         """This entry's share of its vote's core digest."""
         return _enc(self.kind, self.seq, self.digest)
 
+    @_once
+    def bare(self) -> "TimelineEntry":
+        """This entry without its prepare, made once for all votes."""
+        return TimelineEntry(self.kind, self.seq, self.digest, self.cert)
+
 
 @dataclass(frozen=True)
 class ViewChange:
+    """A vote for new_view: the sender's certified log, every statement its
+    component certified, in order, up to the attested stream positions."""
+
     new_view: int
     sender: int
     stable_seq: int
     stable_cert: Tuple[Checkpoint, ...]
-    prepares: Tuple[Prepare, ...]       # admitted statements above stable_seq
     timeline: Tuple[TimelineEntry, ...]  # every certified statement issued
-    attestation: object                  # StateAttestation over all counters
+    attestation: object                  # StateAttestation over all streams
     cert: object
 
     @_once
     def core_digest(self) -> bytes:
         return view_change_core_digest(self.new_view, self.sender,
-                                       self.stable_seq, self.prepares,
-                                       self.timeline)
+                                       self.stable_seq, self.timeline)
 
     @_once
     def vdigest(self) -> bytes:
@@ -260,7 +272,8 @@ class StateResponse:
 def _view_change_size(vc: ViewChange, sizes: rm.SizeModel, f: int) -> int:
     return (sizes.header_bytes + sizes.ui_bytes
             + len(vc.stable_cert) * rm.checkpoint_size(sizes)
-            + sum(rm.prepare_size(sizes, len(p.requests)) for p in vc.prepares)
+            + sum(rm.prepare_size(sizes, len(e.prepare.requests))
+                  for e in vc.timeline if e.prepare is not None)
             + len(vc.timeline) * (sizes.hash_bytes + sizes.ui_bytes)
             + sizes.ui_bytes)
 

@@ -516,8 +516,8 @@ def equivocate_world(decisions: bool = True) -> World:
                              counter=proposal_counter(0))
         ui_y = tc0.create_ui(m.prepare_digest(0, 2, bdig),
                              counter=proposal_counter(0))
-        px = m.Prepare(0, 1, chunk, bdig, ui_x)
-        py = m.Prepare(0, 2, chunk, bdig, ui_y)
+        px = m.Prepare(0, 1, chunk, ui_x)
+        py = m.Prepare(0, 2, chunk, ui_y)
         return {1: [px, py], 2: [py]}
     return _mc_setup(leader, decisions=decisions)
 
@@ -547,6 +547,6 @@ def prevention_world(decisions: bool = False) -> World:
             raise AssertionError("component must refuse the second context binding")
         except EquivocationRefused:
             pass
-        prep = m.Prepare(0, 1, chunk, bdig, cert)
+        prep = m.Prepare(0, 1, chunk, cert)
         return {1: [prep], 2: [prep]}
     return _mc_setup(leader, mode="prevention", decisions=decisions)

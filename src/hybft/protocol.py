@@ -12,7 +12,8 @@ refuse gapped or conflicting timelines after the fact. In prevention mode
 every prepare/commit/checkpoint statement carries a context certificate and
 the trusted component itself refuses a second binding for the same context.
 In both modes `Replica._cert` (with `_skip` for voided ids) certifies every
-statement a replica makes and records it in the replica's timeline.
+statement a replica makes and records it in the replica's timeline, with the
+prepare behind each prepare or commit; a view-change vote is that timeline.
 
 The host calls a replica only through `handle` and `on_timer`, which stop a
 replica whose component is down; a replica never reads the time they pass.
@@ -36,12 +37,14 @@ from . import messages as m
 from .config import SimConfig
 from .encoding import _enc, _h
 from .tc import (
+    ContextCertificate,
     PhaseSkipCertificate,
     SequenceRefused,
     SkipCertificate,
     TrustedComponent,
     UniqueIdentifier,
     VerifyStatus,
+    context_follows,
     derive_counter_id,
     verify_certificate,
 )
@@ -55,6 +58,31 @@ def proposal_counter(view: int) -> str:
 
 def leader_of(view: int, n: int) -> int:
     return view % n
+
+
+_CARRIERS = ("prepare", "commit")  # the entries that carry their prepare
+
+
+def _step(cert, at: dict) -> tuple:
+    """(stream, position) of `cert`: the stream it moves and where to, if
+    the component's own order rules let it follow the stream's position in
+    `at`, else None. A stream is a counter, at its last value, or a phase,
+    at its last (view, seq); a skip starts where its stream is."""
+    kind = type(cert)
+    if kind is ContextCertificate:
+        stream, to = ("phase", cert.phase), (cert.view, cert.seq)
+        ok = context_follows(at.get(stream, (0, 0)), cert.view, cert.seq)
+    elif kind is PhaseSkipCertificate:
+        stream, to = ("phase", cert.phase), (cert.to_view, cert.to_seq)
+        ok = at.get(stream, (0, 0)) == (cert.from_view, cert.from_seq)
+    elif kind is UniqueIdentifier or kind is SkipCertificate:
+        first, to = ((cert.value, cert.value) if kind is UniqueIdentifier
+                     else (cert.first, cert.last))
+        stream = ("counter", cert.counter)
+        ok = at.get(stream, 0) == first - 1
+    else:
+        return None, None
+    return stream, (to if ok else None)
 
 
 @dataclass
@@ -233,16 +261,24 @@ class Replica:
 
     # --------------------------------------------------------- certification
 
-    def _cert(self, phase: str, view: int, seq: int, digest: bytes,
-              at: Optional[int] = None):
-        """Certify one statement and record it in the timeline at `at`
-        (default `seq`); with `_skip`, the only code that does either.
+    def _cert(self, phase: str, view: int, seq: int, statement,
+              at: Optional[int] = None) -> m.TimelineEntry:
+        """Certify one statement, record it in the timeline at `at` (default
+        `seq`) and return its entry; with `_skip`, the only code that does
+        either. A proposal's statement is its batch and a commit's the
+        Prepare it attests, which their entries carry; any other is a digest.
 
         Detection mode binds a proposal to the next value of the view's
         proposal counter, which must be `seq`, and any other statement to the
         message counter. Prevention mode certifies the context (phase, view,
         seq), voiding the ids in between first if the phase is behind.
         """
+        prep, digest = None, statement
+        if phase == "prepare":
+            digest = m.prepare_digest(view, seq, m.batch_digest(statement))
+        elif phase == "commit":
+            prep, digest = statement, m.commit_digest(
+                view, seq, self.id, statement.bdigest())
         if self.cfg.mode == "prevention":
             try:
                 cert = self.tc.certify_context(phase, view, seq, digest)
@@ -255,9 +291,12 @@ class Replica:
                 raise RuntimeError("proposal counter out of step with sequence")
         else:
             cert = self.tc.create_ui(digest, counter=MSG_COUNTER)
-        self.timeline.append(m.TimelineEntry(
-            phase, seq if at is None else at, digest, cert))
-        return cert
+        if phase == "prepare":
+            prep = m.Prepare(view, seq, statement, cert)
+        entry = m.TimelineEntry(phase, seq if at is None else at, digest,
+                                cert, prep)
+        self.timeline.append(entry)
+        return entry
 
     def _skip(self, phase: str, view: int, last: int):
         """Void the ids of `phase` in `view` up to `last` and record the skip.
@@ -345,34 +384,34 @@ class Replica:
 
     def _propose(self, chunk: Tuple[m.Request, ...]) -> List[tuple]:
         seq = self.next_seq
-        bdig = m.batch_digest(chunk)
-        cert = self._cert("prepare", self.view, seq,
-                          m.prepare_digest(self.view, seq, bdig))
-        prep = m.Prepare(self.view, seq, chunk, bdig, cert)
+        prep = self._cert("prepare", self.view, seq, chunk).prepare
         self.next_seq = seq + 1
         self.inflight.add(seq)
         out: List[tuple] = [self._bind(prep, fresh=True)]
         out += [("send", ("replica", p), prep) for p in self.peers()]
         out += self._echo(prep)
-        out += self._credit(seq, self.view, bdig, self.id, "prepare", cert)
+        out += self._credit(seq, self.view, prep.bdigest(), self.id, "prepare",
+                            prep.cert)
         out.append(("note", {"ev": "propose", "seq": seq, "view": self.view}))
         return out
 
     def _bind(self, prep: m.Prepare, fresh: bool = False) -> tuple:
         """Hold `prep` at its seq, bind its requests there and return the
-        admission fact. A fresh proposal's requests came from the batch queue;
-        pending stays as it is, since one may have executed meanwhile."""
+        admission fact. A request not yet executed is pending; a fresh
+        proposal's requests came from the batch queue, so pending stays as it
+        is, since one may have executed meanwhile."""
         self.prepared_log[prep.seq] = prep
         for r in prep.requests:
-            self.bound[r.key()] = prep.seq
-            if not fresh:
-                self.pending.setdefault(r.key(), r)
-        return ("fact", "admit", (prep.view, prep.seq), prep.bdigest)
+            key = r.key()
+            self.bound[key] = prep.seq
+            if not fresh and key not in self.executed:
+                self.pending.setdefault(key, r)
+        return ("fact", "admit", (prep.view, prep.seq), prep.bdigest())
 
     def _echo(self, prep: m.Prepare) -> List[tuple]:
         """The leader re-presents its prepare certificate as its attestation."""
-        echo = m.Commit(prep.view, prep.seq, self.id, prep.bdigest, prep.cert,
-                        echo=True)
+        echo = m.Commit(prep.view, prep.seq, self.id, prep.bdigest(),
+                        prep.cert, echo=True)
         return [("send", ("replica", p), echo) for p in self.peers()]
 
     # ------------------------------------------------------------ admission
@@ -422,7 +461,7 @@ class Replica:
         self.cursors[key] = prep.seq
         out: List[tuple] = [self._bind(prep), ("note", {
             "ev": "admit", "seq": prep.seq, "view": prep.view})]
-        out += self._credit(prep.seq, prep.view, prep.bdigest,
+        out += self._credit(prep.seq, prep.view, prep.bdigest(),
                             leader_of(prep.view, self.cfg.n), "prepare", prep.cert)
         out += self._send_commit(prep)
         return out
@@ -440,14 +479,14 @@ class Replica:
             # a later commit from us proof that we saw everything before it
             self.deferred_commits.add(prep.seq)
             return []
-        return self._emit_commit(prep.view, prep.seq, prep.bdigest)
+        return self._emit_commit(prep)
 
-    def _emit_commit(self, view: int, seq: int, bdigest: bytes) -> List[tuple]:
-        cert = self._cert("commit", view, seq,
-                          m.commit_digest(view, seq, self.id, bdigest))
-        com = m.Commit(view, seq, self.id, bdigest, cert)
+    def _emit_commit(self, prep: m.Prepare) -> List[tuple]:
+        cert = self._cert("commit", prep.view, prep.seq, prep).cert
+        com = m.Commit(prep.view, prep.seq, self.id, prep.bdigest(), cert)
         out: List[tuple] = [("send", ("replica", p), com) for p in self.peers()]
-        out += self._credit(seq, view, bdigest, self.id, "commit", cert)
+        out += self._credit(prep.seq, prep.view, com.bdigest, self.id,
+                            "commit", cert)
         return out
 
     def _flush_deferred(self) -> List[tuple]:
@@ -457,7 +496,7 @@ class Replica:
                 self.deferred_commits.remove(seq)
                 prep = self.prepared_log.get(seq)
                 if prep is not None:
-                    out += self._emit_commit(prep.view, seq, prep.bdigest)
+                    out += self._emit_commit(prep)
         return out
 
     # -------------------------------------------------------------- commits
@@ -611,7 +650,7 @@ class Replica:
         t = self.trackers.get(prep.seq)
         if t is None or t.committed is None:
             return []
-        if m.batch_digest(prep.requests) != t.committed:
+        if prep.bdigest() != t.committed:
             return self._drop("batch_response", prep.seq)
         if prep.seq not in self.prepared_log:
             self.prepared_log[prep.seq] = prep
@@ -693,7 +732,7 @@ class Replica:
         sdig = self._state_digest()
         self.checkpoint_count += 1
         cert = self._cert("checkpoint", self.checkpoint_count, 1,
-                          m.checkpoint_digest(seq, sdig), at=seq)
+                          m.checkpoint_digest(seq, sdig), at=seq).cert
         ck = m.Checkpoint(seq, sdig, self.id, cert)
         out: List[tuple] = [("send", ("replica", p), ck) for p in self.peers()]
         out += self._credit_checkpoint(ck)
@@ -759,16 +798,16 @@ class Replica:
         if target <= self.voted_view:
             return []
         self.voted_view = target
-        prepares = tuple(self.prepared_log[s]
-                         for s in sorted(self.prepared_log) if s > self.stable_seq)
-        timeline = tuple(self.timeline)
+        # entries at or below the stable seq go without their prepares
+        timeline = tuple(e if e.prepare is None or e.seq > self.stable_seq
+                         else e.bare() for e in self.timeline)
         core = m.view_change_core_digest(target, self.id, self.stable_seq,
-                                         prepares, timeline)
+                                         timeline)
         att = self.tc.attest_state(core)
         cert = self._cert("viewchange", target, 1,
-                          m.view_change_digest(core, att), at=target)
+                          m.view_change_digest(core, att), at=target).cert
         vc = m.ViewChange(target, self.id, self.stable_seq, self.stable_cert,
-                          prepares, timeline, att, cert)
+                          timeline, att, cert)
         out: List[tuple] = [("note", {"ev": "viewchange", "target": target,
                                       "reason": reason})]
         new_leader = leader_of(target, self.cfg.n)
@@ -819,8 +858,13 @@ class Replica:
 
     def _validate_view_change(self, vc: m.ViewChange) -> Optional[str]:
         """None if `vc` is a valid vote, else the name of the rule it fails.
-        The sender's certified history must be gapless up to its attested
-        counter positions, and every commit in it must expose its prepare."""
+        A vote is its sender's certified log. Completeness: in timeline order
+        each certificate moves its stream one step on (_step), each stream
+        ends at its attested position and the vote's own certificate is one
+        step past it on its stream. The entry rule: each prepare or commit entry above the
+        stable seq carries a prepare at its seq, whose digest (or the
+        sender's commit digest of it) is the entry's, and which passes
+        _check_prepare."""
         att = vc.attestation
         if self._check_cert(vc.cert, vc.sender, vc.vdigest()) is not None:
             return "vote_cert"
@@ -831,49 +875,37 @@ class Replica:
             why = self._check_stable_cert(vc.stable_cert, vc.stable_seq)
             if why is not None:
                 return why
-        for p in vc.prepares:
-            why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
-            if why is not None:
-                return why
-        seqs = [p.seq for p in vc.prepares]
-        if seqs and (min(seqs) > vc.stable_seq + 1
-                     or sorted(seqs) != list(range(min(seqs), max(seqs) + 1))):
-            return "prepare_gap"
-        counters = dict(att.counters)
-        covered: Dict[str, set] = {}
-        commits: List[Tuple[int, bytes]] = []
+        attested = {("counter", c): v for c, v in att.counters if v}
+        attested.update((("phase", p), (v, s)) for p, v, s in att.phases)
+        # the vote takes the stream of the sender's view-change statements one
+        # step past the snapshot: nothing was certified there in between
+        stream, pos = _step(vc.cert, attested)
+        if pos is None or stream not in (
+                ("counter", derive_counter_id(vc.sender, MSG_COUNTER)),
+                ("phase", "viewchange")):
+            return "vote_counter"
+        at: Dict[tuple, object] = {}
         for e in vc.timeline:
             cert = e.cert
             skip = isinstance(cert, (SkipCertificate, PhaseSkipCertificate))
             if self._check_cert(cert, vc.sender,
                                 None if skip else e.digest) is not None:
                 return "timeline_cert"
-            if isinstance(cert, SkipCertificate):
-                covered.setdefault(cert.counter, set()).update(
-                    range(cert.first, cert.last + 1))
-            elif isinstance(cert, UniqueIdentifier):
-                covered.setdefault(cert.counter, set()).add(cert.value)
-                if e.kind == "commit":
-                    commits.append((e.seq, e.digest))
-        if self.cfg.mode != "prevention":
-            # the attestation precedes the vote certificate, so the vote must
-            # sit exactly one past the attested position: nothing was minted
-            # between taking the snapshot and certifying it
-            own = derive_counter_id(vc.sender, MSG_COUNTER)
-            if vc.cert.counter != own or vc.cert.value != counters.get(own, 0) + 1:
-                return "vote_counter"
-            for name, last in counters.items():
-                want = set(range(1, last + 1))
-                if not want <= covered.get(name, set()):
-                    return "timeline_gap"
-        for seq, digest in commits:
-            if seq <= vc.stable_seq:
-                continue
-            prep = next((p for p in vc.prepares if p.seq == seq), None)
-            if prep is None:
-                return "commit_without_prepare"
-            if m.commit_digest(prep.view, seq, vc.sender, prep.bdigest) != digest:
-                return "commit_other_prepare"
+            stream, pos = _step(cert, at)
+            if pos is None:
+                return "timeline_gap"
+            at[stream] = pos
+            if e.kind in _CARRIERS and e.seq > vc.stable_seq:
+                p = e.prepare
+                if p is None or p.seq != e.seq or e.digest != (
+                        p.pdigest() if e.kind == "prepare" else
+                        m.commit_digest(p.view, p.seq, vc.sender, p.bdigest())):
+                    return "entry_prepare"
+                why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
+                if why is not None:
+                    return why
+        if at != attested:
+            return "timeline_gap"
         return None
 
     def _check_stable_cert(self, cert: Tuple[m.Checkpoint, ...],
@@ -893,30 +925,26 @@ class Replica:
         base = max(vc.stable_seq for vc in votes.values())
         stable = next((vc.stable_cert for vc in votes.values()
                        if vc.stable_seq == base), ())
+        # the highest view's prepare per seq, from the entries it checked
         chosen: Dict[int, m.Prepare] = {}
         for vc in votes.values():
-            for p in vc.prepares:
-                if p.seq <= base:
-                    continue
-                cur = chosen.get(p.seq)
-                if cur is None or p.view > cur.view:
-                    chosen[p.seq] = p
+            for e in vc.timeline:
+                if e.kind in _CARRIERS and e.seq > base:
+                    cur = chosen.get(e.seq)
+                    if cur is None or e.prepare.view > cur.view:
+                        chosen[e.seq] = e.prepare
         return base, stable, [chosen[s] for s in sorted(chosen)]
 
     def _emit_new_view(self, view: int,
                        votes: Dict[int, m.ViewChange]) -> List[tuple]:
         base, stable, reprops = self._union(votes)
         skip = self._skip("prepare", view, base) if base >= 1 else None
-        new_preps = []
-        for old in reprops:
-            cert = self._cert("prepare", view, old.seq,
-                              m.prepare_digest(view, old.seq, old.bdigest))
-            new_preps.append(m.Prepare(view, old.seq, old.requests,
-                                       old.bdigest, cert))
+        new_preps = [self._cert("prepare", view, old.seq, old.requests).prepare
+                     for old in reprops]
         vcs = tuple(votes[s] for s in sorted(votes))
         cert = self._cert("newview", view, 1,
                           m.new_view_digest(view, self.id, base, vcs, new_preps),
-                          at=view)
+                          at=view).cert
         nv = m.NewView(view, self.id, vcs, base, stable, skip,
                        tuple(new_preps), cert)
         out: List[tuple] = [("send", ("replica", p), nv) for p in self.peers()]
@@ -946,8 +974,8 @@ class Replica:
         base, _, reprops = self._union(votes)
         if base != nv.base:
             return "base"
-        want = {p.seq: p.bdigest for p in reprops}
-        got = {p.seq: p.bdigest for p in nv.prepares}
+        want = {p.seq: p.bdigest() for p in reprops}
+        got = {p.seq: p.bdigest() for p in nv.prepares}
         if want != got:
             return "reproposals"
         for seq, dig in got.items():
@@ -989,7 +1017,7 @@ class Replica:
             top = nv.base
             for p in nv.prepares:
                 out.append(self._bind(p))
-                out += self._credit(p.seq, nv.view, p.bdigest, self.id,
+                out += self._credit(p.seq, nv.view, p.bdigest(), self.id,
                                     "prepare", p.cert)
                 out += self._echo(p)
                 top = max(top, p.seq)

@@ -57,6 +57,13 @@ class RestoreRefused(Exception):
     """Snapshot blob already consumed, or target component is not fresh."""
 
 
+def context_follows(pos: Tuple[int, int], view: int, seq: int) -> bool:
+    """certify_context's order rule: (view, seq) may follow a phase at
+    position pos if it is the next seq of pos's view, or seq 1 of a higher
+    view."""
+    return pos == (view, seq - 1) or (seq == 1 and pos < (view, seq))
+
+
 def derive_counter_id(replica_id: int, purpose: str) -> str:
     """Strict-mode counter identity: deterministic in (replica, purpose)."""
     return f"r{replica_id}:{purpose}"
@@ -293,8 +300,11 @@ class TrustedComponent:
         self._crashed = True
 
     def take_issued(self) -> List:
-        """Certificates issued since the last take, for the host's audit."""
-        taken, self._issued = self._issued, []
+        """Certificates issued since the last take, for the host's audit. An
+        empty take is the component's own list, read before it issues again."""
+        taken = self._issued
+        if taken:
+            self._issued = []
         return taken
 
     def clone(self) -> "TrustedComponent":
@@ -378,7 +388,7 @@ class TrustedComponent:
         if (view, seq) in issued:
             raise EquivocationRefused(f"context ({phase},{view},{seq}) already certified")
         pv, ps = self._phases.get(phase, (0, 0))
-        if not ((view == pv and seq == ps + 1) or (view > pv and seq == 1)):
+        if not context_follows((pv, ps), view, seq):
             raise SequenceRefused(
                 f"context ({phase},{view},{seq}) out of order after ({pv},{ps})")
         self._phases[phase] = (view, seq)

@@ -158,17 +158,19 @@ _DIGESTS = {
     m.Request: {"digest": lambda r: _h(_enc("req", r.client_id, r.client_seq,
                                             r.payload)),
                 "key": lambda r: (r.client_id, r.client_seq)},
-    m.Prepare: {"pdigest": lambda p: m.prepare_digest(p.view, p.seq,
-                                                      p.bdigest)},
+    m.Prepare: {"bdigest": lambda p: m.batch_digest(p.requests),
+                "pdigest": lambda p: m.prepare_digest(
+                    p.view, p.seq, m.batch_digest(p.requests))},
     m.Commit: {"cdigest": lambda c: m.commit_digest(c.view, c.seq, c.sender,
                                                     c.bdigest)},
     m.Checkpoint: {"ckdigest": lambda k: m.checkpoint_digest(k.seq,
                                                              k.state_digest)},
-    m.TimelineEntry: {"encoding": lambda e: _enc(e.kind, e.seq, e.digest)},
+    m.TimelineEntry: {"encoding": lambda e: _enc(e.kind, e.seq, e.digest),
+                      "bare": lambda e: m.TimelineEntry(e.kind, e.seq,
+                                                        e.digest, e.cert)},
     m.ViewChange: {
         "core_digest": lambda v: m.view_change_core_digest(
-            v.new_view, v.sender, v.stable_seq, fresh(v.prepares),
-            fresh(v.timeline)),
+            v.new_view, v.sender, v.stable_seq, fresh(v.timeline)),
         "vdigest": lambda v: m.view_change_digest(
             fresh(v).core_digest(), v.attestation),
     },
@@ -345,8 +347,8 @@ def _reference_wire_size(msg, sizes, f):
     if isinstance(msg, m.ViewChange):
         return (sizes.header_bytes + sizes.ui_bytes
                 + len(msg.stable_cert) * rm.checkpoint_size(sizes)
-                + sum(rm.prepare_size(sizes, len(p.requests))
-                      for p in msg.prepares)
+                + sum(rm.prepare_size(sizes, len(e.prepare.requests))
+                      for e in msg.timeline if e.prepare is not None)
                 + len(msg.timeline) * (sizes.hash_bytes + sizes.ui_bytes)
                 + sizes.ui_bytes)
     if isinstance(msg, m.NewView):
@@ -371,12 +373,13 @@ def _reference_wire_size(msg, sizes, f):
 def _one_of_each_message():
     d = _h(b"d")
     reqs = tuple(authed(s) for s in (1, 2, 3))
-    prep = m.Prepare(0, 1, reqs, d, None)
-    prep1 = m.Prepare(0, 2, reqs[:1], d, None)
+    prep = m.Prepare(0, 1, reqs, None)
+    prep1 = m.Prepare(0, 2, reqs[:1], None)
     ck = m.Checkpoint(4, d, 1, None)
-    entry = m.TimelineEntry("prepare", 1, d, None)
-    vc = m.ViewChange(1, 2, 4, (ck, ck), (prep, prep1), (entry,) * 5,
-                      None, None)
+    entry = m.TimelineEntry("checkpoint", 1, d, None)
+    carriers = (m.TimelineEntry("prepare", 5, d, None, prep),
+                m.TimelineEntry("commit", 6, d, None, prep1))
+    vc = m.ViewChange(1, 2, 4, (ck, ck), (entry,) * 3 + carriers, None, None)
     reply = m.Reply(0, 1, 1, 2, d)
     return [
         reqs[0], prep, m.Commit(0, 1, 2, d, None),

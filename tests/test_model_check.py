@@ -60,12 +60,12 @@ def test_counter_traces_at_full_depth():
 
 def test_equivocating_leader_world_is_safe_everywhere(equivocate_exploration):
     assert equivocate_exploration == {
-        "states": 14_407, "terminals": 22, "full_commit_terminals": 20}
+        "states": 10_979, "terminals": 17, "full_commit_terminals": 15}
 
 
 def test_equivocating_leader_world_without_decisions_is_safe_everywhere():
     assert explore_world(equivocate_world(decisions=False)) == {
-        "states": 3_215, "terminals": 8, "full_commit_terminals": 6}
+        "states": 3_087, "terminals": 8, "full_commit_terminals": 6}
 
 
 def test_withholding_leader_world_is_safe_everywhere():
@@ -95,7 +95,7 @@ def test_checkpoint_world_is_safe_everywhere_and_reaches_stable_checkpoints(
 
     monkeypatch.setattr(World, "apply", recording_apply)
     assert explore_world(checkpoint_world()) == {
-        "states": 1_729, "terminals": 7, "full_commit_terminals": 6}
+        "states": 1_617, "terminals": 7, "full_commit_terminals": 6}
     assert max(stable) == 2
 
 
@@ -452,7 +452,7 @@ def test_the_state_budget_is_enforced_under_python_O():
 @pytest.mark.parametrize("build, steps", [
     (gap_world, 1_120),
     (prevention_world, 6_207),
-    (lambda: equivocate_world(decisions=False), 12_617),
+    (lambda: equivocate_world(decisions=False), 12_073),
 ], ids=["gap", "prevention", "equivocate_no_decisions"])
 def test_explorer_visits_every_reachable_state(build, steps, monkeypatch):
     ref_root, root = build(), build()
@@ -599,14 +599,14 @@ def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
 
 
 # Handler runs are pinned like the step counts: each distinct (replica key,
-# input) pair runs once, against 1,120, 6,207 and 12,617 steps. The memo
+# input) pair runs once, against 1,120, 6,207 and 12,073 steps. The memo
 # also holds the root's deliveries of the client's requests: one per
 # request and correct replica.
 @pytest.mark.parametrize("build, runs, setup", [
     (gap_world, 71, 2),
     (prevention_world, 132, 2),
-    (lambda: equivocate_world(decisions=False), 225, 2),
-    (checkpoint_world, 229, 4),
+    (lambda: equivocate_world(decisions=False), 218, 2),
+    (checkpoint_world, 223, 4),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
 def test_each_replica_step_runs_its_handler_once(build, runs, setup,
                                                  monkeypatch):
@@ -659,12 +659,12 @@ def _records_something(world: World, act) -> bool:
 
 
 # Oracle scans are pinned like handler runs: one per distinct ledger object
-# among the explored states, against 377, 1,595, 3,215 and 1,729 states.
+# among the explored states, against 377, 1,595, 3,087 and 1,617 states.
 @pytest.mark.parametrize("build, scans", [
     (gap_world, 104),
     (prevention_world, 127),
     (lambda: equivocate_world(decisions=False), 405),
-    (checkpoint_world, 380),
+    (checkpoint_world, 364),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
 def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
     root = build()

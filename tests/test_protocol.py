@@ -171,7 +171,7 @@ def test_commit_quorum_counts_own_attestation():
     c.queue.clear()
     c.inject(1, prep)
     t = c.replicas[1].trackers[1]
-    assert t.committed == prep.bdigest
+    assert t.committed == prep.bdigest()
     assert t.via == "quorum"
 
 
@@ -212,9 +212,9 @@ def test_request_bound_at_two_seqs_flags_the_leader():
     tc0 = c.tcs[0]
     b1 = m.batch_digest((req,))
     u1 = tc0.create_ui(m.prepare_digest(0, 1, b1), counter=proposal_counter(0))
-    px = m.Prepare(0, 1, (req,), b1, u1)
+    px = m.Prepare(0, 1, (req,), u1)
     u2 = tc0.create_ui(m.prepare_digest(0, 2, b1), counter=proposal_counter(0))
-    py = m.Prepare(0, 2, (req,), b1, u2)
+    py = m.Prepare(0, 2, (req,), u2)
     c.inject(1, px)
     c.queue.clear()
     c.inject(1, py)
@@ -238,13 +238,13 @@ def test_flagged_view_stops_admitting():
     b1 = m.batch_digest((req,))
     u1 = tc0.create_ui(m.prepare_digest(0, 1, b1), counter=proposal_counter(0))
     u2 = tc0.create_ui(m.prepare_digest(0, 2, b1), counter=proposal_counter(0))
-    c.inject(1, m.Prepare(0, 1, (req,), b1, u1))
-    c.inject(1, m.Prepare(0, 2, (req,), b1, u2))
+    c.inject(1, m.Prepare(0, 1, (req,), u1))
+    c.inject(1, m.Prepare(0, 2, (req,), u2))
     c.queue.clear()
     other = authed(9)
     b3 = m.batch_digest((other,))
     u3 = tc0.create_ui(m.prepare_digest(0, 3, b3), counter=proposal_counter(0))
-    c.inject(1, m.Prepare(0, 3, (other,), b3, u3))
+    c.inject(1, m.Prepare(0, 3, (other,), u3))
     assert 3 not in c.replicas[1].prepared_log
 
 
@@ -366,7 +366,7 @@ def test_pinned_policy_drops_minted_counter_proposals():
     q = c.tcs[0].flexi_create_counter()
     b1 = m.batch_digest((req,))
     ui = c.tcs[0].create_ui(m.prepare_digest(0, 1, b1), counter=q)
-    c.inject(1, m.Prepare(0, 1, (req,), b1, ui))
+    c.inject(1, m.Prepare(0, 1, (req,), ui))
     assert c.replicas[1].prepared_log == {}
     assert c.replicas[1].stats["invalid_drops"] == 1
 
@@ -377,7 +377,7 @@ def test_announced_policy_admits_minted_counter():
     q = c.tcs[0].flexi_create_counter()
     b1 = m.batch_digest((req,))
     ui = c.tcs[0].create_ui(m.prepare_digest(0, 1, b1), counter=q)
-    c.inject(1, m.Prepare(0, 1, (req,), b1, ui))
+    c.inject(1, m.Prepare(0, 1, (req,), ui))
     assert 1 in c.replicas[1].prepared_log
 
 
@@ -392,7 +392,7 @@ def test_stale_epoch_prepare_dropped_and_counted():
     b1 = m.batch_digest((req,))
     ui = restarted.create_ui(m.prepare_digest(0, 1, b1),
                              counter=proposal_counter(0))
-    c.inject(1, m.Prepare(0, 1, (req,), b1, ui))
+    c.inject(1, m.Prepare(0, 1, (req,), ui))
     assert c.replicas[1].stats["stale_epoch_drops"] == 1
     assert c.replicas[1].prepared_log == {}
 
@@ -678,14 +678,14 @@ def _forged_stable_certificate():
 
 
 def _forged_prepare_in_a_vote():
-    # replica 2 votes for view 1 carrying a "view-0 prepare" it minted itself
+    # replica 2 votes for view 1 carrying a "view-0 prepare" it minted itself,
+    # behind its own commit of it
     c = Cluster()
     voter = c.replicas[2]
     req = authed(9)
-    bdig = m.batch_digest((req,))
-    cert = c.tcs[2].create_ui(m.prepare_digest(0, 1, bdig),
+    cert = c.tcs[2].create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
                               counter=proposal_counter(0))
-    voter.prepared_log[1] = m.Prepare(0, 1, (req,), bdig, cert)
+    voter._cert("commit", 0, 1, m.Prepare(0, 1, (req,), cert))
     c._absorb(2, voter._start_view_change(1, reason="timeout"))
     c.pump()
     assert 2 not in c.replicas[1].vc_votes.get(1, {})
@@ -721,37 +721,91 @@ def test_a_certificate_speaks_only_for_its_issuer(forge):
 # --------------------------------------------------------- vote completeness
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a view-change vote may omit a prepare that its own timeline certifies: "
-    "ROADMAP item 6 (a), (b)"))
-@pytest.mark.parametrize("mode", ["detection", "prevention"])
-def test_a_vote_cannot_hide_a_prepare_its_timeline_certifies(mode):
-    c = Cluster(mode=mode)
-    r1, r2 = authed(1), authed(2)
+def test_a_prepare_certifies_its_requests():
+    # faulty leader 0 certifies batch A at seq 1, then shows replica 2 other
+    # requests under that one certificate; were the batch digest a field the
+    # sender sets, replicas 1 and 2 would both commit and execute different
+    # requests at seq 1
+    c = Cluster()
+    ra, rb = authed(1), authed(2)
     for rid in (1, 2):
-        c.request(rid, r1).request(rid, r2)
-    # faulty replica 0 binds request 2 at seq 1 and shows only replica 1,
-    # which commits it
-    bdig = m.batch_digest((r2,))
-    pdig = m.prepare_digest(0, 1, bdig)
-    cert = (c.tcs[0].create_ui(pdig, counter=proposal_counter(0))
-            if mode == "detection"
-            else c.tcs[0].certify_context("prepare", 0, 1, pdig))
-    c.inject(1, m.Prepare(0, 1, (r2,), bdig, cert))
-    assert c.ledger.records[1].committed[1] == bdig
+        c.request(rid, ra).request(rid, rb)
+    c.request(0, ra)
+    prep = next(msg for dst, msg in c.queue
+                if dst == 1 and isinstance(msg, m.Prepare))
     c.queue.clear()
-    # replica 2's view-1 vote is lost, so it escalates and leads view 2
-    c.fire(2, "suspect", 0)
-    c.queue.clear()
-    c.fire(2, "vcretry", 1)
-    # replica 0's view-2 vote: its timeline certifies the prepare, but the
-    # vote carries no prepares
-    faulty = c.replicas[0]
-    faulty.timeline.append(m.TimelineEntry("prepare", 1, pdig, cert))
-    c._absorb(0, faulty._start_view_change(2, reason="timeout"))
-    c.pump(drop_to={0})
-    assert c.replicas[2].view == 2
+    c.inject(1, prep).inject(2, dataclasses.replace(prep, requests=(rb,)))
+    c.pump()
     assert safety_violations(c.ledger, {0}) == []
+    assert (2, {"ev": "drop", "why": "invalid_cert", "seq": 1}) in c.notes
+
+
+def test_the_walk_takes_a_streams_certificates_in_the_components_order():
+    # one counter and one phase of one component: each certificate follows
+    # the one before it on its stream, a skip from exactly where the stream
+    # stands, and without any one the next is out of step
+    tc = TrustedComponent(0, mode=TcMode.HMAC, system_key=SYSKEY)
+    d = hashlib.sha256(b"d").digest()
+    streams = ([tc.create_ui(d), tc.skip_values("msg", 2), tc.create_ui(d)],
+               [tc.certify_context("commit", 0, 1, d),
+                tc.skip_contexts("commit", 1, 2),
+                tc.certify_context("commit", 1, 3, d)])
+    at = {}
+    for certs in streams:
+        for cert, after in zip(certs, certs[1:] + [None]):
+            assert after is None or protocol._step(after, at)[1] is None
+            stream, pos = protocol._step(cert, at)
+            assert pos is not None
+            at[stream] = pos
+    att = tc.attest_state(b"nonce")
+    assert at == {("counter", "r0:msg"): dict(att.counters)["r0:msg"],
+                  ("phase", "commit"): tuple(att.phases[0][1:])}
+
+
+def _decision_voter(c, seq):
+    """Replica 2, cut off from seqs 1..`seq`, commits `seq` through replica
+    1's Decision alone; the batch fetches it sends are left in the queue."""
+    for s in range(1, seq + 1):
+        broadcast_request(c, s)
+        c.pump(drop_to={2})
+    c.fire(1, "decision", seq)
+    dec = next(msg for dst, msg in c.queue
+               if dst == 2 and isinstance(msg, m.Decision))
+    c.queue.clear()
+    c.inject(2, dec)
+    assert c.replicas[2].trackers[seq].via == "decision"
+    return c.replicas[2]
+
+
+def _votes_for_view_1(c, voter):
+    c._absorb(voter.id, voter._start_view_change(1, reason="timeout"))
+    c.pump()
+    return c.replicas[1].vc_votes.get(1, {})
+
+
+def test_a_vote_after_a_decision_commit_past_a_hole_is_counted():
+    # ROADMAP item 6 (g): replica 2's prepared_log holds the fetched seq 2
+    # and nothing at seq 1. Its vote shows what it certified, which is
+    # nothing, so the hole is not a gap in it
+    c = Cluster()
+    voter = _decision_voter(c, 2)
+    c.pump()
+    assert sorted(voter.prepared_log) == [2]
+    assert voter.id in _votes_for_view_1(c, voter)
+
+
+def test_a_vote_after_a_forged_fetched_prepare_is_counted():
+    # ROADMAP item 6 (c): replica 2 keeps a fetched prepare whose
+    # certificate replica 1 minted; the batch is right, so it executes.
+    # A prepare it only fetched has no place in its vote
+    c = Cluster()
+    voter = _decision_voter(c, 1)
+    good = c.replicas[1].prepared_log[1]
+    forged = dataclasses.replace(good, cert=c.tcs[1].create_ui(good.pdigest()))
+    c.queue.clear()
+    c.inject(2, m.BatchResponse(forged, 1))
+    assert voter.prepared_log[1] is forged and voter.exec_cursor == 1
+    assert voter.id in _votes_for_view_1(c, voter)
 
 
 def _a_vote_carries(mode, view, certify):
@@ -760,22 +814,19 @@ def _a_vote_carries(mode, view, certify):
     carries a view-`view` prepare of batch B at seq 1, certified by
     `certify(component, prepare digest)` and entered in its timeline, and
     reaches replica 1, the view-1 leader, before replica 1's own vote (two
-    suspicion periods)."""
+    suspicion periods). B's entry carries B's prepare."""
     c = Cluster(mode=mode)
     ra, rb = authed(1), authed(2)
     for rid in (1, 2):
         c.request(rid, ra).request(rid, rb)
     faulty = c.replicas[0]
-    adig = m.batch_digest((ra,))
-    acert = faulty._cert("prepare", 0, 1, m.prepare_digest(0, 1, adig))
-    c.inject(1, m.Prepare(0, 1, (ra,), adig, acert))
-    assert c.ledger.records[1].committed[1] == adig
+    c.inject(1, faulty._cert("prepare", 0, 1, (ra,)).prepare)
+    assert c.ledger.records[1].committed[1] == m.batch_digest((ra,))
     c.queue.clear()
-    bdig = m.batch_digest((rb,))
-    bpdig = m.prepare_digest(view, 1, bdig)
+    bpdig = m.prepare_digest(view, 1, m.batch_digest((rb,)))
     bcert = certify(c.tcs[0], bpdig)
-    faulty.prepared_log[1] = m.Prepare(view, 1, (rb,), bdig, bcert)
-    faulty.timeline.append(m.TimelineEntry("prepare", 1, bpdig, bcert))
+    faulty.timeline.append(m.TimelineEntry(
+        "prepare", 1, bpdig, bcert, m.Prepare(view, 1, (rb,), bcert)))
     c._absorb(0, faulty._start_view_change(1, reason="timeout"))
     c.pump(drop_to={0})
     c.fire(1, "suspect", 0).fire(1, "suspect", 0).pump(drop_to={0})
@@ -812,9 +863,6 @@ def test_a_vote_cannot_carry_a_prepare_from_an_uninstalled_view(mode):
     assert safety_violations(c.ledger, {0}) == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a vote whose timeline commits one seq in two views is rejected: "
-    "ROADMAP item 6 (i)"))
 def test_a_seq_committed_in_two_views_leaves_its_voters_valid():
     c = Cluster()
     broadcast_request(c, 1)
@@ -836,9 +884,6 @@ def test_a_seq_committed_in_two_views_leaves_its_voters_valid():
     assert c.replicas[2].view == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a re-proposed request that has already executed stays pending: "
-    "ROADMAP item 6 (j)"))
 def test_a_reproposed_request_that_executed_leaves_pending():
     c = Cluster()
     broadcast_request(c, 1)
@@ -859,12 +904,12 @@ def test_a_reproposed_request_that_executed_leaves_pending():
 # replica must drop every broken one, and its validator must name the rule
 # the break was written for. At f=1 with a checkpoint at every seq, seq 1 is
 # stable everywhere and only replica 2 has committed seq 2, so replica 2's
-# vote for view 1 carries a stable certificate, a prepare above it and a
-# commit that prepare must back.
+# vote for view 1 carries a stable certificate and, above it, a commit entry
+# that carries the prepare it attests.
 
 
-def _vote_setup():
-    c = Cluster(checkpoint_interval=1)
+def _vote_setup(mode="detection"):
+    c = Cluster(checkpoint_interval=1, mode=mode)
     broadcast_request(c, 1)
     c.pump()
     broadcast_request(c, 2)
@@ -896,7 +941,7 @@ def _mint_prepare(c, view, seq, req):
     bdig = m.batch_digest((req,))
     cert = c.tcs[0].create_ui(m.prepare_digest(view, seq, bdig),
                               counter=proposal_counter(view))
-    return m.Prepare(view, seq, (req,), bdig, cert)
+    return m.Prepare(view, seq, (req,), cert)
 
 
 def _break_stable_cert(vote, **fields):
@@ -915,6 +960,14 @@ def _late_vote(c, vote):
     return _recertify(c, vote, att=att)
 
 
+def _vote_off_its_stream(c, vote):
+    # the vote's certificate is value 1 of a counter the voter never used,
+    # not the next value of its message counter
+    v = _recertify(c, vote)
+    cert = c.tcs[2].create_ui(v.vdigest(), counter=proposal_counter(5))
+    return dataclasses.replace(v, cert=cert)
+
+
 def _broken_timeline_cert(c, vote):
     tl = list(c.replicas[2].timeline)
     tl[0] = dataclasses.replace(tl[0], digest=hashlib.sha256(b"x").digest())
@@ -931,26 +984,20 @@ def _foreign_vote_cert(c, vote):
     return dataclasses.replace(vote, cert=c.tcs[0].create_ui(vote.vdigest()))
 
 
+def _carrying(c, vote, prepare):
+    """`vote` recertified, with `prepare` on the voter's commit entry at
+    seq 2 in place of the prepare it attests."""
+    timeline = tuple(dataclasses.replace(e, prepare=prepare)
+                     if (e.kind, e.seq) == ("commit", 2) else e
+                     for e in c.replicas[2].timeline)
+    return _recertify(c, vote, timeline=timeline)
+
+
 def _prepare_off_its_slot(c, vote):
     # the leader certifies the carried prepare again, at value 3 for seq 2
-    p = vote.prepares[0]
+    p = c.replicas[2].prepared_log[2]
     cert = c.tcs[0].create_ui(p.pdigest(), counter=proposal_counter(0))
-    return _recertify(c, vote, prepares=(dataclasses.replace(p, cert=cert),))
-
-
-def _prepare_past_a_gap(c, vote):
-    # the leader voids value 3, so a prepare at seq 4 holds its slot while
-    # the carried seqs skip 3
-    c.tcs[0].skip_values(proposal_counter(0), 1)
-    return _recertify(c, vote, prepares=vote.prepares + (
-        _mint_prepare(c, 0, 4, authed(4)),))
-
-
-def _commit_over_another_batch(c, vote):
-    # the voter's timeline also commits another batch at seq 2
-    dig = m.commit_digest(0, 2, 2, m.batch_digest((authed(9),)))
-    entry = m.TimelineEntry("commit", 2, dig, c.tcs[2].create_ui(dig))
-    return _recertify(c, vote, timeline=(*c.replicas[2].timeline, entry))
+    return _carrying(c, vote, dataclasses.replace(p, cert=cert))
 
 
 # break -> (the rule _validate_view_change names, the break)
@@ -966,21 +1013,28 @@ BROKEN_VOTES = {
     "stable_cert_foreign": ("stable_cert_cert", lambda c, v: (
         _break_stable_cert(v, cert=v.stable_cert[0].cert))),
     "prepare_slot": ("prepare_slot", _prepare_off_its_slot),
-    "prepare_gap": ("prepare_gap", _prepare_past_a_gap),
     "timeline_cert": ("timeline_cert", _broken_timeline_cert),
     "vote_counter": ("vote_counter", _late_vote),
+    "vote_off_its_stream": ("vote_counter", _vote_off_its_stream),
     "timeline_gap": ("timeline_gap", lambda c, v: _recertify(
         c, v, timeline=tuple(c.replicas[2].timeline)[1:])),
-    "commit_without_prepare": ("commit_without_prepare", lambda c, v: (
-        _recertify(c, v, prepares=()))),
-    "commit_other_prepare": ("commit_other_prepare",
-                             _commit_over_another_batch),
+    # a vote hides the tail of a phase: its last checkpoint context
+    "context_omitted": ("timeline_gap", lambda c, v: _recertify(
+        c, v, timeline=tuple(c.replicas[2].timeline)[:-1])),
+    "entry_without_prepare": ("entry_prepare", lambda c, v: (
+        _carrying(c, v, None))),
+    "entry_with_another_batch": ("entry_prepare", lambda c, v: _carrying(
+        c, v, dataclasses.replace(c.replicas[2].prepared_log[2],
+                                  requests=(authed(9),)))),
 }
+# the breaks made on a vote in prevention mode; the rest are in detection mode
+PREVENTION_BREAKS = {"context_omitted"}
 
 
 @pytest.mark.parametrize("how", [None, *BROKEN_VOTES])
 def test_a_broken_vote_is_dropped(how):
-    c, vote = _vote_setup()
+    c, vote = _vote_setup(
+        "prevention" if how in PREVENTION_BREAKS else "detection")
     reason = None
     if how is not None:
         reason, brk = BROKEN_VOTES[how]
@@ -1010,21 +1064,22 @@ def _renew(c, nv, **fields):
 
 def _reproposal_on_the_message_counter(c, nv):
     p = nv.prepares[0]
-    cert = c.tcs[1].create_ui(m.prepare_digest(1, p.seq, p.bdigest))
+    cert = c.tcs[1].create_ui(m.prepare_digest(1, p.seq, p.bdigest()))
     return _renew(c, nv, prepares=(dataclasses.replace(p, cert=cert),))
 
 
 def _reproposal_over_a_commit(c, nv):
     # the new leader's own vote carries a prepare of another batch at seq 2,
-    # so the votes elect a batch other than the one replica 2 committed
-    # there. A carried prepare must hold its slot, and the view-0 leader
-    # already bound seq 2, so only a prepare from a view that was never
-    # installed gets this far (ROADMAP item 6 (h)): replica 0 binds seq 2 of
-    # its view-3 stream, which outranks view 0 in the union.
+    # behind its commit of it, so the votes elect a batch other than the one
+    # replica 2 committed there. A carried prepare must hold its slot, and
+    # the view-0 leader already bound seq 2, so only a prepare from a view
+    # that was never installed gets this far (ROADMAP item 6 (h)): replica 0
+    # binds seq 2 of its view-3 stream, which outranks view 0 in the union.
     c.tcs[0].skip_values(proposal_counter(3), 1)
     other = _mint_prepare(c, 3, 2, authed(9))
-    vote = _recertify(c, nv.viewchanges[0], prepares=(other,))
-    cert = c.tcs[1].create_ui(m.prepare_digest(1, 2, other.bdigest),
+    c.replicas[1]._cert("commit", 3, 2, other)
+    vote = _recertify(c, nv.viewchanges[0])
+    cert = c.tcs[1].create_ui(m.prepare_digest(1, 2, other.bdigest()),
                               counter=proposal_counter(1))
     return _renew(c, nv, viewchanges=(vote, nv.viewchanges[1]),
                   prepares=(dataclasses.replace(other, view=1, cert=cert),))

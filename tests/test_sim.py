@@ -563,7 +563,7 @@ GOLDEN = {
     "gap_forever_prevention": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever", mode="prevention"),
-        "e1a15f9da99794f796df77266b43eb43dd1375200337beb430dcc5d231ffb449"),
+        "dc40b25f54a99eeb7fb894b06a844a56765cc26da570c94282d836c9eb55a1cf"),
     "gap_forever_sig": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever", tc_mode="sig"),
@@ -582,7 +582,7 @@ GOLDEN = {
                   adversary="crash_tcs",
                   adversary_params={"k": 2, "crash_at_ns": 8_000_000,
                                     "restore_at_ns": 700_000_000}),
-        "ffa5788d07295f0e369c44bc333b4d0ce04ca4cd903106f8982a42262fed5d0f"),
+        "5b4820b16d9c945466defe707512fd53bf80bcdbce923449005dddc62eb4242c"),
     "crash_restart": (
         SimConfig(f=1, clients=2, requests_per_client=3, seed=7,
                   adversary="crash_tcs",
@@ -605,7 +605,7 @@ GOLDEN = {
     "batch_timer_view_change": (
         SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=4,
                   adversary="gap_forever"),
-        "a7b7945a05bc4e781e296e1a26a7d1a22250bc2358a01dde848fd4fd7d1c7347"),
+        "b8ae2940c22a387f92f4d89152ea978c28c1f0195c379285676e741eb6a53959"),
     "pipelining": (
         SimConfig(f=1, clients=3, requests_per_client=10, batch_size=4,
                   pipelining=True, pipeline_depth=4, seed=1),

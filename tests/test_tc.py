@@ -378,6 +378,19 @@ def test_take_issued_hands_each_certificate_over_once():
     assert tc.accesses == accesses + 1
 
 
+def test_a_take_of_nothing_makes_no_new_list():
+    # the host takes after every replica step, and most steps issue nothing
+    tc = make_hmac_tc()
+    empty = tc.take_issued()
+    assert empty == [] and tc.take_issued() is empty
+    ui = tc.create_ui(_h("a"))
+    taken = tc.take_issued()
+    assert taken == [ui]
+    # a non-empty take is the caller's: later issues go to a new list
+    tc.create_ui(_h("b"))
+    assert taken == [ui] and tc.take_issued() is not taken
+
+
 # --------------------------------------------------------- snapshot/restore
 
 
