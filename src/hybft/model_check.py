@@ -120,9 +120,11 @@ def explore_counter_traces(depth: int = 8) -> Dict[str, int]:
 def explore_context_traces(depth: int = 6) -> Dict[str, int]:
     """Every op sequence over a small context alphabet, against a shadow model.
 
-    The shadow tracks the last position and the issued set; the component
-    must accept exactly when the shadow says the id is unissued and in
-    order, and refuse with the matching error otherwise.
+    The shadow tracks the last position. The component must accept exactly
+    when the shadow says the id is in order, binding that id, and refuse
+    otherwise: a certification at or behind the position (certified, voided
+    or passed over) with EquivocationRefused, any other refusal with
+    SequenceRefused.
     """
     alphabet = [
         ("cert", (1, 1)), ("cert", (1, 2)), ("cert", (1, 3)),
@@ -130,9 +132,9 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
     ]
     nodes = 0
     paths = 0
-    stack = [(_fresh_tc(), (0, 0), frozenset(), 0)]
+    stack = [(_fresh_tc(), (0, 0), 0)]
     while stack:
-        tc, pos, issued, d = stack.pop()
+        tc, pos, d = stack.pop()
         nodes += 1
         if d == depth:
             paths += 1
@@ -141,39 +143,28 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
             child = tc.clone()
             pv, ps = pos
             if kind == "cert":
-                legal_order = (view == pv and seq == ps + 1) or \
-                              (view > pv and seq == 1)
-                if (view, seq) in issued:
-                    try:
-                        child.certify_context("p", view, seq, _H1)
-                        raise AssertionError(f"reissued ({view},{seq})")
-                    except EquivocationRefused:
-                        pass
-                    stack.append((child, pos, issued, d + 1))
-                elif not legal_order:
-                    try:
-                        child.certify_context("p", view, seq, _H1)
-                        raise AssertionError(f"out of order ({view},{seq}) after {pos}")
-                    except SequenceRefused:
-                        pass
-                    stack.append((child, pos, issued, d + 1))
-                else:
-                    cert = child.certify_context("p", view, seq, _H1)
-                    if (cert.view, cert.seq) != (view, seq):
-                        raise AssertionError(f"misbound ({view},{seq})")
-                    stack.append((child, (view, seq),
-                                  issued | {(view, seq)}, d + 1))
+                legal = (view == pv and seq == ps + 1) or (view > pv and seq == 1)
+                behind = (view, seq) <= pos
+                want = None if legal else (
+                    EquivocationRefused if behind else SequenceRefused)
+                call = lambda: child.certify_context("p", view, seq, _H1)
             else:
-                if (view, seq) <= pos:
-                    try:
-                        child.skip_contexts("p", view, seq)
-                        raise AssertionError(f"backwards skip to ({view},{seq})")
-                    except SequenceRefused:
-                        pass
-                    stack.append((child, pos, issued, d + 1))
-                else:
-                    child.skip_contexts("p", view, seq)
-                    stack.append((child, (view, seq), issued, d + 1))
+                want = None if (view, seq) > pos else SequenceRefused
+                call = lambda: child.skip_contexts("p", view, seq)
+            try:
+                cert = call()
+            except (EquivocationRefused, SequenceRefused) as exc:
+                if type(exc) is not want:
+                    raise AssertionError(
+                        f"{kind} ({view},{seq}) after {pos}: {exc!r}") from exc
+                stack.append((child, pos, d + 1))
+                continue
+            bound = ((cert.view, cert.seq) if kind == "cert"
+                     else (cert.to_view, cert.to_seq))
+            if want is not None or bound != (view, seq):
+                raise AssertionError(
+                    f"{kind} ({view},{seq}) after {pos} bound {bound}")
+            stack.append((child, bound, d + 1))
     return {"nodes": nodes, "paths": paths}
 
 

@@ -179,7 +179,8 @@ class Replica:
         self.exec_digest = _h(b"genesis")
         # exec digest at each checkpoint seq from stable_seq on, for FetchState
         self.checkpoint_exec: Dict[int, bytes] = {}
-        self.executed: Dict[Tuple[int, int], m.Reply] = {}
+        # each client's latest executed request: (c, s) has executed exactly
+        # when last_reply[c].client_seq >= s
         self.last_reply: Dict[int, m.Reply] = {}
         self.pending: Dict[Tuple[int, int], m.Request] = {}
 
@@ -192,7 +193,6 @@ class Replica:
         self.stable_seq = 0
         self.stable_cert: Tuple[m.Checkpoint, ...] = ()
         self.checkpoint_claims: Dict[Tuple[int, bytes], Dict[int, m.Checkpoint]] = {}
-        self.checkpoint_count = 0
 
         self.timeline: List[m.TimelineEntry] = []
         self.deferred_commits: set = set()   # seqs whose commit waits
@@ -330,11 +330,15 @@ class Replica:
         key = req.key()
         if not self._auth_ok(req):
             return [("note", {"ev": "bad_auth", "client": req.client_id})]
-        cached = self.executed.get(key)
-        if cached is not None:
-            return [("send", ("client", req.client_id), cached)]
         out: List[tuple] = []
         if key not in self.pending:
+            # a retransmitted last request gets its reply again, an older one
+            # none: its client has moved on
+            rep = self.last_reply.get(req.client_id)
+            if rep is not None and rep.client_seq >= req.client_seq:
+                if rep.client_seq == req.client_seq:
+                    out.append(("send", ("client", req.client_id), rep))
+                return out
             self.pending[key] = req
             if self.is_leader() and self.voted_view <= self.view:
                 self.batchq.append(req)
@@ -349,13 +353,10 @@ class Replica:
             return False
         return hmaclib.compare_digest(m.request_auth(req, keyb), req.auth)
 
-    def _progress_mark(self) -> tuple:
-        return (self.exec_cursor, len(self.executed))
-
     def _arm_suspicion(self) -> List[tuple]:
         if self.view in self.suspect_armed or self.is_leader():
             return []
-        self.suspect_armed[self.view] = self._progress_mark()
+        self.suspect_armed[self.view] = self.exec_cursor
         return [("timer", "suspect", self.view, self.cfg.suspicion_timeout_ns)]
 
     # --------------------------------------------------------------- leader
@@ -404,8 +405,10 @@ class Replica:
         for r in prep.requests:
             key = r.key()
             self.bound[key] = prep.seq
-            if not fresh and key not in self.executed:
-                self.pending.setdefault(key, r)
+            if not fresh and key not in self.pending:
+                rep = self.last_reply.get(r.client_id)
+                if rep is None or rep.client_seq < r.client_seq:
+                    self.pending[key] = r
         return ("fact", "admit", (prep.view, prep.seq), prep.bdigest())
 
     def _echo(self, prep: m.Prepare) -> List[tuple]:
@@ -681,7 +684,6 @@ class Replica:
         self.checkpoint_exec[sr.seq] = sr.exec_digest
         for rep in sr.last_replies:
             self.last_reply[rep.client_id] = rep
-            self.executed[(rep.client_id, rep.client_seq)] = rep
             self.pending.pop((rep.client_id, rep.client_seq), None)
         self._adopt_stable(sr.seq, sr.stable_cert)
         return ([("fact", "execute", sr.seq, sr.exec_digest),
@@ -702,14 +704,13 @@ class Replica:
                 break
             self.exec_cursor = nxt
             for r in prep.requests:
-                key = r.key()
-                if key in self.executed:
+                rep = self.last_reply.get(r.client_id)
+                if rep is not None and rep.client_seq >= r.client_seq:
                     continue
                 self.exec_digest, result = r.execute((self.exec_digest, nxt))
                 rep = m.Reply(r.client_id, r.client_seq, nxt, self.id, result)
-                self.executed[key] = rep
                 self.last_reply[r.client_id] = rep
-                self.pending.pop(key, None)
+                self.pending.pop(r.key(), None)
                 out.append(("send", ("client", r.client_id), rep))
             out.append(("fact", "execute", nxt, self.exec_digest))
             out.append(("note", {"ev": "execute", "seq": nxt}))
@@ -730,9 +731,9 @@ class Replica:
 
     def _emit_checkpoint(self, seq: int) -> List[tuple]:
         sdig = self._state_digest()
-        self.checkpoint_count += 1
-        cert = self._cert("checkpoint", self.checkpoint_count, 1,
-                          m.checkpoint_digest(seq, sdig), at=seq).cert
+        # a checkpoint's seq is unique and increasing: its context's view
+        cert = self._cert("checkpoint", seq, 1, m.checkpoint_digest(seq, sdig),
+                          at=seq).cert
         ck = m.Checkpoint(seq, sdig, self.id, cert)
         out: List[tuple] = [("send", ("replica", p), ck) for p in self.peers()]
         out += self._credit_checkpoint(ck)
@@ -825,9 +826,9 @@ class Replica:
             return []
         if not self.pending:
             return []
-        if mark is not None and self._progress_mark() != mark:
+        if mark is not None and self.exec_cursor != mark:
             # the backlog moved during the period; grant another one
-            self.suspect_armed[view] = self._progress_mark()
+            self.suspect_armed[view] = self.exec_cursor
             return [("timer", "suspect", view, self.cfg.suspicion_timeout_ns)]
         return self._start_view_change(view + 1, reason="timeout")
 
@@ -1025,7 +1026,7 @@ class Replica:
             self.next_seq = top + 1
             self.inflight = {s for s in self.inflight if s > top}
             self.batchq = [r for k, r in sorted(self.pending.items())
-                           if k not in self.bound and k not in self.executed]
+                           if k not in self.bound]
             out += self._seal_batches()
         else:
             for p in nv.prepares:

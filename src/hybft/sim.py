@@ -438,10 +438,13 @@ class Simulator:
         for c in self.clients:
             upto = c.next_seq - 1 if c.inflight is None else c.next_seq
             submitted |= {(c.id, s) for s in range(1, upto + 1)}
-        executed_union = set()
+        # a client's requests execute in order: (c, s) has executed at a
+        # replica whose last reply to c is for s or later
+        top: Dict[int, int] = {}
         for r in correct:
-            executed_union |= set(r.executed)
-        missing = sorted(submitted - executed_union)
+            for c, rep in r.last_reply.items():
+                top[c] = max(top.get(c, 0), rep.client_seq)
+        missing = sorted(k for k in submitted if k[1] > top.get(k[0], 0))
 
         return {
             "safety_ok": not violations,

@@ -46,7 +46,8 @@ class ModeViolation(Exception):
 
 
 class EquivocationRefused(Exception):
-    """A context id was already certified; a second certificate is refused."""
+    """A context id at or behind its phase's position: it was certified, or
+    voided or passed over, and no id there can be certified again."""
 
 
 class SequenceRefused(Exception):
@@ -197,9 +198,9 @@ class SnapshotBlob:
 
 def _frozen(value):
     """`value` made hashable: a dict as the frozenset of its items, a set as
-    a frozenset, at any depth."""
+    a frozenset."""
     if type(value) is dict:
-        return frozenset((k, _frozen(v)) for k, v in value.items())
+        return frozenset(value.items())
     return frozenset(value) if type(value) is set else value
 
 
@@ -208,7 +209,6 @@ def _copy_counter_state(src: Dict, dst: Dict) -> Dict:
     or a blob's): the one list of what clone, snapshot and restore carry."""
     dst["_counters"] = dict(src["_counters"])
     dst["_phases"] = dict(src["_phases"])
-    dst["_ctx_issued"] = {p: set(s) for p, s in src["_ctx_issued"].items()}
     dst["_flexi_serial"] = src["_flexi_serial"]
     dst["_flexi_names"] = set(src["_flexi_names"])
     return dst
@@ -269,10 +269,9 @@ class TrustedComponent:
         self.strict = strict
         self.accesses = 0
         self._crashed = False
-        # counter state; _copy_counter_state copies exactly these five
+        # counter state; _copy_counter_state copies exactly these four
         self._counters: Dict[str, int] = {}
         self._phases: Dict[str, Tuple[int, int]] = {}
-        self._ctx_issued: Dict[str, set] = {}
         self._flexi_serial = 0
         self._flexi_names: set = set()
         self._issued: List = []        # issued since the host last took them
@@ -382,17 +381,19 @@ class TrustedComponent:
 
         Order rule: within a view, seq must advance by one; entering a higher
         view is allowed at seq 1, anything else needs skip_contexts first.
+        The phase's position only moves forward, so an id at or behind it is
+        refused for good (EquivocationRefused) and one past the next
+        position until a skip (SequenceRefused).
         """
         self._touch()
-        issued = self._ctx_issued.setdefault(phase, set())
-        if (view, seq) in issued:
-            raise EquivocationRefused(f"context ({phase},{view},{seq}) already certified")
-        pv, ps = self._phases.get(phase, (0, 0))
-        if not context_follows((pv, ps), view, seq):
+        pos = self._phases.get(phase, (0, 0))
+        if not context_follows(pos, view, seq):
+            if (view, seq) <= pos:
+                raise EquivocationRefused(
+                    f"context ({phase},{view},{seq}) at or behind {pos}")
             raise SequenceRefused(
-                f"context ({phase},{view},{seq}) out of order after ({pv},{ps})")
+                f"context ({phase},{view},{seq}) out of order after {pos}")
         self._phases[phase] = (view, seq)
-        issued.add((view, seq))
         return self._issue(ContextCertificate, phase, view, seq, msg_hash)
 
     def skip_contexts(self, phase: str, view: int, seq: int) -> PhaseSkipCertificate:

@@ -32,6 +32,8 @@ from hybft.model_check import (
 )
 from hybft.protocol import Replica
 from hybft.sim import Ledger
+from hybft.tc import (ContextCertificate, EquivocationRefused, SequenceRefused,
+                      TrustedComponent)
 
 
 def test_counter_interface_traces_exhaustively():
@@ -42,6 +44,26 @@ def test_counter_interface_traces_exhaustively():
 def test_context_interface_traces_exhaustively():
     r = explore_context_traces(depth=6)
     assert r["paths"] == 6 ** 6
+
+
+@pytest.mark.parametrize("fault", ["reissue", "refusal"])
+def test_context_traces_catch_a_component_off_the_shadow(fault, monkeypatch):
+    # a component that certifies an id behind its phase's position again,
+    # or that refuses it as out of sequence rather than as an equivocation
+    real = TrustedComponent.certify_context
+
+    def faulty(self, phase, view, seq, msg_hash):
+        try:
+            return real(self, phase, view, seq, msg_hash)
+        except EquivocationRefused:
+            if fault == "refusal":
+                raise SequenceRefused(f"({view},{seq})") from None
+            return ContextCertificate(self.replica_id, self.epoch, phase,
+                                      view, seq, msg_hash, b"")
+
+    monkeypatch.setattr(TrustedComponent, "certify_context", faulty)
+    with pytest.raises(AssertionError, match=r"^cert \(\d,\d\) after "):
+        explore_context_traces(depth=2)
 
 
 def test_commit_quorum_over_all_arrival_orders():

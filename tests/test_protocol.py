@@ -596,8 +596,6 @@ def test_every_state_attribute_is_cloned_and_keyed():
         assert rep.state_key() == key, name
     assert kinds == {"dict", "list", "set", "tuple", "int", "bool", "bytes",
                      "TrustedComponent"}
-    # checkpoint_count is the view of each checkpoint certificate
-    assert "checkpoint_count" not in _NOT_STATE
     # the counters are copied, not keyed
     child = rep.clone()
     child.stats["verifies"] += 1
@@ -894,8 +892,39 @@ def test_a_reproposed_request_that_executed_leaves_pending():
     c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
     c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
     assert [(r.view, r.exec_cursor) for r in c.replicas] == [(1, 2)] * 3
-    assert all((0, 1) in r.executed for r in c.replicas)
+    assert all(r.last_reply[0].client_seq >= 1 for r in c.replicas)
     assert [r.id for r in c.replicas if (0, 1) in r.pending] == []
+
+
+def test_a_request_covered_by_a_state_transfer_executes_once():
+    # replica 2 hears only the checkpoints of seq 2, so it takes seq 2's
+    # state, requests (0, 1) and (0, 2) included, by one state transfer.
+    # Faulty replica 1, view 1's leader, then proposes (0, 1) again at seq
+    # 4; replica 0, which executed it itself, skips it there, and so must
+    # replica 2
+    c = Cluster(checkpoint_interval=1, window=2)
+    req1 = authed(1)
+    for req in (req1, authed(2)):
+        for rid in (0, 1, 2):
+            c.request(rid, req)
+        while c.queue:
+            dst, msg = c.queue.pop(0)
+            if dst != 2 or isinstance(msg, m.StateResponse) or (
+                    isinstance(msg, m.Checkpoint) and msg.seq == 2):
+                c.inject(dst, msg)
+    r2 = c.replicas[2]
+    assert (r2.exec_cursor, r2.last_reply[0].client_seq) == (2, 2)
+    assert r2.prepared_log == {}
+    req3 = authed(3)
+    c.request(1, req3).request(2, req3)
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    c.fire(1, "suspect", 0).fire(2, "suspect", 0).pump()
+    assert [(r.view, r.exec_cursor) for r in c.replicas] == [(1, 3)] * 3
+    replayed = c.replicas[1]._cert("prepare", 1, 4, (req1,)).prepare
+    c.inject(0, replayed).inject(2, replayed).pump(drop_to={1})
+    assert c.replicas[0].exec_cursor == r2.exec_cursor == 4
+    assert safety_violations(c.ledger, {1}) == []
+    assert c.replicas[0].exec_digest == r2.exec_digest
 
 
 # ------------------------------------------------------ view-change checks

@@ -141,8 +141,10 @@ def test_higher_view_enters_at_seq_one():
     tc = make_hmac_tc()
     tc.certify_context("prepare", 1, 1, _h("a"))
     tc.certify_context("prepare", 2, 1, _h("b"))
-    with pytest.raises(SequenceRefused):
-        tc.certify_context("prepare", 1, 2, _h("c"))  # view never retreats
+    # the view never retreats: (1, 2) is behind the position (2, 1), so it
+    # can never be certified
+    with pytest.raises(EquivocationRefused):
+        tc.certify_context("prepare", 1, 2, _h("c"))
     with pytest.raises(SequenceRefused):
         tc.certify_context("prepare", 3, 2, _h("d"))  # new view starts at 1
 
@@ -541,8 +543,8 @@ def test_skip_then_no_interface_reaches_the_gap(n_before, width):
 def test_untrusted_modules_never_reach_into_component_internals():
     """The module boundary is the tamperproofness story: audit it."""
     src = Path(__file__).resolve().parent.parent / "src" / "hybft"
-    private = ("_key", "_signer", "_counters", "_phases", "_ctx_issued",
-               "_flexi_serial", "_flexi_names", "_issued", "_prove", "_issue",
+    private = ("_key", "_signer", "_counters", "_phases", "_flexi_serial",
+               "_flexi_names", "_issued", "_prove", "_issue",
                "_touch", "_counter_id", "_crashed", "_copy_counter_state")
     pattern = re.compile(r"\.({})\b".format("|".join(private)))
     offenders = []
