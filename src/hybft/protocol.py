@@ -199,7 +199,6 @@ class Replica:
         self.future_commits: Dict[int, List[m.Commit]] = {}
         self.future_prepares: Dict[int, List[m.Prepare]] = {}
 
-        self.decision_armed: set = set()
         self.decision_seen: Dict[int, set] = {}
         self.peer_max_commit: Dict[int, int] = {}
         self.peer_committed_floor: Dict[int, int] = {}
@@ -258,6 +257,12 @@ class Replica:
             return True
         t = self.trackers.get(seq)
         return t is not None and t.committed is not None
+
+    def _pruned(self, seq: int) -> bool:
+        """Whether `_adopt_stable` has dropped seq's tracker. Such a seq gets
+        no tracker again (`_credit`, `on_decision`), so each seq commits at
+        most once."""
+        return seq <= self.stable_seq - self.window
 
     # --------------------------------------------------------- certification
 
@@ -528,6 +533,8 @@ class Replica:
 
     def _credit(self, seq: int, view: int, bdigest: bytes, sender: int,
                 kind: str, cert) -> List[tuple]:
+        if self._pruned(seq):
+            return []
         t = self.trackers.setdefault(seq, _Tracker())
         t.view = max(t.view, view)
         holders = t.claims.setdefault(bdigest, {})
@@ -549,10 +556,8 @@ class Replica:
         out: List[tuple] = [("fact", "commit", seq, bdigest),
                             ("note", {"ev": "commit", "seq": seq, "via": via})]
         self.inflight.discard(seq)
-        if self.cfg.decisions and via == "quorum":
-            if not self.is_leader(view) and seq not in self.decision_armed:
-                self.decision_armed.add(seq)
-                out.append(("timer", "decision", seq, self.cfg.delta_ns))
+        if self.cfg.decisions and via == "quorum" and not self.is_leader(view):
+            out.append(("timer", "decision", seq, self.cfg.delta_ns))
         if self.prepared_log.get(seq) is None:
             out += self._fetch_batch(seq)
         out += self._execute()
@@ -614,6 +619,8 @@ class Replica:
         return proof if len(proof) == self.cfg.f + 1 else None
 
     def on_decision(self, dec: m.Decision) -> List[tuple]:
+        if self._pruned(dec.seq):
+            return []
         self.decision_seen.setdefault(dec.seq, set()).add(dec.sender)
         t = self.trackers.get(dec.seq)
         if t is not None and t.committed is not None:
@@ -774,15 +781,17 @@ class Replica:
             return
         self.stable_seq = seq
         self.stable_cert = cert
-        for s in [s for s in self.prepared_log if s <= seq]:
-            if s < seq - self.window:
-                del self.prepared_log[s]
-        for s in [s for s in self.trackers if s <= seq - self.window]:
-            del self.trackers[s]
+        # each log keeps its seqs from `first` on; a tracker's seq at or
+        # below the window's floor gets none again (_pruned)
+        floor = seq - self.window
+        for log, first in ((self.prepared_log, floor),
+                           (self.trackers, floor + 1),
+                           (self.decision_seen, floor + 1),
+                           (self.checkpoint_exec, seq)):
+            for s in [s for s in log if s < first]:
+                del log[s]
         for k in [k for k in self.checkpoint_claims if k[0] < seq]:
             del self.checkpoint_claims[k]
-        for s in [s for s in self.checkpoint_exec if s < seq]:
-            del self.checkpoint_exec[s]
 
     def _maybe_fetch_state(self) -> List[tuple]:
         holders = self.checkpoint_claims.get(

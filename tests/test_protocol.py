@@ -296,9 +296,6 @@ def test_decision_proof_needs_weak_quorum():
     assert c.replicas[2].stats["invalid_drops"] == 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a Decision for a seq whose tracker was pruned at a stable checkpoint "
-    "commits it again: ROADMAP item 6 (e)"))
 def test_a_decision_below_the_window_commits_nothing():
     # window 2 clamps the checkpoint interval to 1: after 5 requests every
     # replica is stable at 5 and keeps the trackers of seqs 4 and 5 only
@@ -314,6 +311,29 @@ def test_a_decision_below_the_window_commits_nothing():
     assert (r1.stable_seq, sorted(r1.trackers)) == (5, [4, 5])
     effects = r1.handle(m.Decision(0, 1, 2, bdig, proof), c.now)
     assert [eff for eff in effects if eff[:2] == ("fact", "commit")] == []
+
+
+def test_late_commits_below_the_window_commit_nothing():
+    # the leader's echo and replica 2's commit of seq 1 reach replica 1 again
+    # once it is stable at 5: f+1 claims, but seq 1's tracker is gone
+    c = Cluster(window=2)
+    broadcast_request(c, 1)
+    late = []
+    while c.queue:
+        dst, msg = c.queue.pop(0)
+        if dst == 1 and isinstance(msg, m.Commit):
+            late.append(msg)
+        c.inject(dst, msg)
+    for seq in range(2, 6):
+        broadcast_request(c, seq)
+        c.pump()
+    r1 = c.replicas[1]
+    assert (r1.stable_seq, sorted(r1.trackers)) == (5, [4, 5])
+    assert sorted((com.sender, com.echo) for com in late) == [(0, True),
+                                                              (2, False)]
+    effects = [eff for com in late for eff in r1.handle(com, c.now)]
+    assert [eff for eff in effects if eff[0] in ("fact", "timer")] == []
+    assert sorted(r1.trackers) == [4, 5]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -588,7 +588,7 @@ GOLDEN = {
                   adversary="crash_tcs",
                   adversary_params={"k": 1, "crash_at_ns": 8_000_000,
                                     "restart_at_ns": 11_000_000}),
-        "d406737027807118845f70c2004842cfeac9e58012f5dc33a626618ac0bf01f1"),
+        "21a62239525901fda8b4c18f9d0aaf01c107696b73bb4889a294865d031d8472"),
     # the batch timer proposes partial batches: batch_size above clients
     "batch_timer": (
         SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=1),
