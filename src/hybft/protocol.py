@@ -544,11 +544,14 @@ class Replica:
         if t.committed is not None:
             return []
         if len(holders) >= self.cfg.f + 1:
-            return self._mark_committed(seq, view, bdigest, "quorum")
+            return self._mark_committed(seq, view, bdigest, "quorum",
+                                        self._source(holders))
         return []
 
     def _mark_committed(self, seq: int, view: int, bdigest: bytes,
-                        via: str) -> List[tuple]:
+                        via: str, source: int) -> List[tuple]:
+        """Commit `bdigest` at seq and fetch its batch, if missing, from
+        `source`: a holder of the digest, or the sender of a Decision."""
         t = self.trackers.setdefault(seq, _Tracker())
         t.committed = bdigest
         t.view = max(t.view, view)
@@ -559,7 +562,8 @@ class Replica:
         if self.cfg.decisions and via == "quorum" and not self.is_leader(view):
             out.append(("timer", "decision", seq, self.cfg.delta_ns))
         if self.prepared_log.get(seq) is None:
-            out += self._fetch_batch(seq)
+            out += [("send", ("replica", source), m.FetchBatch(seq, self.id)),
+                    ("note", {"ev": "fetch_batch", "seq": seq, "from": source})]
         out += self._execute()
         out += self._flush_deferred()
         if self.is_leader() and self.voted_view <= self.view:
@@ -571,13 +575,6 @@ class Replica:
         the first peer."""
         return min((h for h in holders if h != self.id),
                    default=self.peers()[0])
-
-    def _fetch_batch(self, seq: int) -> List[tuple]:
-        """Ask a holder of the digest just committed at seq (_source)."""
-        t = self.trackers[seq]
-        target = self._source(t.claims.get(t.committed, {}))
-        return [("send", ("replica", target), m.FetchBatch(seq, self.id)),
-                ("note", {"ev": "fetch_batch", "seq": seq, "from": target})]
 
     # ------------------------------------------------------------ decisions
 
@@ -641,11 +638,8 @@ class Replica:
                 return self._drop("decision_proof", dec.seq)
         out = [("note", {"ev": "decision_accepted", "seq": dec.seq,
                          "from": dec.sender})]
-        out += self._mark_committed(dec.seq, dec.view, dec.bdigest, "decision")
-        if self.prepared_log.get(dec.seq) is None:
-            out.append(("send", ("replica", dec.sender),
-                        m.FetchBatch(dec.seq, self.id)))
-        return out
+        return out + self._mark_committed(dec.seq, dec.view, dec.bdigest,
+                                          "decision", dec.sender)
 
     # ------------------------------------------------------ batch and state
 

@@ -82,7 +82,7 @@ def test_counter_traces_at_full_depth():
 
 def test_equivocating_leader_world_is_safe_everywhere(equivocate_exploration):
     assert equivocate_exploration == {
-        "states": 10_979, "terminals": 17, "full_commit_terminals": 15}
+        "states": 8_913, "terminals": 17, "full_commit_terminals": 15}
 
 
 def test_equivocating_leader_world_without_decisions_is_safe_everywhere():

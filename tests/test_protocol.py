@@ -355,8 +355,6 @@ def test_a_decision_timer_fired_after_pruning_is_accounted_for():
     assert r1.decisions_sent + r1.decisions_suppressed > before
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a Decision commit fetches its batch twice: ROADMAP item 6 (d)"))
 def test_a_decision_commit_fetches_its_batch_once():
     c = Cluster()
     broadcast_request(c, 1)
@@ -366,7 +364,9 @@ def test_a_decision_commit_fetches_its_batch_once():
                if dst == 2 and isinstance(msg, m.Decision))
     assert c.replicas[2].prepared_log.get(1) is None
     effects = c.replicas[2].handle(dec, c.now)
-    assert sum(isinstance(eff[-1], m.FetchBatch) for eff in effects) == 1
+    # from the Decision's sender, which holds the batch
+    assert [eff[1] for eff in effects if isinstance(eff[-1], m.FetchBatch)] \
+        == [("replica", dec.sender)]
 
 
 def test_decisions_disabled_never_arms_timer():

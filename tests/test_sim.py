@@ -555,7 +555,7 @@ GOLDEN = {
     "equivocate_withhold": (
         SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
                   adversary="equivocate_withhold"),
-        "fa8dfd27f337d5a523e33156caede51e70e0ba3c34abb23ecfff6e6682eac627"),
+        "530b0d0dee83afd4bc2e1f1bc87f4e8870ade45a74a1f4114ffc7ee89d76b968"),
     "gap_forever": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever"),
@@ -571,7 +571,7 @@ GOLDEN = {
     "silent_repliers": (
         SimConfig(f=1, clients=2, requests_per_client=2, seed=3,
                   adversary="silent_repliers"),
-        "c0d5f98d3fd74ec4f44a98d879a3f08c477ad7bafc6dfd90d3760634009c97b8"),
+        "3acdf2088a2392049f720d2f47b65854e5f28166047e96329f433ca162233097"),
     "counter_identity": (  # unsafe: pins the violation path of the verdict
         SimConfig(f=1, clients=1, requests_per_client=1, seed=5,
                   adversary="counter_identity", vulnerable_tc=True,
@@ -630,7 +630,7 @@ GOLDEN = {
         SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
                   adversary="equivocate_withhold", delay_min_ns=1_000_000,
                   delay_max_ns=1_000_000),
-        "f396052acb47f4665ba55ebfc5203fb9f57962194354768c0d0cf71e1498e0e3"),
+        "f839d6bd06de6f25b3ac966e10fe7f0e732d26f19e65b55a480c1135926811cb"),
 }
 
 
