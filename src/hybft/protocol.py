@@ -457,6 +457,8 @@ class Replica:
         while (prep.view not in self.flagged_views
                and self.cursors.get(key, cursor) + 1 in buf):
             out += self._admit(buf.pop(self.cursors.get(key, cursor) + 1), key)
+        if not buf:
+            self.buffered.pop(key, None)
         return out
 
     def _admit(self, prep: m.Prepare, key: Tuple[int, str]) -> List[tuple]:
@@ -754,6 +756,8 @@ class Replica:
         return out
 
     def _credit_checkpoint(self, ck: m.Checkpoint) -> List[tuple]:
+        if ck.seq < self.stable_seq:   # its claims are pruned (_adopt_stable)
+            return []
         key = (ck.seq, ck.state_digest)
         holders = self.checkpoint_claims.setdefault(key, {})
         if ck.sender in holders:
@@ -843,7 +847,12 @@ class Replica:
     def on_view_change(self, vc: m.ViewChange) -> List[tuple]:
         if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
             return []
-        if self._validate_view_change(vc) is not None:
+        try:
+            invalid = self._validate_view_change(vc) is not None
+        except (TypeError, OverflowError):
+            # a field _enc cannot encode; validation changes no state
+            return self._drop("malformed", vc.new_view)
+        if invalid:
             return self._drop("viewchange", vc.new_view)
         votes = self.vc_votes.setdefault(vc.new_view, {})
         votes[vc.sender] = vc
@@ -960,7 +969,11 @@ class Replica:
     def on_new_view(self, nv: m.NewView) -> List[tuple]:
         if nv.view <= self.view or nv.sender != leader_of(nv.view, self.cfg.n):
             return []
-        if self._validate_new_view(nv) is not None:
+        try:
+            invalid = self._validate_new_view(nv) is not None
+        except (TypeError, OverflowError):   # see on_view_change
+            return self._drop("malformed", nv.view)
+        if invalid:
             return self._drop("newview", nv.view)
         return self._adopt_new_view(nv, as_leader=False)
 

@@ -1171,6 +1171,30 @@ def test_a_broken_new_view_is_dropped(how):
     assert c.replicas[2].view == (0 if how else 1)
 
 
+def _malformed(vote, **fields):
+    """`vote` with `fields` replaced in its first entry, which then has no
+    canonical encoding."""
+    first = dataclasses.replace(vote.timeline[0], **fields)
+    return dataclasses.replace(vote, timeline=(first, *vote.timeline[1:]))
+
+
+@pytest.mark.parametrize("fields", [{"digest": None}, {"seq": -1}],
+                         ids=["none_digest", "negative_seq"])
+def test_a_malformed_vote_or_new_view_is_dropped(fields):
+    # encoding the entry raises TypeError or OverflowError inside validation;
+    # the replica drops the message and keeps running
+    c, vote = _vote_setup()
+    c.inject(1, _malformed(vote, **fields))
+    assert (1, {"ev": "drop", "why": "malformed", "seq": 1}) in c.notes
+    assert 2 not in c.replicas[1].vc_votes.get(1, {})
+    c, nv = _new_view_setup()
+    first, second = nv.viewchanges
+    c.inject(2, dataclasses.replace(
+        nv, viewchanges=(first, _malformed(second, **fields))))
+    assert (2, {"ev": "drop", "why": "malformed", "seq": 1}) in c.notes
+    assert c.replicas[2].view == 0
+
+
 def test_every_rule_a_validator_names_is_pinned_by_a_break():
     # each reason literal a validator returns is the asserted reason of some
     # break above, so no branch can go dead unseen after a reordering
