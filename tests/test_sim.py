@@ -24,7 +24,7 @@ from hybft.cli import _exact_cell
 from hybft.clients import Client
 from hybft.config import SimConfig
 from hybft.encoding import _enc
-from hybft.protocol import Replica
+from hybft.protocol import Replica, _Tracker
 from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, Simulator,
                        measure_overhead, run, safety_violations)
 from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
@@ -71,6 +71,40 @@ def test_fault_free_soak_is_safe_and_live(f, clients):
                           seed=seed, duration_ns=10_000_000_000,
                           record_trace=False)).verdict
         assert v["safety_ok"] and v["all_clients_done"], (requests, seed)
+
+
+def _entries(value) -> int:
+    """The entries a container holds at any depth; a tracker holds its
+    claims, and any other value none."""
+    if isinstance(value, _Tracker):
+        return _entries(value.claims)
+    if isinstance(value, dict):
+        return len(value) + sum(map(_entries, value.values()))
+    if isinstance(value, (list, set, tuple)):
+        return len(value) + sum(map(_entries, value))
+    return 0
+
+
+@pytest.mark.parametrize("adversary", ["none", "silent_repliers"])
+@pytest.mark.parametrize("mode", ["detection", "prevention"])
+def test_state_is_bounded_by_the_checkpoint_window(mode, adversary):
+    # ROADMAP item 2: four times the history leaves every container of a
+    # correct replica and its component the same size, but the timeline and
+    # the request bindings of the view. The duration fits 400 requests per
+    # client under silent repliers (about 16 s) with room to spare
+    sizes = []
+    for requests in (100, 400):
+        sim = Simulator(SimConfig(
+            f=1, clients=4, requests_per_client=requests, mode=mode,
+            adversary=adversary, duration_ns=requests * 100_000_000,
+            record_trace=False))
+        assert sim.run().verdict["all_clients_done"]
+        sizes.append({(r.id, owner, name): _entries(value)
+                      for r in sim.replicas if r.id not in sim.byz_ids
+                      for owner, obj in (("replica", r), ("tc", r.tc))
+                      for name, value in vars(obj).items()
+                      if name not in ("timeline", "bound")})
+    assert sizes[0] == sizes[1]
 
 
 # ------------------------------------------------------------- determinism
