@@ -200,8 +200,7 @@ class Replica:
         self.future_prepares: Dict[int, List[m.Prepare]] = {}
 
         self.decision_seen: Dict[int, set] = {}
-        self.peer_max_commit: Dict[int, int] = {}
-        self.peer_committed_floor: Dict[int, int] = {}
+        self.peer_floor: Dict[int, int] = {}   # each peer has committed so far
         self.decisions_sent = 0
         self.decisions_suppressed = 0
 
@@ -528,9 +527,9 @@ class Replica:
             why = self._check_cert(com.cert, issuer, com.cdigest())
         if why is not None:
             return self._drop(why, com.seq)
-        if not com.echo:
-            prev = self.peer_max_commit.get(issuer, 0)
-            self.peer_max_commit[issuer] = max(prev, com.seq)
+        if not com.echo and not self.cfg.pipelining:
+            # a commit is sent only once its predecessor committed
+            self._raise_floor(issuer, com.seq - 1)
         return self._credit(com.seq, com.view, com.bdigest, issuer, kind, com.cert)
 
     def _credit(self, seq: int, view: int, bdigest: bytes, sender: int,
@@ -601,13 +600,11 @@ class Replica:
         return out
 
     def _peer_known_committed(self, peer: int, seq: int) -> bool:
-        if peer in self.decision_seen.get(seq, set()):
-            return True
-        if self.peer_committed_floor.get(peer, 0) >= seq:
-            return True
-        if not self.cfg.pipelining and self.peer_max_commit.get(peer, 0) > seq:
-            return True
-        return False
+        return (self.peer_floor.get(peer, 0) >= seq
+                or peer in self.decision_seen.get(seq, ()))
+
+    def _raise_floor(self, peer: int, seq: int) -> None:
+        self.peer_floor[peer] = max(self.peer_floor.get(peer, 0), seq)
 
     def _commit_proof(self, seq: int):
         t = self.trackers.get(seq)
@@ -747,8 +744,7 @@ class Replica:
         if why is not None:
             return self._drop(why, ck.seq)
         # a checkpoint at seq proves the sender executed, hence committed, seq
-        prev = self.peer_committed_floor.get(ck.sender, 0)
-        self.peer_committed_floor[ck.sender] = max(prev, ck.seq)
+        self._raise_floor(ck.sender, ck.seq)
         out = self._credit_checkpoint(ck)
         if (ck.seq > self.exec_cursor and self.stable_seq >= ck.seq
                 and self.exec_cursor < self.stable_seq):

@@ -628,7 +628,7 @@ def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
     (gap_world, 71, 2),
     (prevention_world, 132, 2),
     (lambda: equivocate_world(decisions=False), 218, 2),
-    (checkpoint_world, 223, 4),
+    (checkpoint_world, 221, 4),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
 def test_each_replica_step_runs_its_handler_once(build, runs, setup,
                                                  monkeypatch):
