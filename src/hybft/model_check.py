@@ -141,9 +141,8 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
             continue
         for kind, (view, seq) in alphabet:
             child = tc.clone()
-            pv, ps = pos
             if kind == "cert":
-                legal = (view == pv and seq == ps + 1) or (view > pv and seq == 1)
+                legal = (view, seq - 1) == pos or (view > pos[0] and seq == 1)
                 behind = (view, seq) <= pos
                 want = None if legal else (
                     EquivocationRefused if behind else SequenceRefused)

@@ -200,7 +200,7 @@ class Replica:
         self.future_prepares: Dict[int, List[m.Prepare]] = {}
 
         self.decision_seen: Dict[int, set] = {}
-        self.peer_floor: Dict[int, int] = {}   # each peer has committed so far
+        self.peer_floor: Dict[int, int] = {}   # seq each peer has committed to
         self.decisions_sent = 0
         self.decisions_suppressed = 0
 
@@ -258,9 +258,8 @@ class Replica:
         return t is not None and t.committed is not None
 
     def _pruned(self, seq: int) -> bool:
-        """Whether `_adopt_stable` has dropped seq's tracker. Such a seq gets
-        no tracker again (`_credit`, `on_decision`), so each seq commits at
-        most once."""
+        """Whether `_adopt_stable` dropped seq's tracker: such a seq gets none
+        again (`_credit`, `on_decision`), so each seq commits at most once."""
         return seq <= self.stable_seq - self.window
 
     # --------------------------------------------------------- certification
@@ -589,10 +588,8 @@ class Replica:
         if not lagging:
             self.decisions_suppressed += 1
             return [("note", {"ev": "decision_suppressed", "seq": seq})]
-        proof = self._commit_proof(seq)
-        if proof is None:
-            return []
-        dec = m.Decision(t.view, seq, self.id, t.committed, proof,
+        dec = m.Decision(t.view, seq, self.id, t.committed,
+                         self._commit_proof(seq),
                          threshold=self.cfg.threshold_proofs)
         self.decisions_sent += 1
         out: List[tuple] = [("send", ("replica", p), dec) for p in lagging]
@@ -606,13 +603,12 @@ class Replica:
     def _raise_floor(self, peer: int, seq: int) -> None:
         self.peer_floor[peer] = max(self.peer_floor.get(peer, 0), seq)
 
-    def _commit_proof(self, seq: int):
-        t = self.trackers.get(seq)
-        if t is None or t.committed is None:
-            return None
-        holders = t.claims.get(t.committed, {})
-        proof = tuple((s, *holders[s]) for s in sorted(holders))[: self.cfg.f + 1]
-        return proof if len(proof) == self.cfg.f + 1 else None
+    def _commit_proof(self, seq: int) -> tuple:
+        """The lowest f+1 claims behind seq's committed digest: a quorum
+        commit has at least that many."""
+        t = self.trackers[seq]
+        holders = t.claims[t.committed]
+        return tuple((s, *holders[s]) for s in sorted(holders))[: self.cfg.f + 1]
 
     def on_decision(self, dec: m.Decision) -> List[tuple]:
         if self._pruned(dec.seq):
@@ -655,15 +651,13 @@ class Replica:
             return []
         if prep.bdigest() != t.committed:
             return self._drop("batch_response", prep.seq)
-        if prep.seq not in self.prepared_log:
-            self.prepared_log[prep.seq] = prep
+        self.prepared_log.setdefault(prep.seq, prep)
         return self._execute()
 
     def on_fetch_state(self, fs: m.FetchState) -> List[tuple]:
         # a checkpoint adopted from peers' certificates but not yet executed
         # here has no local state to serve
-        if (self.stable_seq < fs.seq or not self.stable_cert
-                or self.stable_seq not in self.checkpoint_exec):
+        if self.stable_seq < fs.seq or self.stable_seq not in self.checkpoint_exec:
             return []
         replies = tuple(self.last_reply[c] for c in sorted(self.last_reply))
         resp = m.StateResponse(self.stable_seq, self.checkpoint_exec[self.stable_seq],
@@ -788,9 +782,9 @@ class Replica:
             del self.checkpoint_claims[k]
 
     def _maybe_fetch_state(self) -> List[tuple]:
+        """Ask a holder of the stable checkpoint, which is past exec_cursor."""
         holders = self.checkpoint_claims.get(
-            (self.stable_seq, self.stable_cert[0].state_digest
-             if self.stable_cert else b""), {})
+            (self.stable_seq, self.stable_cert[0].state_digest), {})
         return [("send", ("replica", self._source(holders)),
                  m.FetchState(self.stable_seq, self.id))]
 

@@ -434,17 +434,15 @@ class Simulator:
         correct = [r for r in self.replicas if r.id not in self.byz_ids]
         violations = safety_violations(self.ledger, self.byz_ids)
 
-        submitted = set()
+        # a client's requests execute in order: (c, s) has executed at a
+        # correct replica whose last reply to c is for s or later
+        submitted, missing = 0, []
         for c in self.clients:
             upto = c.next_seq - 1 if c.inflight is None else c.next_seq
-            submitted |= {(c.id, s) for s in range(1, upto + 1)}
-        # a client's requests execute in order: (c, s) has executed at a
-        # replica whose last reply to c is for s or later
-        top: Dict[int, int] = {}
-        for r in correct:
-            for c, rep in r.last_reply.items():
-                top[c] = max(top.get(c, 0), rep.client_seq)
-        missing = sorted(k for k in submitted if k[1] > top.get(k[0], 0))
+            done = max((r.last_reply[c.id].client_seq for r in correct
+                        if c.id in r.last_reply), default=0)
+            submitted += upto
+            missing += [(c.id, s) for s in range(done + 1, upto + 1)]
 
         return {
             "safety_ok": not violations,
@@ -453,7 +451,7 @@ class Simulator:
             "missing_requests": missing[:20],
             "all_clients_done": all(c.done() for c in self.clients),
             "completed_requests": sum(c.completed_count() for c in self.clients),
-            "submitted_requests": len(submitted),
+            "submitted_requests": submitted,
             "max_view": max((r.view for r in correct), default=0),
             "flagged": sorted((r.id, sorted(r.flagged_views))
                               for r in correct if r.flagged_views),
