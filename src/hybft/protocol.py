@@ -179,8 +179,7 @@ class Replica:
         self.exec_digest = _h(b"genesis")
         # exec digest at each checkpoint seq from stable_seq on, for FetchState
         self.checkpoint_exec: Dict[int, bytes] = {}
-        # each client's latest executed request: (c, s) has executed exactly
-        # when last_reply[c].client_seq >= s
+        # (c, s) has executed exactly when last_reply[c].client_seq >= s
         self.last_reply: Dict[int, m.Reply] = {}
         self.pending: Dict[Tuple[int, int], m.Request] = {}
 
@@ -335,8 +334,7 @@ class Replica:
             return [("note", {"ev": "bad_auth", "client": req.client_id})]
         out: List[tuple] = []
         if key not in self.pending:
-            # a retransmitted last request gets its reply again, an older one
-            # none: its client has moved on
+            # a repeated last request gets its reply again, an older one none
             rep = self.last_reply.get(req.client_id)
             if rep is not None and rep.client_seq >= req.client_seq:
                 if rep.client_seq == req.client_seq:
@@ -528,7 +526,8 @@ class Replica:
             return self._drop(why, com.seq)
         if not com.echo and not self.cfg.pipelining:
             # a commit is sent only once its predecessor committed
-            self._raise_floor(issuer, com.seq - 1)
+            self.peer_floor[issuer] = max(self.peer_floor.get(issuer, 0),
+                                          com.seq - 1)
         return self._credit(com.seq, com.view, com.bdigest, issuer, kind, com.cert)
 
     def _credit(self, seq: int, view: int, bdigest: bytes, sender: int,
@@ -544,14 +543,13 @@ class Replica:
         if t.committed is not None:
             return []
         if len(holders) >= self.cfg.f + 1:
-            return self._mark_committed(seq, view, bdigest, "quorum",
-                                        self._source(holders))
+            return self._mark_committed(seq, view, bdigest, "quorum", holders)
         return []
 
     def _mark_committed(self, seq: int, view: int, bdigest: bytes,
-                        via: str, source: int) -> List[tuple]:
-        """Commit `bdigest` at seq and fetch its batch, if missing, from
-        `source`: a holder of the digest, or the sender of a Decision."""
+                        via: str, holders) -> List[tuple]:
+        """Commit `bdigest` at seq; fetch a missing batch from one of `holders`
+        (_source): the digest's claimants, or the sender of a Decision."""
         t = self.trackers.setdefault(seq, _Tracker())
         t.committed = bdigest
         t.view = max(t.view, view)
@@ -562,6 +560,7 @@ class Replica:
         if self.cfg.decisions and via == "quorum" and not self.is_leader(view):
             out.append(("timer", "decision", seq, self.cfg.delta_ns))
         if self.prepared_log.get(seq) is None:
+            source = self._source(holders)
             out += [("send", ("replica", source), m.FetchBatch(seq, self.id)),
                     ("note", {"ev": "fetch_batch", "seq": seq, "from": source})]
         out += self._execute()
@@ -600,9 +599,6 @@ class Replica:
         return (self.peer_floor.get(peer, 0) >= seq
                 or peer in self.decision_seen.get(seq, ()))
 
-    def _raise_floor(self, peer: int, seq: int) -> None:
-        self.peer_floor[peer] = max(self.peer_floor.get(peer, 0), seq)
-
     def _commit_proof(self, seq: int) -> tuple:
         """The lowest f+1 claims behind seq's committed digest: a quorum
         commit has at least that many."""
@@ -634,7 +630,7 @@ class Replica:
         out = [("note", {"ev": "decision_accepted", "seq": dec.seq,
                          "from": dec.sender})]
         return out + self._mark_committed(dec.seq, dec.view, dec.bdigest,
-                                          "decision", dec.sender)
+                                          "decision", (dec.sender,))
 
     # ------------------------------------------------------ batch and state
 
@@ -713,9 +709,6 @@ class Replica:
                 out += self._emit_checkpoint(nxt)
         return out
 
-    def _state_digest(self) -> bytes:
-        return self._state_digest_from(self.exec_digest, self.last_reply.values())
-
     def _state_digest_from(self, exec_digest: bytes,
                            replies: Iterable[m.Reply]) -> bytes:
         ordered = sorted(replies, key=lambda r: r.client_id)
@@ -724,7 +717,8 @@ class Replica:
     # ----------------------------------------------------------- checkpoints
 
     def _emit_checkpoint(self, seq: int) -> List[tuple]:
-        sdig = self._state_digest()
+        sdig = self._state_digest_from(self.exec_digest,
+                                       self.last_reply.values())
         # a checkpoint's seq is unique and increasing: its context's view
         cert = self._cert("checkpoint", seq, 1, m.checkpoint_digest(seq, sdig),
                           at=seq).cert
@@ -738,10 +732,10 @@ class Replica:
         if why is not None:
             return self._drop(why, ck.seq)
         # a checkpoint at seq proves the sender executed, hence committed, seq
-        self._raise_floor(ck.sender, ck.seq)
+        self.peer_floor[ck.sender] = max(self.peer_floor.get(ck.sender, 0),
+                                         ck.seq)
         out = self._credit_checkpoint(ck)
-        if (ck.seq > self.exec_cursor and self.stable_seq >= ck.seq
-                and self.exec_cursor < self.stable_seq):
+        if self.exec_cursor < ck.seq <= self.stable_seq:
             out += self._maybe_fetch_state()
         return out
 

@@ -439,9 +439,14 @@ class Simulator:
         submitted, missing = 0, []
         for c in self.clients:
             upto = c.next_seq - 1 if c.inflight is None else c.next_seq
-            done = max((r.last_reply[c.id].client_seq for r in correct
-                        if c.id in r.last_reply), default=0)
             submitted += upto
+            done = 0
+            for r in correct:   # a live run is done at the first replica
+                rep = r.last_reply.get(c.id)
+                if rep is not None and rep.client_seq > done:
+                    done = rep.client_seq
+                    if done >= upto:
+                        break
             missing += [(c.id, s) for s in range(done + 1, upto + 1)]
 
         return {
