@@ -146,12 +146,12 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
                 behind = (view, seq) <= pos
                 want = None if legal else (
                     EquivocationRefused if behind else SequenceRefused)
-                call = lambda: child.certify_context("p", view, seq, _H1)
+                op, args = child.certify_context, ("p", view, seq, _H1)
             else:
                 want = None if (view, seq) > pos else SequenceRefused
-                call = lambda: child.skip_contexts("p", view, seq)
+                op, args = child.skip_contexts, ("p", view, seq)
             try:
-                cert = call()
+                cert = op(*args)
             except (EquivocationRefused, SequenceRefused) as exc:
                 if type(exc) is not want:
                     raise AssertionError(
