@@ -179,7 +179,6 @@ class Replica:
         self.exec_digest = _h(b"genesis")
         # exec digest at each checkpoint seq from stable_seq on, for FetchState
         self.checkpoint_exec: Dict[int, bytes] = {}
-        # (c, s) has executed exactly when last_reply[c].client_seq >= s
         self.last_reply: Dict[int, m.Reply] = {}
         self.pending: Dict[Tuple[int, int], m.Request] = {}
 
@@ -249,6 +248,12 @@ class Replica:
                           and stream != self._proposal_stream(view)):
             return "prepare_slot"
         return None
+
+    def has_executed(self, client_id: int, client_seq: int) -> bool:
+        """Client requests execute in order: (c, s) has executed here exactly
+        when the last reply to c is for s or later."""
+        rep = self.last_reply.get(client_id)
+        return rep is not None and rep.client_seq >= client_seq
 
     def _committed_up_to(self, seq: int) -> bool:
         if seq <= self.admission_base or seq <= self.stable_seq:
@@ -335,8 +340,8 @@ class Replica:
         out: List[tuple] = []
         if key not in self.pending:
             # a repeated last request gets its reply again, an older one none
-            rep = self.last_reply.get(req.client_id)
-            if rep is not None and rep.client_seq >= req.client_seq:
+            if self.has_executed(req.client_id, req.client_seq):
+                rep = self.last_reply[req.client_id]
                 if rep.client_seq == req.client_seq:
                     out.append(("send", ("client", req.client_id), rep))
                 return out
@@ -406,10 +411,9 @@ class Replica:
         for r in prep.requests:
             key = r.key()
             self.bound[key] = prep.seq
-            if not fresh and key not in self.pending:
-                rep = self.last_reply.get(r.client_id)
-                if rep is None or rep.client_seq < r.client_seq:
-                    self.pending[key] = r
+            if not (fresh or key in self.pending
+                    or self.has_executed(r.client_id, r.client_seq)):
+                self.pending[key] = r
         return ("fact", "admit", (prep.view, prep.seq), prep.bdigest())
 
     def _echo(self, prep: m.Prepare) -> List[tuple]:
@@ -694,8 +698,7 @@ class Replica:
                 break
             self.exec_cursor = nxt
             for r in prep.requests:
-                rep = self.last_reply.get(r.client_id)
-                if rep is not None and rep.client_seq >= r.client_seq:
+                if self.has_executed(r.client_id, r.client_seq):
                     continue
                 self.exec_digest, result = r.execute((self.exec_digest, nxt))
                 rep = m.Reply(r.client_id, r.client_seq, nxt, self.id, result)

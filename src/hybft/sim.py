@@ -434,20 +434,12 @@ class Simulator:
         correct = [r for r in self.replicas if r.id not in self.byz_ids]
         violations = safety_violations(self.ledger, self.byz_ids)
 
-        # a client's requests execute in order: (c, s) has executed at a
-        # correct replica whose last reply to c is for s or later
         submitted, missing = 0, []
         for c in self.clients:
             upto = c.next_seq - 1 if c.inflight is None else c.next_seq
             submitted += upto
-            done = 0
-            for r in correct:   # a live run is done at the first replica
-                rep = r.last_reply.get(c.id)
-                if rep is not None and rep.client_seq > done:
-                    done = rep.client_seq
-                    if done >= upto:
-                        break
-            missing += [(c.id, s) for s in range(done + 1, upto + 1)]
+            missing += [(c.id, s) for s in range(1, upto + 1)
+                        if not any(r.has_executed(c.id, s) for r in correct)]
 
         return {
             "safety_ok": not violations,
