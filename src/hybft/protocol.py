@@ -678,7 +678,8 @@ class Replica:
         self.checkpoint_exec[sr.seq] = sr.exec_digest
         for rep in sr.last_replies:
             self.last_reply[rep.client_id] = rep
-            self.pending.pop((rep.client_id, rep.client_seq), None)
+        for key in [k for k in self.pending if self.has_executed(*k)]:
+            del self.pending[key]
         self._adopt_stable(sr.seq, sr.stable_cert)
         return ([("fact", "execute", sr.seq, sr.exec_digest),
                  ("note", {"ev": "state_adopted", "seq": sr.seq})]
@@ -714,8 +715,12 @@ class Replica:
 
     def _state_digest_from(self, exec_digest: bytes,
                            replies: Iterable[m.Reply]) -> bytes:
+        # the stable certificate covers each reply's client and client seq,
+        # which has_executed reads, and not its result alone
         ordered = sorted(replies, key=lambda r: r.client_id)
-        return _h(_enc("state", exec_digest, *[r.result for r in ordered]))
+        return _h(_enc("state", exec_digest,
+                       *[f for r in ordered
+                         for f in (r.client_id, r.client_seq, r.result)]))
 
     # ----------------------------------------------------------- checkpoints
 

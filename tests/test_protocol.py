@@ -918,7 +918,8 @@ def test_a_reproposed_request_that_executed_leaves_pending():
 
 def test_a_request_covered_by_a_state_transfer_executes_once():
     # replica 2 hears only the checkpoints of seq 2, so it takes seq 2's
-    # state, requests (0, 1) and (0, 2) included, by one state transfer.
+    # state, requests (0, 1) and (0, 2) included, by one state transfer, and
+    # neither stays pending.
     # Faulty replica 1, view 1's leader, then proposes (0, 1) again at seq
     # 4; replica 0, which executed it itself, skips it there, and so must
     # replica 2
@@ -945,6 +946,38 @@ def test_a_request_covered_by_a_state_transfer_executes_once():
     assert c.replicas[0].exec_cursor == r2.exec_cursor == 4
     assert safety_violations(c.ledger, {1}) == []
     assert c.replicas[0].exec_digest == r2.exec_digest
+    assert r2.pending == {}
+
+
+def test_a_transferred_reply_cannot_claim_a_later_request():
+    # replica 2 takes seq 2's state by transfer, but faulty replica 1 gets
+    # its response in first: the certified state, with the last reply to
+    # client 0 claiming client seq 10**6. Replica 2 must drop it, take the
+    # correct one and still execute (0, 3)
+    c = Cluster(checkpoint_interval=1, window=2)
+    for req in (authed(1), authed(2)):
+        for rid in (0, 1, 2):
+            c.request(rid, req)
+        while c.queue:
+            dst, msg = c.queue.pop(0)
+            if isinstance(msg, m.StateResponse) and dst == 2:
+                inflated = tuple(dataclasses.replace(r, client_seq=10 ** 6)
+                                 for r in msg.last_replies)
+                c.inject(2, dataclasses.replace(msg, last_replies=inflated,
+                                                sender=1))
+                c.inject(2, msg)
+            elif dst != 2 or (isinstance(msg, m.Checkpoint) and msg.seq == 2):
+                c.inject(dst, msg)
+    r2 = c.replicas[2]
+    assert (2, {"ev": "drop", "why": "state_digest", "seq": 2}) in c.notes
+    assert (r2.exec_cursor, r2.last_reply[0].client_seq) == (2, 2)
+    for rid in (0, 1, 2):
+        c.request(rid, authed(3))
+    c.pump()
+    assert c.replicas[0].exec_cursor == r2.exec_cursor == 3
+    assert r2.last_reply[0].client_seq == 3
+    assert c.replicas[0].exec_digest == r2.exec_digest
+    assert safety_violations(c.ledger, {1}) == []
 
 
 # ------------------------------------------------------ view-change checks

@@ -622,7 +622,7 @@ GOLDEN = {
                   adversary="crash_tcs",
                   adversary_params={"k": 1, "crash_at_ns": 8_000_000,
                                     "restart_at_ns": 11_000_000}),
-        "21a62239525901fda8b4c18f9d0aaf01c107696b73bb4889a294865d031d8472"),
+        "b44d66298ca0cd84d7db92956aa229403962f87502c826f8a7cb7cf168116718"),
     # the batch timer proposes partial batches: batch_size above clients
     "batch_timer": (
         SimConfig(f=1, clients=1, requests_per_client=3, batch_size=4, seed=1),
