@@ -205,14 +205,25 @@ _LEADER_SCRIPTS = {
 }
 
 
+def _params(cfg) -> Dict:
+    """cfg.adversary's parameters: each default, overridden from the config."""
+    return {name: cfg.adversary_params.get(name, default)
+            for name, (_, default) in ADVERSARY_PARAMS[cfg.adversary].items()}
+
+
+def scripted_leader(cfg, tc, directory, client_keys) -> _Scripted:
+    """Replica 0 running cfg.adversary's leader script: the simulator's
+    faulty leader and the model checker's, so both run one attack."""
+    return _LEADER_SCRIPTS[cfg.adversary](0, cfg, tc, directory, client_keys,
+                                          params=_params(cfg))
+
+
 def install(sim) -> Set[int]:
     """Swap in scripted replicas / schedule admin events. Returns faulty ids."""
     cfg = sim.cfg
-    params = {name: default for name, (_, default)
-              in ADVERSARY_PARAMS[cfg.adversary].items()}
-    params.update(cfg.adversary_params)
     if cfg.adversary == "none":
         return set()
+    params = _params(cfg)
     if cfg.adversary == "crash_tcs":
         k = cfg.f if params["k"] is None else params["k"]
         targets = params["targets"]
@@ -224,11 +235,10 @@ def install(sim) -> Set[int]:
                 if at is not None:
                     sim.schedule_admin(at, f"tc_{action}", {"replica": rid})
         return set()
-    cls = _LEADER_SCRIPTS[cfg.adversary]
     byz = {0}
     old = sim.replicas[0]
-    sim.replicas[0] = cls(0, cfg, old.tc, sim.directory, old.client_keys,
-                          params=params)
+    sim.replicas[0] = scripted_leader(cfg, old.tc, sim.directory,
+                                      old.client_keys)
     if cfg.adversary == "silent_repliers":
         for rid in range(1, cfg.f):
             prev = sim.replicas[rid]

@@ -13,7 +13,9 @@ Three layers:
 
 3. Protocol interleavings: a small world (faulty leader 0, correct
    followers 1..2f) explored over every message delivery order and timer
-   schedule. Every reachable state's ledger must pass the simulator's
+   schedule. Leader 0 is the simulator's adversary script, built by
+   adversary.scripted_leader; the Prepares it sends are in flight when the
+   search starts. Every reachable state's ledger must pass the simulator's
    safety oracle (sim.safety_violations); at least one terminal state must
    show full commitment, demonstrating progress is reachable in the
    scenario.
@@ -46,9 +48,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
+from .adversary import scripted_leader
 from .config import SimConfig
 from .encoding import _h
-from .protocol import Replica, proposal_counter
+from .protocol import Replica
 from .sim import Ledger, safety_violations
 from .tc import (Directory, EquivocationRefused, SequenceRefused, TcMode,
                  TrustedComponent)
@@ -462,19 +465,22 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
 # -- scenario builders -------------------------------------------------------
 
 
-def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
+def _mc_setup(script: str, mode: str = "detection", decisions: bool = True,
               requests: int = 1, checkpoint_interval: int = 1000,
               f: int = 1) -> World:
     """The world of n = 2f+1 replicas once `requests` requests from client 0
-    have reached each correct replica 1..2f, delivered by apply from
-    channels ("c0", replica id). Replica 0 is faulty: `leader(its
-    component, client 0's first request)` returns the messages it sends
-    each follower, by replica id."""
+    have reached each replica. Correct replicas 1..2f get them by apply
+    from channels ("c0", replica id). Faulty replica 0 runs the simulator's
+    leader script `script` with trigger 1 (adversary.scripted_leader) and
+    handles each request before the search starts; the Prepares it sends a
+    follower, and only those, are that follower's channel ("byz", follower),
+    in send order."""
     n = 2 * f + 1
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
                     checkpoint_interval=checkpoint_interval,
                     window=2 * checkpoint_interval,
-                    suspicion_timeout_ns=1, viewchange_timeout_ns=1)
+                    suspicion_timeout_ns=1, viewchange_timeout_ns=1,
+                    adversary=script, adversary_params={"trigger": 1})
     directory = Directory(TcMode.HMAC)
     tcs = [_fresh_tc(i) for i in range(n)]
     for i in range(n):
@@ -487,8 +493,16 @@ def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
     reqs = tuple(m.tagged_request(ckey, 0, seq, payload)
                  for seq in range(1, requests + 1))
     channels = {("c0", rid): reqs for rid in replicas}
-    for rid, msgs in leader(tcs[0], reqs[0]).items():
-        channels["byz", rid] = tuple(msgs)
+    leader = scripted_leader(cfg, tcs[0], directory, {0: ckey})
+    for req in reqs:
+        for eff in leader.handle(req, 0):
+            # an explicit raise, so that python -O keeps the check
+            if eff[0] == "note" and eff[1]["ev"] == "attack_unexpected_success":
+                raise AssertionError(
+                    "component must refuse the second context binding")
+            if eff[0] == "send" and isinstance(eff[2], m.Prepare):
+                ch = ("byz", eff[1][1])
+                channels[ch] = channels.get(ch, ()) + (eff[2],)
     world = World.root(replicas, channels, byz={0})
     for rid in replicas:
         for _ in reqs:
@@ -499,44 +513,19 @@ def _mc_setup(leader, mode: str = "detection", decisions: bool = True,
 def equivocate_world(decisions: bool = True) -> World:
     """Faulty leader re-binds the request at values 1 and 2; follower 1 sees
     both (flags the duplicate), follower 2 sees only value 2 (freezes)."""
-    def leader(tc0, req):
-        chunk = (req,)
-        bdig = m.batch_digest(chunk)
-        ui_x = tc0.create_ui(m.prepare_digest(0, 1, bdig),
-                             counter=proposal_counter(0))
-        ui_y = tc0.create_ui(m.prepare_digest(0, 2, bdig),
-                             counter=proposal_counter(0))
-        px = m.Prepare(0, 1, chunk, ui_x)
-        py = m.Prepare(0, 2, chunk, ui_y)
-        return {1: [px, py], 2: [py]}
-    return _mc_setup(leader, decisions=decisions)
+    return _mc_setup("equivocate_withhold", decisions=decisions)
 
 
 def gap_world(decisions: bool = False, requests: int = 1,
               checkpoint_interval: int = 1000, f: int = 1) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
     a view change to make progress. At f=2 the world has n=5."""
-    def leader(tc0, req):
-        tc0.create_ui(m.prepare_digest(0, 1, m.batch_digest((req,))),
-                      counter=proposal_counter(0))
-        return {}
-    return _mc_setup(leader, decisions=decisions, requests=requests,
+    return _mc_setup("gap_forever", decisions=decisions, requests=requests,
                      checkpoint_interval=checkpoint_interval, f=f)
 
 
 def prevention_world(decisions: bool = False) -> World:
     """Prevention mode: the double binding dies inside the leader's component,
     so only the single certified proposal ever reaches the followers."""
-    def leader(tc0, req):
-        chunk = (req,)
-        bdig = m.batch_digest(chunk)
-        cert = tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, bdig))
-        alt = _h(b"other-batch")
-        try:
-            tc0.certify_context("prepare", 0, 1, m.prepare_digest(0, 1, alt))
-            raise AssertionError("component must refuse the second context binding")
-        except EquivocationRefused:
-            pass
-        prep = m.Prepare(0, 1, chunk, cert)
-        return {1: [prep], 2: [prep]}
-    return _mc_setup(leader, mode="prevention", decisions=decisions)
+    return _mc_setup("equivocate_withhold", mode="prevention",
+                     decisions=decisions)
