@@ -100,6 +100,22 @@ def test_prevention_world_is_safe_everywhere():
         "states": 1_595, "terminals": 7, "full_commit_terminals": 4}
 
 
+def test_the_prevention_world_rejects_a_component_that_binds_twice(
+        monkeypatch):
+    real = TrustedComponent.certify_context
+
+    def binds_twice(self, phase, view, seq, msg_hash):
+        try:
+            return real(self, phase, view, seq, msg_hash)
+        except EquivocationRefused:
+            return self._issue(ContextCertificate, phase, view, seq, msg_hash)
+
+    monkeypatch.setattr(TrustedComponent, "certify_context", binds_twice)
+    with pytest.raises(AssertionError,
+                       match="^component must refuse the second context binding$"):
+        prevention_world()
+
+
 def checkpoint_world() -> World:
     """The gap world with two requests and a checkpoint after each seq."""
     return gap_world(requests=2, checkpoint_interval=1)

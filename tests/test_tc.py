@@ -558,6 +558,22 @@ def test_untrusted_modules_never_reach_into_component_internals():
     assert offenders == []
 
 
+def test_only_the_replica_and_the_scripts_speak_as_a_leader():
+    """A Prepare is built by Replica._cert or by an adversary script, so
+    every proposal a check explores is one a leader can send."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hybft"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("protocol.py", "adversary.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Prepare" in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_public_surface_is_declared():
     # an instance, so the public attributes set in __init__ count too; the
     # equality also fails on a declared name that no longer exists
