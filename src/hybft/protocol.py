@@ -92,13 +92,12 @@ class _Tracker:
     claims: Dict[bytes, Dict[int, Tuple[str, object]]] = field(default_factory=dict)
     committed: Optional[bytes] = None
     view: int = 0
-    via: str = ""
 
     def clone(self) -> "_Tracker":
-        return _Tracker(_copy(self.claims), self.committed, self.view, self.via)
+        return _Tracker(_copy(self.claims), self.committed, self.view)
 
     def state_key(self) -> tuple:
-        return (_key(self.claims), self.committed, self.view, self.via)
+        return (_key(self.claims), self.committed, self.view)
 
 
 # The Replica attributes that are not state: the configuration, which
@@ -558,7 +557,6 @@ class Replica:
         t = self.trackers.setdefault(seq, _Tracker())
         t.committed = bdigest
         t.view = max(t.view, view)
-        t.via = via
         out: List[tuple] = [("fact", "commit", seq, bdigest),
                             ("note", {"ev": "commit", "seq": seq, "via": via})]
         self.inflight.discard(seq)
@@ -583,8 +581,9 @@ class Replica:
     # ------------------------------------------------------------ decisions
 
     def on_timer_decision(self, seq: int) -> List[tuple]:
+        # only a quorum commit arms this timer, and a seq commits once
         t = self.trackers.get(seq)
-        if t is None or t.committed is None or t.via != "quorum":
+        if t is None:
             return []
         lead = leader_of(t.view, self.cfg.n)
         lagging = [p for p in self.peers()

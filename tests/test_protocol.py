@@ -172,7 +172,7 @@ def test_commit_quorum_counts_own_attestation():
     c.inject(1, prep)
     t = c.replicas[1].trackers[1]
     assert t.committed == prep.bdigest()
-    assert t.via == "quorum"
+    assert (1, {"ev": "commit", "seq": 1, "via": "quorum"}) in c.notes
 
 
 def test_out_of_order_prepare_buffers_until_gap_fills():
@@ -261,8 +261,7 @@ def test_decision_lets_excluded_replica_commit():
                  if isinstance(msg, m.Decision)]
     assert {dst for dst, _ in decisions} == {2}
     c.pump()
-    t = c.replicas[2].trackers[1]
-    assert t.via == "decision"
+    assert (2, {"ev": "commit", "seq": 1, "via": "decision"}) in c.notes
     assert c.replicas[2].exec_cursor == 1  # batch fetched, then executed
 
 
@@ -791,7 +790,7 @@ def _decision_voter(c, seq):
                if dst == 2 and isinstance(msg, m.Decision))
     c.queue.clear()
     c.inject(2, dec)
-    assert c.replicas[2].trackers[seq].via == "decision"
+    assert (2, {"ev": "commit", "seq": seq, "via": "decision"}) in c.notes
     return c.replicas[2]
 
 
