@@ -840,12 +840,12 @@ class Replica:
         if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
             return []
         try:
-            invalid = self._validate_view_change(vc) is not None
+            rule = self._validate_view_change(vc)
         except (TypeError, OverflowError):
             # a field _enc cannot encode; validation changes no state
             return self._drop("malformed", vc.new_view)
-        if invalid:
-            return self._drop("viewchange", vc.new_view)
+        if rule is not None:
+            return self._drop("viewchange", vc.new_view, rule=rule)
         votes = self.vc_votes.setdefault(vc.new_view, {})
         votes[vc.sender] = vc
         out: List[tuple] = []
@@ -962,11 +962,11 @@ class Replica:
         if nv.view <= self.view or nv.sender != leader_of(nv.view, self.cfg.n):
             return []
         try:
-            invalid = self._validate_new_view(nv) is not None
+            rule = self._validate_new_view(nv)
         except (TypeError, OverflowError):   # see on_view_change
             return self._drop("malformed", nv.view)
-        if invalid:
-            return self._drop("newview", nv.view)
+        if rule is not None:
+            return self._drop("newview", nv.view, rule=rule)
         return self._adopt_new_view(nv, as_leader=False)
 
     def _validate_new_view(self, nv: m.NewView) -> Optional[str]:
@@ -1085,10 +1085,12 @@ class Replica:
 
     # ----------------------------------------------------------------- drops
 
-    def _drop(self, why: str, seq: int) -> List[tuple]:
+    def _drop(self, why: str, seq: int, **detail) -> List[tuple]:
+        """Count a drop and note it; a vote or NewView's note also names
+        the `rule` its validator failed."""
         stat = "stale_epoch_drops" if why == "stale_epoch" else "invalid_drops"
         self.stats[stat] += 1
-        return [("note", {"ev": "drop", "why": why, "seq": seq})]
+        return [("note", {"ev": "drop", "why": why, "seq": seq, **detail})]
 
     # ------------------------------------------------------------- inspection
 

@@ -706,7 +706,8 @@ def _forged_prepare_in_a_vote():
     c._absorb(2, voter._start_view_change(1, reason="timeout"))
     c.pump()
     assert 2 not in c.replicas[1].vc_votes.get(1, {})
-    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1,
+                "rule": "invalid_cert"}) in c.notes
 
 
 def _forged_new_view_digest():
@@ -723,7 +724,8 @@ def _forged_new_view_digest():
     wrong = c.tcs[1].create_ui(hashlib.sha256(b"another view").digest())
     c.inject(2, dataclasses.replace(nv, cert=wrong))
     assert c.replicas[2].view == 0
-    assert (2, {"ev": "drop", "why": "newview", "seq": 1}) in c.notes
+    assert (2, {"ev": "drop", "why": "newview", "seq": 1,
+                "rule": "new_view_cert"}) in c.notes
 
 
 @pytest.mark.parametrize("forge", [
@@ -861,7 +863,8 @@ def test_a_vote_cannot_carry_a_prepare_off_the_leaders_stream(mode):
 
     c = _a_vote_carries(mode, 0, off_stream)
     assert safety_violations(c.ledger, {0}) == []
-    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+    assert (1, {"ev": "drop", "why": "viewchange", "seq": 1,
+                "rule": "prepare_slot"}) in c.notes
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -1122,7 +1125,8 @@ def test_a_broken_vote_is_dropped(how):
         vote = brk(c, vote)
     assert c.replicas[1].clone()._validate_view_change(vote) == reason
     c.inject(1, vote)
-    dropped = (1, {"ev": "drop", "why": "viewchange", "seq": 1}) in c.notes
+    dropped = (1, {"ev": "drop", "why": "viewchange", "seq": 1,
+                   "rule": reason}) in c.notes
     assert dropped == (how is not None)
     assert (2 in c.replicas[1].vc_votes.get(1, {})) == (how is None)
 
@@ -1198,7 +1202,8 @@ def test_a_broken_new_view_is_dropped(how):
         nv = brk(c, nv)
     assert c.replicas[2].clone()._validate_new_view(nv) == reason
     c.inject(2, nv)
-    dropped = (2, {"ev": "drop", "why": "newview", "seq": 1}) in c.notes
+    dropped = (2, {"ev": "drop", "why": "newview", "seq": 1,
+                   "rule": reason}) in c.notes
     assert dropped == (how is not None)
     assert c.replicas[2].view == (0 if how else 1)
 

@@ -589,19 +589,19 @@ GOLDEN = {
     "equivocate_withhold": (
         SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
                   adversary="equivocate_withhold"),
-        "530b0d0dee83afd4bc2e1f1bc87f4e8870ade45a74a1f4114ffc7ee89d76b968"),
+        "fd1c3a97b8dbf9719403f228b46be6a07c2864f336590d8d1e4a21c9d966ed5a"),
     "gap_forever": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever"),
-        "daed0a2bd9e6fd3561fbe9c49b7712382be33e16e28639ec7f04ab09025bd24c"),
+        "457255bb4eb93cd67108aca23ab1f24619624f278cf0e0513f0de7d2493ba387"),
     "gap_forever_prevention": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever", mode="prevention"),
-        "dc40b25f54a99eeb7fb894b06a844a56765cc26da570c94282d836c9eb55a1cf"),
+        "ce36ecdf71ebc9989b4a87d514cab24b5d76843a727bb1a2234a132dd6033735"),
     "gap_forever_sig": (
         SimConfig(f=1, clients=1, requests_per_client=3, seed=4,
                   adversary="gap_forever", tc_mode="sig"),
-        "33b68a133d041009dce11fcab0643831b7dd76c7e8298ef635bd3a5258a7791f"),
+        "607071887be06bcb74b4c7ed25c084cc352ba51541e89826b2530320a7d8ae54"),
     "silent_repliers": (
         SimConfig(f=1, clients=2, requests_per_client=2, seed=3,
                   adversary="silent_repliers"),
@@ -664,7 +664,7 @@ GOLDEN = {
         SimConfig(f=1, clients=2, requests_per_client=3, seed=5,
                   adversary="equivocate_withhold", delay_min_ns=1_000_000,
                   delay_max_ns=1_000_000),
-        "f839d6bd06de6f25b3ac966e10fe7f0e732d26f19e65b55a480c1135926811cb"),
+        "8c3fee6d436a0b014218d9d1026c84cf34a37ef2d2f575c1972acfac3446a3d1"),
 }
 
 
