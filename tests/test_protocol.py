@@ -827,6 +827,21 @@ def test_a_vote_after_a_forged_fetched_prepare_is_counted():
     assert voter.id in _votes_for_view_1(c, voter)
 
 
+def test_a_batch_response_for_another_batch_is_dropped():
+    # replica 2 committed seq 1 from a Decision and lacks its prepare; a
+    # response whose prepare carries other requests leaves it lacking
+    c = Cluster()
+    voter = _decision_voter(c, 1)
+    good = c.replicas[1].prepared_log[1]
+    c.queue.clear()
+    c.inject(2, m.BatchResponse(
+        dataclasses.replace(good, requests=(authed(9),)), 1))
+    assert (2, {"ev": "drop", "why": "batch_response", "seq": 1}) in c.notes
+    assert 1 not in voter.prepared_log and voter.exec_cursor == 0
+    c.inject(2, m.BatchResponse(good, 1))
+    assert voter.prepared_log[1] is good and voter.exec_cursor == 1
+
+
 def _a_vote_carries(mode, view, certify):
     """f=1. Faulty replica 0 certifies batch A at seq 1 of its view-0 stream
     and shows it only to replica 1, which commits A. Its vote for view 1 then
