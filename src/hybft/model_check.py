@@ -469,12 +469,10 @@ def _mc_setup(script: str, mode: str = "detection", decisions: bool = True,
               requests: int = 1, checkpoint_interval: int = 1000,
               f: int = 1) -> World:
     """The world of n = 2f+1 replicas once `requests` requests from client 0
-    have reached each replica. Correct replicas 1..2f get them by apply
-    from channels ("c0", replica id). Faulty replica 0 runs the simulator's
-    leader script `script` with trigger 1 (adversary.scripted_leader) and
-    handles each request before the search starts; the Prepares it sends a
-    follower, and only those, are that follower's channel ("byz", follower),
-    in send order."""
+    have reached each replica: correct replica i by apply from channel
+    ("c0", i), and faulty replica 0, the simulator's script `script` with
+    trigger 1, by its own handle. Channel ("byz", i) holds the Prepares
+    replica 0 sent replica i, in send order, and nothing else."""
     n = 2 * f + 1
     cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
                     checkpoint_interval=checkpoint_interval,
@@ -482,18 +480,17 @@ def _mc_setup(script: str, mode: str = "detection", decisions: bool = True,
                     suspicion_timeout_ns=1, viewchange_timeout_ns=1,
                     adversary=script, adversary_params={"trigger": 1})
     directory = Directory(TcMode.HMAC)
-    tcs = [_fresh_tc(i) for i in range(n)]
     for i in range(n):
         directory.register(i, 1)
     ckey = _h(b"mc-client")
-    replicas = {rid: Replica(rid, cfg, tcs[rid], directory, {0: ckey},
+    replicas = {rid: Replica(rid, cfg, _fresh_tc(rid), directory, {0: ckey},
                              max_view=2)
                 for rid in range(1, n)}
     payload = b"transfer-10"
     reqs = tuple(m.tagged_request(ckey, 0, seq, payload)
                  for seq in range(1, requests + 1))
     channels = {("c0", rid): reqs for rid in replicas}
-    leader = scripted_leader(cfg, tcs[0], directory, {0: ckey})
+    leader = scripted_leader(cfg, _fresh_tc(0), directory, {0: ckey})
     for req in reqs:
         for eff in leader.handle(req, 0):
             # an explicit raise, so that python -O keeps the check

@@ -1086,8 +1086,7 @@ class Replica:
     # ----------------------------------------------------------------- drops
 
     def _drop(self, why: str, seq: int, **detail) -> List[tuple]:
-        """Count a drop and note it; a vote or NewView's note also names
-        the `rule` its validator failed."""
+        """Count a drop and note it, with the `rule` a vote or NewView failed."""
         stat = "stale_epoch_drops" if why == "stale_epoch" else "invalid_drops"
         self.stats[stat] += 1
         return [("note", {"ev": "drop", "why": why, "seq": seq, **detail})]
