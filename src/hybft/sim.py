@@ -593,17 +593,76 @@ def run(cfg: SimConfig) -> RunResult:
         return Simulator(cfg).run()
 
 
+def run_all(cfgs: List[SimConfig]) -> List[RunResult]:
+    """`run` of each configuration, in input order, spread over the cores.
+
+    A run is a pure function of its configuration, so independent runs can
+    go to child processes without changing any result. With k = min(runs,
+    usable cores) of at least 2, it forks k children; child i runs
+    cfgs[i::k], writes the pickled results to a pipe and leaves by
+    `os._exit`, so it flushes no inherited buffer and runs no exit handler.
+    The caller runs no share while they work, only reads and reaps them.
+    A child that raised or died returns nothing, and the caller then runs
+    the missing configurations itself in input order, so an exception, its
+    note and its traceback are the serial path's. No child outlives the
+    call. With fewer than 2 cores or runs, or without `os.fork`, it is a
+    loop over `run`.
+    """
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             else 1)
+    k = min(len(cfgs), cores)
+    if k < 2:
+        return [run(cfg) for cfg in cfgs]
+    import pickle
+    import signal
+    results: List = [None] * len(cfgs)
+    children: Dict[int, tuple] = {}   # pid -> (share, pipe's read end)
+    try:
+        for i in range(k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    share = [run(cfg) for cfg in cfgs[i::k]]
+                    with os.fdopen(w, "wb") as out:
+                        pickle.dump(share, out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = (i, os.fdopen(r, "rb"))
+        for pid, (i, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                results[i::k] = pickle.loads(data)
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [run(cfg) if res is None else res
+            for cfg, res in zip(cfgs, results)]
+
+
 def measure_overhead(cfg: SimConfig) -> Dict:
     """Paired runs, identical but for Decision forwarding, plus the model.
 
-    Overheads are exact fractions of message and byte totals. Under a
-    constant-delay network with clients == batch size the simulator's totals
-    coincide with the closed-form fault-free counts, so the comparison is
-    exact, not approximate.
+    The two runs go through `run_all`, so on a host with two or more cores
+    they run at once, in two child processes. Overheads are exact fractions
+    of message and byte totals. Under a constant-delay network with
+    clients == batch size the simulator's totals coincide with the
+    closed-form fault-free counts, so the comparison is exact, not
+    approximate.
     """
     import dataclasses as dc
-    on = run(dc.replace(cfg, decisions=True))
-    off = run(dc.replace(cfg, decisions=False))
+    on, off = run_all([dc.replace(cfg, decisions=True),
+                       dc.replace(cfg, decisions=False)])
     msgs_on, msgs_off = on.msgs_total, off.msgs_total
     bytes_on, bytes_off = on.bytes_total, off.bytes_total
     sim_msgs = Fraction(msgs_on - msgs_off, msgs_off)
