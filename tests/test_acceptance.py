@@ -19,7 +19,7 @@ from hybft import resource_model as rm
 from hybft.cli import _exact_cell
 from hybft.config import ADVERSARY_SCRIPTS, SimConfig
 from hybft.model_check import explore_world, gap_world
-from hybft.sim import Simulator, measure_overhead, run
+from hybft.sim import Simulator, measure_overhead, run, run_all
 from hybft.tc import ContextCertificate, EquivocationRefused
 
 
@@ -119,17 +119,17 @@ def test_criterion_05_adversarial_state_exploration_and_seed_sweep(
     gp = explore_world(gap_world())
     assert eq["full_commit_terminals"] >= 1
     assert gp["full_commit_terminals"] >= 1
-    runs = 0
-    for script in ("equivocate_withhold", "gap_forever"):
-        for f in (1, 2, 3):
-            for seed in range(1000):
-                cfg = SimConfig(f=f, seed=seed, clients=1,
-                                requests_per_client=2, adversary=script,
-                                record_trace=False)
-                v = run(cfg).verdict
-                assert v["safety_ok"], (script, f, seed)
-                assert v["all_clients_done"], (script, f, seed)
-                runs += 1
+    cells = [(script, f, seed)
+             for script in ("equivocate_withhold", "gap_forever")
+             for f in (1, 2, 3) for seed in range(1000)]
+    results = run_all([SimConfig(f=f, seed=seed, clients=1,
+                                 requests_per_client=2, adversary=script,
+                                 record_trace=False)
+                       for script, f, seed in cells])
+    for cell, res in zip(cells, results):
+        assert res.verdict["safety_ok"], cell
+        assert res.verdict["all_clients_done"], cell
+    runs = len(results)
     _line(5, f"exhaustive n=3 worlds safe in every reachable state "
              f"({eq['states']} + {gp['states']} states, "
              f"{eq['full_commit_terminals']} and "

@@ -3,6 +3,7 @@ between simulated tallies and the closed-form cost model."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -10,9 +11,12 @@ import heapq
 import hmac
 import itertools
 import json
+import os
 import re
+import signal
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,7 @@ from hybft.config import SimConfig
 from hybft.encoding import _enc
 from hybft.protocol import Replica, _Tracker
 from hybft.sim import (TALLY_FIELDS, EventQueue, Ledger, Simulator,
-                       measure_overhead, run, safety_violations)
+                       measure_overhead, run, run_all, safety_violations)
 from hybft.tc import ContextCertificate, TrustedComponent, UniqueIdentifier
 
 
@@ -66,10 +70,14 @@ def test_state_request_for_an_unexecuted_checkpoint_goes_unanswered():
 @pytest.mark.parametrize("f,clients", [(1, 2), (1, 4), (2, 2), (2, 4)])
 def test_fault_free_soak_is_safe_and_live(f, clients):
     # seeds 6-9 include 8, whose f=1 cells reach the state transfer above
-    for requests, seed in itertools.product((20, 50), range(6, 10)):
-        v = run(SimConfig(f=f, clients=clients, requests_per_client=requests,
-                          seed=seed, duration_ns=10_000_000_000,
-                          record_trace=False)).verdict
+    cells = list(itertools.product((20, 50), range(6, 10)))
+    results = run_all([SimConfig(f=f, clients=clients,
+                                 requests_per_client=requests, seed=seed,
+                                 duration_ns=10_000_000_000,
+                                 record_trace=False)
+                       for requests, seed in cells])
+    for (requests, seed), res in zip(cells, results):
+        v = res.verdict
         assert v["safety_ok"] and v["all_clients_done"], (requests, seed)
 
 
@@ -679,6 +687,129 @@ def test_outputs_match_the_golden_hashes(name, tmp_path):
     got = hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()
                          + (tmp_path / "summary.json").read_bytes())
     assert got.hexdigest() == want
+
+
+# ---------------------------------------------------------------- run_all
+
+# traced: fault-free, two attacks, restored components and an unsafe run
+RUN_ALL_CELLS = [
+    GOLDEN["hmac"][0], GOLDEN["equivocate_withhold"][0],
+    GOLDEN["gap_forever_sig"][0],
+    SimConfig(f=2, clients=2, requests_per_client=2, seed=7, mode="prevention",
+              adversary="crash_tcs",
+              adversary_params={"k": 2, "crash_at_ns": 8_000_000,
+                                "restore_at_ns": 700_000_000}),
+    GOLDEN["counter_identity"][0],
+]
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_equals_serial_runs(monkeypatch):
+    assert run_all(RUN_ALL_CELLS) == [run(cfg) for cfg in RUN_ALL_CELLS]
+    _no_child_left()
+    # one run more than there are cores, and at most one child per core
+    cores = len(os.sched_getaffinity(0))
+    cfgs = [SimConfig(f=1, clients=1, requests_per_client=2, seed=seed,
+                      adversary="gap_forever", record_trace=False)
+            for seed in range(cores + 1)]
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert run_all(cfgs) == [run(cfg) for cfg in cfgs]
+    assert len(forks) <= cores
+    _no_child_left()
+
+
+def test_overhead_pair_equals_serial_runs():
+    cfg = exact_cell(1, 4)
+    assert list(measure_overhead(cfg)["runs"]) == [
+        run(dataclasses.replace(cfg, decisions=on)) for on in (True, False)]
+    _no_child_left()
+
+
+def test_run_all_on_one_core_forks_nothing(monkeypatch):
+    want = [run(cfg) for cfg in RUN_ALL_CELLS]
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_all(RUN_ALL_CELLS) == want
+
+
+def test_run_all_raises_what_the_first_failing_run_raises(monkeypatch):
+    # seeds 3 and 4 fail, in different shares on two cores: the serial
+    # path meets seed 3 first, and so must run_all, whichever share ends first
+    handle = Replica.handle
+
+    def failing(self, msg, now):
+        if self.cfg.seed in (3, 4):
+            raise RuntimeError(f"handler failed at seed {self.cfg.seed}")
+        return handle(self, msg, now)
+
+    monkeypatch.setattr(Replica, "handle", failing)
+    cfgs = [SimConfig(f=1, clients=1, requests_per_client=1, seed=seed)
+            for seed in range(5)]
+    with pytest.raises(RuntimeError) as serial:
+        run(cfgs[3])
+    with pytest.raises(RuntimeError) as shared:
+        run_all(cfgs)
+    assert str(shared.value) == str(serial.value)
+    assert shared.value.__notes__ == serial.value.__notes__
+    assert "seed 3, event" in serial.value.__notes__[0]
+    _no_child_left()
+
+
+def test_a_child_that_dies_has_its_share_run_by_the_caller(monkeypatch):
+    caller, handle = os.getpid(), Replica.handle
+
+    def dying(self, msg, now):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return handle(self, msg, now)
+
+    monkeypatch.setattr(Replica, "handle", dying)
+    assert run_all(RUN_ALL_CELLS[:3]) == [run(cfg) for cfg in RUN_ALL_CELLS[:3]]
+    _no_child_left()
+
+
+def test_only_run_all_starts_and_ends_processes():
+    """Children are forked, reaped and killed in one place, sim.run_all,
+    which bounds their number and outlives none of them. A name imported
+    from os would hide a call, so none is."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hybft"
+    calls = {"fork", "_exit", "waitpid", "kill"}
+    inside, offenders = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = range(0)
+        if path.name == "sim.py":
+            fn = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "run_all")
+            allowed = range(fn.lineno, fn.end_lineno + 1)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "os"
+                    and node.func.attr in calls):
+                if node.lineno in allowed:
+                    inside.add(node.func.attr)
+                else:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+    assert inside == calls
 
 
 # ----------------------------------------------------------------- oracle
