@@ -47,6 +47,7 @@ import hashlib
 import heapq
 import json
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -605,14 +606,15 @@ def run_all(cfgs: List[SimConfig]) -> List[RunResult]:
     A child that raised or died returns nothing, and the caller then runs
     the missing configurations itself in input order, so an exception, its
     note and its traceback are the serial path's. No child outlives the
-    call. With fewer than 2 cores or runs, or without `os.fork`, it is a
-    loop over `run`.
+    call. With fewer than 2 cores or runs, without `os.fork`, or beside
+    another thread (a fork copies no thread, so a lock that one holds
+    would never be released in the child), it is a loop over `run`.
     """
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              else 1)
     k = min(len(cfgs), cores)
-    if k < 2:
+    if k < 2 or threading.active_count() > 1:
         return [run(cfg) for cfg in cfgs]
     import pickle
     import signal

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import signal
+import threading
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -735,15 +736,28 @@ def test_overhead_pair_equals_serial_runs():
     _no_child_left()
 
 
-def test_run_all_on_one_core_forks_nothing(monkeypatch):
+@pytest.mark.parametrize("why", ["one core", "another thread"])
+def test_run_all_forks_nothing_on_one_core_or_beside_a_thread(monkeypatch,
+                                                              why):
     want = [run(cfg) for cfg in RUN_ALL_CELLS]
 
     def no_fork():
         raise AssertionError("forked")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_all(RUN_ALL_CELLS) == want
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if why == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        waiter.start()
+    try:
+        assert run_all(RUN_ALL_CELLS) == want
+    finally:
+        release.set()
+        if why == "another thread":
+            waiter.join(timeout=10)
+    assert not waiter.is_alive()
 
 
 def test_run_all_raises_what_the_first_failing_run_raises(monkeypatch):
