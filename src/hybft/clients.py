@@ -41,7 +41,7 @@ class Client:
         self.next_seq = 1
         self.inflight: Optional[m.Request] = None
         self.submitted_at = 0
-        self.replies: Dict[int, m.Reply] = {}   # replica id -> reply
+        self.replies: Dict[int, m.Reply] = {}   # sender -> its latest reply
         self.tally: Dict = {}                   # result key -> replies naming it
         self.records: List[LatencyRecord] = []
         self.retransmits = 0
@@ -67,14 +67,18 @@ class Client:
                     self.retransmit_ns))
         return out
 
-    def on_reply(self, rep: m.Reply, now: int) -> List[tuple]:
+    def on_reply(self, rep: m.Reply, sender: int, now: int) -> List[tuple]:
+        """Count `rep` under `sender`, the replica the host delivered it
+        from, not under its replica_id: a replica that took state by
+        transfer resends the replies it got, and a faulty one can name any
+        replica."""
         req = self.inflight
         if req is None or rep.client_seq != req.client_seq:
             return []
-        old = self.replies.get(rep.replica_id)
+        old = self.replies.get(sender)
         if old is not None:
             self.tally[self._result_key(old)] -= 1
-        self.replies[rep.replica_id] = rep
+        self.replies[sender] = rep
         key = self._result_key(rep)
         count = self.tally[key] = self.tally.get(key, 0) + 1
         # no other key gained a reply, and none had a quorum before this one

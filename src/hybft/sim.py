@@ -364,7 +364,7 @@ class Simulator:
                         if owner[0] == "replica":
                             effects = replicas[owner[1]].handle(msg, t)
                         elif isinstance(msg, m.Reply):
-                            effects = clients[owner[1]].on_reply(msg, t)
+                            effects = clients[owner[1]].on_reply(msg, src[1], t)
                         else:
                             continue
                     elif prio == _PRIO_TIMER:

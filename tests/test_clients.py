@@ -48,9 +48,9 @@ def test_weak_quorum_of_matching_results_completes():
     c.start(0)
     req = c.inflight
     r1, r2 = replies_from(req, [0, 1])
-    assert c.on_reply(r1, 10) == []
+    assert c.on_reply(r1, 0, 10) == []
     assert c.inflight is not None
-    c.on_reply(r2, 20)
+    c.on_reply(r2, 1, 20)
     assert c.done()
     assert c.records[0].completed_ns == 20
 
@@ -59,10 +59,10 @@ def test_mismatched_results_do_not_complete():
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [0], result=b"a")[0], 10)
-    c.on_reply(replies_from(req, [1], result=b"b")[0], 20)
+    c.on_reply(replies_from(req, [0], result=b"a")[0], 0, 10)
+    c.on_reply(replies_from(req, [1], result=b"b")[0], 1, 20)
     assert not c.done()
-    c.on_reply(replies_from(req, [2], result=b"a")[0], 30)
+    c.on_reply(replies_from(req, [2], result=b"a")[0], 2, 30)
     assert c.done()
 
 
@@ -70,20 +70,41 @@ def test_one_replica_cannot_complete_alone():
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [2])[0], 10)
+    c.on_reply(replies_from(req, [2])[0], 2, 10)
     # the same replica repeating itself is still one voice
-    c.on_reply(replies_from(req, [2])[0], 20)
+    c.on_reply(replies_from(req, [2])[0], 2, 20)
     assert not c.done()
+
+
+def test_forged_replica_ids_are_still_one_voice():
+    # replica 2 answers once in its own name and once in replica 0's
+    c = make_client(total_requests=1)
+    c.start(0)
+    req = c.inflight
+    for rep in replies_from(req, [2, 0]):
+        c.on_reply(rep, 2, 10)
+    assert not c.done()
+
+
+def test_a_resent_reply_counts_under_the_replica_that_sent_it():
+    # replica 1 took state from replica 0 by transfer and resends the reply
+    # it got, which names replica 0: two replicas have answered
+    c = make_client(total_requests=1)
+    c.start(0)
+    (rep,) = replies_from(c.inflight, [0])
+    c.on_reply(rep, 0, 10)
+    c.on_reply(rep, 1, 20)
+    assert c.done()
 
 
 def test_strict_policy_needs_matching_seq_too():
     c = make_client(policy="n-f", total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [0], seq=1)[0], 10)
-    c.on_reply(replies_from(req, [1], seq=2)[0], 20)
+    c.on_reply(replies_from(req, [0], seq=1)[0], 0, 10)
+    c.on_reply(replies_from(req, [1], seq=2)[0], 1, 20)
     assert not c.done()  # same result, disagreeing seq assignment
-    c.on_reply(replies_from(req, [2], seq=1)[0], 30)
+    c.on_reply(replies_from(req, [2], seq=1)[0], 2, 30)
     assert c.done()
 
 
@@ -92,7 +113,7 @@ def test_next_request_submits_after_completion():
     c.start(0)
     first = c.inflight
     for rep in replies_from(first, [0, 1]):
-        effects = c.on_reply(rep, 5)
+        effects = c.on_reply(rep, rep.replica_id, 5)
     sends = [e for e in effects if e[0] == "send"]
     assert len(sends) == 3
     assert c.inflight.client_seq == 2
@@ -104,9 +125,9 @@ def test_stale_replies_ignored():
     c.start(0)
     first = c.inflight
     for rep in replies_from(first, [0, 1]):
-        c.on_reply(rep, 5)
+        c.on_reply(rep, rep.replica_id, 5)
     # replies for the finished request must not advance the new one
-    assert c.on_reply(replies_from(first, [2])[0], 9) == []
+    assert c.on_reply(replies_from(first, [2])[0], 2, 9) == []
     assert c.inflight.client_seq == 2
 
 
@@ -118,7 +139,7 @@ def test_retransmit_rebroadcasts_only_while_pending():
     assert len([e for e in effects if e[0] == "send"]) == 3
     assert c.retransmits == 1
     for rep in replies_from(req, [0, 1]):
-        c.on_reply(rep, 500)
+        c.on_reply(rep, rep.replica_id, 500)
     assert c.on_timer("retransmit", (0, req.client_seq), 700) == []
     assert c.retransmits == 1
 
@@ -128,11 +149,11 @@ def test_payloads_differ_per_request_and_completion_is_counted():
     c.start(0)
     p1 = c.inflight.payload
     for rep in replies_from(c.inflight, [0, 1]):
-        c.on_reply(rep, 5)
+        c.on_reply(rep, rep.replica_id, 5)
     p2 = c.inflight.payload
     assert p1 != p2 and len(p1) == len(p2) == 16
     for rep in replies_from(c.inflight, [1, 2]):
-        c.on_reply(rep, 9)
+        c.on_reply(rep, rep.replica_id, 9)
     assert c.done() and c.completed_count() == 2
 
 
@@ -157,7 +178,7 @@ def _completes_at(policy, n, f, answers):
     latest, got, want = {}, None, None
     for i, (rid, result, seq) in enumerate(answers):
         rep = m.Reply(req.client_id, req.client_seq, seq, rid, result)
-        c.on_reply(rep, i)
+        c.on_reply(rep, rid, i)
         if got is None and c.done():
             got = i
         latest[rid] = rep
