@@ -104,7 +104,7 @@ class EquivocateWithholdLeader(_Scripted):
                                  counter=proposal_counter(self.view))
         px = m.Prepare(self.view, seq, chunk, ui_x)
         py = m.Prepare(self.view, seq + 1, chunk, ui_y)
-        followers = self.peers()
+        followers = self.peers
         first = followers[: self.cfg.f]
         out: List[tuple] = [("note", {"ev": "attack_equivocate", "seq": seq,
                                       "values": [ui_x.value, ui_y.value]})]
@@ -187,7 +187,7 @@ class CounterIdentityLeader(_Scripted):
         ui2 = self.tc.create_ui(m.prepare_digest(self.view, 1, bdb), counter=q2)
         pa = m.Prepare(self.view, 1, chunk_a, ui1)
         pb = m.Prepare(self.view, 1, chunk_b, ui2)
-        followers = self.peers()
+        followers = self.peers
         out.append(("note", {"ev": "parallel_timelines",
                              "counters": [ui1.counter, ui2.counter],
                              "values": [ui1.value, ui2.value]}))

@@ -1,16 +1,21 @@
-"""Canonical encoding, the package's one digest, and its two memo rules.
+"""Canonical encoding, the package's one digest, its frozen records and
+their two memo rules.
 
 It imports no other hybft module, so tc and messages share it as peers. A
-frozen dataclass keeps a memo in its __dict__ under "_" + the computing
-function's name, outside the fields: equality, hashing and
-dataclasses.replace ignore it. _once keeps a value of the instance alone;
-_keyed one that also depends on a key, the argument after the instance,
-for the last key only, reused while the key compares equal. A memo holds
-only what its own function computed.
+message, certificate or timeline entry is a _record: a frozen dataclass
+whose __init__ stores each field straight into the instance __dict__. It
+keeps a memo in that __dict__ under "_" + the computing function's name,
+outside the fields: equality, hashing and dataclasses.replace ignore it.
+_once keeps a value of the instance alone; _keyed one that also depends on
+a key, the argument after the instance, for the last key only, reused while
+the key compares equal. A memo holds only what its own function computed,
+or what _preset wrote: the same value, computed by whoever built the record
+before the record existed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import struct
@@ -59,6 +64,34 @@ def _enc(*fields) -> bytes:
 def _h(payload: bytes) -> bytes:
     """SHA-256 of payload: every digest and derived key in the package."""
     return hashlib.sha256(payload).digest()
+
+
+def _record(cls):
+    """`cls` as a frozen dataclass whose __init__ stores each field in the
+    instance __dict__, where the memos go too; dataclass's own makes one
+    object.__setattr__ call per field. Assignment still raises
+    FrozenInstanceError. A default must be a value: a factory would make
+    its field required."""
+    cls = dataclasses.dataclass(frozen=True, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    scope = {f"_{f.name}": f.default for f in fields}
+    params = ", ".join(f.name if f.default is dataclasses.MISSING
+                       else f"{f.name}=_{f.name}" for f in fields)
+    body = "".join(f"\n    fill[{f.name!r}] = {f.name}" for f in fields)
+    exec(f"def __init__(self, {params}):\n    fill = self.__dict__{body}",
+         scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+def _preset(record, **memos):
+    """`record` with the memo of each named _once method already holding
+    `memos`' value for it, which its builder computed first."""
+    fill = record.__dict__
+    for name, value in memos.items():
+        fill["_" + name] = value
+    return record
 
 
 def _once(method):

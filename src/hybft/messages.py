@@ -15,14 +15,13 @@ sized once and the size reused.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .encoding import _enc, _h, _keyed, _once
+from .encoding import _enc, _h, _keyed, _once, _record
 from . import resource_model as rm
 
 
-@dataclass(frozen=True)
+@_record
 class Request:
     client_id: int
     client_seq: int
@@ -104,7 +103,7 @@ def new_view_digest(view: int, sender: int, base: int,
     return _h(b"".join(items))
 
 
-@dataclass(frozen=True)
+@_record
 class Prepare:
     view: int
     seq: int
@@ -121,7 +120,7 @@ class Prepare:
         return prepare_digest(self.view, self.seq, self.bdigest())
 
 
-@dataclass(frozen=True)
+@_record
 class Commit:
     view: int
     seq: int
@@ -134,8 +133,13 @@ class Commit:
     def cdigest(self) -> bytes:
         return commit_digest(self.view, self.seq, self.sender, self.bdigest)
 
+    @_once
+    def pdigest(self) -> bytes:
+        """What an echo's certificate covers: its prepare's digest."""
+        return prepare_digest(self.view, self.seq, self.bdigest)
 
-@dataclass(frozen=True)
+
+@_record
 class Decision:
     """Commit proof forwarded so lagging replicas can commit directly.
 
@@ -152,7 +156,7 @@ class Decision:
     threshold: bool = False
 
 
-@dataclass(frozen=True)
+@_record
 class Reply:
     client_id: int
     client_seq: int
@@ -161,7 +165,7 @@ class Reply:
     result: bytes
 
 
-@dataclass(frozen=True)
+@_record
 class Checkpoint:
     seq: int
     state_digest: bytes
@@ -173,7 +177,7 @@ class Checkpoint:
         return checkpoint_digest(self.seq, self.state_digest)
 
 
-@dataclass(frozen=True)
+@_record
 class TimelineEntry:
     """One certified statement a replica has issued, with its certificate.
 
@@ -202,7 +206,7 @@ class TimelineEntry:
         return TimelineEntry(self.kind, self.seq, self.digest, self.cert)
 
 
-@dataclass(frozen=True)
+@_record
 class ViewChange:
     """A vote for new_view: the sender's certified log, every statement its
     component certified, in order, up to the attested stream positions."""
@@ -225,7 +229,7 @@ class ViewChange:
         return view_change_digest(self.core_digest(), self.attestation)
 
 
-@dataclass(frozen=True)
+@_record
 class NewView:
     view: int
     sender: int
@@ -242,25 +246,25 @@ class NewView:
                                self.viewchanges, self.prepares)
 
 
-@dataclass(frozen=True)
+@_record
 class FetchBatch:
     seq: int
     sender: int
 
 
-@dataclass(frozen=True)
+@_record
 class BatchResponse:
     prepare: Prepare
     sender: int
 
 
-@dataclass(frozen=True)
+@_record
 class FetchState:
     seq: int
     sender: int
 
 
-@dataclass(frozen=True)
+@_record
 class StateResponse:
     seq: int
     exec_digest: bytes

@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import messages as m
 from .config import SimConfig
-from .encoding import _enc, _h
+from .encoding import _enc, _h, _preset
 from .tc import (
     ContextCertificate,
     PhaseSkipCertificate,
@@ -100,12 +100,15 @@ class _Tracker:
         return (_key(self.claims), self.committed, self.view)
 
 
-# The Replica attributes that are not state: the configuration, which
-# clones share, and the write-only counters, which clones copy and no step
-# reads. Every other attribute, a subclass's too, is state: clone copies it,
-# share_equal_state shares it and state_key keys it (see _copy and _key).
-_CONFIG = frozenset({"id", "cfg", "window", "checkpoint_interval", "max_view",
-                     "directory", "client_keys"})
+# The Replica attributes that are not state: the configuration and what
+# __init__ derives from it once (n, the peers and their destinations, which
+# every broadcast reads), which clones share; and the write-only counters,
+# which clones copy and no step reads. Every other attribute, a subclass's
+# too, is state: clone copies it, share_equal_state shares it and state_key
+# keys it (see _copy and _key).
+_CONFIG = frozenset({"id", "cfg", "n", "peers", "peer_dsts", "window",
+                     "checkpoint_interval", "max_view", "directory",
+                     "client_keys"})
 _NOT_STATE = _CONFIG | {"stats", "decisions_sent", "decisions_suppressed"}
 
 
@@ -153,6 +156,9 @@ class Replica:
                  max_view: Optional[int] = None):
         self.id = replica_id
         self.cfg = cfg
+        self.n = cfg.n
+        self.peers = tuple(i for i in range(self.n) if i != replica_id)
+        self.peer_dsts = tuple(("replica", i) for i in self.peers)
         self.window = cfg.effective_window()
         self.checkpoint_interval = cfg.effective_checkpoint_interval()
         self.max_view = max_view       # caps view-change escalation (model checks)
@@ -212,10 +218,7 @@ class Replica:
 
     def is_leader(self, view: Optional[int] = None) -> bool:
         v = self.view if view is None else view
-        return leader_of(v, self.cfg.n) == self.id
-
-    def peers(self):
-        return [i for i in range(self.cfg.n) if i != self.id]
+        return leader_of(v, self.n) == self.id
 
     def _check_cert(self, cert, issuer: int,
                     digest: Optional[bytes]) -> Optional[str]:
@@ -239,7 +242,7 @@ class Replica:
         """The one rule for a leader's prepare, however it arrives; None if it
         passes. The view leader's certificate must bind position `seq` of the
         one stream that leader may use (any stream under the announced policy)."""
-        why = self._check_cert(cert, leader_of(view, self.cfg.n), digest)
+        why = self._check_cert(cert, leader_of(view, self.n), digest)
         if why is not None:
             return why
         stream, pos = self._slot(cert)
@@ -279,10 +282,15 @@ class Replica:
         proposal counter, which must be `seq`, and any other statement to the
         message counter. Prevention mode certifies the context (phase, view,
         seq), voiding the ids in between first if the phase is behind.
+
+        A message built here or from the entry gets the digests computed for
+        it preset in its memo (encoding._preset), so its receivers compute
+        none of them again.
         """
         prep, digest = None, statement
         if phase == "prepare":
-            digest = m.prepare_digest(view, seq, m.batch_digest(statement))
+            bdigest = m.batch_digest(statement)
+            digest = m.prepare_digest(view, seq, bdigest)
         elif phase == "commit":
             prep, digest = statement, m.commit_digest(
                 view, seq, self.id, statement.bdigest())
@@ -299,7 +307,8 @@ class Replica:
         else:
             cert = self.tc.create_ui(digest, counter=MSG_COUNTER)
         if phase == "prepare":
-            prep = m.Prepare(view, seq, statement, cert)
+            prep = _preset(m.Prepare(view, seq, statement, cert),
+                           bdigest=bdigest, pdigest=digest)
         entry = m.TimelineEntry(phase, seq if at is None else at, digest,
                                 cert, prep)
         self.timeline.append(entry)
@@ -329,7 +338,7 @@ class Replica:
         """The one stream the leader of `view` may bind its proposals to."""
         if self.cfg.mode == "prevention":
             return f"ctx:{view}"
-        return derive_counter_id(leader_of(view, self.cfg.n), proposal_counter(view))
+        return derive_counter_id(leader_of(view, self.n), proposal_counter(view))
 
     # ------------------------------------------------------------- requests
 
@@ -395,7 +404,7 @@ class Replica:
         self.next_seq = seq + 1
         self.inflight.add(seq)
         out: List[tuple] = [self._bind(prep, fresh=True)]
-        out += [("send", ("replica", p), prep) for p in self.peers()]
+        out += [("send", dst, prep) for dst in self.peer_dsts]
         out += self._echo(prep)
         out += self._credit(seq, self.view, prep.bdigest(), self.id, "prepare",
                             prep.cert)
@@ -418,9 +427,9 @@ class Replica:
 
     def _echo(self, prep: m.Prepare) -> List[tuple]:
         """The leader re-presents its prepare certificate as its attestation."""
-        echo = m.Commit(prep.view, prep.seq, self.id, prep.bdigest(),
-                        prep.cert, echo=True)
-        return [("send", ("replica", p), echo) for p in self.peers()]
+        echo = _preset(m.Commit(prep.view, prep.seq, self.id, prep.bdigest(),
+                                prep.cert, echo=True), pdigest=prep.pdigest())
+        return [("send", dst, echo) for dst in self.peer_dsts]
 
     # ------------------------------------------------------------ admission
 
@@ -438,7 +447,7 @@ class Replica:
         if why is not None:
             return self._drop(why, prep.seq)
         # both modes admit exactly the next position of the prepare's stream
-        key = (leader_of(prep.view, self.cfg.n), self._slot(prep.cert)[0])
+        key = (leader_of(prep.view, self.n), self._slot(prep.cert)[0])
         pinned = self.cfg.counter_policy == "pinned"
         cursor = self.cursors.get(key, self.admission_base if pinned else 0)
         if prep.seq <= cursor:
@@ -472,7 +481,7 @@ class Replica:
         out: List[tuple] = [self._bind(prep), ("note", {
             "ev": "admit", "seq": prep.seq, "view": prep.view})]
         out += self._credit(prep.seq, prep.view, prep.bdigest(),
-                            leader_of(prep.view, self.cfg.n), "prepare", prep.cert)
+                            leader_of(prep.view, self.n), "prepare", prep.cert)
         out += self._send_commit(prep)
         return out
 
@@ -492,9 +501,11 @@ class Replica:
         return self._emit_commit(prep)
 
     def _emit_commit(self, prep: m.Prepare) -> List[tuple]:
-        cert = self._cert("commit", prep.view, prep.seq, prep).cert
-        com = m.Commit(prep.view, prep.seq, self.id, prep.bdigest(), cert)
-        out: List[tuple] = [("send", ("replica", p), com) for p in self.peers()]
+        entry = self._cert("commit", prep.view, prep.seq, prep)
+        cert = entry.cert
+        com = _preset(m.Commit(prep.view, prep.seq, self.id, prep.bdigest(),
+                               cert), cdigest=entry.digest)
+        out: List[tuple] = [("send", dst, com) for dst in self.peer_dsts]
         out += self._credit(prep.seq, prep.view, com.bdigest, self.id,
                             "commit", cert)
         return out
@@ -520,9 +531,9 @@ class Replica:
         if com.echo:
             # an echo re-presents the leader's prepare certificate, so it is
             # credited to the leader whoever relays it
-            issuer, kind = leader_of(com.view, self.cfg.n), "prepare"
-            want = m.prepare_digest(com.view, com.seq, com.bdigest)
-            why = self._check_prepare(com.view, com.seq, want, com.cert)
+            issuer, kind = leader_of(com.view, self.n), "prepare"
+            why = self._check_prepare(com.view, com.seq, com.pdigest(),
+                                      com.cert)
         else:
             issuer, kind = com.sender, "commit"
             why = self._check_cert(com.cert, issuer, com.cdigest())
@@ -576,7 +587,7 @@ class Replica:
         """Whom to fetch from: the lowest other replica among `holders`, else
         the first peer."""
         return min((h for h in holders if h != self.id),
-                   default=self.peers()[0])
+                   default=self.peers[0])
 
     # ------------------------------------------------------------ decisions
 
@@ -585,8 +596,8 @@ class Replica:
         t = self.trackers.get(seq)
         if t is None:
             return []
-        lead = leader_of(t.view, self.cfg.n)
-        lagging = [p for p in self.peers()
+        lead = leader_of(t.view, self.n)
+        lagging = [p for p in self.peers
                    if p != lead and not self._peer_known_committed(p, seq)]
         if not lagging:
             self.decisions_suppressed += 1
@@ -619,7 +630,7 @@ class Replica:
             return []
         if len({s for s, _, _ in dec.proof}) < self.cfg.f + 1:
             return self._drop("decision_quorum", dec.seq)
-        lead = leader_of(dec.view, self.cfg.n)
+        lead = leader_of(dec.view, self.n)
         for sender, kind, cert in dec.proof:
             if kind == "prepare":
                 if sender != lead:
@@ -727,11 +738,11 @@ class Replica:
     def _emit_checkpoint(self, seq: int) -> List[tuple]:
         sdig = self._state_digest_from(self.exec_digest,
                                        self.last_reply.values())
+        digest = m.checkpoint_digest(seq, sdig)
         # a checkpoint's seq is unique and increasing: its context's view
-        cert = self._cert("checkpoint", seq, 1, m.checkpoint_digest(seq, sdig),
-                          at=seq).cert
-        ck = m.Checkpoint(seq, sdig, self.id, cert)
-        out: List[tuple] = [("send", ("replica", p), ck) for p in self.peers()]
+        cert = self._cert("checkpoint", seq, 1, digest, at=seq).cert
+        ck = _preset(m.Checkpoint(seq, sdig, self.id, cert), ckdigest=digest)
+        out: List[tuple] = [("send", dst, ck) for dst in self.peer_dsts]
         out += self._credit_checkpoint(ck)
         return out
 
@@ -804,13 +815,14 @@ class Replica:
         core = m.view_change_core_digest(target, self.id, self.stable_seq,
                                          timeline)
         att = self.tc.attest_state(core)
-        cert = self._cert("viewchange", target, 1,
-                          m.view_change_digest(core, att), at=target).cert
-        vc = m.ViewChange(target, self.id, self.stable_seq, self.stable_cert,
-                          timeline, att, cert)
+        vdigest = m.view_change_digest(core, att)
+        cert = self._cert("viewchange", target, 1, vdigest, at=target).cert
+        vc = _preset(m.ViewChange(target, self.id, self.stable_seq,
+                                  self.stable_cert, timeline, att, cert),
+                     core_digest=core, vdigest=vdigest)
         out: List[tuple] = [("note", {"ev": "viewchange", "target": target,
                                       "reason": reason})]
-        new_leader = leader_of(target, self.cfg.n)
+        new_leader = leader_of(target, self.n)
         if new_leader == self.id:
             out += self.on_view_change(vc)
         else:
@@ -837,7 +849,7 @@ class Replica:
         return self._start_view_change(target + 1, reason="escalate")
 
     def on_view_change(self, vc: m.ViewChange) -> List[tuple]:
-        if leader_of(vc.new_view, self.cfg.n) != self.id or vc.new_view <= self.view:
+        if leader_of(vc.new_view, self.n) != self.id or vc.new_view <= self.view:
             return []
         try:
             rule = self._validate_view_change(vc)
@@ -947,19 +959,18 @@ class Replica:
         new_preps = [self._cert("prepare", view, old.seq, old.requests).prepare
                      for old in reprops]
         vcs = tuple(votes[s] for s in sorted(votes))
-        cert = self._cert("newview", view, 1,
-                          m.new_view_digest(view, self.id, base, vcs, new_preps),
-                          at=view).cert
-        nv = m.NewView(view, self.id, vcs, base, stable, skip,
-                       tuple(new_preps), cert)
-        out: List[tuple] = [("send", ("replica", p), nv) for p in self.peers()]
+        ndigest = m.new_view_digest(view, self.id, base, vcs, new_preps)
+        cert = self._cert("newview", view, 1, ndigest, at=view).cert
+        nv = _preset(m.NewView(view, self.id, vcs, base, stable, skip,
+                               tuple(new_preps), cert), ndigest=ndigest)
+        out: List[tuple] = [("send", dst, nv) for dst in self.peer_dsts]
         out.append(("note", {"ev": "newview", "view": view, "base": base,
                              "reproposed": [p.seq for p in new_preps]}))
         out += self._adopt_new_view(nv, as_leader=True)
         return out
 
     def on_new_view(self, nv: m.NewView) -> List[tuple]:
-        if nv.view <= self.view or nv.sender != leader_of(nv.view, self.cfg.n):
+        if nv.view <= self.view or nv.sender != leader_of(nv.view, self.n):
             return []
         try:
             rule = self._validate_new_view(nv)

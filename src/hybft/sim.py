@@ -2,10 +2,10 @@
 
 Virtual time is integer nanoseconds. Events run in (time, priority,
 insertion) order; deliveries carry a lower priority number than timers, so a
-message arriving at the same instant a timer expires is processed first. The
-EventQueue keeps one heap entry per distinct (time, priority) that owns its
-events in insertion order, so a broadcast under a constant delay costs one
-heap entry, not one per recipient. Per-message network delays are derived
+message arriving at the same instant a timer expires is processed first. In
+the EventQueue a seeded send, which nearly always has a (time, priority) of
+its own, is one heap entry, and a broadcast under a constant delay is one
+heap entry for all its recipients. Per-message network delays are derived
 from a keyed hash of the channel and a per-channel counter, never from a
 shared PRNG stream, so two runs that differ only in an extra message class
 keep identical delays for the messages they have in common. A constant delay
@@ -14,8 +14,8 @@ seed, the event's index and time, its owner and its message type or timer.
 
 The host's bookkeeping is per step, not per message. Most steps return no
 effects (at f=30 nearly every request and reply delivery), and those skip
-`_apply`; the ledger still takes the component's certificates after every
-replica step. `_apply` sizes, names and counts a run of one message object
+`_apply`; after every replica step the ledger takes the certificates its
+component issued, if it issued any. `_apply` sizes, names and counts a run of one message object
 (a broadcast) once, and under a constant delay appends every send of the
 step to the one event list of its (time, priority) key.
 
@@ -45,13 +45,14 @@ import csv
 import gc
 import hashlib
 import heapq
+import itertools
 import json
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from . import adversary as adversary_mod
 from . import messages as m
@@ -153,45 +154,72 @@ def write_tally_csv(path: str, rows: List[Dict]) -> None:
 class EventQueue:
     """Events in (time, priority, insertion) order.
 
-    The heap holds each distinct (time, priority) key once, and the key owns
-    its events in insertion order. Iterating pops (time, priority, event)
-    until the queue is empty; events pushed meanwhile join in order. When a
-    handler pushes at a key below the one being drained (a zero-delay
-    delivery among the timers of its instant), the key's remaining events go
-    back on the heap, still ahead of any later push at that key.
+    A pushed event is one heap entry, (time, priority, insertion number,
+    event). `slot` opens an event list at a (time, priority) key instead:
+    one heap entry for every event appended to it, which is how a broadcast
+    under a constant delay is queued. While a key's list is open, a push at
+    that key joins the list, so the key's events keep insertion order.
+    Iterating pops (time, priority, event) until the queue is empty; events
+    pushed meanwhile join in order. When a handler pushes below the key of
+    the list being drained (a zero-delay delivery among the timers of its
+    instant), the list's remaining events go back on the heap under their
+    old insertion number, still ahead of any later push at that key. An
+    event is never a list.
     """
 
     def __init__(self):
-        self._keys: List[Tuple[int, int]] = []
-        self._events: Dict[Tuple[int, int], list] = {}
+        self._heap: List[tuple] = []
+        self._lists: Dict[Tuple[int, int], list] = {}   # the open slots
+        self._count = itertools.count()
 
     def push(self, t: int, prio: int, event) -> None:
-        self.slot(t, prio).append(event)
+        lists = self._lists
+        if lists:
+            events = lists.get((t, prio))
+            if events is not None:
+                events.append(event)
+                return
+        heapq.heappush(self._heap, (t, prio, next(self._count), event))
 
     def slot(self, t: int, prio: int) -> list:
         """The event list of key (t, prio): appending to it is a push."""
-        events = self._events.get((t, prio))
+        events = self._lists.get((t, prio))
         if events is None:
-            events = self._events[(t, prio)] = []
-            heapq.heappush(self._keys, (t, prio))
+            events = self._lists[(t, prio)] = []
+            heapq.heappush(self._heap, (t, prio, next(self._count), events))
         return events
 
     def __iter__(self):
-        keys, lists = self._keys, self._events
-        while keys:
-            key = heapq.heappop(keys)
-            t, prio = key
-            events = lists[key]
-            for i, event in enumerate(events):
+        heap, lists, pop = self._heap, self._lists, heapq.heappop
+        while heap:
+            t, prio, n, item = pop(heap)
+            if type(item) is not list:
+                yield t, prio, item
+                continue
+            key = (t, prio)
+            for i, event in enumerate(item):
                 yield t, prio, event
-                if keys and keys[0] < key:
-                    del lists[key]
-                    if i + 1 < len(events):
-                        lists[key] = events[i + 1:]
-                        heapq.heappush(keys, key)
+                if heap and heap[0] < key:
+                    rest = item[i + 1:]
+                    if rest:
+                        lists[key] = rest
+                        heapq.heappush(heap, (t, prio, n, rest))
+                    else:
+                        del lists[key]
                     break
             else:
                 del lists[key]
+
+
+def _delays(keyed, lo: int, hi: int) -> Iterator[int]:
+    """One channel's delays in lo..hi, in order: the idx-th is drawn from
+    the channel's keyed hash extended by idx. It holds no simulator, so a
+    run's channels make no reference cycle."""
+    span = hi - lo + 1
+    for idx in itertools.count():
+        h = keyed.copy()
+        h.update(_INT(8, idx))
+        yield lo + int.from_bytes(h.digest(), "big") % span
 
 
 @contextmanager
@@ -212,8 +240,8 @@ class Simulator:
         self.cfg = cfg
         self.now = 0
         self._queue = EventQueue()
-        # per channel: a keyed hash of (src, dst) and a count of varying delays
-        self._chan: Dict[tuple, list] = {}
+        # per source and destination: the channel's varying delays
+        self._chan: Dict[tuple, Dict[tuple, Iterator[int]]] = {}
         self._seed_key = _h(_enc("delay", cfg.seed))[:32]
         self.trace: List[Dict] = []
         self.msgs_by_type: Dict[str, int] = {}
@@ -274,23 +302,21 @@ class Simulator:
         self._queue.push(t, _PRIO_ADMIN, (action, params))
 
     def _delay(self, src: Tuple[str, int], dst: Tuple[str, int]) -> int:
-        lo, hi = self.cfg.delay_min_ns, self.cfg.delay_max_ns
-        chan = self._chan.get((src, dst))
-        if chan is None:
-            chan = self._chan[(src, dst)] = [hashlib.blake2b(
-                _enc(self._labels[src], self._labels[dst]),
-                key=self._seed_key, digest_size=8), 0]
-        keyed, idx = chan
-        chan[1] = idx + 1
-        h = keyed.copy()
-        h.update(_INT(8, idx))
-        return lo + int.from_bytes(h.digest(), "big") % (hi - lo + 1)
+        """The next delay on channel (src, dst) (see _delays)."""
+        try:
+            return next(self._chan[src][dst])
+        except KeyError:
+            delays = self._chan.setdefault(src, {})[dst] = _delays(
+                hashlib.blake2b(_enc(self._labels[src], self._labels[dst]),
+                                key=self._seed_key, digest_size=8),
+                self.cfg.delay_min_ns, self.cfg.delay_max_ns)
+            return next(delays)
 
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
         # Sizing comes first, so an unsized message raises before any send
         # of it is queued or counted; a fixed-size type is sized once per
         # simulator. A varying delay is drawn per send, on its channel.
-        cfg, queue, now = self.cfg, self._queue, self.now
+        cfg, queue, now, draw = self.cfg, self._queue, self.now, self._delay
         msgs, nbytes = self.msgs_by_type, self.bytes_by_type
         constant = cfg.delay_min_ns == cfg.delay_max_ns
         deliveries = None
@@ -319,7 +345,7 @@ class Simulator:
                                                 _PRIO_DELIVER)
                     deliveries.append((dst, owner, msg))
                 else:
-                    queue.push(now + self._delay(owner, dst), _PRIO_DELIVER,
+                    queue.push(now + draw(owner, dst), _PRIO_DELIVER,
                                (dst, owner, msg))
             elif tag == "timer":
                 _, kind, key, delay = eff
@@ -341,8 +367,8 @@ class Simulator:
 
     def run(self) -> RunResult:
         """Run every event up to cfg.duration_ns. A step's effects go to
-        `_apply` only if there are any, and after every replica step the
-        ledger takes what its component issued."""
+        `_apply` only if there are any, and after a replica step the ledger
+        takes what its component issued, if anything."""
         cfg = self.cfg
         duration, record = cfg.duration_ns, cfg.record_trace
         replicas, clients, ledger = self.replicas, self.clients, self.ledger
@@ -380,7 +406,9 @@ class Simulator:
                     if effects:
                         apply(owner, effects)
                     if owner[0] == "replica":
-                        ledger.take_issued(owner[1], replicas[owner[1]].tc)
+                        tc = replicas[owner[1]].tc
+                        if tc.issued:
+                            ledger.take_issued(owner[1], tc)
             except Exception as exc:
                 exc.add_note(self._context(index, t, prio, event))
                 raise

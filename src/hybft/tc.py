@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .encoding import _enc, _h, _keyed, _once
+from .encoding import _enc, _h, _keyed, _once, _record
 
 
 class TcMode(Enum):
@@ -70,7 +70,7 @@ def derive_counter_id(replica_id: int, purpose: str) -> str:
     return f"r{replica_id}:{purpose}"
 
 
-@dataclass(frozen=True)
+@_record
 class UniqueIdentifier:
     """Certificate binding one counter value to one message hash, once."""
 
@@ -87,7 +87,7 @@ class UniqueIdentifier:
                     self.value, self.msg_hash)
 
 
-@dataclass(frozen=True)
+@_record
 class SkipCertificate:
     """Attests that counter values first..last were voided, never assigned."""
 
@@ -104,7 +104,7 @@ class SkipCertificate:
                     self.first, self.last)
 
 
-@dataclass(frozen=True)
+@_record
 class ContextCertificate:
     """Prevention-mode certificate: one (phase, view, seq) id, certified once."""
 
@@ -122,7 +122,7 @@ class ContextCertificate:
                     self.view, self.seq, self.msg_hash)
 
 
-@dataclass(frozen=True)
+@_record
 class PhaseSkipCertificate:
     """Attests every context id between two positions of one phase was voided."""
 
@@ -141,7 +141,7 @@ class PhaseSkipCertificate:
                     self.from_view, self.from_seq, self.to_view, self.to_seq)
 
 
-@dataclass(frozen=True)
+@_record
 class StateAttestation:
     """Attested read of every counter and phase position, bound to a nonce.
 
@@ -232,9 +232,6 @@ class Directory:
         if public_key is not None:
             self._public_keys[replica_id] = public_key
 
-    def expected_epoch(self, replica_id: int) -> int:
-        return self._epochs[replica_id]
-
     def verify(self, cert) -> VerifyStatus:
         """SIG-mode verification, with no trusted component: the epoch is
         checked at every call, the signature once per key (sig_verdict)."""
@@ -256,7 +253,7 @@ class TrustedComponent:
         "skip_contexts", "flexi_create_counter", "attest_state",
         "snapshot", "restore", "crash",
         "replica_id", "epoch", "mode", "strict", "accesses",
-        "take_issued", "is_crashed", "public_key", "state_key", "clone",
+        "issued", "take_issued", "is_crashed", "public_key", "state_key", "clone",
     )
 
     def __init__(self, replica_id: int, *, mode: TcMode = TcMode.HMAC,
@@ -274,7 +271,8 @@ class TrustedComponent:
         self._phases: Dict[str, Tuple[int, int]] = {}
         self._flexi_serial = 0
         self._flexi_names: set = set()
-        self._issued: List = []        # issued since the host last took them
+        # issued since the host last took them: read it, take with take_issued
+        self.issued: List = []
         if mode is TcMode.HMAC:
             if system_key is None:
                 raise ValueError("HMAC mode requires a system key")
@@ -301,9 +299,9 @@ class TrustedComponent:
     def take_issued(self) -> List:
         """Certificates issued since the last take, for the host's audit. An
         empty take is the component's own list, read before it issues again."""
-        taken = self._issued
+        taken = self.issued
         if taken:
-            self._issued = []
+            self.issued = []
         return taken
 
     def clone(self) -> "TrustedComponent":
@@ -314,7 +312,7 @@ class TrustedComponent:
         restore, the fork keeps the epoch and the access count.
         """
         child = type(self).__new__(type(self))
-        child.__dict__.update(self.__dict__, _issued=list(self._issued))
+        child.__dict__.update(self.__dict__, issued=list(self.issued))
         _copy_counter_state(self.__dict__, child.__dict__)
         return child
 
@@ -335,11 +333,12 @@ class TrustedComponent:
         return self._signer.sign(payload)
 
     def _issue(self, cls, *fields):
-        """Certificate of type `cls` over `fields`, proven, kept until taken."""
-        payload = cls(self.replica_id, self.epoch, *fields, b"").payload()
-        cert = cls(self.replica_id, self.epoch, *fields, self._prove(payload))
-        cert.__dict__["_payload"] = payload   # payload() leaves out the proof
-        self._issued.append(cert)
+        """Certificate of type `cls` over `fields`, proven, kept until taken.
+        It is built once: payload() leaves out the proof, which goes in
+        last, before any caller sees the certificate."""
+        cert = cls(self.replica_id, self.epoch, *fields, b"")
+        cert.__dict__["proof"] = self._prove(cert.payload())
+        self.issued.append(cert)
         return cert
 
     def _counter_id(self, counter: str) -> str:
@@ -440,13 +439,14 @@ class TrustedComponent:
 
         Counts as one access against this (the verifier's) component; that is
         the cost asymmetry between the two certificate modes. Every call
-        checks the epoch and compares the certificate's proof with its
+        checks the epoch, which an unregistered replica has none of, as in
+        Directory.verify, and compares the certificate's proof with its
         expected tag, which hmac_tag computes once per key.
         """
         self._touch()
         if self.mode is not TcMode.HMAC:
             raise ModeViolation("SIG-mode certificates verify via the directory")
-        if directory.expected_epoch(cert.replica_id) != cert.epoch:
+        if directory._epochs.get(cert.replica_id) != cert.epoch:
             return VerifyStatus.STALE_EPOCH
         if not hmac_mod.compare_digest(hmac_tag(cert, self._key), cert.proof):
             return VerifyStatus.INVALID

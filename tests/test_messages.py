@@ -13,11 +13,13 @@ import dataclasses
 import hashlib
 import hmac
 import inspect
+import pickle
 
 import pytest
 
 from hybft import messages as m
 from hybft import resource_model as rm
+from hybft import tc as tc_module
 from hybft.cli import _exact_cell
 from hybft.config import SimConfig
 from hybft.encoding import _enc
@@ -28,6 +30,7 @@ from hybft.tc import (
     SkipCertificate,
     StateAttestation,
     UniqueIdentifier,
+    hmac_tag,
 )
 
 from conftest import assert_memo_slots, make_hmac_tc
@@ -162,7 +165,9 @@ _DIGESTS = {
                 "pdigest": lambda p: m.prepare_digest(
                     p.view, p.seq, m.batch_digest(p.requests))},
     m.Commit: {"cdigest": lambda c: m.commit_digest(c.view, c.seq, c.sender,
-                                                    c.bdigest)},
+                                                    c.bdigest),
+               "pdigest": lambda c: m.prepare_digest(c.view, c.seq,
+                                                     c.bdigest)},
     m.Checkpoint: {"ckdigest": lambda k: m.checkpoint_digest(k.seq,
                                                              k.state_digest)},
     m.TimelineEntry: {"encoding": lambda e: _enc(e.kind, e.seq, e.digest),
@@ -212,6 +217,83 @@ def test_memoized_methods_stay_plain_functions_on_the_class():
     for cls, names in _DIGESTS.items():
         for name in names:
             assert inspect.isfunction(cls.__dict__[name])
+
+
+# --------------------------------------------------------- frozen records
+
+
+def _one_of_each_record():
+    """One message, timeline entry and certificate of each frozen type, with
+    every memo its instance methods keep, and its tags under two keys."""
+    ui, skip, att, ctx, pskip = _one_of_each_certificate()
+    req = m.tagged_request(CLIENT_KEY, 0, 1, b"op")
+    prep = m.Prepare(0, 1, (req,), ui)
+    rep = m.Reply(0, 1, 1, 2, b"result")
+    ck = m.Checkpoint(1, _h(b"state"), 1, ctx)
+    entry = m.TimelineEntry("prepare", 1, prep.pdigest(), ui, prep)
+    vc = m.ViewChange(1, 1, 0, (), (entry,), att, ui)
+    records = [
+        req, prep, rep, ck, entry, vc,
+        m.Commit(0, 1, 1, prep.bdigest(), ui),
+        m.Decision(0, 1, 1, prep.bdigest(), ((1, "commit", ui),)),
+        m.NewView(1, 1, (vc,), 0, (), skip, (prep,), ui),
+        m.FetchBatch(1, 1), m.BatchResponse(prep, 1), m.FetchState(1, 1),
+        m.StateResponse(1, _h(b"exec"), (rep,), (ck,), 1),
+        ui, skip, att, ctx, pskip,
+    ]
+    for record in records:
+        for name in _memoized(type(record)):
+            getattr(record, name)()
+    for cert in (ui, skip, att, ctx, pskip):
+        hmac_tag(cert, b"k" * 32)
+    return records
+
+
+def _memoized(cls) -> list:
+    """The names of cls's methods that keep a memo of the instance alone."""
+    return [name for name, method in vars(cls).items()
+            if not name.startswith("__") and hasattr(method, "__wrapped__")
+            and len(inspect.signature(method).parameters) == 1]
+
+
+def _frozen_types(module) -> set:
+    return {cls for cls in vars(module).values() if isinstance(cls, type)
+            and dataclasses.is_dataclass(cls)
+            and cls.__dataclass_params__.frozen}
+
+
+def test_every_frozen_record_type_is_sampled():
+    assert {type(r) for r in _one_of_each_record()} == (
+        _frozen_types(m) | _frozen_types(tc_module))
+
+
+def test_a_frozen_record_refuses_assignment():
+    for record in _one_of_each_record():
+        for name in [f.name for f in dataclasses.fields(record)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+
+
+def test_memos_stay_out_of_equality_and_hashing():
+    for record in _one_of_each_record():
+        twin = fresh(record)
+        assert bool(_memos(record)) == bool(_memoized(type(record)))
+        assert not _memos(twin)
+        assert twin == record and hash(twin) == hash(record)
+
+
+def test_replace_and_pickle_give_back_equal_fields():
+    for record in _one_of_each_record():
+        fields = dataclasses.astuple(record)
+        for copy in (dataclasses.replace(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(copy) is type(record)
+            assert dataclasses.astuple(copy) == fields
+            assert copy == record and hash(copy) == hash(record)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(copy, dataclasses.fields(record)[0].name, 1)
 
 
 # --------------------------------------------------------------- execution
