@@ -174,6 +174,18 @@ def test_each_channel_keeps_its_own_delay_sequence():
                 cfg, sim._labels[src], sim._labels[dst], idx)
 
 
+def test_the_first_seeded_delays_are_pinned():
+    # the literal values, so a change to the derivation that the helper
+    # above copied as well still shows
+    sim = Simulator(SimConfig(f=1, clients=2, seed=9))
+    replica_link, reply_link = ((("replica", 0), ("replica", 1)),
+                                (("replica", 2), ("client", 1)))
+    assert [sim._delay(*replica_link) for _ in range(8)] == [
+        2296077, 4634383, 4604696, 1515679, 1536827, 1321947, 2291145, 4913086]
+    assert [sim._delay(*reply_link) for _ in range(8)] == [
+        3897412, 3042304, 1186086, 3251147, 2363043, 2163030, 3631245, 1471351]
+
+
 # ------------------------------------------------------------- event queue
 
 # (delay, priority, entry): an entry of True appends to the list that
