@@ -6,7 +6,9 @@ that travel with the message (a commit proof never needs the batch payload).
 A message keeps its digests, and a request its execution digests and its
 authenticator (request_auth; a client tags with tagged_request), under the
 memo rules of hybft.encoding, so the replicas that receive one message object
-compute each once between them.
+compute each once between them; a digest its sender computed to certify the
+message comes preset (Replica._cert), and they compute none. Every type here
+is an encoding._record.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart; a fixed-size type (FIXED_SIZE) may be
 sized once and the size reused.
