@@ -211,13 +211,6 @@ def _params(cfg) -> Dict:
             for name, (_, default) in ADVERSARY_PARAMS[cfg.adversary].items()}
 
 
-def scripted_leader(cfg, tc, directory, client_keys) -> _Scripted:
-    """Replica 0 running cfg.adversary's leader script: the simulator's
-    faulty leader and the model checker's, so both run one attack."""
-    return _LEADER_SCRIPTS[cfg.adversary](0, cfg, tc, directory, client_keys,
-                                          params=_params(cfg))
-
-
 def install(sim) -> Set[int]:
     """Swap in scripted replicas / schedule admin events. Returns faulty ids."""
     cfg = sim.cfg
@@ -237,8 +230,8 @@ def install(sim) -> Set[int]:
         return set()
     byz = {0}
     old = sim.replicas[0]
-    sim.replicas[0] = scripted_leader(cfg, old.tc, sim.directory,
-                                      old.client_keys)
+    sim.replicas[0] = _LEADER_SCRIPTS[cfg.adversary](
+        0, cfg, old.tc, sim.directory, old.client_keys, params=params)
     if cfg.adversary == "silent_repliers":
         for rid in range(1, cfg.f):
             prev = sim.replicas[rid]

@@ -46,7 +46,8 @@ class Client:
         self.records: List[LatencyRecord] = []
         self.retransmits = 0
 
-    def _make_request(self, seq: int) -> m.Request:
+    def make_request(self, seq: int) -> m.Request:
+        """Request `seq` of this client, tagged with its key."""
         payload = hashlib.shake_256(
             f"client{self.id}:{seq}".encode()).digest(self.payload_size)
         return m.tagged_request(self.key, self.id, seq, payload)
@@ -57,7 +58,7 @@ class Client:
         return self._submit(now)
 
     def _submit(self, now: int) -> List[tuple]:
-        req = self._make_request(self.next_seq)
+        req = self.make_request(self.next_seq)
         self.inflight = req
         self.submitted_at = now
         self.replies = {}
@@ -69,9 +70,8 @@ class Client:
 
     def on_reply(self, rep: m.Reply, sender: int, now: int) -> List[tuple]:
         """Count `rep` under `sender`, the replica the host delivered it
-        from, not under its replica_id: a replica that took state by
-        transfer resends the replies it got, and a faulty one can name any
-        replica."""
+        from. A reply names no replica, so a replica that took state by
+        transfer resends the replies it got as its own."""
         req = self.inflight
         if req is None or rep.client_seq != req.client_seq:
             return []

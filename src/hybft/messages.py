@@ -163,7 +163,6 @@ class Reply:
     client_id: int
     client_seq: int
     seq: int
-    replica_id: int
     result: bytes
 
 

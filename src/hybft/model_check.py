@@ -11,14 +11,17 @@ Three layers:
    attestations for one slot, asserting a replica marks it committed exactly
    when f+1 distinct senders back one digest.
 
-3. Protocol interleavings: a small world (faulty leader 0, correct
-   followers 1..2f) explored over every message delivery order and timer
-   schedule. Leader 0 is the simulator's adversary script, built by
-   adversary.scripted_leader; the Prepares it sends are in flight when the
-   search starts. Every reachable state's ledger must pass the simulator's
-   safety oracle (sim.safety_violations); at least one terminal state must
-   show full commitment, demonstrating progress is reachable in the
-   scenario.
+3. Protocol interleavings: a small world explored over every message
+   delivery order and timer schedule. A world is a configuration:
+   World.from_config(cfg) builds sim.Simulator(cfg), does not run it, and
+   takes its replicas and its clients' requests, so a world is set up as a
+   simulator run is. Faulty leader 0 runs cfg's adversary script on the
+   requests first, and the Prepares it sends correct replica i are in
+   flight on channel ("r0", i); correct replica i takes the requests from
+   channel ("c0", i). Every reachable state's ledger must pass the
+   simulator's safety oracle (sim.safety_violations); a pinned world shows
+   at least one terminal state of full commitment, demonstrating progress
+   is reachable in the scenario.
 
    A world is its row plus its ledger. The row is its key: one flat tuple
    of ids into a table that all worlds of one root share (SPIN's collapse
@@ -48,13 +51,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from . import messages as m
-from .adversary import scripted_leader
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .encoding import _h
 from .protocol import Replica
-from .sim import Ledger, safety_violations
-from .tc import (Directory, EquivocationRefused, SequenceRefused, TcMode,
-                 TrustedComponent)
+from .sim import Ledger, Simulator, safety_violations
+from .tc import EquivocationRefused, SequenceRefused, TcMode, TrustedComponent
+
+# A world's correct replicas escalate view changes up to this view, so that
+# a world whose leaders stay faulty or silent is still finite.
+_MAX_VIEW = 2
 
 _KEY = _h(b"model-check-key")
 _H1 = _h(b"payload-one")
@@ -176,24 +181,22 @@ def explore_context_traces(depth: int = 6) -> Dict[str, int]:
 
 def check_commit_quorum(f: int = 2) -> Dict[str, int]:
     """Feed one slot every subset and order of attestations; committed must
-    appear exactly at f+1 distinct senders behind a single digest."""
+    appear exactly at f+1 distinct senders behind a single digest. The
+    senders' components and the receiver, a clone of replica n-1 per order,
+    are those of a simulator of n = 2f+1 replicas, built and not run."""
     n = 2 * f + 1
-    key = _h(b"clients")
+    host = Simulator(SimConfig(f=f, decisions=False, window=200))
     checked = 0
     digests = [_h(b"batch-a"), _h(b"batch-b")]
-    tcs = [_fresh_tc(i) for i in range(n)]
     pool = []
     for sender in range(1, n):
         for dig in digests:
-            cdig = m.commit_digest(0, 1, sender, dig)
-            pool.append((sender, dig, tcs[sender].create_ui(cdig)))
-    directory = Directory(TcMode.HMAC)
-    for i in range(n):
-        directory.register(i, 1)
-    cfg = SimConfig(f=f, decisions=False, window=200)
+            ui = host.replicas[sender].tc.create_ui(
+                m.commit_digest(0, 1, sender, dig))
+            pool.append((sender, dig, ui))
     for size in range(0, 4):
         for combo in itertools.permutations(pool, size):
-            rep = Replica(n - 1, cfg, _fresh_tc(n - 1), directory, {0: key})
+            rep = host.replicas[n - 1].clone()
             for sender, dig, cert in combo:
                 if sender == rep.id:
                     continue
@@ -336,19 +339,49 @@ class World:
     table: _Table
 
     @classmethod
-    def root(cls, replicas: Dict[int, Replica], channels: Dict[tuple, tuple],
-             byz: Set[int]) -> "World":
-        """A world of the correct `replicas` with `channels` in flight, no
-        timer armed, an empty ledger and a new table. The slots are the
-        channels of `channels` and every channel between two correct
-        replicas."""
-        rids = sorted(replicas)
+    def from_config(cls, cfg: SimConfig) -> "World":
+        """The root world of `cfg`: the correct replicas of its simulator,
+        built and not run, with views capped at _MAX_VIEW, once each has
+        taken every client's requests 1..requests_per_client from channel
+        (f"c{cid}", i). Each faulty replica handles those requests first;
+        the Prepares it sends correct replica i are in flight on channel
+        (f"r{rid}", i), and its other sends go nowhere. The slots are those
+        channels and every channel between two correct replicas."""
+        if cfg.adversary == "crash_tcs":
+            raise ConfigError("the model checker cannot schedule crash_tcs's "
+                              "timed component actions")
+        host = Simulator(cfg)
+        byz = host.byz_ids
+        correct = [rep for rep in host.replicas if rep.id not in byz]
+        for rep in correct:
+            rep.max_view = _MAX_VIEW
+        reqs = {f"c{c.id}": tuple(map(c.make_request,
+                                      range(1, cfg.requests_per_client + 1)))
+                for c in host.clients}
+        delivered = [(src, rep.id) for rep in correct for src in reqs]
+        channels = {ch: reqs[ch[0]] for ch in delivered}
+        for rid in sorted(byz):
+            for req in itertools.chain(*reqs.values()):
+                for eff in host.replicas[rid].handle(req, 0):
+                    # an explicit raise, so that python -O keeps the check
+                    if (eff[0] == "note"
+                            and eff[1]["ev"] == "attack_unexpected_success"):
+                        raise AssertionError(
+                            "component must refuse the second context binding")
+                    if (eff[0] == "send" and isinstance(eff[2], m.Prepare)
+                            and eff[1][1] not in byz):
+                        ch = (f"r{rid}", eff[1][1])
+                        channels[ch] = channels.get(ch, ()) + (eff[2],)
+        rids = [rep.id for rep in correct]
         t = _Table(rids, byz, sorted(set(channels) | {
             (f"r{a}", b) for a in rids for b in rids if a != b}))
-        return cls((t.own(frozenset()),)
-                   + tuple(t.replica(replicas[rid]) for rid in rids)
-                   + tuple(t.own(tuple(map(t.own, channels.get(ch, ()))))
-                           for ch in t.slots), Ledger(), t)
+        world = cls((t.own(frozenset()),) + tuple(map(t.replica, correct))
+                    + tuple(t.own(tuple(map(t.own, channels.get(ch, ()))))
+                            for ch in t.slots), Ledger(), t)
+        for ch in delivered:
+            for _ in reqs[ch[0]]:
+                world = world.apply(("deliver", ch))
+        return world
 
     def state_key(self) -> tuple:
         # The ledger is left out, as the replica histories and component
@@ -462,67 +495,36 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
             "full_commit_terminals": full_commit_terminals}
 
 
-# -- scenario builders -------------------------------------------------------
-
-
-def _mc_setup(script: str, mode: str = "detection", decisions: bool = True,
-              requests: int = 1, checkpoint_interval: int = 1000,
-              f: int = 1) -> World:
-    """The world of n = 2f+1 replicas once `requests` requests from client 0
-    have reached each replica: correct replica i by apply from channel
-    ("c0", i), and faulty replica 0, the simulator's script `script` with
-    trigger 1, by its own handle. Channel ("byz", i) holds the Prepares
-    replica 0 sent replica i, in send order, and nothing else."""
-    n = 2 * f + 1
-    cfg = SimConfig(f=f, mode=mode, decisions=decisions, delta_ns=1,
-                    checkpoint_interval=checkpoint_interval,
-                    window=2 * checkpoint_interval,
-                    suspicion_timeout_ns=1, viewchange_timeout_ns=1,
-                    adversary=script, adversary_params={"trigger": 1})
-    directory = Directory(TcMode.HMAC)
-    for i in range(n):
-        directory.register(i, 1)
-    ckey = _h(b"mc-client")
-    replicas = {rid: Replica(rid, cfg, _fresh_tc(rid), directory, {0: ckey},
-                             max_view=2)
-                for rid in range(1, n)}
-    payload = b"transfer-10"
-    reqs = tuple(m.tagged_request(ckey, 0, seq, payload)
-                 for seq in range(1, requests + 1))
-    channels = {("c0", rid): reqs for rid in replicas}
-    leader = scripted_leader(cfg, _fresh_tc(0), directory, {0: ckey})
-    for req in reqs:
-        for eff in leader.handle(req, 0):
-            # an explicit raise, so that python -O keeps the check
-            if eff[0] == "note" and eff[1]["ev"] == "attack_unexpected_success":
-                raise AssertionError(
-                    "component must refuse the second context binding")
-            if eff[0] == "send" and isinstance(eff[2], m.Prepare):
-                ch = ("byz", eff[1][1])
-                channels[ch] = channels.get(ch, ()) + (eff[2],)
-    world = World.root(replicas, channels, byz={0})
-    for rid in replicas:
-        for _ in reqs:
-            world = world.apply(("deliver", ("c0", rid)))
-    return world
+# -- scenario worlds -----------------------------------------------------
+# One client, faulty leader 0 tripping at seq 1, and no checkpoint unless
+# asked for; the timeouts keep their defaults, as the checker's timers
+# carry no time.
 
 
 def equivocate_world(decisions: bool = True) -> World:
     """Faulty leader re-binds the request at values 1 and 2; follower 1 sees
     both (flags the duplicate), follower 2 sees only value 2 (freezes)."""
-    return _mc_setup("equivocate_withhold", decisions=decisions)
+    return World.from_config(SimConfig(
+        decisions=decisions, clients=1, requests_per_client=1,
+        checkpoint_interval=1000, window=2000,
+        adversary="equivocate_withhold", adversary_params={"trigger": 1}))
 
 
 def gap_world(decisions: bool = False, requests: int = 1,
               checkpoint_interval: int = 1000, f: int = 1) -> World:
     """Faulty leader consumes value 1 and sends nothing; the run must cross
     a view change to make progress. At f=2 the world has n=5."""
-    return _mc_setup("gap_forever", decisions=decisions, requests=requests,
-                     checkpoint_interval=checkpoint_interval, f=f)
+    return World.from_config(SimConfig(
+        f=f, decisions=decisions, clients=1, requests_per_client=requests,
+        checkpoint_interval=checkpoint_interval,
+        window=2 * checkpoint_interval,
+        adversary="gap_forever", adversary_params={"trigger": 1}))
 
 
 def prevention_world(decisions: bool = False) -> World:
     """Prevention mode: the double binding dies inside the leader's component,
     so only the single certified proposal ever reaches the followers."""
-    return _mc_setup("equivocate_withhold", mode="prevention",
-                     decisions=decisions)
+    return World.from_config(SimConfig(
+        mode="prevention", decisions=decisions, clients=1,
+        requests_per_client=1, checkpoint_interval=1000, window=2000,
+        adversary="equivocate_withhold", adversary_params={"trigger": 1}))

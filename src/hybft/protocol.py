@@ -102,7 +102,8 @@ class _Tracker:
 
 # The Replica attributes that are not state: the configuration and what
 # __init__ derives from it once (n, the peers and their destinations, which
-# every broadcast reads), which clones share; and the write-only counters,
+# every broadcast reads) and the view cap max_view, which only the model
+# checker sets, all of which clones share; and the write-only counters,
 # which clones copy and no step reads. Every other attribute, a subclass's
 # too, is state: clone copies it, share_equal_state shares it and state_key
 # keys it (see _copy and _key).
@@ -152,8 +153,7 @@ _TIMERS = {"batch": "on_timer_batch", "decision": "on_timer_decision",
 
 class Replica:
     def __init__(self, replica_id: int, cfg: SimConfig,
-                 tc: TrustedComponent, directory, client_keys: Dict[int, bytes],
-                 max_view: Optional[int] = None):
+                 tc: TrustedComponent, directory, client_keys: Dict[int, bytes]):
         self.id = replica_id
         self.cfg = cfg
         self.n = cfg.n
@@ -161,7 +161,7 @@ class Replica:
         self.peer_dsts = tuple(("replica", i) for i in self.peers)
         self.window = cfg.effective_window()
         self.checkpoint_interval = cfg.effective_checkpoint_interval()
-        self.max_view = max_view       # caps view-change escalation (model checks)
+        self.max_view = None   # caps view-change escalation; the model checker sets it
         self.tc = tc
         self.directory = directory
         self.client_keys = client_keys
@@ -714,7 +714,7 @@ class Replica:
                 if rep is not None and rep.client_seq >= r.client_seq:
                     continue
                 self.exec_digest, result = r.execute((self.exec_digest, nxt))
-                rep = m.Reply(r.client_id, r.client_seq, nxt, self.id, result)
+                rep = m.Reply(r.client_id, r.client_seq, nxt, result)
                 self.last_reply[r.client_id] = rep
                 self.pending.pop(r.key(), None)
                 out.append(("send", ("client", r.client_id), rep))

@@ -20,9 +20,8 @@ def make_client(**kw):
     return Client(0, KEY, n=3, f=1, **kw)
 
 
-def replies_from(req: m.Request, replicas, result=b"r", seq=1):
-    return [m.Reply(req.client_id, req.client_seq, seq, rid, result)
-            for rid in replicas]
+def reply_to(req: m.Request, result=b"r", seq=1):
+    return m.Reply(req.client_id, req.client_seq, seq, result)
 
 
 def test_start_broadcasts_to_all_and_arms_retransmit():
@@ -47,7 +46,7 @@ def test_weak_quorum_of_matching_results_completes():
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    r1, r2 = replies_from(req, [0, 1])
+    r1 = r2 = reply_to(req)
     assert c.on_reply(r1, 0, 10) == []
     assert c.inflight is not None
     c.on_reply(r2, 1, 20)
@@ -59,10 +58,10 @@ def test_mismatched_results_do_not_complete():
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [0], result=b"a")[0], 0, 10)
-    c.on_reply(replies_from(req, [1], result=b"b")[0], 1, 20)
+    c.on_reply(reply_to(req, result=b"a"), 0, 10)
+    c.on_reply(reply_to(req, result=b"b"), 1, 20)
     assert not c.done()
-    c.on_reply(replies_from(req, [2], result=b"a")[0], 2, 30)
+    c.on_reply(reply_to(req, result=b"a"), 2, 30)
     assert c.done()
 
 
@@ -70,28 +69,29 @@ def test_one_replica_cannot_complete_alone():
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [2])[0], 2, 10)
+    c.on_reply(reply_to(req), 2, 10)
     # the same replica repeating itself is still one voice
-    c.on_reply(replies_from(req, [2])[0], 2, 20)
+    c.on_reply(reply_to(req), 2, 20)
     assert not c.done()
 
 
 def test_forged_replica_ids_are_still_one_voice():
-    # replica 2 answers once in its own name and once in replica 0's
+    # a reply names no replica, so replica 2 has no other name to answer
+    # in: two different replies it delivers are one voice
     c = make_client(total_requests=1)
     c.start(0)
     req = c.inflight
-    for rep in replies_from(req, [2, 0]):
-        c.on_reply(rep, 2, 10)
+    for seq in (1, 2):
+        c.on_reply(reply_to(req, seq=seq), 2, 10)
     assert not c.done()
 
 
 def test_a_resent_reply_counts_under_the_replica_that_sent_it():
     # replica 1 took state from replica 0 by transfer and resends the reply
-    # it got, which names replica 0: two replicas have answered
+    # it got, the very object replica 0 sent: two replicas have answered
     c = make_client(total_requests=1)
     c.start(0)
-    (rep,) = replies_from(c.inflight, [0])
+    rep = reply_to(c.inflight)
     c.on_reply(rep, 0, 10)
     c.on_reply(rep, 1, 20)
     assert c.done()
@@ -101,10 +101,10 @@ def test_strict_policy_needs_matching_seq_too():
     c = make_client(policy="n-f", total_requests=1)
     c.start(0)
     req = c.inflight
-    c.on_reply(replies_from(req, [0], seq=1)[0], 0, 10)
-    c.on_reply(replies_from(req, [1], seq=2)[0], 1, 20)
+    c.on_reply(reply_to(req, seq=1), 0, 10)
+    c.on_reply(reply_to(req, seq=2), 1, 20)
     assert not c.done()  # same result, disagreeing seq assignment
-    c.on_reply(replies_from(req, [2], seq=1)[0], 2, 30)
+    c.on_reply(reply_to(req, seq=1), 2, 30)
     assert c.done()
 
 
@@ -112,8 +112,8 @@ def test_next_request_submits_after_completion():
     c = make_client(total_requests=2)
     c.start(0)
     first = c.inflight
-    for rep in replies_from(first, [0, 1]):
-        effects = c.on_reply(rep, rep.replica_id, 5)
+    for rid in (0, 1):
+        effects = c.on_reply(reply_to(first), rid, 5)
     sends = [e for e in effects if e[0] == "send"]
     assert len(sends) == 3
     assert c.inflight.client_seq == 2
@@ -124,10 +124,10 @@ def test_stale_replies_ignored():
     c = make_client(total_requests=2)
     c.start(0)
     first = c.inflight
-    for rep in replies_from(first, [0, 1]):
-        c.on_reply(rep, rep.replica_id, 5)
+    for rid in (0, 1):
+        c.on_reply(reply_to(first), rid, 5)
     # replies for the finished request must not advance the new one
-    assert c.on_reply(replies_from(first, [2])[0], 2, 9) == []
+    assert c.on_reply(reply_to(first), 2, 9) == []
     assert c.inflight.client_seq == 2
 
 
@@ -138,8 +138,8 @@ def test_retransmit_rebroadcasts_only_while_pending():
     effects = c.on_timer("retransmit", (0, req.client_seq), 400)
     assert len([e for e in effects if e[0] == "send"]) == 3
     assert c.retransmits == 1
-    for rep in replies_from(req, [0, 1]):
-        c.on_reply(rep, rep.replica_id, 500)
+    for rid in (0, 1):
+        c.on_reply(reply_to(req), rid, 500)
     assert c.on_timer("retransmit", (0, req.client_seq), 700) == []
     assert c.retransmits == 1
 
@@ -148,12 +148,12 @@ def test_payloads_differ_per_request_and_completion_is_counted():
     c = make_client(total_requests=2, payload_size=16)
     c.start(0)
     p1 = c.inflight.payload
-    for rep in replies_from(c.inflight, [0, 1]):
-        c.on_reply(rep, rep.replica_id, 5)
+    for rid in (0, 1):
+        c.on_reply(reply_to(c.inflight), rid, 5)
     p2 = c.inflight.payload
     assert p1 != p2 and len(p1) == len(p2) == 16
-    for rep in replies_from(c.inflight, [1, 2]):
-        c.on_reply(rep, rep.replica_id, 9)
+    for rid in (1, 2):
+        c.on_reply(reply_to(c.inflight), rid, 9)
     assert c.done() and c.completed_count() == 2
 
 
@@ -177,7 +177,7 @@ def _completes_at(policy, n, f, answers):
     req = c.inflight
     latest, got, want = {}, None, None
     for i, (rid, result, seq) in enumerate(answers):
-        rep = m.Reply(req.client_id, req.client_seq, seq, rid, result)
+        rep = m.Reply(req.client_id, req.client_seq, seq, result)
         c.on_reply(rep, rid, i)
         if got is None and c.done():
             got = i

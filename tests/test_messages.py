@@ -228,7 +228,7 @@ def _one_of_each_record():
     ui, skip, att, ctx, pskip = _one_of_each_certificate()
     req = m.tagged_request(CLIENT_KEY, 0, 1, b"op")
     prep = m.Prepare(0, 1, (req,), ui)
-    rep = m.Reply(0, 1, 1, 2, b"result")
+    rep = m.Reply(0, 1, 1, b"result")
     ck = m.Checkpoint(1, _h(b"state"), 1, ctx)
     entry = m.TimelineEntry("prepare", 1, prep.pdigest(), ui, prep)
     vc = m.ViewChange(1, 1, 0, (), (entry,), att, ui)
@@ -331,7 +331,7 @@ def test_replicas_on_different_chains_execute_one_request_differently():
     starts = [r.exec_digest for r in c.replicas]
     req = broadcast_request(c, 1)
     c.pump()
-    results = {msg.replica_id: msg.result for _, msg in c.client_box
+    results = {rid: msg.result for _, rid, msg in c.client_box
                if isinstance(msg, m.Reply)}
     for r in c.replicas:
         applied, result = _execution_from_fields(req, starts[r.id], 1)
@@ -462,7 +462,7 @@ def _one_of_each_message():
     carriers = (m.TimelineEntry("prepare", 5, d, None, prep),
                 m.TimelineEntry("commit", 6, d, None, prep1))
     vc = m.ViewChange(1, 2, 4, (ck, ck), (entry,) * 3 + carriers, None, None)
-    reply = m.Reply(0, 1, 1, 2, d)
+    reply = m.Reply(0, 1, 1, d)
     return [
         reqs[0], prep, m.Commit(0, 1, 2, d, None),
         m.Decision(0, 1, 0, d, ((1, "commit", None),)),

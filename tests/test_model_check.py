@@ -3,7 +3,9 @@ protocol worlds under scripted faults, across every delivery interleaving."""
 
 from __future__ import annotations
 
+import ast
 import copy
+import functools
 import gc
 import os
 import subprocess
@@ -11,6 +13,7 @@ import sys
 import textwrap
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -18,6 +21,7 @@ import pytest
 import hybft
 from hybft import messages as m
 from hybft import model_check, sim
+from hybft.config import ConfigError, SimConfig
 from hybft.model_check import (
     World,
     _fresh_tc,
@@ -67,8 +71,9 @@ def test_context_traces_catch_a_component_off_the_shadow(fault, monkeypatch):
 
 
 def test_commit_quorum_over_all_arrival_orders():
+    # every order of at most three of the 8 attestations: 1 + 8 + 56 + 336
     r = check_commit_quorum(f=2)
-    assert r["orders"] > 0
+    assert r["orders"] == 401
 
 
 def test_counter_traces_at_full_depth():
@@ -92,14 +97,90 @@ def test_equivocating_leader_world_without_decisions_is_safe_everywhere():
         "states": 3_087, "terminals": 8, "full_commit_terminals": 6}
 
 
-def test_withholding_leader_world_is_safe_everywhere():
-    assert explore_world(gap_world(), max_states=400_000) == {
+# The seed keys the components and the clients, so it changes the bytes
+# of a world's messages and certificates, not the world's shape.
+_SEEDS = pytest.mark.parametrize("seed", [42, 7])
+
+
+def _seeded(build, seed, monkeypatch):
+    """build() with the seed of its configuration set to `seed`."""
+    monkeypatch.setattr(model_check, "SimConfig",
+                        functools.partial(SimConfig, seed=seed))
+    world = build()
+    assert world.table.values[world.row[1]].cfg.seed == seed
+    return world
+
+
+@_SEEDS
+def test_withholding_leader_world_is_safe_everywhere(seed, monkeypatch):
+    world = _seeded(gap_world, seed, monkeypatch)
+    assert explore_world(world, max_states=400_000) == {
         "states": 377, "terminals": 4, "full_commit_terminals": 3}
 
 
-def test_prevention_world_is_safe_everywhere():
-    assert explore_world(prevention_world(), max_states=400_000) == {
+@_SEEDS
+def test_prevention_world_is_safe_everywhere(seed, monkeypatch):
+    world = _seeded(prevention_world, seed, monkeypatch)
+    assert explore_world(world, max_states=400_000) == {
         "states": 1_595, "terminals": 7, "full_commit_terminals": 4}
+
+
+def _counter_identity(**kw) -> World:
+    """Faulty leader 0 runs two value-1 timelines on minted counters."""
+    return World.from_config(SimConfig(
+        clients=1, requests_per_client=1, checkpoint_interval=1000,
+        window=2000, adversary="counter_identity", **kw))
+
+
+# ROADMAP item 25, headline result 3: under the pinned policy the followers
+# admit one counter per leader, and a strict component refuses the mint;
+# both are safe on every path.
+@pytest.mark.parametrize("kw, counts", [
+    ({"vulnerable_tc": True}, (2_340, 4, 3)),
+    ({"vulnerable_tc": True, "decisions": False}, (1_508, 4, 3)),
+    ({}, (2_907, 11, 10)),
+], ids=["minting", "minting_no_decisions", "strict"])
+def test_counter_identity_worlds_under_the_pinned_policy_are_safe(kw, counts):
+    assert explore_world(_counter_identity(**kw)) == dict(zip(
+        ("states", "terminals", "full_commit_terminals"), counts))
+
+
+# Under the announced policy a minting component is unsafe on some path.
+@pytest.mark.parametrize("decisions, kinds", [
+    (True, ["conflicting_admission"]),
+    (False, ["conflicting_admission", "conflicting_commit",
+             "divergent_execution"]),
+], ids=["decisions", "no_decisions"])
+def test_a_counter_identity_world_under_the_announced_policy_is_unsafe(
+        decisions, kinds):
+    world = _counter_identity(vulnerable_tc=True, counter_policy="announced",
+                              decisions=decisions)
+    with pytest.raises(AssertionError) as info:
+        explore_world(world)
+    assert sorted({v["kind"] for v in info.value.args[0]}) == kinds
+
+
+def test_a_world_is_not_built_from_timed_component_actions():
+    # crash_tcs schedules crashes on the simulator's clock, which the
+    # checker does not have
+    with pytest.raises(ConfigError, match="crash_tcs"):
+        World.from_config(SimConfig(adversary="crash_tcs"))
+
+
+def test_only_the_simulator_sets_up_replicas():
+    """The directory and the replicas are built by sim.Simulator alone, so
+    a checker world is set up as a simulator run is."""
+    src = Path(hybft.__file__).resolve().parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and {"Directory", "Replica"} & {
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)}:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_the_prevention_world_rejects_a_component_that_binds_twice(
@@ -767,8 +848,8 @@ def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
     # replica 2's delivery from the faulty leader is the same step from the
     # root and after replica 1's first step, which leaves replica 2's id
     root = prevention_world()
-    first = ("deliver", ("byz", 1))
-    again = ("deliver", ("byz", 2))
+    first = ("deliver", ("r0", 1))
+    again = ("deliver", ("r0", 2))
     other = root.apply(first)
     assert root.table.rids == (1, 2) and other.row[2] == root.row[2]
     memo = dict(root.table.memo)
@@ -786,5 +867,5 @@ def test_a_step_that_raised_raises_again_when_reached_again(monkeypatch):
             world.apply(again)
         notes.append(info.value.__notes__)
     assert notes == [["model check: r2 handling prepare from channel "
-                      "('byz', 2)"]] * 3
+                      "('r0', 2)"]] * 3
     assert root.table.memo == memo

@@ -46,7 +46,7 @@ class Cluster:
         self.replicas = [Replica(rid, self.cfg, self.tcs[rid],
                                  self.directory, {0: CLIENT_KEY})
                          for rid in range(n)]
-        self.client_box = []
+        self.client_box = []   # (client id, sending replica id, msg)
         self.timers = []   # (replica_id, kind, key)
         self.notes = []
         self.queue = []    # (dst_rid, msg)
@@ -60,7 +60,7 @@ class Cluster:
                 if kind == "replica":
                     self.queue.append((ident, msg))
                 else:
-                    self.client_box.append((ident, msg))
+                    self.client_box.append((ident, rid, msg))
             elif eff[0] == "timer":
                 self.timers.append((rid, eff[1], eff[2]))
             elif eff[0] == "note":
@@ -156,9 +156,10 @@ def test_full_round_executes_everywhere_and_replies():
         assert r.trackers[1].committed is not None
     digests = {r.exec_digest for r in c.replicas}
     assert len(digests) == 1
-    replies = [msg for _, msg in c.client_box if isinstance(msg, m.Reply)]
-    assert {rep.replica_id for rep in replies} == {0, 1, 2}
-    assert {rep.client_seq for rep in replies} == {1}
+    replies = [(rid, msg) for _, rid, msg in c.client_box
+               if isinstance(msg, m.Reply)]
+    assert {rid for rid, _ in replies} == {0, 1, 2}
+    assert {rep.client_seq for _, rep in replies} == {1}
 
 
 def test_commit_quorum_counts_own_attestation():

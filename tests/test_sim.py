@@ -262,7 +262,7 @@ def test_a_step_counts_and_queues_each_send(delays):
     # one object each, counted per run
     sim = _bare_host(delays)
     cfg, src = sim.cfg, ("replica", 0)
-    a, b = m.FetchBatch(seq=1, sender=0), m.Reply(0, 1, 1, 0, b"r")
+    a, b = m.FetchBatch(seq=1, sender=0), m.Reply(0, 1, 1, b"r")
     sends = [(("replica", 1), a), (("replica", 2), a), (("client", 0), b),
              (("replica", 1), a)]
     sim._apply(src, [("send", dst, msg) for dst, msg in sends])
