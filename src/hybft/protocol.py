@@ -161,7 +161,7 @@ class Replica:
         self.peer_dsts = tuple(("replica", i) for i in self.peers)
         self.window = cfg.effective_window()
         self.checkpoint_interval = cfg.effective_checkpoint_interval()
-        self.max_view = None   # caps view-change escalation; the model checker sets it
+        self.max_view = None       # caps view changes; the model checker sets it
         self.tc = tc
         self.directory = directory
         self.client_keys = client_keys
