@@ -31,24 +31,31 @@ Three layers:
    states apart as the values would. The table memoizes replica steps, so
    a handler runs only the first time a replica in one state meets one
    input, and the moves on queues and timer sets, so a step is a few
-   lookups (see _Table).
+   lookups (see _Table). A stepped replica shares each part its step left
+   equal with the replica it stepped from, and its key reuses that
+   replica's key for those parts, so a handler run keys only the state it
+   changed.
 
    The search is a plain depth-first search over world keys. A replica's
    key holds all its state, so a key's successors do not depend on the path
    and the order of the search does not change what it reaches. Every
    reachable key is checked once, on the first path that reaches it. The
    key leaves the ledger out, so a state reached by several different
-   histories is checked on that first path only (ROADMAP item 8). A step
-   that notes no fact and issues no certificate hands its parent's ledger
-   object on, and the oracle's verdict is kept on the ledger until its next
-   note, so the oracle runs once per distinct ledger.
+   histories is checked on that first path only (ROADMAP item 8). The
+   search computes a successor's row first and builds the world, with its
+   ledger, only for a row it has not seen, so a step to a seen state costs
+   the row's lookups alone. A step that notes no fact and issues no
+   certificate hands its parent's ledger object on, and the oracle's
+   verdict is kept on the ledger until its next note, so the oracle runs
+   once per distinct ledger and the ledger is forked once per new state
+   whose step recorded something.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import messages as m
 from .config import ConfigError, SimConfig
@@ -242,6 +249,10 @@ class _Table:
     `at` maps a replica id or a channel to its position in the row, and
     `queues` is the first slot's.
 
+    `keys` holds each interned replica's state_key() by its id, so that
+    step can key a replica it stepped by what changed from its source (see
+    Replica.state_key).
+
     `memo` maps (the stepping replica's table id, its input) to its step:
     (the successor's table id, the step's delta, its certificates). The
     input is the delivered message's id or the timer (replica id, kind,
@@ -279,6 +290,7 @@ class _Table:
         self.at = {key: i for i, key in enumerate(self.rids + self.slots, 1)}
         self.queues = 1 + len(self.rids)
         self.delivers = tuple(("deliver", ch) for ch in self.slots)
+        self.keys: Dict[int, tuple] = {}
         self.memo: Dict[tuple, tuple] = {}
         self.pop = _Memo(lambda q: (v[q][0], own(v[q][1:])))
         self.append = _Memo(lambda qs: own(v[qs[0]] + v[qs[1]]))
@@ -286,12 +298,20 @@ class _Table:
         self.arm = _Memo(lambda aa: own(v[aa[0]] | v[aa[1]]))
         self.timers = _Memo(lambda a: [("timer", t) for t in sorted(v[a])])
 
-    def replica(self, rep: Replica) -> int:
-        return self.intern(rep, (rep.id, rep.state_key()))
+    def replica(self, rep: Replica, src: Optional[int] = None) -> int:
+        """The id of `rep`. Given the id `src` of the replica that `rep` was
+        stepped from, the key reuses `src`'s for the state they share."""
+        key = (rep.state_key() if src is None
+               else rep.state_key(self.values[src], self.keys[src]))
+        i = self.intern(rep, (rep.id, key))
+        self.keys.setdefault(i, key)
+        return i
 
     def step(self, kid: int, act, inp) -> tuple:
         """The memo entry for replica `kid` taking step `act` on input
-        `inp`, computed by a clone of the replica that takes the step."""
+        `inp`, computed by a clone of the replica that takes the step. The
+        clone shares what it left equal with replica `kid` and is keyed
+        from `kid`'s key."""
         src = self.values[kid]
         rep = src.clone()
         try:
@@ -304,7 +324,7 @@ class _Table:
             raise
         rep.share_equal_state(src)
         delta, issued = self._delta(rep.id, effects), rep.tc.take_issued()
-        return self.replica(rep), delta, issued
+        return self.replica(rep, kid), delta, issued
 
     def _delta(self, src: int, effects: List[tuple]) -> tuple:
         """What replica `src`'s step effects change in a row, as (sends,
@@ -346,7 +366,12 @@ class World:
         (f"c{cid}", i). Each faulty replica handles those requests first;
         the Prepares it sends correct replica i are in flight on channel
         (f"r{rid}", i), and its other sends go nowhere. The slots are those
-        channels and every channel between two correct replicas."""
+        channels and every channel between two correct replicas.
+
+        Any configuration but crash_tcs builds, but not every world is
+        small: a fault-free one (adversary "none", one client, one
+        request) exceeds explore_world's default budget of 400,000 states,
+        so there is no fault-free control world yet."""
         if cfg.adversary == "crash_tcs":
             raise ConfigError("the model checker cannot schedule crash_tcs's "
                               "timed component actions")
@@ -396,15 +421,14 @@ class World:
         return (list(itertools.compress(t.delivers, self.row[t.queues:]))
                 + t.timers[self.row[0]])
 
-    def apply(self, act) -> "World":
-        """Successor state after `act`.
+    def next_row(self, act) -> tuple:
+        """The successor's row after `act`, with the facts its step notes
+        and the certificates it issues: (row, facts, issued).
 
         Each part of the row that changes is a table lookup: the pop or the
         fired timer, the stepping replica's step (from _Table.step the
-        first time), and the step's sends and timers. The ledger is never
-        mutated: the successor keeps this world's ledger when the step notes
-        no fact and issues no certificate, and otherwise a fork with the
-        stepping replica's record copied.
+        first time), and the step's sends and timers. Nothing is built, so
+        a search can drop a row it has seen at the cost of these lookups.
         """
         t = self.table
         row = list(self.row)
@@ -425,13 +449,27 @@ class World:
             row[to] = t.append[row[to], add]
         if timers is not None:
             row[0] = t.arm[row[0], timers]
+        return tuple(row), facts, issued
+
+    def child(self, act, row: tuple, facts: tuple, issued) -> "World":
+        """The successor after `act`, given what next_row(act) returned.
+
+        The ledger is never mutated: the successor keeps this world's
+        ledger when the step notes no fact and issues no certificate, and
+        otherwise a fork with the stepping replica's record copied.
+        """
         ledger = self.ledger
         if facts or issued:
+            rid = act[1][1] if act[0] == "deliver" else act[1][0]
             ledger = ledger.fork(rid)
             for fact in facts:
                 ledger.note(rid, fact)
             ledger.note_issued(rid, issued)
-        return World(tuple(row), ledger, t)
+        return World(row, ledger, self.table)
+
+    def apply(self, act) -> "World":
+        """Successor state after `act`: its row, then the world."""
+        return self.child(act, *self.next_row(act))
 
     def fully_committed(self) -> bool:
         """Every correct replica has committed and executed a request."""
@@ -459,8 +497,11 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     every correct replica has committed and executed.
 
     The search is depth first over world keys. The stack holds (world,
-    step) pairs, and a step is applied when its pair is popped. Pairs are
-    pushed in enabled() order, so the last enabled step's successor is
+    step) pairs, and a step is taken when its pair is popped: next_row
+    gives the successor's row, which is its key, and only a row not seen
+    yet is built into a world by child, so a seen successor costs table
+    lookups and forks no ledger. World.apply is the same two calls. Pairs
+    are pushed in enabled() order, so the last enabled step's successor is
     explored first; any order reaches the same keys. Each key is checked
     once, on the first path that reaches it (see the module docstring).
     The check is _verdict on the state's ledger, which a state whose last
@@ -474,11 +515,11 @@ def explore_world(world: World, max_states: int = 400_000) -> Dict[str, int]:
     while stack:
         w, act = stack.pop()
         if act is not None:
-            w = w.apply(act)
-        key = w.state_key()
-        if key in seen:
-            continue
-        seen.add(key)
+            step = w.next_row(act)
+            if step[0] in seen:
+                continue
+            w = w.child(act, *step)
+        seen.add(w.state_key())
         # explicit raises, so that python -O keeps the checks
         if len(seen) > max_states:
             raise AssertionError("state budget exceeded")

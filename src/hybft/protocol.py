@@ -1128,8 +1128,24 @@ class Replica:
                     and value == theirs[name]):
                 mine[name] = theirs[name]
 
-    def state_key(self) -> tuple:
+    def state_key(self, src: Optional[Replica] = None,
+                  src_key: Optional[tuple] = None) -> tuple:
         """The _key of every attribute not in _NOT_STATE, for model checking,
-        in attribute order (which __init__ fixes and clone keeps)."""
-        return tuple(_key(value) for name, value in self.__dict__.items()
-                     if name not in _NOT_STATE)
+        in attribute order (which __init__ fixes and clone keeps). Called
+        with no arguments, this defines the key.
+
+        Given `src` and its key `src_key` (src.state_key()), an attribute
+        that is `src`'s own object, as share_equal_state leaves each
+        container equal to `src`'s, takes its entry from `src_key`, and
+        only the other attributes are keyed: the same key, at the cost of
+        what changed from `src`. If the attribute names or their order
+        differ from `src`'s, the key is computed in full. Sound only while
+        neither replica changes in place, as for share_equal_state.
+        """
+        mine = self.__dict__
+        names = [name for name in mine if name not in _NOT_STATE]
+        if src is None or list(src.__dict__) != list(mine):
+            return tuple(_key(mine[name]) for name in names)
+        theirs = src.__dict__
+        return tuple(old if mine[name] is theirs[name] else _key(mine[name])
+                     for name, old in zip(names, src_key))

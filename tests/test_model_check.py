@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import functools
 import gc
 import os
@@ -34,7 +35,7 @@ from hybft.model_check import (
     gap_world,
     prevention_world,
 )
-from hybft.protocol import Replica
+from hybft.protocol import _CONFIG, _COPY, Replica
 from hybft.sim import Ledger
 from hybft.tc import (ContextCertificate, EquivocationRefused, SequenceRefused,
                       TrustedComponent)
@@ -132,6 +133,17 @@ def _counter_identity(**kw) -> World:
         window=2000, adversary="counter_identity", **kw))
 
 
+# The counter-identity worlds that are safe, as builders for the property
+# tests below.
+_MINTING = functools.partial(_counter_identity, vulnerable_tc=True)
+_MINTING_NO_DECISIONS = functools.partial(_MINTING, decisions=False)
+_SAFE_COUNTER_IDENTITY = [
+    pytest.param(_MINTING, id="minting"),
+    pytest.param(_MINTING_NO_DECISIONS, id="minting_no_decisions"),
+    pytest.param(_counter_identity, id="strict"),
+]
+
+
 # ROADMAP item 25, headline result 3: under the pinned policy the followers
 # admit one counter per leader, and a strict component refuses the mint;
 # both are safe on every path.
@@ -207,14 +219,14 @@ def checkpoint_world() -> World:
 def test_checkpoint_world_is_safe_everywhere_and_reaches_stable_checkpoints(
         monkeypatch):
     stable = set()
-    apply = World.apply
+    build = World.child
 
-    def recording_apply(world, act):
-        child = apply(world, act)
+    def recording_child(world, act, *step):
+        child = build(world, act, *step)
         stable.update(r.stable_seq for r in _plain(child).replicas.values())
         return child
 
-    monkeypatch.setattr(World, "apply", recording_apply)
+    monkeypatch.setattr(World, "child", recording_child)
     assert explore_world(checkpoint_world()) == {
         "states": 1_617, "terminals": 7, "full_commit_terminals": 6}
     assert max(stable) == 2
@@ -568,50 +580,59 @@ def test_the_state_budget_is_enforced_under_python_O():
     assert last == "AssertionError: state budget exceeded"
 
 
-# The step counts are pinned like the state counts: every enabled step of
-# every new state is applied once.
+# The step counts are pinned like the state counts: the successor's row of
+# every enabled step of every new state is computed once.
 @pytest.mark.parametrize("build, steps", [
-    (gap_world, 1_120),
-    (prevention_world, 6_207),
-    (lambda: equivocate_world(decisions=False), 12_073),
-], ids=["gap", "prevention", "equivocate_no_decisions"])
+    pytest.param(gap_world, 1_120, id="gap"),
+    pytest.param(prevention_world, 6_207, id="prevention"),
+    pytest.param(lambda: equivocate_world(decisions=False), 12_073,
+                 id="equivocate_no_decisions"),
+    pytest.param(_MINTING, 10_148, id="minting"),
+    pytest.param(_MINTING_NO_DECISIONS, 5_988, id="minting_no_decisions"),
+    pytest.param(_counter_identity, 11_775, id="strict"),
+])
 def test_explorer_visits_every_reachable_state(build, steps, monkeypatch):
     ref_root, root = build(), build()
     ref_keys = _reachable_keys(ref_root, World.apply)
     keys = set()
-    applies = 0
-    state_key, apply = World.state_key, World.apply
+    rows = 0
+    state_key, next_row = World.state_key, World.next_row
 
     def recording_key(world):
         key = state_key(world)
         keys.add(key)
         return key
 
-    def counting_apply(world, act):
-        nonlocal applies
-        applies += 1
-        return apply(world, act)
+    def counting_next_row(world, act):
+        nonlocal rows
+        rows += 1
+        return next_row(world, act)
 
     monkeypatch.setattr(World, "state_key", recording_key)
-    monkeypatch.setattr(World, "apply", counting_apply)
+    monkeypatch.setattr(World, "next_row", counting_next_row)
     assert explore_world(root)["states"] == len(ref_keys)
     # two roots, two tables: compare decoded keys
     assert set(map(_decoder(root.table), keys)) == \
         set(map(_decoder(ref_root.table), ref_keys))
-    assert applies == steps
+    assert rows == steps
 
 
-_FIVE_WORLDS = pytest.mark.parametrize("build", [
-    gap_world, prevention_world, checkpoint_world,
-    lambda: equivocate_world(decisions=False), equivocate_world,
-], ids=["gap", "prevention", "checkpoint", "equivocate_no_decisions",
-        "equivocate"])
+_FIVE = [
+    pytest.param(gap_world, id="gap"),
+    pytest.param(prevention_world, id="prevention"),
+    pytest.param(checkpoint_world, id="checkpoint"),
+    pytest.param(lambda: equivocate_world(decisions=False),
+                 id="equivocate_no_decisions"),
+    pytest.param(equivocate_world, id="equivocate"),
+]
+_FIVE_WORLDS = pytest.mark.parametrize("build", _FIVE)
+_EIGHT_WORLDS = pytest.mark.parametrize("build", _FIVE + _SAFE_COUNTER_IDENTITY)
 
 
 # With every replica attribute but the configuration and the counters in
 # the key, a key's successors do not depend on the path that reached it, so
 # the order of the search does not change what it reaches (ROADMAP item 8).
-@_FIVE_WORLDS
+@_EIGHT_WORLDS
 def test_both_pop_orders_reach_the_same_states(build, monkeypatch):
     state_key, enabled = World.state_key, World.enabled
 
@@ -665,39 +686,56 @@ def test_an_n5_gap_world_is_safe_up_to_a_fixed_budget():
 # -- no clock --------------------------------------------------------------
 
 
-def _apply_at_two_times(world: World, act) -> World:
+def _apply_at_two_times(world: World, act, checked: dict) -> World:
     """World.apply, once clones of the stepping replica have shown that the
     step's effects and the state it leaves do not depend on the time the
-    host passes in."""
+    host passes in. The check reads only the replica object and its input
+    (a message object or a timer), so `checked` keeps each pair it has
+    shown, and a pair that another path reaches again is not run again."""
     p = _plain(world)
-    results = []
-    for now in (0, 10 ** 12):
-        rep = p.replicas[_stepper(act)].clone()
-        if act[0] == "deliver":
-            effects = rep.handle(p.channels[act[1]][0], now)
-        else:
-            _, kind, tkey = act[1]
-            effects = rep.on_timer(kind, tkey, now)
-        results.append((effects, rep.state_key()))
-    assert results[0] == results[1], act
+    src = p.replicas[_stepper(act)]
+    if act[0] == "deliver":
+        inp = p.channels[act[1]][0]
+        pair = id(src), id(inp)
+    else:
+        inp = act[1]
+        pair = id(src), inp
+    if pair not in checked:
+        checked[pair] = src, inp
+        results = []
+        for now in (0, 10 ** 12):
+            rep = src.clone()
+            effects = (rep.handle(inp, now) if act[0] == "deliver"
+                       else rep.on_timer(inp[1], inp[2], now))
+            results.append((effects, rep.state_key()))
+        assert results[0] == results[1], act
     return world.apply(act)
 
 
-@pytest.mark.parametrize("build", [gap_world, prevention_world])
+@pytest.mark.parametrize("build", [gap_world, prevention_world,
+                                   *_SAFE_COUNTER_IDENTITY])
 def test_a_replica_reads_no_clock(build):
     # the host stamps times on what a replica reports; the replica's own
     # behaviour is a function of its state and its input alone
-    assert _reachable_keys(build(), _apply_at_two_times)
+    root, checked = build(), {}
+    setup = len(root.table.memo)
+    assert _reachable_keys(
+        root, lambda world, act: _apply_at_two_times(world, act, checked))
+    # one check per distinct replica step, as the step memo runs handlers
+    assert len(checked) == len(root.table.memo) - setup
 
 
 # -- the step memo ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("build", [
-    gap_world, prevention_world, checkpoint_world,
-    lambda: equivocate_world(decisions=False),
-], ids=["gap_world", "prevention_world", "checkpoint_world",
-        "equivocate_no_decisions"])
+    pytest.param(gap_world, id="gap_world"),
+    pytest.param(prevention_world, id="prevention_world"),
+    pytest.param(checkpoint_world, id="checkpoint_world"),
+    pytest.param(lambda: equivocate_world(decisions=False),
+                 id="equivocate_no_decisions"),
+    *_SAFE_COUNTER_IDENTITY,
+])
 def test_a_memoized_step_equals_a_memo_free_step_everywhere(build):
     applies = 0
 
@@ -748,13 +786,52 @@ def test_each_replica_step_runs_its_handler_once(build, runs, setup,
     assert calls == len(root.table.memo) - setup == runs
 
 
-@pytest.mark.parametrize("build", [gap_world, prevention_world,
-                                   checkpoint_world])
+def _immutable(value) -> bool:
+    """Whether `value` can never change: None, a bool, int, str or bytes,
+    or a tuple, frozenset or frozen dataclass of immutable values."""
+    kind = type(value)
+    if kind is tuple or kind is frozenset:
+        return all(map(_immutable, value))
+    if dataclasses.is_dataclass(kind):
+        return kind.__dataclass_params__.frozen and all(
+            _immutable(getattr(value, f.name)) for f in dataclasses.fields(kind))
+    return value is None or kind in (bool, int, str, bytes)
+
+
+def _copied_where_mutable(value) -> bool:
+    """Whether clone copies every part of `value` that can change. _copy
+    goes by exact type (protocol._COPY): it copies a dict at every depth, a
+    list or a set (sharing their elements, which must be immutable), a
+    tracker and a component, and it shares a value of any other type,
+    which must then be immutable."""
+    kind = type(value)
+    if kind not in _COPY:
+        return _immutable(value)
+    if kind is dict:
+        return all(_immutable(k) and _copied_where_mutable(v)
+                   for k, v in value.items())
+    return kind not in (list, set) or all(map(_immutable, value))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(gap_world, id="gap_world"),
+    pytest.param(prevention_world, id="prevention_world"),
+    pytest.param(checkpoint_world, id="checkpoint_world"),
+    pytest.param(lambda: equivocate_world(decisions=False),
+                 id="equivocate_no_decisions"),
+    pytest.param(equivocate_world, id="equivocate"),
+    *_SAFE_COUNTER_IDENTITY,
+])
 def test_memoized_replicas_never_change(build):
     # a successor shares every container that equals its source's; a step
     # that changed a shared container would change a kept replica's key.
     # Each replica in the table must still have the key it was numbered by,
-    # and each memo entry names a replica before and after its step.
+    # and each memo entry names a replica before and after its step. A
+    # stepped replica's key reuses its source's entries for the objects
+    # they share, so the table's kept key must be the full key, and every
+    # object that clone shares must be immutable: a container of a type
+    # _copy does not know (a dict subclass, say) would be shared and could
+    # change under its reused key.
     root = build()
     value = root.table.values
     replicas = _fields(root.table, root.row)[1]
@@ -766,7 +843,11 @@ def test_memoized_replicas_never_change(build):
         assert root.table.ids[value[succ].id, value[succ].state_key()] == succ
     for kid, rep in enumerate(value):
         if isinstance(rep, Replica):
-            assert root.table.ids[rep.id, rep.state_key()] == kid
+            key = rep.state_key()
+            assert root.table.ids[rep.id, key] == kid
+            assert root.table.keys[kid] == key
+            assert all(_copied_where_mutable(v) for name, v in vars(rep).items()
+                       if name not in _CONFIG), kid
 
 
 # -- one oracle scan per distinct ledger ----------------------------------
@@ -781,18 +862,21 @@ def _records_something(world: World, act) -> bool:
 
 # Oracle scans are pinned like handler runs: one per distinct ledger object
 # among the explored states, against 377, 1,595, 3,087 and 1,617 states.
-@pytest.mark.parametrize("build, scans", [
+_SCANS = pytest.mark.parametrize("build, scans", [
     (gap_world, 104),
     (prevention_world, 127),
     (lambda: equivocate_world(decisions=False), 405),
     (checkpoint_world, 364),
 ], ids=["gap", "prevention", "equivocate_no_decisions", "checkpoint"])
+
+
+@_SCANS
 def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
     root = build()
     fresh = sim.safety_violations
     scanned, verdicts, steps = [], [], [0, 0]
-    real_scan, real_verdict, apply = (
-        model_check.safety_violations, model_check._verdict, World.apply)
+    real_scan, real_verdict, build_child = (
+        model_check.safety_violations, model_check._verdict, World.child)
 
     def counting_scan(ledger, byz):
         scanned.append(ledger)
@@ -804,9 +888,9 @@ def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
         verdicts.append(ledger)
         return verdict
 
-    def sharing_apply(world, act):
+    def sharing_child(world, act, *step):
         records = _records_something(world, act)
-        child = apply(world, act)
+        child = build_child(world, act, *step)
         # a step that records nothing keeps its parent's ledger object
         assert (child.ledger is world.ledger) == (not records), act
         steps[records] += 1
@@ -814,13 +898,32 @@ def test_each_distinct_ledger_is_scanned_once(build, scans, monkeypatch):
 
     monkeypatch.setattr(model_check, "safety_violations", counting_scan)
     monkeypatch.setattr(model_check, "_verdict", checking_verdict)
-    monkeypatch.setattr(World, "apply", sharing_apply)
+    monkeypatch.setattr(World, "child", sharing_child)
     states = explore_world(root)["states"]
     # a verdict at every new state, one scan per distinct ledger
     assert len(verdicts) == states
     assert len(scanned) == len({id(led) for led in scanned}) \
         == len({id(led) for led in verdicts}) == scans
     assert steps[0] and steps[1]
+
+
+# The search builds a successor, and forks its ledger, only for a row it has
+# not seen, so each distinct ledger but the root's is one fork: 103, 126,
+# 404 and 363. Building every successor forked 189, 786, 1,773 and 581.
+@_SCANS
+def test_a_seen_successor_forks_no_ledger(build, scans, monkeypatch):
+    root = build()
+    forks = 0
+    fork = Ledger.fork
+
+    def counting_fork(ledger, rid):
+        nonlocal forks
+        forks += 1
+        return fork(ledger, rid)
+
+    monkeypatch.setattr(Ledger, "fork", counting_fork)
+    explore_world(root)
+    assert forks == scans - 1
 
 
 def test_a_kept_verdict_ends_at_the_next_note():
