@@ -75,11 +75,14 @@ class Client:
         req = self.inflight
         if req is None or rep.client_seq != req.client_seq:
             return []
+        # what replies must agree on: the result, and under "n-f" also the
+        # assigned sequence number
+        by_seq = self.policy == "n-f"
         old = self.replies.get(sender)
         if old is not None:
-            self.tally[self._result_key(old)] -= 1
+            self.tally[(old.result, old.seq) if by_seq else old.result] -= 1
         self.replies[sender] = rep
-        key = self._result_key(rep)
+        key = (rep.result, rep.seq) if by_seq else rep.result
         count = self.tally[key] = self.tally.get(key, 0) + 1
         # no other key gained a reply, and none had a quorum before this one
         if count < self.quorum:
@@ -91,11 +94,6 @@ class Client:
         if self.next_seq > self.total:
             return []
         return self._submit(now)
-
-    def _result_key(self, rep: m.Reply):
-        """What replies must agree on: the result, and under "n-f" also the
-        assigned sequence number."""
-        return (rep.result, rep.seq) if self.policy == "n-f" else rep.result
 
     def on_timer(self, kind: str, key, now: int) -> List[tuple]:
         if kind != "retransmit":

@@ -3,12 +3,17 @@
 Digests are computed over canonical length-prefixed encodings so every replica
 derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
-A message keeps its digests, and a request its execution digests and its
-authenticator (request_auth; a client tags with tagged_request), under the
-memo rules of hybft.encoding, so the replicas that receive one message object
-compute each once between them; a digest its sender computed to certify the
-message comes preset (Replica._cert), and they compute none. Every type here
-is an encoding._record.
+A message keeps its digests, a request its authenticator (request_auth; a
+client tags with tagged_request) and its execution digest and Reply per
+chain point (Request.execute), a Decision the digests its proof must cover
+and a timeline entry the commit digest of its prepare, under the memo rules
+of hybft.encoding. So the replicas that receive one message object compute
+each once between them, and every replica that executes a request at one
+chain point sends the one Reply; a digest its sender computed to certify the
+message comes preset (Replica._cert), and they compute none. A reply keeps
+its share of a checkpoint's state digest (Reply.encoding), so a shared reply
+is encoded once for every replica's checkpoints. Every type here is an
+encoding._record.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart; a fixed-size type (FIXED_SIZE) may be
 sized once and the size reused.
@@ -39,12 +44,15 @@ class Request:
         return (self.client_id, self.client_seq)
 
     @_keyed
-    def execute(self, at: Tuple[bytes, int]) -> Tuple[bytes, bytes]:
-        """(execution digest, result) of this request executed at (prev,
-        seq), after execution digest prev; a diverged chain gets its own."""
+    def execute(self, at: Tuple[bytes, int]) -> Tuple[bytes, "Reply"]:
+        """(execution digest, Reply) of this request executed at (prev,
+        seq), after execution digest prev. Every replica that executes it
+        there gets the one Reply; a diverged chain gets its own."""
         prev, seq = at
-        applied = _h(_enc("apply", prev, seq, self.digest()))
-        return applied, _h(_enc("result", applied, self.digest()))
+        digest = self.digest()
+        applied = _h(_enc("apply", prev, seq, digest))
+        return applied, Reply(self.client_id, self.client_seq, seq,
+                              _h(_enc("result", applied, digest)))
 
 
 @_keyed
@@ -157,6 +165,16 @@ class Decision:
     proof: Tuple[Tuple[int, str, object], ...]
     threshold: bool = False
 
+    @_once
+    def proof_digests(self) -> Tuple[bytes, ...]:
+        """The digest each proof certificate must cover, in proof order:
+        the prepare's for a "prepare" triple, else its sender's commit."""
+        return tuple(
+            prepare_digest(self.view, self.seq, self.bdigest)
+            if kind == "prepare" else
+            commit_digest(self.view, self.seq, sender, self.bdigest)
+            for sender, kind, _ in self.proof)
+
 
 @_record
 class Reply:
@@ -164,6 +182,11 @@ class Reply:
     client_seq: int
     seq: int
     result: bytes
+
+    @_once
+    def encoding(self) -> bytes:
+        """This reply's share of a checkpoint's state digest."""
+        return _enc(self.client_id, self.client_seq, self.result)
 
 
 @_record
@@ -205,6 +228,13 @@ class TimelineEntry:
     def bare(self) -> "TimelineEntry":
         """This entry without its prepare, made once for all votes."""
         return TimelineEntry(self.kind, self.seq, self.digest, self.cert)
+
+    @_keyed
+    def carried_commit(self, sender: int) -> bytes:
+        """The digest of `sender`'s commit of the prepare this entry
+        carries, which a commit entry in sender's vote must have."""
+        p = self.prepare
+        return commit_digest(p.view, p.seq, sender, p.bdigest())
 
 
 @_record

@@ -343,24 +343,25 @@ class Replica:
     # ------------------------------------------------------------- requests
 
     def on_client_request(self, req: m.Request) -> List[tuple]:
-        key = req.key()
+        """Queue a new request (as the leader) or arm suspicion of the
+        leader; the one leader test here is the one _arm_suspicion reads."""
         if not self._auth_ok(req):
             return [("note", {"ev": "bad_auth", "client": req.client_id})]
-        out: List[tuple] = []
-        if key not in self.pending:
-            # a repeated last request gets its reply again, an older one none
-            rep = self.last_reply.get(req.client_id)
-            if rep is not None and rep.client_seq >= req.client_seq:
-                if rep.client_seq == req.client_seq:
-                    out.append(("send", ("client", req.client_id), rep))
-                return out
-            self.pending[key] = req
-            if self.is_leader() and self.voted_view <= self.view:
-                self.batchq.append(req)
-                out += self._seal_batches()
-            else:
-                out += self._arm_suspicion()
-        return out
+        key = req.key()
+        if key in self.pending:
+            return []
+        # a repeated last request gets its reply again, an older one none
+        rep = self.last_reply.get(req.client_id)
+        if rep is not None and rep.client_seq >= req.client_seq:
+            if rep.client_seq == req.client_seq:
+                return [("send", ("client", req.client_id), rep)]
+            return []
+        self.pending[key] = req
+        leader = leader_of(self.view, self.n) == self.id
+        if leader and self.voted_view <= self.view:
+            self.batchq.append(req)
+            return self._seal_batches()
+        return self._arm_suspicion(leader)
 
     def _auth_ok(self, req: m.Request) -> bool:
         keyb = self.client_keys.get(req.client_id)
@@ -368,8 +369,12 @@ class Replica:
             return False
         return hmaclib.compare_digest(m.request_auth(req, keyb), req.auth)
 
-    def _arm_suspicion(self) -> List[tuple]:
-        if self.view in self.suspect_armed or self.is_leader():
+    def _arm_suspicion(self, leader: Optional[bool] = None) -> List[tuple]:
+        """Arm this view's suspect timer unless it is armed or this replica
+        leads the view (`leader`, if the caller has already tested that)."""
+        if leader is None:
+            leader = self.is_leader()
+        if leader or self.view in self.suspect_armed:
             return []
         self.suspect_armed[self.view] = self.exec_cursor
         return [("timer", "suspect", self.view, self.cfg.suspicion_timeout_ns)]
@@ -549,10 +554,14 @@ class Replica:
                 kind: str, cert) -> List[tuple]:
         if self._pruned(seq):
             return []
-        t = self.trackers.setdefault(seq, _Tracker())
+        t = self.trackers.get(seq)
+        if t is None:
+            t = self.trackers[seq] = _Tracker()
         t.view = max(t.view, view)
-        holders = t.claims.setdefault(bdigest, {})
-        if sender in holders:
+        holders = t.claims.get(bdigest)
+        if holders is None:
+            holders = t.claims[bdigest] = {}
+        elif sender in holders:
             return []
         holders[sender] = (kind, cert)
         if t.committed is not None:
@@ -565,7 +574,9 @@ class Replica:
                         via: str, holders) -> List[tuple]:
         """Commit `bdigest` at seq; fetch a missing batch from one of `holders`
         (_source): the digest's claimants, or the sender of a Decision."""
-        t = self.trackers.setdefault(seq, _Tracker())
+        t = self.trackers.get(seq)
+        if t is None:
+            t = self.trackers[seq] = _Tracker()
         t.committed = bdigest
         t.view = max(t.view, view)
         out: List[tuple] = [("fact", "commit", seq, bdigest),
@@ -631,14 +642,13 @@ class Replica:
         if len({s for s, _, _ in dec.proof}) < self.cfg.f + 1:
             return self._drop("decision_quorum", dec.seq)
         lead = leader_of(dec.view, self.n)
-        for sender, kind, cert in dec.proof:
+        # computed once per Decision object for all its receivers
+        for (sender, kind, cert), want in zip(dec.proof, dec.proof_digests()):
             if kind == "prepare":
                 if sender != lead:
                     return self._drop("decision_proof", dec.seq)
-                want = m.prepare_digest(dec.view, dec.seq, dec.bdigest)
                 why = self._check_prepare(dec.view, dec.seq, want, cert)
             else:
-                want = m.commit_digest(dec.view, dec.seq, sender, dec.bdigest)
                 why = self._check_cert(cert, sender, want)
             if why is not None:
                 return self._drop("decision_proof", dec.seq)
@@ -713,8 +723,8 @@ class Replica:
                 rep = self.last_reply.get(r.client_id)   # has_executed
                 if rep is not None and rep.client_seq >= r.client_seq:
                     continue
-                self.exec_digest, result = r.execute((self.exec_digest, nxt))
-                rep = m.Reply(r.client_id, r.client_seq, nxt, result)
+                # the Reply of every replica that executes r at this point
+                self.exec_digest, rep = r.execute((self.exec_digest, nxt))
                 self.last_reply[r.client_id] = rep
                 self.pending.pop(r.key(), None)
                 out.append(("send", ("client", r.client_id), rep))
@@ -729,9 +739,8 @@ class Replica:
                            replies: Iterable[m.Reply]) -> bytes:
         # binds each reply's client and client seq, which has_executed reads
         ordered = sorted(replies, key=lambda r: r.client_id)
-        return _h(_enc("state", exec_digest,
-                       *[f for r in ordered
-                         for f in (r.client_id, r.client_seq, r.result)]))
+        return _h(b"".join([_enc("state", exec_digest),
+                            *[r.encoding() for r in ordered]]))
 
     # ----------------------------------------------------------- checkpoints
 
@@ -916,7 +925,7 @@ class Replica:
                 p = e.prepare
                 if p is None or p.seq != e.seq or e.digest != (
                         p.pdigest() if e.kind == "prepare" else
-                        m.commit_digest(p.view, p.seq, vc.sender, p.bdigest())):
+                        e.carried_commit(vc.sender)):
                     return "entry_prepare"
                 why = self._check_prepare(p.view, p.seq, p.pdigest(), p.cert)
                 if why is not None:

@@ -15,9 +15,10 @@ seed, the event's index and time, its owner and its message type or timer.
 The host's bookkeeping is per step, not per message. Most steps return no
 effects (at f=30 nearly every request and reply delivery), and those skip
 `_apply`; after every replica step the ledger takes the certificates its
-component issued, if it issued any. `_apply` sizes, names and counts a run of one message object
-(a broadcast) once, and under a constant delay appends every send of the
-step to the one event list of its (time, priority) key.
+component issued, if it issued any. `_apply` sizes, names and counts a
+run of sends at once, of one message object (a broadcast) or of one
+fixed-size type (a step's replies), and under a constant delay appends every
+send of the step to the one event list of its (time, priority) key.
 
 Construction, the event loop and the verdict run with CPython's cycle
 collector off and put back the caller's setting when they end, as timeit
@@ -315,29 +316,33 @@ class Simulator:
     def _apply(self, owner: Tuple[str, int], effects: List[tuple]) -> None:
         # Sizing comes first, so an unsized message raises before any send
         # of it is queued or counted; a fixed-size type is sized once per
-        # simulator. A varying delay is drawn per send, on its channel.
+        # simulator. A run of sends is counted at once: sends of one object
+        # (a broadcast) or of one fixed-size type (a step's replies), so
+        # `run` is that object or that type. A varying delay is drawn per
+        # send, on its channel.
         cfg, queue, now, draw = self.cfg, self._queue, self.now, self._delay
         msgs, nbytes = self.msgs_by_type, self.bytes_by_type
         constant = cfg.delay_min_ns == cfg.delay_max_ns
         deliveries = None
-        sent, sends = _NOT_A_MESSAGE, 0
+        run, sends = _NOT_A_MESSAGE, 0
         for eff in effects:
             tag = eff[0]
             if tag == "send":
                 _, dst, msg = eff
-                if msg is not sent:   # a broadcast repeats one object
+                if msg is not run and type(msg) is not run:
                     if sends:
                         msgs[mtype] = msgs.get(mtype, 0) + sends
                         nbytes[mtype] = nbytes.get(mtype, 0) + sends * size
                     cls = type(msg)
+                    fixed = cls in m.FIXED_SIZE
                     sized = self._sized.get(cls)
                     if sized is None:
                         sized = (m.wire_size(msg, cfg.sizes, cfg.f),
                                  m.msg_type(msg))
-                        if cls in m.FIXED_SIZE:
+                        if fixed:
                             self._sized[cls] = sized
                     size, mtype = sized
-                    sent, sends = msg, 0
+                    run, sends = (cls if fixed else msg), 0
                 sends += 1
                 if constant:
                     if deliveries is None:

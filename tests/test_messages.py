@@ -34,7 +34,8 @@ from hybft.tc import (
 )
 
 from conftest import assert_memo_slots, make_hmac_tc
-from test_protocol import CLIENT_KEY, Cluster, authed, broadcast_request
+from test_protocol import (CLIENT_KEY, Cluster, _vote_setup, authed,
+                           broadcast_request)
 
 
 def _h(tag: bytes) -> bytes:
@@ -133,7 +134,7 @@ def test_a_memo_never_survives_replace_in_prevention_mode():
 
 def _messages_of_a_view_change():
     """Every message of one committed request, and of a view change that a
-    second request, kept from the leader, brings about."""
+    second request, kept from the leader, brings about; then the replies."""
     c = Cluster(checkpoint_interval=1)
     seen = []
 
@@ -153,7 +154,7 @@ def _messages_of_a_view_change():
         c.fire(rid, "suspect", 0).fire(rid, "suspect", 0)
         pump()
     assert c.replicas[2].view == 1
-    return seen
+    return seen + [msg for _, _, msg in c.client_box]
 
 
 # memoized method -> its value computed from the fields
@@ -168,6 +169,8 @@ _DIGESTS = {
                                                     c.bdigest),
                "pdigest": lambda c: m.prepare_digest(c.view, c.seq,
                                                      c.bdigest)},
+    m.Reply: {"encoding": lambda r: _enc(r.client_id, r.client_seq,
+                                         r.result)},
     m.Checkpoint: {"ckdigest": lambda k: m.checkpoint_digest(k.seq,
                                                              k.state_digest)},
     m.TimelineEntry: {"encoding": lambda e: _enc(e.kind, e.seq, e.digest),
@@ -300,16 +303,20 @@ def test_replace_and_pickle_give_back_equal_fields():
 
 
 def _execution_from_fields(req, prev, seq):
+    """(execution digest, Reply) of req executed at (prev, seq), with the
+    Reply built from the fields."""
     req_digest = _h(_enc("req", req.client_id, req.client_seq, req.payload))
     applied = _h(_enc("apply", prev, seq, req_digest))
-    return applied, _h(_enc("result", applied, req_digest))
+    result = _h(_enc("result", applied, req_digest))
+    return applied, m.Reply(req.client_id, req.client_seq, seq, result)
 
 
 def test_an_execution_memo_hit_equals_the_digests_from_the_fields():
     req, prev = authed(1), _h(b"prev")
     first = req.execute((prev, 3))
     assert "_execute" in vars(req)
-    assert req.execute((prev, 3)) is first
+    hit = req.execute((prev, 3))
+    assert hit is first and hit[1] is first[1]
     assert first == _execution_from_fields(req, prev, 3)
     assert fresh(req).execute((prev, 3)) == first
     # the memo is outside the fields
@@ -323,24 +330,109 @@ def test_another_chain_or_seq_misses_the_execution_memo():
         got = req.execute((p, seq))
         assert got == _execution_from_fields(req, p, seq)
         assert (got == ours) == ((p, seq) == (prev, 3))
+        # the memo keeps the last point only: each miss builds its own Reply
+        assert got[1] is not ours[1]
 
 
-def test_replicas_on_different_chains_execute_one_request_differently():
+def _execute_on_two_chains(diverged: int):
+    """The cluster and the Reply each replica sent, by replica, once every
+    replica executed one request, replica `diverged` from another execution
+    digest."""
     c = Cluster()
-    c.replicas[2].exec_digest = _h(b"corrupted")
+    c.replicas[diverged].exec_digest = _h(b"corrupted")
     starts = [r.exec_digest for r in c.replicas]
     req = broadcast_request(c, 1)
     c.pump()
-    results = {rid: msg.result for _, rid, msg in c.client_box
+    replies = {rid: msg for _, rid, msg in c.client_box
                if isinstance(msg, m.Reply)}
     for r in c.replicas:
-        applied, result = _execution_from_fields(req, starts[r.id], 1)
-        assert r.exec_digest == applied and results[r.id] == result
+        applied, reply = _execution_from_fields(req, starts[r.id], 1)
+        assert r.exec_digest == applied and replies[r.id] == reply
+        assert r.last_reply[req.client_id] is replies[r.id]
+    return c, replies
+
+
+def test_replicas_on_different_chains_execute_one_request_differently():
+    c, replies = _execute_on_two_chains(2)
+    results = {rid: rep.result for rid, rep in replies.items()}
     assert results[0] == results[1] != results[2]
     assert safety_violations(c.ledger, set()) == [
         {"kind": "divergent_execution", "seq": 1, "replicas": [0, 2]},
         {"kind": "divergent_execution", "seq": 1, "replicas": [1, 2]},
     ]
+    # replicas 1 and 2 execute in turn, before the leader: with the leader
+    # diverged they send the one Reply, and the leader its own
+    c, replies = _execute_on_two_chains(0)
+    assert replies[1] is replies[2]
+    assert replies[0] is not replies[1]
+    assert replies[0].result != replies[1].result
+    assert safety_violations(c.ledger, set()) == [
+        {"kind": "divergent_execution", "seq": 1, "replicas": [0, 1]},
+        {"kind": "divergent_execution", "seq": 1, "replicas": [0, 2]},
+    ]
+
+
+# ---------------------------------------------------- receivers' digests
+
+
+def _count_calls(monkeypatch, *names) -> list:
+    """The arguments of every later call of the named digest functions of
+    hybft.messages, which keep working."""
+    calls = []
+    for name in names:
+        real = getattr(m, name)
+        monkeypatch.setattr(
+            m, name, lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_receivers_of_a_decision_compute_its_proof_digests_once(
+        monkeypatch):
+    c = Cluster(f=2)
+    broadcast_request(c, 1)
+    c.pump(drop_to={3, 4})
+    c.fire(1, "decision", 1)
+    sent = {dst: msg for dst, msg in c.queue if isinstance(msg, m.Decision)}
+    dec = sent[3]
+    assert sent[4] is dec
+    assert [kind for _, kind, _ in dec.proof] == ["prepare", "commit", "commit"]
+    want = tuple(m.prepare_digest(dec.view, dec.seq, dec.bdigest)
+                 if kind == "prepare" else
+                 m.commit_digest(dec.view, dec.seq, sender, dec.bdigest)
+                 for sender, kind, _ in dec.proof)
+    assert fresh(dec).proof_digests() == want
+    assert "_proof_digests" not in vars(dec)
+    calls = _count_calls(monkeypatch, "prepare_digest", "commit_digest")
+    for rid in (3, 4):
+        verifies = c.replicas[rid].stats["verifies"]
+        c.inject(rid, dec)
+        # every certificate is still checked at every receipt
+        assert c.replicas[rid].stats["verifies"] == verifies + len(dec.proof)
+        assert (rid, {"ev": "commit", "seq": 1, "via": "decision"}) in c.notes
+    assert len(calls) == len(dec.proof)
+    assert dec.proof_digests() == want
+
+
+def test_a_vote_entry_computes_the_commit_of_its_prepare_once(monkeypatch):
+    c, vote = _vote_setup()
+    carried = [e for e in vote.timeline
+               if e.kind == "commit" and e.seq > vote.stable_seq]
+    assert carried and all(e.prepare is not None for e in carried)
+    for e in carried:
+        p = e.prepare
+        assert e.digest == m.commit_digest(p.view, p.seq, vote.sender,
+                                           p.bdigest())
+    calls = _count_calls(monkeypatch, "commit_digest")
+    # the new leader and a receiver of its NewView validate the one vote
+    for rid in (1, 0, 1):
+        assert c.replicas[rid]._validate_view_change(vote) is None
+    assert len(calls) == len(carried)
+    for e in carried:
+        assert vars(e)["_carried_commit"] == (vote.sender, e.digest)
+        # another sender misses the memo and gets its own digest
+        p = e.prepare
+        assert fresh(e).carried_commit(0) == e.carried_commit(0) == (
+            m.commit_digest(p.view, p.seq, 0, p.bdigest())) != e.digest
 
 
 # ----------------------------------------------------------- authenticators

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import hashlib
 import hmac as hmaclib
+import random
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from hybft import messages as m
 from hybft import protocol
 from hybft.config import SimConfig
+from hybft.encoding import _enc
 from hybft.protocol import (_CONFIG, _NOT_STATE, Replica, _Tracker,
                              proposal_counter)
 from hybft.sim import Ledger, safety_violations
@@ -471,6 +473,27 @@ def test_suspicion_rearms_while_progress_continues():
     assert c.replicas[1].voted_view == 1
 
 
+def test_a_request_arms_suspicion_at_a_follower_only():
+    # one leader test per delivery decides between batching and suspicion
+    c = Cluster(batch_size=2)
+    leader, follower = c.replicas[0], c.replicas[1]
+    batch = ("timer", "batch", 0, c.cfg.batch_timeout_ns)
+    suspect = ("timer", "suspect", 0, c.cfg.suspicion_timeout_ns)
+    assert leader.handle(authed(1), c.now) == [batch]
+    assert leader.batchq == [authed(1)] and leader.suspect_armed == {}
+    # a follower arms its timer once per view, marked with its progress
+    assert follower.handle(authed(1), c.now) == [suspect]
+    assert follower.handle(authed(2), c.now) == []
+    assert follower.suspect_armed == {0: 0} and follower.batchq == []
+    # a leader that has voted past its view neither batches nor suspects
+    c = Cluster(batch_size=2)
+    leader = c.replicas[0]
+    leader.voted_view = 1
+    assert leader.handle(authed(1), c.now) == []
+    assert leader.batchq == [] and leader.suspect_armed == {}
+    assert list(leader.pending) == [(0, 1)]
+
+
 def test_leader_joining_a_ready_quorum_installs_the_view_once():
     # f+1 defection votes can reach the incoming leader before its own timer
     # fires; casting its joining vote completes the quorum on the spot, and
@@ -518,6 +541,42 @@ def test_the_window_clamps_the_checkpoint_interval_for_every_replica():
     for r in c.replicas:
         assert r.exec_cursor == 6
         assert r.stable_seq == 6
+
+
+def _state_digest_field_by_field(exec_digest, replies) -> bytes:
+    """A checkpoint's state digest as one _enc over every reply's fields,
+    in client order."""
+    ordered = sorted(replies, key=lambda r: r.client_id)
+    return hashlib.sha256(_enc(
+        "state", exec_digest,
+        *[f for r in ordered for f in (r.client_id, r.client_seq, r.result)],
+    )).digest()
+
+
+def test_a_state_digest_equals_one_encoding_of_every_reply_field():
+    rep = Cluster().replicas[1]
+    exec_digest = hashlib.sha256(b"exec").digest()
+    replies = [m.Reply(cid, 2 * cid + 1, 3 * cid,
+                       hashlib.sha256(bytes([cid])).digest()[: cid + 1])
+               for cid in range(8)]
+    want = _state_digest_field_by_field(exec_digest, replies)
+    for seed in range(5):
+        random.Random(seed).shuffle(replies)
+        assert rep._state_digest_from(exec_digest, replies) == want
+        # the same from replies that carry no encoding memo yet
+        assert rep._state_digest_from(
+            exec_digest, [dataclasses.replace(r) for r in replies]) == want
+    assert rep._state_digest_from(exec_digest, ()) == (
+        _state_digest_field_by_field(exec_digest, ()))
+    # every checkpoint of a run binds the same bytes
+    c = Cluster(checkpoint_interval=2)
+    for seq in range(1, 5):
+        broadcast_request(c, seq)
+        c.pump()
+    for r in c.replicas:
+        assert r.stable_seq == 4
+        assert r.stable_cert[0].state_digest == _state_digest_field_by_field(
+            r.checkpoint_exec[4], r.last_reply.values())
 
 
 # ------------------------------------------------------------------ forks

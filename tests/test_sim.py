@@ -258,13 +258,16 @@ def _bare_host(delays) -> Simulator:
 @pytest.mark.parametrize("delays", [_CONSTANT, _SEEDED],
                          ids=["constant", "seeded"])
 def test_a_step_counts_and_queues_each_send(delays):
-    # message a to two peers, then b to one, then a again: three runs of
-    # one object each, counted per run
+    # message a to two peers, then the replies b, c and b again, then the
+    # prepare p to two peers, then a again: runs of one object (a, p) or of
+    # one fixed-size type (the replies), each counted at once
     sim = _bare_host(delays)
     cfg, src = sim.cfg, ("replica", 0)
     a, b = m.FetchBatch(seq=1, sender=0), m.Reply(0, 1, 1, b"r")
+    c, p = m.Reply(0, 2, 2, b"s"), m.Prepare(0, 1, (), None)
     sends = [(("replica", 1), a), (("replica", 2), a), (("client", 0), b),
-             (("replica", 1), a)]
+             (("client", 0), c), (("client", 0), b), (("replica", 1), p),
+             (("replica", 2), p), (("replica", 1), a)]
     sim._apply(src, [("send", dst, msg) for dst, msg in sends])
 
     msgs, nbytes, want, used = {}, {}, [], {}
