@@ -31,10 +31,10 @@ Three layers:
    states apart as the values would. The table memoizes replica steps, so
    a handler runs only the first time a replica in one state meets one
    input, and the moves on queues and timer sets, so a step is a few
-   lookups (see _Table). A stepped replica shares each part its step left
-   equal with the replica it stepped from, and its key reuses that
-   replica's key for those parts, so a handler run keys only the state it
-   changed.
+   lookups (see _Table). A stepped replica settles on the replica it
+   stepped from (Replica.settle): it shares each part its step left equal
+   and reuses the source's key for those parts, so a handler run keys only
+   the state it changed.
 
    The search is a plain depth-first search over world keys. A replica's
    key holds all its state, so a key's successors do not depend on the path
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import messages as m
 from .config import ConfigError, SimConfig
@@ -249,9 +249,8 @@ class _Table:
     `at` maps a replica id or a channel to its position in the row, and
     `queues` is the first slot's.
 
-    `keys` holds each interned replica's state_key() by its id, so that
-    step can key a replica it stepped by what changed from its source (see
-    Replica.state_key).
+    `keys` holds each interned replica's state_key() by its id, which step
+    hands Replica.settle with the source of the replica it stepped.
 
     `memo` maps (the stepping replica's table id, its input) to its step:
     (the successor's table id, the step's delta, its certificates). The
@@ -298,20 +297,16 @@ class _Table:
         self.arm = _Memo(lambda aa: own(v[aa[0]] | v[aa[1]]))
         self.timers = _Memo(lambda a: [("timer", t) for t in sorted(v[a])])
 
-    def replica(self, rep: Replica, src: Optional[int] = None) -> int:
-        """The id of `rep`. Given the id `src` of the replica that `rep` was
-        stepped from, the key reuses `src`'s for the state they share."""
-        key = (rep.state_key() if src is None
-               else rep.state_key(self.values[src], self.keys[src]))
+    def replica(self, rep: Replica, key: tuple) -> int:
+        """The id of `rep`, whose state_key() is `key`."""
         i = self.intern(rep, (rep.id, key))
         self.keys.setdefault(i, key)
         return i
 
     def step(self, kid: int, act, inp) -> tuple:
         """The memo entry for replica `kid` taking step `act` on input
-        `inp`, computed by a clone of the replica that takes the step. The
-        clone shares what it left equal with replica `kid` and is keyed
-        from `kid`'s key."""
+        `inp`, computed by a clone of the replica that takes the step and
+        settled on replica `kid` (Replica.settle)."""
         src = self.values[kid]
         rep = src.clone()
         try:
@@ -322,9 +317,9 @@ class _Table:
                 f"{m.msg_type(self.values[inp])} from channel {act[1]}"
                 if act[0] == "deliver" else f"timer {inp[1]} with key {inp[2]!r}"))
             raise
-        rep.share_equal_state(src)
+        key = rep.settle(src, self.keys[kid])
         delta, issued = self._delta(rep.id, effects), rep.tc.take_issued()
-        return self.replica(rep, kid), delta, issued
+        return self.replica(rep, key), delta, issued
 
     def _delta(self, src: int, effects: List[tuple]) -> tuple:
         """What replica `src`'s step effects change in a row, as (sends,
@@ -400,7 +395,8 @@ class World:
         rids = [rep.id for rep in correct]
         t = _Table(rids, byz, sorted(set(channels) | {
             (f"r{a}", b) for a in rids for b in rids if a != b}))
-        world = cls((t.own(frozenset()),) + tuple(map(t.replica, correct))
+        world = cls((t.own(frozenset()),)
+                    + tuple(t.replica(rep, rep.state_key()) for rep in correct)
                     + tuple(t.own(tuple(map(t.own, channels.get(ch, ()))))
                             for ch in t.slots), Ledger(), t)
         for ch in delivered:

@@ -103,14 +103,14 @@ class _Tracker:
 # The Replica attributes that are not state: the configuration and what
 # __init__ derives from it once (n, the peers and their destinations, which
 # every broadcast reads) and the view cap max_view, which only the model
-# checker sets, all of which clones share; and the write-only counters,
-# which clones copy and no step reads. Every other attribute, a subclass's
-# too, is state: clone copies it, share_equal_state shares it and state_key
-# keys it (see _copy and _key).
+# checker sets, all of which clones share; and the write-only counters
+# `stats`, which clones copy and no step reads. Every other attribute, a
+# subclass's too, is state: clone copies it, settle shares it while a step
+# leaves it equal, and state_key keys it (see _copy and _key).
 _CONFIG = frozenset({"id", "cfg", "n", "peers", "peer_dsts", "window",
                      "checkpoint_interval", "max_view", "directory",
                      "client_keys"})
-_NOT_STATE = _CONFIG | {"stats", "decisions_sent", "decisions_suppressed"}
+_NOT_STATE = _CONFIG | {"stats"}
 
 
 def _copy(value):
@@ -204,14 +204,13 @@ class Replica:
 
         self.decision_seen: Dict[int, set] = {}
         self.peer_floor: Dict[int, int] = {}   # seq each peer has committed to
-        self.decisions_sent = 0
-        self.decisions_suppressed = 0
 
         self.vc_votes: Dict[int, Dict[int, m.ViewChange]] = {}
         self.suspect_armed: Dict[int, tuple] = {}
 
         self.stats: Dict[str, int] = {
             "verifies": 0, "stale_epoch_drops": 0, "invalid_drops": 0,
+            "decisions_sent": 0, "decisions_suppressed": 0,
         }
 
     # ------------------------------------------------------------------ util
@@ -611,12 +610,12 @@ class Replica:
         lagging = [p for p in self.peers
                    if p != lead and not self._peer_known_committed(p, seq)]
         if not lagging:
-            self.decisions_suppressed += 1
+            self.stats["decisions_suppressed"] += 1
             return [("note", {"ev": "decision_suppressed", "seq": seq})]
         dec = m.Decision(t.view, seq, self.id, t.committed,
                          self._commit_proof(seq),
                          threshold=self.cfg.threshold_proofs)
-        self.decisions_sent += 1
+        self.stats["decisions_sent"] += 1
         out: List[tuple] = [("send", ("replica", p), dec) for p in lagging]
         out.append(("note", {"ev": "decision_sent", "seq": seq, "to": lagging}))
         return out
@@ -642,8 +641,12 @@ class Replica:
         if len({s for s, _, _ in dec.proof}) < self.cfg.f + 1:
             return self._drop("decision_quorum", dec.seq)
         lead = leader_of(dec.view, self.n)
-        # computed once per Decision object for all its receivers
-        for (sender, kind, cert), want in zip(dec.proof, dec.proof_digests()):
+        try:
+            # computed once per Decision object for all its receivers
+            wants = dec.proof_digests()
+        except (TypeError, OverflowError):   # see on_view_change
+            return self._drop("malformed", dec.seq)
+        for (sender, kind, cert), want in zip(dec.proof, wants):
             if kind == "prepare":
                 if sender != lead:
                     return self._drop("decision_proof", dec.seq)
@@ -1123,38 +1126,36 @@ class Replica:
                           for name, value in self.__dict__.items()}
         return child
 
-    def share_equal_state(self, other: "Replica") -> None:
-        """Point each container of this replica that equals `other`'s (those
-        clone copies) at `other`'s, so a host that keeps both holds one copy.
+    def state_key(self) -> tuple:
+        """The _key of every attribute not in _NOT_STATE, for model checking,
+        in attribute order (which __init__ fixes and clone keeps)."""
+        return tuple(_key(value) for name, value in self.__dict__.items()
+                     if name not in _NOT_STATE)
+
+    def settle(self, src: "Replica", src_key: tuple) -> tuple:
+        """This replica's state_key(), after a step taken by a clone of
+        `src`, whose key is `src_key`: each container the step left equal
+        to `src`'s is pointed at `src`'s, so a host that keeps both holds
+        one copy, and each attribute that is then `src`'s object takes its
+        entry from `src_key`, so only what the step changed is keyed. If the
+        attribute names or their order differ from `src`'s, nothing is
+        shared and the key is computed in full.
 
         Sound only while neither replica is ever changed in place again, as
         in the model checker, which steps clones only: a change to either
-        would show in the other.
+        would show in the other, under a stale key entry.
         """
-        mine, theirs = self.__dict__, other.__dict__
+        mine, theirs = self.__dict__, src.__dict__
+        if list(mine) != list(theirs):
+            return self.state_key()
+        old, key = iter(src_key), []
         for name, value in mine.items():
-            if (name not in _CONFIG and type(value) in _COPY
-                    and value == theirs[name]):
-                mine[name] = theirs[name]
-
-    def state_key(self, src: Optional[Replica] = None,
-                  src_key: Optional[tuple] = None) -> tuple:
-        """The _key of every attribute not in _NOT_STATE, for model checking,
-        in attribute order (which __init__ fixes and clone keeps). Called
-        with no arguments, this defines the key.
-
-        Given `src` and its key `src_key` (src.state_key()), an attribute
-        that is `src`'s own object, as share_equal_state leaves each
-        container equal to `src`'s, takes its entry from `src_key`, and
-        only the other attributes are keyed: the same key, at the cost of
-        what changed from `src`. If the attribute names or their order
-        differ from `src`'s, the key is computed in full. Sound only while
-        neither replica changes in place, as for share_equal_state.
-        """
-        mine = self.__dict__
-        names = [name for name in mine if name not in _NOT_STATE]
-        if src is None or list(src.__dict__) != list(mine):
-            return tuple(_key(mine[name]) for name in names)
-        theirs = src.__dict__
-        return tuple(old if mine[name] is theirs[name] else _key(mine[name])
-                     for name, old in zip(names, src_key))
+            if name in _CONFIG:
+                continue
+            same = value is theirs[name]
+            if not same and type(value) in _COPY and value == theirs[name]:
+                mine[name], same = theirs[name], True
+            if name not in _NOT_STATE:
+                entry = next(old)
+                key.append(entry if same else _key(value))
+        return tuple(key)

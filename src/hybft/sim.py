@@ -413,7 +413,7 @@ class Simulator:
                     if owner[0] == "replica":
                         tc = replicas[owner[1]].tc
                         if tc.issued:
-                            ledger.take_issued(owner[1], tc)
+                            ledger.note_issued(owner[1], tc.take_issued())
             except Exception as exc:
                 exc.add_note(self._context(index, t, prio, event))
                 raise
@@ -486,8 +486,9 @@ class Simulator:
             "max_view": max((r.view for r in correct), default=0),
             "flagged": sorted((r.id, sorted(r.flagged_views))
                               for r in correct if r.flagged_views),
-            "decisions_sent": sum(r.decisions_sent for r in correct),
-            "decisions_suppressed": sum(r.decisions_suppressed for r in correct),
+            "decisions_sent": sum(r.stats["decisions_sent"] for r in correct),
+            "decisions_suppressed": sum(r.stats["decisions_suppressed"]
+                                        for r in correct),
             "stale_epoch_drops": sum(r.stats["stale_epoch_drops"]
                                      for r in correct),
             "retransmits": sum(c.retransmits for c in self.clients),
@@ -542,9 +543,6 @@ class Ledger:
             rec.committed[key] = digest
         else:
             rec.executed[key] = digest
-
-    def take_issued(self, rid: int, tc: TrustedComponent) -> None:
-        self.note_issued(rid, tc.take_issued())
 
     def note_issued(self, rid: int, issued: List) -> None:
         if issued:

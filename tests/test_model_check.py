@@ -195,6 +195,18 @@ def test_only_the_simulator_sets_up_replicas():
     assert offenders == []
 
 
+def test_only_the_model_checker_settles_replicas():
+    """Replica.settle makes two replicas share containers, which is sound
+    only where neither is stepped in place again, as in the model checker."""
+    src = Path(hybft.__file__).resolve().parent
+    callers = sorted(
+        path.name for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "settle"
+        and isinstance(node.ctx, ast.Load))
+    assert callers == ["model_check.py"]
+
+
 def test_the_prevention_world_rejects_a_component_that_binds_twice(
         monkeypatch):
     real = TrustedComponent.certify_context
@@ -822,7 +834,7 @@ def _copied_where_mutable(value) -> bool:
     pytest.param(equivocate_world, id="equivocate"),
     *_SAFE_COUNTER_IDENTITY,
 ])
-def test_memoized_replicas_never_change(build):
+def test_memoized_replicas_never_change(build, monkeypatch):
     # a successor shares every container that equals its source's; a step
     # that changed a shared container would change a kept replica's key.
     # Each replica in the table must still have the key it was numbered by,
@@ -832,6 +844,13 @@ def test_memoized_replicas_never_change(build):
     # object that clone shares must be immutable: a container of a type
     # _copy does not know (a dict subclass, say) would be shared and could
     # change under its reused key.
+    settled, settle = [], Replica.settle
+
+    def recording_settle(rep, src, src_key):
+        settled.append((rep, src))
+        return settle(rep, src, src_key)
+
+    monkeypatch.setattr(Replica, "settle", recording_settle)
     root = build()
     value = root.table.values
     replicas = _fields(root.table, root.row)[1]
@@ -848,6 +867,14 @@ def test_memoized_replicas_never_change(build):
             assert root.table.keys[kid] == key
             assert all(_copied_where_mutable(v) for name, v in vars(rep).items()
                        if name not in _CONFIG), kid
+    # each memo entry settled its successor on its source once, and the
+    # successor holds its source's object for every container left equal
+    assert len(settled) == len(root.table.memo)
+    for rep, src in settled:
+        mine, theirs = vars(rep), vars(src)
+        assert all(v is theirs[name] for name, v in mine.items()
+                   if name not in _CONFIG and type(v) in _COPY
+                   and v == theirs[name]), rep.id
 
 
 # -- one oracle scan per distinct ledger ----------------------------------

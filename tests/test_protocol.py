@@ -69,7 +69,7 @@ class Cluster:
                 self.notes.append((rid, eff[1]))
             elif eff[0] == "fact":
                 self.ledger.note(rid, eff)
-        self.ledger.take_issued(rid, self.replicas[rid].tc)
+        self.ledger.note_issued(rid, self.replicas[rid].tc.take_issued())
 
     def inject(self, rid, msg):
         self._absorb(rid, self.replicas[rid].handle(msg, self.now))
@@ -277,11 +277,11 @@ def test_decision_suppressed_when_peer_known_committed():
     # peers' commits for seq 2 prove (pipelining off) that seq 1 committed
     c.fire(1, "decision", 1)
     assert not any(isinstance(msg, m.Decision) for _, msg in c.queue)
-    assert c.replicas[1].decisions_suppressed == 1
+    assert c.replicas[1].stats["decisions_suppressed"] == 1
     # no such proof exists yet for the newest seq, so that one still ships
     c.fire(1, "decision", 2)
     assert any(isinstance(msg, m.Decision) for _, msg in c.queue)
-    assert c.replicas[1].decisions_sent == 1
+    assert c.replicas[1].stats["decisions_sent"] == 1
 
 
 def test_decision_proof_needs_weak_quorum():
@@ -352,9 +352,9 @@ def test_a_decision_timer_fired_after_pruning_is_accounted_for():
     assert (r1.stable_seq, sorted(r1.trackers)) == (5, [4, 5])
     assert (1, "decision", 1) in c.timers
     assert c.replicas[2].exec_cursor == 0
-    before = r1.decisions_sent + r1.decisions_suppressed
+    before = r1.stats["decisions_sent"] + r1.stats["decisions_suppressed"]
     c.fire(1, "decision", 1)
-    assert r1.decisions_sent + r1.decisions_suppressed > before
+    assert r1.stats["decisions_sent"] + r1.stats["decisions_suppressed"] > before
 
 
 def test_a_decision_commit_fetches_its_batch_once():
@@ -376,7 +376,7 @@ def test_decisions_disabled_never_arms_timer():
     broadcast_request(c, 1)
     c.pump()
     assert not any(kind == "decision" for _, kind, _ in c.timers)
-    assert all(r.decisions_sent == 0 for r in c.replicas)
+    assert all(r.stats["decisions_sent"] == 0 for r in c.replicas)
 
 
 # ---------------------------------------------------------- counter policy
@@ -678,7 +678,7 @@ def test_every_state_attribute_is_cloned_and_keyed():
     # the counters are copied, not keyed
     child = rep.clone()
     child.stats["verifies"] += 1
-    child.decisions_sent += 1
+    child.stats["decisions_sent"] += 1
     assert child.state_key() == key and child.stats != rep.stats
 
 
@@ -1305,6 +1305,22 @@ def test_a_malformed_vote_or_new_view_is_dropped(fields):
         nv, viewchanges=(first, _malformed(second, **fields))))
     assert (2, {"ev": "drop", "why": "malformed", "seq": 1}) in c.notes
     assert c.replicas[2].view == 0
+
+
+def test_a_malformed_decision_is_dropped():
+    # a proof triple naming sender -1 has no commit digest: encoding it
+    # raises OverflowError, and the replica drops the Decision as malformed
+    c = Cluster()
+    broadcast_request(c, 1)
+    c.pump(drop_to={2})
+    c.fire(1, "decision", 1)
+    dec = next(msg for _, msg in c.queue if isinstance(msg, m.Decision))
+    c.queue.clear()
+    lead, (_, kind, cert) = dec.proof[0], dec.proof[-1]
+    assert lead[:2] == (0, "prepare") and kind == "commit"
+    c.inject(2, dataclasses.replace(dec, proof=(lead, (-1, kind, cert))))
+    assert (2, {"ev": "drop", "why": "malformed", "seq": 1}) in c.notes
+    assert c.replicas[2].trackers.get(1) is None
 
 
 def test_every_rule_a_validator_names_is_pinned_by_a_break():
