@@ -5,14 +5,18 @@ derives identical values; certificate verification recomputes them from fields
 that travel with the message (a commit proof never needs the batch payload).
 A message keeps its digests, a request its authenticator (request_auth; a
 client tags with tagged_request) and its execution digest and Reply per
-chain point (Request.execute), a Decision the digests its proof must cover
-and a timeline entry the commit digest of its prepare, under the memo rules
-of hybft.encoding. So the replicas that receive one message object compute
-each once between them, and every replica that executes a request at one
-chain point sends the one Reply; a digest its sender computed to certify the
-message comes preset (Replica._cert), and they compute none. A reply keeps
-its share of a checkpoint's state digest (Reply.encoding), so a shared reply
-is encoded once for every replica's checkpoints. Every type here is an
+chain point (Request.execute), a prepare its request keys and clients and
+its batch's outcome (Prepare.execute, keyed by the previous execution
+digest, the seq and the executing replica's last replies to the batch's
+clients), a Decision the digests its proof must cover and a timeline entry
+the commit digest of its prepare, under the memo rules of hybft.encoding.
+So the replicas that receive one message object compute each once between
+them, every replica that executes a batch at one chain point takes the one
+outcome, and every replica that executes a request there sends the one
+Reply; a digest its sender computed to certify the message comes preset
+(Replica._cert), and they compute none. A reply keeps its share of a
+checkpoint's state digest (Reply.encoding), so a shared reply is encoded
+once for every replica's checkpoints. Every type here is an
 encoding._record.
 Wire sizes come from the shared SizeModel so simulator byte tallies and the
 analytic model cannot drift apart; a fixed-size type (FIXED_SIZE) may be
@@ -128,6 +132,37 @@ class Prepare:
     @_once
     def pdigest(self) -> bytes:
         return prepare_digest(self.view, self.seq, self.bdigest())
+
+    @_once
+    def keys(self) -> Tuple[Tuple[int, int], ...]:
+        """Each request's key, in batch order."""
+        return tuple([r.key() for r in self.requests])
+
+    @_once
+    def clients(self) -> Tuple[int, ...]:
+        """Each request's client, in batch order."""
+        return tuple([r.client_id for r in self.requests])
+
+    @_keyed
+    def execute(self, at: Tuple[bytes, int, tuple]) -> tuple:
+        """(execution digest after, (client, Reply) pairs to record as last
+        replies, keys of the executed requests, their reply sends) of this
+        batch executed at at = (prev, seq, priors): after execution digest
+        prev, at seq, by a replica whose last replies to clients() are priors
+        (None for none). A request whose client's last reply is at or past
+        it is skipped; each other executes in turn (Request.execute)."""
+        prev, seq, priors = at
+        last: dict = {}
+        keys, sends = [], []
+        for r, rep in zip(self.requests, priors):
+            rep = last.get(r.client_id, rep)
+            if rep is not None and rep.client_seq >= r.client_seq:
+                continue
+            prev, rep = r.execute((prev, seq))
+            last[r.client_id] = rep
+            keys.append(r.key())
+            sends.append(("send", ("client", r.client_id), rep))
+        return prev, tuple(last.items()), tuple(keys), tuple(sends)
 
 
 @_record

@@ -22,7 +22,8 @@ from hybft import resource_model as rm
 from hybft import tc as tc_module
 from hybft.cli import _exact_cell
 from hybft.config import SimConfig
-from hybft.encoding import _enc
+from hybft.encoding import _enc, _keyed
+from hybft.protocol import Replica, _Tracker
 from hybft.sim import Simulator, safety_violations
 from hybft.tc import (
     ContextCertificate,
@@ -157,6 +158,39 @@ def _messages_of_a_view_change():
     return seen + [msg for _, _, msg in c.client_box]
 
 
+def _first_point(prep):
+    """The chain point a memo table entry executes `prep` at: after the
+    genesis digest, with no reply to any of its clients yet."""
+    return (_h(b"genesis"), prep.seq, (None,) * len(prep.requests))
+
+
+def _batch_from_fields(prep, at):
+    """Prepare.execute's value at `at`, by the per-request rule, with each
+    request's execution from the fields."""
+    prev, seq, priors = at
+    last = dict(zip([r.client_id for r in prep.requests], priors))
+    replies, keys, sends = {}, [], []
+    for r in prep.requests:
+        if last[r.client_id] is not None and (
+                last[r.client_id].client_seq >= r.client_seq):
+            continue
+        prev, rep = _execution_from_fields(r, prev, seq)
+        last[r.client_id] = replies[r.client_id] = rep
+        keys.append((r.client_id, r.client_seq))
+        sends.append(("send", ("client", r.client_id), rep))
+    return prev, tuple(replies.items()), tuple(keys), tuple(sends)
+
+
+# A keyed memo (encoding._keyed) and the key its table entry computes it at.
+_KEY_OF = {(m.Prepare, "execute"): _first_point}
+
+
+def _memo(msg, name: str):
+    """msg's memoized `name`, at the key _KEY_OF gives if it is keyed."""
+    at = _KEY_OF.get((type(msg), name))
+    return getattr(msg, name)() if at is None else getattr(msg, name)(at(msg))
+
+
 # memoized method -> its value computed from the fields
 _DIGESTS = {
     m.Request: {"digest": lambda r: _h(_enc("req", r.client_id, r.client_seq,
@@ -164,7 +198,11 @@ _DIGESTS = {
                 "key": lambda r: (r.client_id, r.client_seq)},
     m.Prepare: {"bdigest": lambda p: m.batch_digest(p.requests),
                 "pdigest": lambda p: m.prepare_digest(
-                    p.view, p.seq, m.batch_digest(p.requests))},
+                    p.view, p.seq, m.batch_digest(p.requests)),
+                "keys": lambda p: tuple((r.client_id, r.client_seq)
+                                        for r in p.requests),
+                "clients": lambda p: tuple(r.client_id for r in p.requests),
+                "execute": lambda p: _batch_from_fields(p, _first_point(p))},
     m.Commit: {"cdigest": lambda c: m.commit_digest(c.view, c.seq, c.sender,
                                                     c.bdigest),
                "pdigest": lambda c: m.prepare_digest(c.view, c.seq,
@@ -196,10 +234,10 @@ def test_each_memoized_digest_equals_a_fresh_computation():
     assert set(_DIGESTS) <= found
     for msg in msgs:
         for name, from_fields in _DIGESTS.get(type(msg), {}).items():
-            memo = getattr(msg, name)()
+            memo = _memo(msg, name)
             assert "_" + name in vars(msg)
             assert memo == from_fields(msg), (type(msg).__name__, name)
-            assert getattr(fresh(msg), name)() == memo
+            assert _memo(fresh(msg), name) == memo
 
 
 def test_a_memoized_message_equals_and_hashes_like_a_fresh_one():
@@ -209,7 +247,7 @@ def test_a_memoized_message_equals_and_hashes_like_a_fresh_one():
     for msg in msgs:
         names = _DIGESTS.get(type(msg), {})
         for name in names:
-            getattr(msg, name)()
+            _memo(msg, name)
         assert_memo_slots(msg, [getattr(type(msg), name) for name in names])
         twin = fresh(msg)
         assert twin is not msg and not _memos(twin)
@@ -227,7 +265,8 @@ def test_memoized_methods_stay_plain_functions_on_the_class():
 
 def _one_of_each_record():
     """One message, timeline entry and certificate of each frozen type, with
-    every memo its instance methods keep, and its tags under two keys."""
+    every memo its instance methods keep, a prepare's execution at one
+    chain point, and its tags under two keys."""
     ui, skip, att, ctx, pskip = _one_of_each_certificate()
     req = m.tagged_request(CLIENT_KEY, 0, 1, b"op")
     prep = m.Prepare(0, 1, (req,), ui)
@@ -247,6 +286,7 @@ def _one_of_each_record():
     for record in records:
         for name in _memoized(type(record)):
             getattr(record, name)()
+    prep.execute(_first_point(prep))
     for cert in (ui, skip, att, ctx, pskip):
         hmac_tag(cert, b"k" * 32)
     return records
@@ -372,6 +412,186 @@ def test_replicas_on_different_chains_execute_one_request_differently():
     ]
 
 
+# ----------------------------------- a batch executes as its requests would
+
+
+def _per_request_conflicts(self, prep):
+    """Replica._conflicts as it was when each request was looked up on its
+    own: the reference for the batch path."""
+    for r in prep.requests:
+        bound = self.bound.get(r.key())
+        if bound is not None and bound != prep.seq:
+            return r.key()
+    return None
+
+
+def _per_request_bind(self, prep, fresh=False):
+    """Replica._bind as it was when each request was bound on its own."""
+    self.prepared_log[prep.seq] = prep
+    for r in prep.requests:
+        key = r.key()
+        self.bound[key] = prep.seq
+        if not (fresh or key in self.pending
+                or self.has_executed(r.client_id, r.client_seq)):
+            self.pending[key] = r
+    return ("fact", "admit", (prep.view, prep.seq), prep.bdigest())
+
+
+def _per_request_execute(self):
+    """Replica._execute as it was when each request executed on its own."""
+    out = []
+    while True:
+        nxt = self.exec_cursor + 1
+        t = self.trackers.get(nxt)
+        if t is None or t.committed is None:
+            break
+        prep = self.prepared_log.get(nxt)
+        if prep is None:
+            break
+        self.exec_cursor = nxt
+        for r in prep.requests:
+            rep = self.last_reply.get(r.client_id)   # has_executed
+            if rep is not None and rep.client_seq >= r.client_seq:
+                continue
+            self.exec_digest, rep = r.execute((self.exec_digest, nxt))
+            self.last_reply[r.client_id] = rep
+            self.pending.pop(r.key(), None)
+            out.append(("send", ("client", r.client_id), rep))
+        out.append(("fact", "execute", nxt, self.exec_digest))
+        out.append(("note", {"ev": "execute", "seq": nxt}))
+        if nxt % self.checkpoint_interval == 0:
+            self.checkpoint_exec[nxt] = self.exec_digest
+            out += self._emit_checkpoint(nxt)
+    return out
+
+
+_BATCH_PATH = (Replica._conflicts, Replica._bind, Replica._execute)
+_PER_REQUEST = (_per_request_conflicts, _per_request_bind,
+                _per_request_execute)
+
+
+def _admit_commit_execute(rep, prep, path):
+    """The conflict `rep` finds in `prep`, then the effects of binding it,
+    committing it and executing what that makes ready, by `path`."""
+    conflicts, bind, execute = path
+    conflict = conflicts(rep, prep)
+    out = [bind(rep, prep)]
+    rep.trackers[prep.seq] = _Tracker(committed=prep.bdigest())
+    return conflict, out + execute(rep)
+
+
+def _assert_same_state(rep, ref):
+    """The state the paths write, equal in value and in order."""
+    assert (rep.exec_cursor, rep.exec_digest) == (ref.exec_cursor,
+                                                  ref.exec_digest)
+    for name in ("last_reply", "pending", "bound", "prepared_log"):
+        assert list(getattr(rep, name).items()) == list(
+            getattr(ref, name).items()), name
+
+
+def _assert_paths_agree(rep, preps) -> list:
+    """Each of `preps` in turn at `rep` by the batch path, and at a copy of
+    `rep` by the per-request reference, agree in results and state; the
+    replies `rep` sent."""
+    ref, sent = rep.clone(), []
+    for prep in preps:
+        got = _admit_commit_execute(rep, prep, _BATCH_PATH)
+        assert got == _admit_commit_execute(ref, prep, _PER_REQUEST)
+        _assert_same_state(rep, ref)
+        sent += [e[2] for e in got[1] if e[0] == "send"]
+    return sent
+
+
+def _req(client_id, client_seq):
+    return m.Request(client_id, client_seq, b"op%d" % client_seq)
+
+
+def test_a_batch_with_one_client_twice_executes_request_by_request():
+    first = m.Prepare(0, 1, (_req(1, 1), _req(2, 1), _req(1, 2), _req(1, 2)),
+                      None)
+    # (1, 2) is bound at seq 1, a conflict; (2, 2) follows (2, 3)
+    second = m.Prepare(0, 2, (_req(1, 2), _req(2, 3), _req(1, 3), _req(2, 2)),
+                       None)
+    rep = Cluster().replicas[1]
+    sent = _assert_paths_agree(rep, [first, second])
+    assert [(r.client_id, r.client_seq) for r in sent] == [
+        (1, 1), (2, 1), (1, 2), (2, 3), (1, 3)]
+    # (2, 2) was pending when bound and is skipped, so it stays pending
+    assert list(rep.pending) == [(2, 2)] and rep.exec_cursor == 2
+
+
+def test_requests_at_or_below_the_last_reply_are_skipped_as_one_by_one():
+    rep = Cluster().replicas[1]
+    rep.last_reply.update({1: m.Reply(1, 5, 0, _h(b"r1")),
+                           2: m.Reply(2, 1, 0, _h(b"r2"))})
+    rep.pending[(1, 6)] = _req(1, 6)
+    prep = m.Prepare(0, 1, (_req(1, 4), _req(1, 5), _req(1, 6), _req(2, 1),
+                            _req(3, 1), _req(2, 2)), None)
+    sent = _assert_paths_agree(rep, [prep])
+    assert [(r.client_id, r.client_seq) for r in sent] == [(1, 6), (3, 1), (2, 2)]
+    assert rep.pending == {}
+
+
+def _adopt_state(c, rid, exec_digest, replies):
+    """Replica `rid` of `c` after it takes seq 1's state (exec_digest and
+    replies) by state transfer, under checkpoints of replicas 0 and 2."""
+    rep = c.replicas[rid]
+    sdig = rep._state_digest_from(exec_digest, replies)
+    cert = tuple(m.Checkpoint(1, sdig, i, c.tcs[i].create_ui(
+        m.checkpoint_digest(1, sdig))) for i in (0, 2))
+    rep.on_state_response(m.StateResponse(1, exec_digest, replies, cert, 0))
+    assert (rep.exec_cursor, rep.exec_digest) == (1, exec_digest)
+    return rep
+
+
+def test_a_reply_left_by_state_transfer_executes_the_batch_as_its_own():
+    # a state transfer keeps the last replies of clients its response leaves
+    # out, so replica 1 keeps its reply to (3, 2), and two replicas at one
+    # execution digest can skip differently: the one Prepare executes there
+    # by each replica's own last replies
+    c = Cluster()
+    c.replicas[1].last_reply[3] = m.Reply(3, 2, 0, _h(b"before"))
+    state, replies = _h(b"state at 1"), (m.Reply(4, 1, 1, _h(b"r4")),)
+    kept, plain = (_adopt_state(c, rid, state, replies) for rid in (1, 2))
+    assert kept.last_reply[3].client_seq == 2 and 3 not in plain.last_reply
+    prep = m.Prepare(0, 2, (_req(3, 1), _req(3, 2), _req(3, 3), _req(4, 1),
+                            _req(4, 2)), None)
+    again = plain.clone()
+    for rep in (plain, kept, again):
+        sent = _assert_paths_agree(rep, [prep])
+        assert len(sent) == (2 if rep is kept else 4)
+    assert plain.exec_digest == again.exec_digest != kept.exec_digest
+    assert [r.client_seq for r in plain.last_reply.values()] == [2, 3]
+    assert [r.client_seq for r in kept.last_reply.values()] == [3, 2]
+
+
+@pytest.mark.parametrize("diverged", [0, 2])
+def test_a_batch_on_two_chains_executes_request_by_request(diverged,
+                                                           monkeypatch):
+    # _execute_on_two_chains with three requests in one batch, through the
+    # cluster, by the batch path and then by the per-request reference
+    runs = []
+    for path in (_BATCH_PATH, _PER_REQUEST):
+        for name, fn in zip(("_conflicts", "_bind", "_execute"), path):
+            monkeypatch.setattr(Replica, name, fn)
+        c = Cluster(batch_size=3)
+        c.replicas[diverged].exec_digest = _h(b"corrupted")
+        effects, absorb = [], c._absorb
+        c._absorb = lambda rid, out: (effects.append((rid, list(out))),
+                                      absorb(rid, out))
+        for seq in (1, 2, 3):
+            broadcast_request(c, seq)
+        c.pump()
+        runs.append((c, effects))
+    (c, effects), (ref, ref_effects) = runs
+    assert effects == ref_effects
+    for rep, twin in zip(c.replicas, ref.replicas):
+        _assert_same_state(rep, twin)
+        assert rep.exec_cursor == 1 and rep.last_reply[0].client_seq == 3
+    assert safety_violations(c.ledger, set()) == safety_violations(
+        ref.ledger, set()) != []
+
+
 # ---------------------------------------------------- receivers' digests
 
 
@@ -411,6 +631,32 @@ def test_the_receivers_of_a_decision_compute_its_proof_digests_once(
         assert (rid, {"ev": "commit", "seq": 1, "via": "decision"}) in c.notes
     assert len(calls) == len(dec.proof)
     assert dec.proof_digests() == want
+
+
+def test_a_run_executes_each_batch_once_per_chain_point(monkeypatch):
+    # in a fault-free run every replica executes each batch at one chain
+    # point: the first computes its outcome, one Request.execute per
+    # request, and the others take that outcome from the Prepare's memo
+    computed, executed = [], []
+    batch = m.Prepare.execute.__wrapped__
+
+    def execute(prep, at):
+        computed.append((prep, at[0], at[1]))
+        return batch(prep, at)
+
+    monkeypatch.setattr(m.Prepare, "execute", _keyed(execute))
+    request = m.Request.execute
+    monkeypatch.setattr(m.Request, "execute", lambda req, at: (
+        executed.append(req.key()) or request(req, at)))
+    cfg = _exact_cell(SimConfig(), f=2, batch=10)
+    sim = Simulator(cfg)
+    assert sim.run().verdict["all_clients_done"]
+    requests = cfg.clients * cfg.requests_per_client
+    batches = requests // cfg.batch_size
+    assert [r.exec_cursor for r in sim.replicas] == [batches] * cfg.n
+    points = {(id(prep), prev, seq) for prep, prev, seq in computed}
+    assert len(computed) == len(points) == batches
+    assert len(executed) == len(set(executed)) == requests
 
 
 def test_a_vote_entry_computes_the_commit_of_its_prepare_once(monkeypatch):
