@@ -416,8 +416,8 @@ def test_replicas_on_different_chains_execute_one_request_differently():
 
 
 def _per_request_conflicts(self, prep):
-    """Replica._conflicts as it was when each request was looked up on its
-    own: the reference for the batch path."""
+    """Replica._conflicts's rule, one request at a time: the reference the
+    batch path must equal, as are the two below."""
     for r in prep.requests:
         bound = self.bound.get(r.key())
         if bound is not None and bound != prep.seq:
@@ -426,7 +426,7 @@ def _per_request_conflicts(self, prep):
 
 
 def _per_request_bind(self, prep, fresh=False):
-    """Replica._bind as it was when each request was bound on its own."""
+    """Replica._bind's rule, one request at a time."""
     self.prepared_log[prep.seq] = prep
     for r in prep.requests:
         key = r.key()
@@ -438,7 +438,7 @@ def _per_request_bind(self, prep, fresh=False):
 
 
 def _per_request_execute(self):
-    """Replica._execute as it was when each request executed on its own."""
+    """Replica._execute's rule, one request at a time."""
     out = []
     while True:
         nxt = self.exec_cursor + 1
