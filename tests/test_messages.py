@@ -528,7 +528,8 @@ def test_requests_at_or_below_the_last_reply_are_skipped_as_one_by_one():
     prep = m.Prepare(0, 1, (_req(1, 4), _req(1, 5), _req(1, 6), _req(2, 1),
                             _req(3, 1), _req(2, 2)), None)
     sent = _assert_paths_agree(rep, [prep])
-    assert [(r.client_id, r.client_seq) for r in sent] == [(1, 6), (3, 1), (2, 2)]
+    assert [(r.client_id, r.client_seq) for r in sent] == [
+        (1, 6), (3, 1), (2, 2)]
     assert rep.pending == {}
 
 
